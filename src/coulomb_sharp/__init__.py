@@ -24,7 +24,7 @@ from .exact import (
     sturm_count,
 )
 from .highprec import HighPrecisionReal, PrecisionError, validated_eval
-from .phase_space import PiScaledRational, clr_rhs, gamma_at, lt_rhs, semiclassical_constant
+from .phase_space import PiScaledRational, clr_rhs, gamma_at, lt_rhs
 from .spectrum import (
     LevelData,
     RieszQuery,
@@ -75,7 +75,6 @@ __all__ = [
     "riesz_mean",
     "riesz_mean_d3_closed_form",
     "run_suite",
-    "semiclassical_constant",
     "sturm_count",
     "validated_eval",
     "__version__",

@@ -81,14 +81,6 @@ class Polynomial:
     def one() -> "Polynomial":
         return Polynomial((Fraction(1),))
 
-    @staticmethod
-    def constant(c: RationalLike) -> "Polynomial":
-        return Polynomial.from_coefficients([c])
-
-    @staticmethod
-    def variable() -> "Polynomial":
-        return Polynomial((Fraction(0), Fraction(1)))
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -187,36 +179,10 @@ class Polynomial:
                     rem[k + i] -= c * b
         return Polynomial.from_coefficients(quot), Polynomial.from_coefficients(rem)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
         return self * (1 / self.leading_coefficient)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = f"{c}"
-            elif i == 1:
-                term = "t" if abs(c) == 1 else f"{abs(c)}*t"
-            else:
-                term = f"t^{i}" if abs(c) == 1 else f"{abs(c)}*t^{i}"
-            if not parts:
-                parts.append(term if (c > 0 or i == 0) else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
 
 def expand_linear_factors(roots: Sequence[RationalLike]) -> Polynomial:
@@ -367,13 +333,6 @@ class RootBracket:
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
-
-    def contains(self, x: RationalLike) -> bool:
-        return self.lower < as_rational(x) < self.upper
 
 
 def isolate_unique_root(p: Polynomial, lo: RationalLike, hi: RationalLike) -> RootBracket:

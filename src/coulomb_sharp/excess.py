@@ -31,7 +31,6 @@ from .exact import (
     log_derivative,
     ratfun_reduce,
 )
-from .highprec import HighPrecisionReal, sqrt_of_fraction
 
 PartialFractionTerms = Sequence[tuple[Fraction, Fraction]]
 
@@ -85,14 +84,20 @@ def _eval_terms(terms: PartialFractionTerms, t: Fraction) -> Fraction:
 
 
 def q_eval(d: int, t: RationalLike) -> Fraction:
-    """Excess-factor function (t+(d-1)/2)**(-d) (t+d/2) prod_{j<d}(t+j)."""
+    """Excess factor Q = (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d, exact.
+
+    For t = p/q the powers of q cancel, leaving one integer quotient
+    2**(d-1) (2p+dq) P / (2p+(d-1)q)**d with P = prod_{j<d}(p+jq).
+    """
     if d < 3:
         raise ValueError("d must be >= 3")
     t = as_rational(t)
-    base = t + Fraction(d - 1, 2)
+    p, q = t.numerator, t.denominator
+    base = 2 * p + (d - 1) * q
     if base == 0:
         raise ValueError(f"pole at t = {t}")
-    return (t + Fraction(d, 2)) * pochhammer_eval(d - 1, t) / base**d
+    prod = math.prod(range(p + q, p + d * q, q))
+    return Fraction(2 ** (d - 1) * (2 * p + d * q) * prod, base**d)
 
 
 def q_as_ratfun(d: int) -> RationalFunctionPair:
@@ -145,15 +150,21 @@ def f_as_ratfun(d: int) -> RationalFunctionPair:
 
 
 def a_eval_squared(d: int, t: RationalLike) -> Fraction:
-    """A**2 = (t+d/2)**(2-d) (t+d/2-1)**(-d) prod(t+k)**2, exact for any d."""
+    """A**2 = (t+d/2)**(2-d) (t+d/2-1)**(-d) prod_{j<d}(t+j)**2, exact for any d.
+
+    For t = p/q the powers of q cancel, leaving one integer quotient
+    2**(2d-2) P**2 / ((2p+dq)**(d-2) (2p+(d-2)q)**d) with P = prod_{j<d}(p+jq).
+    """
     if d < 3:
         raise ValueError("d must be >= 3")
     t = as_rational(t)
-    b1 = t + Fraction(d, 2)
-    b2 = t + Fraction(d, 2) - 1
+    p, q = t.numerator, t.denominator
+    b1 = 2 * p + d * q
+    b2 = 2 * p + (d - 2) * q
     if b1 == 0 or b2 == 0:
         raise ValueError(f"pole at t = {t}")
-    return pochhammer_eval(d - 1, t) ** 2 * b1 ** (2 - d) * b2 ** (-d)
+    prod = math.prod(range(p + q, p + d * q, q))
+    return Fraction(2 ** (2 * d - 2) * prod * prod, b1 ** (d - 2) * b2**d)
 
 
 def a_eval_even(d: int, t: RationalLike) -> Fraction:
@@ -166,14 +177,6 @@ def a_eval_even(d: int, t: RationalLike) -> Fraction:
     if b1 == 0 or b2 == 0:
         raise ValueError(f"pole at t = {t}")
     return pochhammer_eval(d - 1, t) * b1 ** (1 - d // 2) * b2 ** (-(d // 2))
-
-
-def a_eval(d: int, t: RationalLike, precision: int = 30) -> HighPrecisionReal:
-    """Positive square root of A**2; requires t >= 0 where A is positive."""
-    t = as_rational(t)
-    if t < 0:
-        raise ValueError("a_eval requires t >= 0")
-    return sqrt_of_fraction(a_eval_squared(d, t), precision)
 
 
 def a_squared_as_ratfun(d: int) -> RationalFunctionPair:
@@ -310,20 +313,6 @@ def big_g_squared(d: int, t: RationalLike) -> Fraction:
     return pochhammer_eval(d - 2, t) ** 2 * bracket**d * outer ** (2 - d)
 
 
-def big_g_eval(d: int, t: RationalLike, precision: int = 30) -> Fraction | HighPrecisionReal:
-    """G itself: exact rational for even d, validated real for odd d."""
-    t = as_rational(t)
-    if d % 2 == 0:
-        if d < 4:
-            raise ValueError("G is defined for d >= 4")
-        if t < 0:
-            raise ValueError("G is studied for t >= 0")
-        bracket = 1 + Fraction(d - 3) / (d - 1 + 2 * t) + Fraction(1) / (2 * (d - 2 + t))
-        outer = (Fraction(d, 2) + t) * (d + t - 1)
-        return pochhammer_eval(d - 2, t) * bracket ** (d // 2) * outer ** (1 - d // 2)
-    return sqrt_of_fraction(big_g_squared(d, t), precision)
-
-
 def big_g_monotonicity_quadratic(d: int) -> Polynomial:
     """Quadratic whose nonnegative coefficients certify that G increases.
 
@@ -350,15 +339,3 @@ def logderiv_check(kind: str, d: int) -> bool:
     if kind == "A_squared":
         return log_derivative(a_squared_as_ratfun(d)) == g_as_ratfun(d).scale(2)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def q_right_limit_value(d: int, tau0: int) -> Fraction:
-    """Closed form (d+2*tau0) prod(tau0+j) / (2**(1-d) (2*tau0+d-1)**d).
-
-    Equals Q at the integer tau0: the right limit of the excess ratio along
-    eta = 2*tau + d - 1.
-    """
-    if d < 3 or tau0 < 0:
-        raise ValueError("need d >= 3 and tau0 >= 0")
-    prod = math.prod(tau0 + j for j in range(1, d))
-    return Fraction((d + 2 * tau0) * prod) / (Fraction(2 ** (1 - d)) * (2 * tau0 + d - 1) ** d)

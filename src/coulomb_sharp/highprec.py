@@ -72,20 +72,7 @@ def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPre
     raise PrecisionError(f"no agreement after {MAX_DOUBLINGS} precision doublings")
 
 
-def real_from_fraction(x: Fraction, precision: int) -> HighPrecisionReal:
-    return validated_eval(lambda: fraction_to_mpf(x), precision)
-
-
 def sqrt_of_fraction(x: Fraction, precision: int) -> HighPrecisionReal:
     if x < 0:
         raise ValueError("square root of a negative rational")
     return validated_eval(lambda: mpmath.sqrt(fraction_to_mpf(x)), precision)
-
-
-def power_of_fraction(base: Fraction, exponent: Fraction, precision: int) -> HighPrecisionReal:
-    """base**exponent for positive rational base, via exp(exponent*log(base))."""
-    if base <= 0:
-        raise ValueError("power of a non-positive rational base")
-    return validated_eval(
-        lambda: mpmath.power(fraction_to_mpf(base), fraction_to_mpf(exponent)), precision
-    )

@@ -44,37 +44,46 @@ class StarResult:
     tie_ell: int | None = None
 
 
+def t_star_bounds(d: int) -> tuple[Fraction, Fraction]:
+    """Open interval (d^2/6 - 3d/2 + 7/3, d^2/6 - d/2 - 2/3) containing t*."""
+    return (
+        Fraction(d * d, 6) - Fraction(3 * d, 2) + Fraction(7, 3),
+        Fraction(d * d, 6) - Fraction(d, 2) - Fraction(2, 3),
+    )
+
+
+def a_zero_bounds(d: int) -> tuple[Fraction, Fraction]:
+    """Open interval (d^2/6 - 3d/2 + 5/3, d^2/6 - d/2 - 1) containing g's zero beyond -1."""
+    return (
+        Fraction(d * d, 6) - Fraction(3 * d, 2) + Fraction(5, 3),
+        Fraction(d * d, 6) - Fraction(d, 2) - 1,
+    )
+
+
 def q_candidate_window(d: int) -> tuple[int, int]:
-    """Integer window [floor(d^2/6-3d/2+7/3), ceil(d^2/6-d/2-2/3)], clamped at 0."""
+    """Integer hull of t_star_bounds(d), clamped at 0."""
     if d < 4:
         return (0, 0)
-    lo = math.floor(Fraction(d * d, 6) - Fraction(3 * d, 2) + Fraction(7, 3))
-    hi = math.ceil(Fraction(d * d, 6) - Fraction(d, 2) - Fraction(2, 3))
-    return (max(0, lo), max(0, hi))
+    lo, hi = t_star_bounds(d)
+    return (max(0, math.floor(lo)), max(0, math.ceil(hi)))
 
 
 def a_candidate_window(d: int) -> tuple[int, int]:
-    """Integer window [floor(d^2/6-3d/2+5/3), ceil(d^2/6-d/2-1)], clamped at 0."""
+    """Integer hull of a_zero_bounds(d), clamped at 0."""
     if d < 5:
         return (0, 0)
-    lo = math.floor(Fraction(d * d, 6) - Fraction(3 * d, 2) + Fraction(5, 3))
-    hi = math.ceil(Fraction(d * d, 6) - Fraction(d, 2) - 1)
-    return (max(0, lo), max(0, hi))
+    lo, hi = a_zero_bounds(d)
+    return (max(0, math.floor(lo)), max(0, math.ceil(hi)))
 
 
 def q_value(d: int, ell: int) -> Fraction:
-    """Q at an integer level, through pure big-integer arithmetic."""
-    prod = math.prod(ell + j for j in range(1, d))
-    return Fraction(2 ** (d - 1) * (2 * ell + d) * prod, (2 * ell + d - 1) ** d)
+    """Q at an integer level of the window."""
+    return excess.q_eval(d, ell)
 
 
 def a_value_squared(d: int, ell: int) -> Fraction:
-    """A**2 at an integer level, through pure big-integer arithmetic."""
-    prod = math.prod(ell + j for j in range(1, d))
-    return Fraction(
-        2 ** (2 * d - 2) * prod * prod,
-        (2 * ell + d) ** (d - 2) * (2 * ell + d - 2) ** d,
-    )
+    """A**2 at an integer level of the window."""
+    return excess.a_eval_squared(d, ell)
 
 
 def _window_argmax(values: dict[int, Fraction]) -> tuple[int, Fraction, int | None]:
@@ -145,36 +154,23 @@ def _certified_unique_root_bracket(
     """Sturm-certify a unique root of poly in (domain_lo, +inf), inside window.
 
     The right end of the half-line is closed off by a Cauchy root bound, so
-    the two Sturm counts genuinely cover (domain_lo, +inf).
+    the first Sturm count genuinely covers (domain_lo, +inf); the second,
+    inside isolate_unique_root, places that root strictly inside the window.
     """
     win_lo, win_hi = window
-    bound = cauchy_root_bound(poly)
-    domain_hi = max(bound, win_hi + 1)
+    domain_hi = max(cauchy_root_bound(poly), win_hi + 1)
     try:
         total = sturm_count(poly, domain_lo, domain_hi)
-        inside = sturm_count(poly, win_lo, win_hi)
+        if total != 1:
+            raise CertificationError(f"expected one zero beyond {domain_lo}, Sturm count is {total}")
+        bracket = isolate_unique_root(poly, win_lo, win_hi)
     except EndpointRootError as exc:
         raise CertificationError(f"maximizer sits on a window endpoint: {exc}") from exc
-    if total != 1:
-        raise CertificationError(f"expected one zero beyond {domain_lo}, Sturm count is {total}")
-    if inside != 1:
-        raise CertificationError(
-            f"unique zero not strictly inside ({win_lo}, {win_hi}); count there is {inside}"
-        )
-    bracket = isolate_unique_root(poly, win_lo, win_hi)
     bracket = bisect_root(poly.eval, bracket, width)
     # Tighten until strictly inside the open window.
     while bracket.lower <= win_lo or bracket.upper >= win_hi:
         bracket = bisect_root(poly.eval, bracket, bracket.width / 4)
     return bracket
-
-
-def t_star_bounds(d: int) -> tuple[Fraction, Fraction]:
-    """Open interval (d^2/6 - 3d/2 + 7/3, d^2/6 - d/2 - 2/3) containing t*."""
-    return (
-        Fraction(d * d, 6) - Fraction(3 * d, 2) + Fraction(7, 3),
-        Fraction(d * d, 6) - Fraction(d, 2) - Fraction(2, 3),
-    )
 
 
 def locate_t_star(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBracket:
@@ -190,29 +186,24 @@ def locate_t_star(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBr
 def locate_a_maximizer(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBracket | None:
     """Certified bracket for the unique zero of g beyond -1; None for d <= 4.
 
-    For even d the zero is isolated on the numerator of g directly; for odd d
-    on the numerator of the shifted form (poles at s <= (d-3)/2), and the
-    bracket is shifted back to the t variable.
+    The zero is certified strictly inside a_zero_bounds(d), whose lower end is
+    clamped to the domain t > -1.  For even d it is isolated on the numerator
+    of g directly; for odd d on the numerator of the shifted form in
+    s = t + (d-1)/2 (poles at s <= (d-3)/2), and the bracket is shifted back.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
     if d <= 4:
         return None
-    width = as_rational(width)
     if d % 2 == 0:
-        poly = excess.g_as_ratfun(d).numerator
-        lo = Fraction(-1)
+        poly, shift = excess.g_as_ratfun(d).numerator, Fraction(0)
     else:
-        poly = excess.g_shifted_as_ratfun(d).numerator
-        lo = Fraction(d - 3, 2)
-    hi = max(cauchy_root_bound(poly), lo + 1)
-    count = sturm_count(poly, lo, hi)
-    if count != 1:
-        raise CertificationError(f"expected one zero of g beyond {lo}, count is {count}")
-    bracket = bisect_root(poly.eval, isolate_unique_root(poly, lo, hi), width)
-    if d % 2 == 0:
-        return bracket
-    shift = Fraction(d - 1, 2)
+        poly, shift = excess.g_shifted_as_ratfun(d).numerator, Fraction(d - 1, 2)
+    lo, hi = a_zero_bounds(d)
+    lo = max(lo, Fraction(-1))
+    bracket = _certified_unique_root_bracket(
+        poly, Fraction(-1) + shift, (lo + shift, hi + shift), as_rational(width)
+    )
     return RootBracket(
         bracket.lower - shift,
         bracket.upper - shift,
@@ -237,24 +228,18 @@ def counterexample_scan(
     return hits
 
 
-def a_zero_window_check(d: int, interior_samples: int = 16) -> bool:
-    """Exact sign confirmation that g's positive zero sits in the stated window.
+def a_zero_window_check(d: int) -> bool:
+    """Sturm-certify that g has exactly one zero beyond -1, strictly inside a_zero_bounds(d).
 
-    Checks g > 0 on (-1, d^2/6 - 3d/2 + 5/3] and g < 0 on
-    [d^2/6 - d/2 - 1, +inf-ish), at the endpoints and at interior samples.
-    The lower region is empty for d = 5 and the check there is vacuous.
+    g tends to +inf just right of its pole at -1 and the reduced denominator
+    is positive on the domain, so a certified unique simple zero in the open
+    window with signs (+, -) means g > 0 left of the window and g < 0 right
+    of it, on the whole half-line.
     """
     if d < 5 or d % 2 == 0:
         raise ValueError("this window check is for odd d >= 5")
-    t_hi = Fraction(d * d, 6) - Fraction(d, 2) - 1
-    t_lo = Fraction(d * d, 6) - Fraction(3 * d, 2) + Fraction(5, 3)
-    ok = True
-    samples_hi = [t_hi] + [t_hi + Fraction(j * d, 8) for j in range(1, interior_samples + 1)]
-    for t in samples_hi:
-        ok = ok and excess.g_eval(d, t) < 0
-    if t_lo > -1:
-        step = (t_lo + 1) / (interior_samples + 1)
-        samples_lo = [Fraction(-1) + j * step for j in range(1, interior_samples + 1)] + [t_lo]
-        for t in samples_lo:
-            ok = ok and excess.g_eval(d, t) > 0
-    return ok
+    try:
+        bracket = locate_a_maximizer(d)
+    except CertificationError:
+        return False
+    return (bracket.sign_at_lower, bracket.sign_at_upper) == (1, -1)

@@ -54,12 +54,6 @@ class PiScaledRational:
             return PiScaledRational(self.ratio / other.ratio, self.pi_half_power - other.pi_half_power)
         return PiScaledRational(self.ratio / as_rational(other), self.pi_half_power)
 
-    def _comparable(self, other: "PiScaledRational") -> None:
-        if self.pi_half_power != other.pi_half_power and self.ratio != 0 and other.ratio != 0:
-            raise TypeError(
-                "mixed pi powers compare only through high-precision evaluation; use to_real()"
-            )
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PiScaledRational):
             return self.ratio == other.ratio and self.pi_half_power == other.pi_half_power
@@ -71,14 +65,6 @@ class PiScaledRational:
         if self.is_rational:
             return hash(self.ratio)
         return hash((self.ratio, self.pi_half_power))
-
-    def __lt__(self, other: "PiScaledRational") -> bool:
-        self._comparable(other)
-        return self.ratio < other.ratio
-
-    def __le__(self, other: "PiScaledRational") -> bool:
-        self._comparable(other)
-        return self.ratio <= other.ratio
 
     def to_real(self, precision: int = 30) -> HighPrecisionReal:
         return validated_eval(
@@ -159,23 +145,3 @@ def clr_rhs(d: int, eta: RationalLike) -> Fraction:
     if eta <= 0:
         raise ValueError("eta must be positive")
     return eta**d / (2 ** (d - 1) * math.factorial(d))
-
-
-def semiclassical_constant(gamma: RationalLike, d: int, precision: int = 30) -> HighPrecisionReal:
-    """The bare phase-space prefactor Gamma(gamma+1)/((4 pi)**(d/2) Gamma(gamma+1+d/2)).
-
-    Exposed only at high precision: its pi**(-d/2) never cancels on its own;
-    all exact inequality checks go through lt_rhs where cancellation is
-    structural.
-    """
-    gamma = as_rational(gamma)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-
-    def compute() -> mpmath.mpf:
-        g = fraction_to_mpf(gamma)
-        return mpmath.gamma(g + 1) / (
-            mpmath.power(4 * mpmath.pi, mpmath.mpf(d) / 2) * mpmath.gamma(g + 1 + mpmath.mpf(d) / 2)
-        )
-
-    return validated_eval(compute, precision)

@@ -504,10 +504,16 @@ def check_a_zero_window(d: int) -> CheckRecord:
 
 
 def check_right_limit(d: int, tau_max: int) -> CheckRecord:
-    """Q at integer points equals the closed-form right limit of the excess ratio."""
+    """Q at each integer tau0 equals the right limit of the excess ratio at eta0 = 2*tau0 + d - 1.
+
+    The count is constant on (eta0, eta0 + 2], so the limit is
+    count(eta0 + 1) / clr_rhs(d, eta0).
+    """
     ok = True
     for tau0 in range(tau_max + 1):
-        ok = ok and excess.q_eval(d, tau0) == excess.q_right_limit_value(d, tau0)
+        eta0 = 2 * tau0 + d - 1
+        count = spectrum.counting_function(spectrum.SpectrumParams(d=d, eta=eta0 + 1))
+        ok = ok and excess.q_eval(d, tau0) == Fraction(count) / phase_space.clr_rhs(d, eta0)
     return _record("q-right-limit", {"d": d, "tau_max": tau_max}, ok, {"holds": ok})
 
 

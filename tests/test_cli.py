@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output shapes, exit codes, byte stability."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -99,6 +100,23 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "clr", "--d-range", "3..8", "--out", str(first)]) == 0
         assert main(["verify", "--suite", "clr", "--d-range", "3..8", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "suite, records, sha256",
+        [
+            ("identities", 326, "404fd78cb068d2690a66504d4941fce7cdd01d76322cc2792af8a8fb8f06370c"),
+            ("clr", 123, "8dfe589bc770973b79ffc2bbbcc1914944a07c5cfb40469f001c8b2f32e5f61d"),
+        ],
+        ids=("identities", "clr"),
+    )
+    def test_report_bytes_pinned(self, tmp_path, capsys, monkeypatch, suite, records, sha256):
+        # Refactors must not move a verdict or a witness byte.
+        monkeypatch.delenv(cli.PRECISION_ENV_VAR, raising=False)
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+        report = out.read_bytes()
+        assert report.count(b"\n") == records
+        assert hashlib.sha256(report).hexdigest() == sha256
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

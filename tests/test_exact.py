@@ -240,7 +240,7 @@ class TestBisectRoot:
         p = expand_linear_factors([Fraction(-1, 2)]) * poly(1, 0, 1)
         bracket = isolate_unique_root(p, 0, 1)
         narrowed = bisect_root(p.eval, bracket, Fraction(1, 64))
-        assert narrowed.contains(Fraction(1, 2))
+        assert narrowed.lower < Fraction(1, 2) < narrowed.upper
         assert narrowed.width <= Fraction(1, 64)
 
     def test_bracket_invariants(self):

@@ -4,12 +4,12 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from coulomb_sharp import excess
 from coulomb_sharp.exact import Polynomial, poly_gcd, sturm_count
-from coulomb_sharp.highprec import HighPrecisionReal
+from coulomb_sharp.phase_space import clr_rhs
+from coulomb_sharp.spectrum import SpectrumParams, counting_function
 
 
 class TestPochhammer:
@@ -47,6 +47,23 @@ class TestPochhammer:
                 assert m * total == excess.pochhammer_eval(m, ell)
 
 
+def q_product_form(d, t):
+    """Textbook Q: (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d."""
+    return (t + Fraction(d, 2)) * excess.pochhammer_eval(d - 1, t) / (t + Fraction(d - 1, 2)) ** d
+
+
+def a_squared_product_form(d, t):
+    """Textbook A**2: prod_{j<d}(t+j)**2 (t+d/2)**(2-d) (t+d/2-1)**(-d)."""
+    return (
+        excess.pochhammer_eval(d - 1, t) ** 2
+        * (t + Fraction(d, 2)) ** (2 - d)
+        * (t + Fraction(d, 2) - 1) ** (-d)
+    )
+
+
+CLOSED_FORM_POINTS = (Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(-1, 2), Fraction(23, 2))
+
+
 class TestQEval:
     def test_known_values(self):
         assert excess.q_eval(3, 0) == 3
@@ -54,13 +71,24 @@ class TestQEval:
         assert excess.q_eval(5, 1) == Fraction(420, 243)
 
     def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            excess.q_eval(5, Fraction(-2))
+        for d in range(3, 13):
+            with pytest.raises(ValueError, match="pole"):
+                excess.q_eval(d, Fraction(1 - d, 2))
+
+    def test_matches_product_form(self):
+        for d in range(3, 13):
+            for t in CLOSED_FORM_POINTS:
+                if t == Fraction(1 - d, 2):
+                    continue
+                assert excess.q_eval(d, t) == q_product_form(d, t)
 
     def test_right_limit_identity(self):
+        # The count is constant on (eta0, eta0 + 2] with eta0 = 2*tau0 + d - 1.
         for d in range(3, 11):
             for tau0 in range(41):
-                assert excess.q_eval(d, tau0) == excess.q_right_limit_value(d, tau0)
+                eta0 = 2 * tau0 + d - 1
+                count = counting_function(SpectrumParams(d=d, eta=eta0 + 1))
+                assert excess.q_eval(d, tau0) == Fraction(count) / clr_rhs(d, eta0)
 
 
 class TestREval:
@@ -143,20 +171,17 @@ class TestAEval:
             excess.a_eval_even(5, 0)
 
     def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            excess.a_eval_squared(4, -2)
-        with pytest.raises(ValueError):
-            excess.a_eval_squared(4, -1)
+        for d in range(3, 13):
+            for pole in (Fraction(-d, 2), Fraction(2 - d, 2)):
+                with pytest.raises(ValueError, match="pole"):
+                    excess.a_eval_squared(d, pole)
 
-    def test_square_root_path(self):
-        value = excess.a_eval(3, 0, precision=30)
-        assert isinstance(value, HighPrecisionReal)
-        with mpmath.mp.workdps(45):
-            assert abs(value.value**2 - mpmath.mpf(64) / 3) < mpmath.mpf(10) ** -27
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            excess.a_eval(4, Fraction(-1, 2))
+    def test_matches_product_form(self):
+        for d in range(3, 13):
+            for t in CLOSED_FORM_POINTS:
+                if t in (Fraction(-d, 2), Fraction(2 - d, 2)):
+                    continue
+                assert excess.a_eval_squared(d, t) == a_squared_product_form(d, t)
 
     def test_dominates_q_squared_on_grid(self):
         for d in range(3, 13):
@@ -225,25 +250,15 @@ class TestSandwich:
 
 class TestBigG:
     def test_exact_value_at_zero(self):
-        assert excess.big_g_eval(4, 0) == Fraction(361, 432)
+        assert excess.big_g_squared(4, 0) == Fraction(361, 432) ** 2
 
     def test_limit_approached(self):
-        value = excess.big_g_eval(4, 10**6)
-        assert isinstance(value, Fraction)
-        assert abs(value - 1) < Fraction(1, 10**5)
+        assert abs(excess.big_g_squared(4, 10**6) - 1) < Fraction(2, 10**5)
 
     def test_odd_dimension_squared_path(self):
         squared = excess.big_g_squared(5, 0)
         assert isinstance(squared, Fraction)
         assert squared < 1
-        value = excess.big_g_eval(5, 0, precision=30)
-        assert isinstance(value, HighPrecisionReal)
-        assert float(value) < 1
-
-    def test_squared_consistent_with_even_direct(self):
-        for t in (Fraction(0), Fraction(3, 2), Fraction(10)):
-            direct = excess.big_g_eval(6, t)
-            assert direct**2 == excess.big_g_squared(6, t)
 
     def test_monotonicity_quadratic_coefficients_nonnegative(self):
         for d in range(4, 61):

@@ -7,8 +7,7 @@ import pytest
 
 from coulomb_sharp.highprec import (
     HighPrecisionReal,
-    power_of_fraction,
-    real_from_fraction,
+    fraction_to_mpf,
     sqrt_of_fraction,
     validated_eval,
 )
@@ -32,12 +31,6 @@ def test_negative_sqrt_rejected():
         sqrt_of_fraction(Fraction(-1), 20)
 
 
-def test_cube_root_of_eight():
-    result = power_of_fraction(Fraction(8), Fraction(1, 3), 30)
-    with mpmath.mp.workdps(50):
-        assert abs(result.value - 2) < mpmath.mpf(10) ** -28
-
-
 def test_zero_is_accepted_exactly():
     result = validated_eval(lambda: mpmath.mpf(0), 20)
     assert result.value == 0
@@ -45,14 +38,14 @@ def test_zero_is_accepted_exactly():
 
 def test_fraction_roundtrip_precision():
     x = Fraction(123456789, 987654321)
-    result = real_from_fraction(x, 35)
+    result = validated_eval(lambda: fraction_to_mpf(x), 35)
     with mpmath.mp.workdps(60):
         reference = mpmath.mpf(x.numerator) / x.denominator
         assert abs(result.value - reference) <= abs(reference) * mpmath.mpf(10) ** -34
 
 
 def test_carries_requested_precision():
-    assert real_from_fraction(Fraction(1, 3), 25).precision == 25
+    assert sqrt_of_fraction(Fraction(1, 3), 25).precision == 25
 
 
 def test_repr_contains_digits():
