@@ -1,11 +1,21 @@
-"""Exact rational polynomial arithmetic and Sturm-certified real-root isolation.
+"""Exact rational polynomial arithmetic and certified real-root isolation.
 
 Everything in this module is computed with arbitrary-precision rational
 numbers; floating point never decides a comparison.  The scalar type is
 ``fractions.Fraction`` (always in lowest terms, positive denominator),
 re-exported as :data:`Rational`.  On top of it sit dense univariate
-polynomials, co-prime rational-function pairs, Sturm-sequence root counting
-and bisection with certified brackets.
+polynomials, co-prime rational-function pairs, root counting and bisection
+with certified brackets.
+
+The root work runs on primitive integer images of the polynomials.  A root
+is certified by Descartes' rule of signs: a sign-variation count of exactly
+1 for the Moebius-transformed integer polynomial (1+x)**n p((lo+hi*x)/(1+x))
+proves one simple root in (lo, hi), and an interval with a larger count is
+halved and both halves recounted.  Sturm chains, built from integer
+pseudo-remainders, remain as the general exact root counter.  Partial-fraction
+sums (excess.partial_fraction_sum) reach co-prime form without a gcd: once
+terms sharing a root are merged, each distinct pole keeps a nonzero
+coefficient, so the numerator cannot vanish there.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
@@ -195,59 +204,50 @@ def expand_linear_factors(roots: Sequence[RationalLike]) -> Polynomial:
     return poly
 
 
-def divide_out_linear(poly: Polynomial, root: RationalLike) -> Polynomial:
-    """Exact division of poly by (t + root); raises if the factor does not divide."""
-    root = as_rational(root)
-    n = poly.degree
-    if n < 1:
-        raise ValueError("cannot divide a constant by a linear factor")
-    out = [Fraction(0)] * n
-    acc = Fraction(0)
-    for i in range(n, 0, -1):
-        acc = poly.coefficients[i] + acc
-        out[i - 1] = acc
-        acc = acc * (-root)
-    if poly.coefficients[0] + acc != 0:
-        raise ValueError(f"(t + {root}) does not divide the polynomial")
-    return Polynomial.from_coefficients(out)
-
-
 # -- primitive integer images, gcd, and Sturm chains -------------------------
 #
 # Remainder sequences are normalised to primitive integer coefficient lists
-# after every step.  Scaling is always by a positive rational, so the sign
+# after every step.  Scaling is always by a positive factor, so the sign
 # pattern of the chain (which Sturm counting relies on) is preserved.
 
 
 def _primitive_int(coeffs: Sequence[Fraction]) -> list[int]:
     if not coeffs:
         return []
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     return [v // g for v in ints]
 
 
 def _prem_primitive(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive image of the rational remainder of a modulo b (sign preserved)."""
-    rem = [Fraction(c) for c in a]
-    lead = Fraction(b[-1])
-    while rem and len(rem) >= len(b):
-        c = rem[-1] / lead
+    """Primitive image of the rational remainder of a modulo b (sign preserved).
+
+    Integer pseudo-division: each step scales the running remainder by
+    |lc(b)|/g > 0 before cancelling its leading term, then divides out the
+    (positive) content, so the result is the rational remainder times a
+    positive rational.
+    """
+    rem = list(a)
+    lead = b[-1]
+    abs_lead, lead_sign = abs(lead), (1 if lead > 0 else -1)
+    while len(rem) >= len(b):
+        top = rem[-1]
+        g = math.gcd(abs_lead, top)
+        scale, factor = abs_lead // g, lead_sign * (top // g)
         shift = len(rem) - len(b)
-        for i, bc in enumerate(b):
-            rem[shift + i] -= c * bc
-        rem.pop()
+        rem = [scale * v for v in rem[:-1]]
+        for i, bc in enumerate(b[:-1]):
+            rem[shift + i] -= factor * bc
         while rem and rem[-1] == 0:
             rem.pop()
-    return _primitive_int(rem)
+        if rem:
+            content = math.gcd(*rem)
+            if content != 1:
+                rem = [v // content for v in rem]
+    return rem
 
 
-@lru_cache(maxsize=128)
 def _sturm_chain(poly: Polynomial) -> tuple[tuple[int, ...], ...]:
     chain: list[list[int]] = [_primitive_int(poly.coefficients)]
     deriv = _primitive_int(poly.derivative().coefficients)
@@ -271,14 +271,13 @@ def _eval_int_sign(coeffs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
+def _variations(coeffs: Sequence[int]) -> int:
+    signs = [v > 0 for v in coeffs if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
 def _sign_variations(chain: Sequence[Sequence[int]], point: Fraction) -> int:
-    num, den = point.numerator, point.denominator
-    signs = []
-    for c in chain:
-        v = _eval_int_sign(c, num, den)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations([_eval_int_sign(c, point.numerator, point.denominator) for c in chain])
 
 
 def sturm_count(p: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
@@ -305,14 +304,6 @@ def sturm_count(p: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """Bound B with every real root of p inside (-B, B)."""
-    if p.degree < 1:
-        return Fraction(1)
-    lead = abs(p.leading_coefficient)
-    return 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
-
-
 @dataclass(frozen=True)
 class RootBracket:
     """Interval with opposite endpoint signs certified to contain one root."""
@@ -335,16 +326,119 @@ class RootBracket:
         return self.upper - self.lower
 
 
+def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
+    """Coefficients of c(x + a), by repeated synthetic division in integers."""
+    c = list(coeffs)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _descartes_variations(coeffs: Sequence[int], lo: Fraction, hi: Fraction | None) -> int:
+    """Sign variations of (1+x)**n c((lo+hi*x)/(1+x)), or of c(x + lo) when hi is None.
+
+    The positive roots of that integer image are exactly the roots of c in
+    the open interval, so the count exceeds their number (with multiplicity)
+    by an even number; 0 and 1 are exact.  A root at an endpoint only zeroes
+    an end coefficient of the image and does not spoil the bound.
+    """
+    # z = den*t - den*lo moves lo to 0 with integer coefficients.
+    den = lo.denominator if hi is None else math.lcm(lo.denominator, hi.denominator)
+    n = len(coeffs) - 1
+    image = _taylor_shift([c * den ** (n - k) for k, c in enumerate(coeffs)], int(lo * den))
+    if hi is not None:
+        # z = width*y maps (lo, hi) to y in (0, 1), and y = 1/(1+x) to x in (0, +inf).
+        width = int((hi - lo) * den)
+        scaled = [c * width**k for k, c in enumerate(image)]
+        image = _taylor_shift(scaled[::-1], 1)
+    return _variations(image)
+
+
+# Halvings after which a piece still showing two or more variations is given
+# up on: it holds a multiple root, or roots closer than its width / 2**64.
+_SUBDIVISION_DEPTH = 64
+
+
+def _subdivided_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction | None, depth: int) -> int:
+    variations = _descartes_variations(coeffs, lo, hi)
+    if variations <= 1:
+        return variations
+    if depth == 0:
+        end = "+inf" if hi is None else hi
+        raise CertificationError(
+            f"roots in ({lo}, {end}) not separated after {_SUBDIVISION_DEPTH} halvings; a multiple root?"
+        )
+    # A finite piece is halved; the half-line is split at lo + max(|lo|, 1),
+    # which doubles the split point once it is positive.
+    mid = (lo + hi) / 2 if hi is not None else lo + max(abs(lo), 1)
+    at_mid = 0
+    if _eval_int_sign(coeffs, mid.numerator, mid.denominator) == 0:
+        if _eval_int_sign([k * c for k, c in enumerate(coeffs)][1:], mid.numerator, mid.denominator) == 0:
+            raise CertificationError(f"multiple root at {mid}")
+        at_mid = 1
+    return (
+        _subdivided_count(coeffs, lo, mid, depth - 1)
+        + at_mid
+        + _subdivided_count(coeffs, mid, hi, depth - 1)
+    )
+
+
+def descartes_count(p: Polynomial, lo: RationalLike, hi: RationalLike | None = None) -> int:
+    """Exact number of real roots of p in (lo, hi), or in (lo, +inf) when hi is None.
+
+    Descartes' rule of signs with subdivision (Vincent-Collins-Akritas): an
+    interval whose integer image shows two or more sign variations is split
+    and each part recounted, until every part shows 0 or 1 (both exact) or
+    the split point is itself a simple root.  Every root counted is therefore
+    simple.  Raises CertificationError when a part cannot be resolved within
+    64 splits (a multiple root), and EndpointRootError when a finite endpoint
+    is itself a root.
+    """
+    lo = as_rational(lo)
+    ends = [lo]
+    if hi is not None:
+        hi = as_rational(hi)
+        if not lo < hi:
+            raise ValueError("need lo < hi")
+        ends.append(hi)
+    if p.is_zero:
+        raise ValueError("root counting of the zero polynomial")
+    coeffs = _primitive_int(p.coefficients)
+    for end in ends:
+        if _eval_int_sign(coeffs, end.numerator, end.denominator) == 0:
+            raise EndpointRootError(
+                f"p({end}) = 0; nudge the endpoint by an exact rational (e.g. 1/2**k) and retry"
+            )
+    return _subdivided_count(coeffs, lo, hi, _SUBDIVISION_DEPTH)
+
+
+def sign_function(p: Polynomial) -> Callable[[Fraction], int]:
+    """Exact sign of p at rational points, by integer Horner on p's primitive image."""
+    if p.is_zero:
+        raise ValueError("sign of the zero polynomial")
+    coeffs = _primitive_int(p.coefficients)
+
+    def sign_at(t: Fraction) -> int:
+        v = _eval_int_sign(coeffs, t.numerator, t.denominator)
+        return (v > 0) - (v < 0)
+
+    return sign_at
+
+
 def isolate_unique_root(p: Polynomial, lo: RationalLike, hi: RationalLike) -> RootBracket:
-    """Certify by Sturm count that p has exactly one root in (lo, hi)."""
+    """Certify by Descartes' rule that p has exactly one root in (lo, hi).
+
+    The root is simple (descartes_count counts only simple roots), so the
+    endpoint signs differ.  Any other count raises CertificationError.
+    """
     lo, hi = as_rational(lo), as_rational(hi)
-    count = sturm_count(p, lo, hi)
+    count = descartes_count(p, lo, hi)
     if count != 1:
-        raise CertificationError(f"expected exactly one root in ({lo}, {hi}), Sturm count is {count}")
-    s_lo, s_hi = rational_sign(p.eval(lo)), rational_sign(p.eval(hi))
-    if s_lo == s_hi:
-        raise CertificationError("single root of even multiplicity; bisection bracket impossible")
-    return RootBracket(lo, hi, s_lo, s_hi)
+        raise CertificationError(f"expected exactly one root in ({lo}, {hi}), Descartes count is {count}")
+    sign = sign_function(p)
+    return RootBracket(lo, hi, sign(lo), sign(hi))
 
 
 def bisect_root(

@@ -7,11 +7,14 @@ logarithmic derivatives, h_a the pole-splitting squeeze used for odd
 dimension, and G the summation bound behind the improved order-1 estimate.
 Pochhammer products drive the exact summations.
 
-All rational-function forms are produced by summing partial fractions over a
-common denominator and reducing by polynomial gcd; evaluation at rational
-points is exact.  Odd-dimension irrationality is dodged systematically by
-squaring: A**2 and G**2 are rational functions, so every order comparison
-against a rational threshold is decided exactly on squares.
+The rational-function forms of f, g and h_a are built from their partial
+fractions in integers and need no gcd: after merging terms that share a
+root, the roots are distinct and every coefficient is nonzero, so the
+numerator is nonzero at every pole and the pair is already co-prime.
+Evaluation at rational points is exact.  Odd-dimension irrationality is
+dodged systematically by squaring: A**2 and G**2 are rational functions, so
+every order comparison against a rational threshold is decided exactly on
+squares.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .exact import (
     RationalFunctionPair,
     RationalLike,
     as_rational,
-    divide_out_linear,
     expand_linear_factors,
     log_derivative,
     ratfun_reduce,
@@ -55,19 +57,45 @@ def pochhammer_poly(m: int) -> Polynomial:
 
 
 def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
-    """Sum coeff/(t + root) over the given terms and reduce to co-prime form.
+    """Sum coeff/(t + root) over the given terms, in co-prime form with monic denominator.
 
-    The common denominator is the product over all listed factors (repeats
-    included); cancellation happens only through the gcd reduction.
+    Terms sharing a root are merged and terms whose merged coefficient is 0
+    dropped.  With u = L*t for L the lcm of the root denominators, the sum is
+    (L/M) * sum_i C_i prod_{j!=i}(u + R_j) / prod_j(u + R_j) with integers
+    C_i = M*c_i and R_j = L*r_j; both products are built in Python ints.  The
+    R_j are distinct and every C_i is nonzero, so the numerator is nonzero at
+    every pole: the pair is co-prime without a gcd, and as a co-prime pair
+    with monic denominator it is the one ratfun_reduce would return.
     """
     if not terms:
         raise ValueError("no terms")
-    roots = [as_rational(r) for _, r in terms]
-    common = expand_linear_factors(roots)
-    num = Polynomial.zero()
-    for (c, _), r in zip(terms, roots):
-        num = num + divide_out_linear(common, r) * as_rational(c)
-    return ratfun_reduce(num, common)
+    merged: dict[Fraction, Fraction] = {}
+    for c, r in terms:
+        r = as_rational(r)
+        merged[r] = merged.get(r, Fraction(0)) + as_rational(c)
+    merged = {r: c for r, c in merged.items() if c}
+    if not merged:
+        return RationalFunctionPair(Polynomial.zero(), Polynomial.one())
+    scale = math.lcm(*(r.denominator for r in merged))
+    coeff_den = math.lcm(*(c.denominator for c in merged.values()))
+    shifted = [(int(c * coeff_den), int(r * scale)) for r, c in merged.items()]
+    n = len(shifted)
+    common = [1]  # prod_j (u + R_j), lowest degree first
+    for _, root in shifted:
+        common = [root * a + b for a, b in zip(common + [0], [0] + common)]
+    num = [0] * n
+    for coeff, root in shifted:
+        # Synthetic division of the monic common by (u + root).
+        acc = 0
+        for k in range(n, 0, -1):
+            acc = common[k] - root * acc
+            num[k - 1] += coeff * acc
+    return RationalFunctionPair(
+        Polynomial.from_coefficients(
+            Fraction(v * scale ** (k + 1), coeff_den * scale**n) for k, v in enumerate(num)
+        ),
+        Polynomial.from_coefficients(Fraction(v, scale ** (n - k)) for k, v in enumerate(common)),
+    )
 
 
 def _eval_terms(terms: PartialFractionTerms, t: Fraction) -> Fraction:

@@ -84,6 +84,21 @@ class TestConstantsCommand:
     def test_bad_tolerance_usage_error(self, capsys):
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "d, sha256",
+        [
+            (40, "e5bea2cec1005bf91c05a139eee11517a1c9d1073a3e85f56418c3bac65f1eda"),
+            (60, "3bf4dfc8d58908064e7f4cf410c8e4c71e6954099609dc501dbccbd7e929166d"),
+            (80, "9dae7ef910f43b9e4800cc785955432bebb475b65e92c897c65b41d93aaab57e"),
+            (150, "873ae5c78205f976f57840c221ed1882435daa9747ef840960f2896cc0243fb5"),
+        ],
+    )
+    def test_t_star_bytes_pinned(self, capsys, d, sha256):
+        # A faster root certifier must not move the bracket by one byte,
+        # also past the dimensions its counts were first measured on.
+        assert main(["constants", "--d", str(d), "--which", "t-star", "--tol", "1/1000000"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
 
 class TestVerifyCommand:
     def test_d3_envelopes_suite(self, tmp_path, capsys):
@@ -106,8 +121,9 @@ class TestVerifyCommand:
         [
             ("identities", 326, "404fd78cb068d2690a66504d4941fce7cdd01d76322cc2792af8a8fb8f06370c"),
             ("clr", 123, "8dfe589bc770973b79ffc2bbbcc1914944a07c5cfb40469f001c8b2f32e5f61d"),
+            ("coefficients", 112, "9855d2bd13cb24567cf7ea388902254a87cf037e9760f562028f7d77d8c62b9c"),
         ],
-        ids=("identities", "clr"),
+        ids=("identities", "clr", "coefficients"),
     )
     def test_report_bytes_pinned(self, tmp_path, capsys, monkeypatch, suite, records, sha256):
         # Refactors must not move a verdict or a witness byte.

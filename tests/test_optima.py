@@ -179,6 +179,13 @@ class TestAZeroWindow:
     def test_sign_windows_hold(self, d):
         assert optima.a_zero_window_check(d)
 
+    def test_large_dimension_bracket_unchanged(self):
+        # Bracket as a Sturm-certified localization produced it; d = 81 lies
+        # past the dimensions the default identities sweep visits.
+        assert optima.a_zero_window_check(81)
+        bracket = optima.locate_a_maximizer(81)
+        assert (bracket.lower, bracket.upper) == (Fraction(132742419, 131072), Fraction(99556873, 98304))
+
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError):
             optima.a_zero_window_check(6)
