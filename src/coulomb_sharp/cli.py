@@ -95,6 +95,11 @@ class SweepConfig:
     def from_json_file(path: str) -> "SweepConfig":
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError("the config must be a JSON object")
+        d_values = data.get("d_values")
+        if d_values is not None and (type(d_values) is not list or any(type(d) is not int for d in d_values)):
+            raise ValueError("d_values must be a list of integers")
         eta_grid = None
         if data.get("eta_grid") is not None:
             grid = data["eta_grid"]
@@ -108,7 +113,7 @@ class SweepConfig:
             eta_grid = (start, stop, step)
         gamma = parse_rational(str(data["gamma"])) if data.get("gamma") is not None else None
         return SweepConfig(
-            d_values=list(data["d_values"]) if data.get("d_values") is not None else None,
+            d_values=d_values,
             eta_grid=eta_grid,
             gamma=gamma,
             suites=list(data["suites"]) if data.get("suites") is not None else None,
@@ -414,6 +419,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"usage error: unknown suite {exc}", file=sys.stderr)
         return 2
+    if not records:
+        print(f"no checks ran for suites {', '.join(suites)}; no report written", file=sys.stderr)
+        return 1
     _atomic_write_text(out_path, verification.records_to_jsonl(records))
     total = len(records)
     failures = [r for r in records if not r.ok]

@@ -5,7 +5,9 @@ numbers; floating point never decides a comparison.  The scalar type is
 ``fractions.Fraction`` (always in lowest terms, positive denominator),
 re-exported as :data:`Rational`.  On top of it sit dense univariate
 polynomials, co-prime rational-function pairs, root counting and bisection
-with certified brackets.
+with certified brackets.  A product of linear factors is expanded in one
+place, in integers: _int_linear_product, which expand_linear_factors calls
+after scaling its rational roots by the lcm of their denominators.
 
 The root work runs on primitive integer images of the polynomials.  A root
 is certified by Descartes' rule of signs: a sign-variation count of exactly
@@ -157,18 +159,6 @@ class Polynomial:
     def __rmul__(self, other: RationalLike) -> "Polynomial":
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact Euclidean division: self = q*other + r with deg r < deg other."""
         if other.is_zero:
@@ -194,14 +184,27 @@ class Polynomial:
         return self * (1 / self.leading_coefficient)
 
 
+def _int_linear_product(roots: Sequence[int]) -> list[int]:
+    """Coefficients of prod_j (u + R_j) over integer R_j, lowest degree first."""
+    coeffs = [1]
+    for root in roots:
+        coeffs = [root * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def expand_linear_factors(roots: Sequence[RationalLike]) -> Polynomial:
-    """Expand the product of (t + r) over the given roots, exactly."""
+    """Expand the product of (t + r) over the given roots, exactly.
+
+    With L the lcm of the root denominators, the product is expanded in
+    integers in u = L*t; coefficient k of the result is c_k / L**(n-k).
+    """
     if not roots:
         raise ValueError("need at least one linear factor")
-    poly = Polynomial.one()
-    for r in roots:
-        poly = poly * Polynomial.from_coefficients([r, 1])
-    return poly
+    rs = [as_rational(r) for r in roots]
+    scale = math.lcm(*(r.denominator for r in rs))
+    coeffs = _int_linear_product([r.numerator * (scale // r.denominator) for r in rs])
+    n = len(rs)
+    return Polynomial(tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs)))
 
 
 # -- primitive integer images, gcd, and Sturm chains -------------------------

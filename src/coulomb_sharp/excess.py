@@ -5,7 +5,11 @@ semiclassical bound, as a function of the level variable), A its analogue in
 the conjectured optimal bound for arbitrary potentials, f and g their
 logarithmic derivatives, h_a the pole-splitting squeeze used for odd
 dimension, and G the summation bound behind the improved order-1 estimate.
-Pochhammer products drive the exact summations.
+
+Products are built in integers, once.  Pochhammer values and Q and A**2 at
+t = p/q share one integer closed form (_pochhammer_int); every product of
+linear factors, including the common denominator of a partial-fraction sum,
+goes through the integer expansion in exact (_int_linear_product).
 
 The rational-function forms of f, g and h_a are built from their partial
 fractions in integers and need no gcd: after merging terms that share a
@@ -28,6 +32,7 @@ from .exact import (
     Polynomial,
     RationalFunctionPair,
     RationalLike,
+    _int_linear_product,
     as_rational,
     expand_linear_factors,
     log_derivative,
@@ -37,15 +42,17 @@ from .exact import (
 PartialFractionTerms = Sequence[tuple[Fraction, Fraction]]
 
 
+def _pochhammer_int(m: int, p: int, q: int) -> int:
+    """prod_{k=1..m} (p + k*q), the integer q**m (t+1)...(t+m) at t = p/q."""
+    return math.prod(range(p + q, p + (m + 1) * q, q))
+
+
 def pochhammer_eval(m: int, t: RationalLike) -> Fraction:
     """Shifted Pochhammer product (t+1)(t+2)...(t+m); equals 1 for m = 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
     t = as_rational(t)
-    value = Fraction(1)
-    for k in range(1, m + 1):
-        value *= t + k
-    return value
+    return Fraction(_pochhammer_int(m, t.numerator, t.denominator), t.denominator**m)
 
 
 def pochhammer_poly(m: int) -> Polynomial:
@@ -80,9 +87,7 @@ def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
     coeff_den = math.lcm(*(c.denominator for c in merged.values()))
     shifted = [(int(c * coeff_den), int(r * scale)) for r, c in merged.items()]
     n = len(shifted)
-    common = [1]  # prod_j (u + R_j), lowest degree first
-    for _, root in shifted:
-        common = [root * a + b for a, b in zip(common + [0], [0] + common)]
+    common = _int_linear_product([root for _, root in shifted])
     num = [0] * n
     for coeff, root in shifted:
         # Synthetic division of the monic common by (u + root).
@@ -124,7 +129,7 @@ def q_eval(d: int, t: RationalLike) -> Fraction:
     base = 2 * p + (d - 1) * q
     if base == 0:
         raise ValueError(f"pole at t = {t}")
-    prod = math.prod(range(p + q, p + d * q, q))
+    prod = _pochhammer_int(d - 1, p, q)
     return Fraction(2 ** (d - 1) * (2 * p + d * q) * prod, base**d)
 
 
@@ -132,7 +137,7 @@ def q_as_ratfun(d: int) -> RationalFunctionPair:
     if d < 3:
         raise ValueError("d must be >= 3")
     num = expand_linear_factors([Fraction(d, 2)] + list(range(1, d)))
-    den = Polynomial.from_coefficients([Fraction(d - 1, 2), 1]) ** d
+    den = expand_linear_factors([Fraction(d - 1, 2)] * d)
     return ratfun_reduce(num, den)
 
 
@@ -191,30 +196,15 @@ def a_eval_squared(d: int, t: RationalLike) -> Fraction:
     b2 = 2 * p + (d - 2) * q
     if b1 == 0 or b2 == 0:
         raise ValueError(f"pole at t = {t}")
-    prod = math.prod(range(p + q, p + d * q, q))
+    prod = _pochhammer_int(d - 1, p, q)
     return Fraction(2 ** (2 * d - 2) * prod * prod, b1 ** (d - 2) * b2**d)
-
-
-def a_eval_even(d: int, t: RationalLike) -> Fraction:
-    """A itself, exact; only even d keeps the half powers integral."""
-    if d % 2 != 0:
-        raise ValueError("exact evaluation of A needs even d")
-    t = as_rational(t)
-    b1 = t + Fraction(d, 2)
-    b2 = t + Fraction(d, 2) - 1
-    if b1 == 0 or b2 == 0:
-        raise ValueError(f"pole at t = {t}")
-    return pochhammer_eval(d - 1, t) * b1 ** (1 - d // 2) * b2 ** (-(d // 2))
 
 
 def a_squared_as_ratfun(d: int) -> RationalFunctionPair:
     if d < 3:
         raise ValueError("d must be >= 3")
-    num = expand_linear_factors(list(range(1, d))) ** 2
-    den = (
-        Polynomial.from_coefficients([Fraction(d, 2), 1]) ** (d - 2)
-        * Polynomial.from_coefficients([Fraction(d, 2) - 1, 1]) ** d
-    )
+    num = expand_linear_factors(list(range(1, d)) * 2)
+    den = expand_linear_factors([Fraction(d, 2)] * (d - 2) + [Fraction(d, 2) - 1] * d)
     return ratfun_reduce(num, den)
 
 

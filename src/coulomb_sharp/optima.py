@@ -49,7 +49,6 @@ class StarResult:
     value_squared: Fraction
     value: Fraction | None
     candidate_window: tuple[int, int]
-    maximizer_bracket: RootBracket | None
     tie_ell: int | None = None
 
 
@@ -111,45 +110,40 @@ def _window_argmax(values: dict[int, Fraction]) -> tuple[int, Fraction, int | No
     return best_ell, best, tie
 
 
-def q_star(d: int, locate_maximizer: bool = False, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> StarResult:
+def q_star(d: int) -> StarResult:
     """Exact maximum of Q over its candidate window (Q3 maximizes at 0)."""
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = q_candidate_window(d)
     values = {ell: q_value(d, ell) for ell in range(lo, hi + 1)}
     argmax, best, tie = _window_argmax(values)
-    bracket = None
-    if locate_maximizer and d >= 4:
-        bracket = locate_t_star(d, width)
     return StarResult(
         d=d,
         argmax_ell=argmax,
         value_squared=best * best,
         value=best,
         candidate_window=(lo, hi),
-        maximizer_bracket=bracket,
         tie_ell=tie,
     )
 
 
-def a_star(d: int, locate_maximizer: bool = False, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> StarResult:
+def a_star(d: int) -> StarResult:
     """Exact maximum of A over its candidate window, compared through squares."""
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = a_candidate_window(d)
     values = {ell: a_value_squared(d, ell) for ell in range(lo, hi + 1)}
     argmax, best_sq, tie = _window_argmax(values)
-    value = excess.a_eval_even(d, Fraction(argmax)) if d % 2 == 0 else None
-    bracket = None
-    if locate_maximizer and d >= 5:
-        bracket = locate_a_maximizer(d, width)
+    # For even d both powers in A**2's denominator (d-2 and d) are even and its
+    # numerator is a square, so the reduced fraction is a square over a square;
+    # the levels are >= 0, where A > 0.
+    value = Fraction(math.isqrt(best_sq.numerator), math.isqrt(best_sq.denominator)) if d % 2 == 0 else None
     return StarResult(
         d=d,
         argmax_ell=argmax,
         value_squared=best_sq,
         value=value,
         candidate_window=(lo, hi),
-        maximizer_bracket=bracket,
         tie_ell=tie,
     )
 

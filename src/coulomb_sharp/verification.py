@@ -20,7 +20,7 @@ import mpmath
 from mpmath import mp
 
 from . import excess, optima, phase_space, spectrum
-from .exact import Polynomial, RationalLike, as_rational
+from .exact import RationalLike, as_rational, expand_linear_factors
 from .highprec import HighPrecisionReal
 from .phase_space import PiScaledRational
 
@@ -340,13 +340,12 @@ def check_coefficients_h(d: int, a: RationalLike) -> CheckRecord:
     a = as_rational(a)
     pair = excess.h_a_as_ratfun(d, a)
     p, q = pair.numerator, pair.denominator
+    # (s**2 - 1/4)(s + (d-1)/2) prod_{k <= (d-3)/2}(s**2 - k**2)
     half = Fraction(1, 2)
-    expected_den = (
-        Polynomial.from_coefficients([-Fraction(1, 4), 0, 1])
-        * Polynomial.from_coefficients([Fraction(d - 1, 2), 1])
+    expected_den = expand_linear_factors(
+        [-half, half, Fraction(d - 1, 2)]
+        + [sign * k for k in range(1, (d - 3) // 2 + 1) for sign in (-1, 1)]
     )
-    for k in range(1, (d - 3) // 2 + 1):
-        expected_den = expected_den * Polynomial.from_coefficients([-(k * k), 0, 1])
     lead_expected = -(Fraction(d - 1, 2) + a)
     second_expected = Fraction(d**3 - 6 * d**2 + 8 * d, 12) - Fraction(d - 1, 2) * a
     ok = (

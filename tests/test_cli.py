@@ -99,6 +99,30 @@ class TestConstantsCommand:
         assert main(["constants", "--d", str(d), "--which", "t-star", "--tol", "1/1000000"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "which, d, sha256",
+        [
+            ("q-star", 4, "81a3910edc5e24f077f40abe311041627b563762f2d4de3f8c5d06bf17ecb339"),
+            ("q-star", 5, "2adf98638d3217c38ae1660b0b2f646840b1ab38e8cffb13b7fd017751bf97f3"),
+            ("q-star", 6, "1a7ecd538a002ccc97e160d2af9208f9d12322f7edb933c0daa48a812b70671b"),
+            ("q-star", 20, "75134505ae87696df91f0a2f977d6d91a05eef7e6ddec80fd4e36d4a0c1b81bb"),
+            ("q-star", 21, "a7b50095e9a516bc56f4b5e9edb674bfd6929dca492d97806d311866c6aa2905"),
+            ("q-star", 40, "c642a255d82f83a3244b122d19db0f6f3a4b797e8b313b161f1c1ab99bca7f7b"),
+            ("q-star", 60, "51ecf113719ced1264a5b8705cc3ff78e9b3fbd3f247184323d4ee4dd7f85bdf"),
+            ("a-star", 4, "407612d8ba5d6698dad147ffeece635cc1c47527c8cee9a9a3ae336d68eeb514"),
+            ("a-star", 5, "9b691c715c7a6c75bf0fb018481e858de58ab627ead8f0befff911fd4d8dfa55"),
+            ("a-star", 6, "f38a97daa38d9e1c54dd9761cc3430bd43af4e61be592263b68fd633c952c5f6"),
+            ("a-star", 20, "219fda7d4a5288fd6141dda118401622718d5640e2ca11494c24fcddfc19c3d3"),
+            ("a-star", 21, "77ea064fb04cb93e0891839a71257fe86343b616fe50e4e33a944125aa27f45a"),
+            ("a-star", 40, "f165409ad8467b17e235c9898ccae8325772864f1bff895b652d9c6ccae22c98"),
+            ("a-star", 60, "13dd4681d633de9b76e514948d27435c97d0526deda6cc1520eaa7829abf5951"),
+        ],
+    )
+    def test_star_bytes_pinned(self, capsys, which, d, sha256):
+        # One integer product path for Q, A**2 and the even-d root of A**2: not one byte may move.
+        assert main(["constants", "--d", str(d), "--which", which]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
 
 class TestVerifyCommand:
     def test_d3_envelopes_suite(self, tmp_path, capsys):
@@ -178,6 +202,32 @@ class TestVerifyCommand:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"eta_grid": {"start": "5", "stop": "4", "step": "1/10"}}))
         assert main(["verify", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([4, 5], "JSON object"),
+            ({"d_values": ["x"], "eta_grid": {"start": "3.1", "stop": "3.5", "step": "1/10"}}, "d_values"),
+        ],
+        ids=("top-level-list", "non-integer-d"),
+    )
+    def test_malformed_config_rejected_before_work(self, tmp_path, capsys, monkeypatch, payload, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verification, "run_suite", no_work)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_record_set_fails_without_report(self, tmp_path, capsys):
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "lt-gamma1", "--d-range", "1..2", "--out", str(out)]) == 1
+        assert "no checks ran" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_precision_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.PRECISION_ENV_VAR, "oops")

@@ -73,9 +73,6 @@ class TestPolynomial:
         assert q * b + r == a
         assert r.degree < b.degree
 
-    def test_pow(self):
-        assert poly(1, 1) ** 3 == poly(1, 3, 3, 1)
-
     def test_derivative(self):
         assert poly(5, 1, 4).derivative() == poly(1, 8)
 
@@ -102,6 +99,12 @@ class TestExpandLinearFactors:
         assert p.leading_coefficient == 1
         assert p.coefficient(0) == 120
         assert p.coefficient(4) == 15
+
+    def test_repeated_roots(self):
+        assert expand_linear_factors([1, 1, 1]) == poly(1, 3, 3, 1)
+        roots = [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3)]
+        assert expand_linear_factors(roots) == poly(Fraction(1, 12), Fraction(-1, 12), Fraction(-2, 3), 1)
+        assert list(expand_linear_factors(roots).coefficients) == convolution_expand(roots)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

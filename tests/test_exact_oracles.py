@@ -137,9 +137,48 @@ class TestDescartes:
             descartes_count(poly(-4, 0, 1), -2)
 
 
+def multiplied_linear_factors(roots):
+    """Reference: prod (t + r) by Polynomial multiplication, one factor at a time."""
+    product = Polynomial.one()
+    for r in roots:
+        product = product * poly(r, 1)
+    return product
+
+
+def pochhammer_loop(m, t):
+    """Reference: (t+1)(t+2)...(t+m) as a Fraction loop."""
+    value = Fraction(1)
+    for k in range(1, m + 1):
+        value *= t + k
+    return value
+
+
+roots_with_repeats = st.lists(small_rationals, min_size=1, max_size=4).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=8)
+)
+
+
+class TestIntegerProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(roots_with_repeats)
+    def test_linear_factors_match_multiplication(self, roots):
+        assert expand_linear_factors(roots) == multiplied_linear_factors(roots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.one_of(
+            st.builds(Fraction, st.integers(-500, 500), st.integers(1, 40)),
+            st.integers(-45, 0).map(Fraction),
+        ),
+    )
+    def test_pochhammer_matches_loop(self, m, t):
+        assert excess.pochhammer_eval(m, t) == pochhammer_loop(m, t)
+
+
 def unmerged_partial_fraction_sum(terms):
     """Reference: sum over the product of every listed factor, then gcd-reduce."""
-    common = expand_linear_factors([r for _, r in terms])
+    common = multiplied_linear_factors([r for _, r in terms])
     num = Polynomial.zero()
     for c, r in terms:
         cofactor, rest = common.divmod(poly(r, 1))

@@ -47,15 +47,23 @@ class TestPochhammer:
                 assert m * total == excess.pochhammer_eval(m, ell)
 
 
+def product_below(d, t):
+    """prod_{j<d}(t+j) as a plain Fraction loop, independent of the closed forms."""
+    value = Fraction(1)
+    for j in range(1, d):
+        value *= t + j
+    return value
+
+
 def q_product_form(d, t):
     """Textbook Q: (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d."""
-    return (t + Fraction(d, 2)) * excess.pochhammer_eval(d - 1, t) / (t + Fraction(d - 1, 2)) ** d
+    return (t + Fraction(d, 2)) * product_below(d, t) / (t + Fraction(d - 1, 2)) ** d
 
 
 def a_squared_product_form(d, t):
     """Textbook A**2: prod_{j<d}(t+j)**2 (t+d/2)**(2-d) (t+d/2-1)**(-d)."""
     return (
-        excess.pochhammer_eval(d - 1, t) ** 2
+        product_below(d, t) ** 2
         * (t + Fraction(d, 2)) ** (2 - d)
         * (t + Fraction(d, 2) - 1) ** (-d)
     )
@@ -166,9 +174,11 @@ class TestAEval:
         assert excess.a_eval_squared(5, 0) == Fraction(147456, 30375)
 
     def test_even_dimension_exact(self):
-        assert excess.a_eval_even(4, 0) == 3
-        with pytest.raises(ValueError):
-            excess.a_eval_even(5, 0)
+        # Even d: A**2 is the square of a rational, so A itself is exact; A(4, 0) = 3.
+        assert excess.a_eval_squared(4, 0) == 9
+        # Odd d: A**2 is no rational square, so A has no exact value.
+        square = excess.a_eval_squared(5, 0)
+        assert math.isqrt(square.denominator) ** 2 != square.denominator
 
     def test_pole_rejected(self):
         for d in range(3, 13):

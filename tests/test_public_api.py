@@ -1,12 +1,15 @@
 """The package's exported names and the functions the benchmark tracer wraps exist."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import coulomb_sharp
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "bench" / "tracer.py"
+TEST_ONLY_MODULES = {"sympy", "hypothesis"}
 
 
 def test_all_names_resolve():
@@ -21,3 +24,17 @@ def test_traced_functions_exist():
     for module, function in tracer.TRACED:
         target = importlib.import_module(f"{tracer.PACKAGE}.{module}")
         assert callable(getattr(target, function, None)), f"{module}.{function}"
+
+
+def test_package_never_imports_test_only_oracles():
+    # sympy and hypothesis are in the `test` extra only; the package must run without them.
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in TEST_ONLY_MODULES, f"{path.name} imports {name}"
