@@ -93,33 +93,76 @@ class SweepConfig:
 
     @staticmethod
     def from_json_file(path: str) -> "SweepConfig":
+        """Read and check every field; any bad field raises ValueError before work starts."""
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("the config must be a JSON object")
         d_values = data.get("d_values")
-        if d_values is not None and (type(d_values) is not list or any(type(d) is not int for d in d_values)):
-            raise ValueError("d_values must be a list of integers")
+        if d_values is not None:
+            if type(d_values) is not list or any(type(d) is not int for d in d_values):
+                raise ValueError("d_values must be a list of integers")
+            if any(d < 3 for d in d_values):
+                raise ValueError("d_values must all be >= 3")
         eta_grid = None
         if data.get("eta_grid") is not None:
             grid = data["eta_grid"]
-            start = parse_rational(str(grid["start"]))
-            stop = parse_rational(str(grid["stop"]))
-            step = parse_rational(str(grid["step"]))
+            if not isinstance(grid, dict) or not {"start", "stop", "step"} <= grid.keys():
+                raise ValueError("eta_grid must be an object with start, stop and step")
+            start, stop, step = (
+                _config_rational(grid[key], f"eta_grid.{key}") for key in ("start", "stop", "step")
+            )
             if step <= 0:
                 raise ValueError("eta_grid.step must be positive")
             if not start < stop:
                 raise ValueError("eta_grid needs start < stop")
             eta_grid = (start, stop, step)
-        gamma = parse_rational(str(data["gamma"])) if data.get("gamma") is not None else None
+        gamma = None
+        if data.get("gamma") is not None:
+            gamma = _config_rational(data["gamma"], "gamma")
+            if gamma < 1:
+                raise ValueError("gamma must be >= 1")
+            if d_values and gamma >= Fraction(min(d_values), 2):
+                raise ValueError("gamma must be below d/2 for every d in d_values")
+        suites = data.get("suites")
+        if suites is not None:
+            if type(suites) is not list or any(type(name) is not str for name in suites):
+                raise ValueError("suites must be a list of suite names")
+            for name in suites:
+                if name != "all" and name not in verification.SUITES:
+                    raise ValueError(f"unknown suite {name!r}")
+        output_path = data.get("output_path")
+        if output_path is not None and type(output_path) is not str:
+            raise ValueError("output_path must be a string")
+        precision = data.get("precision")
+        if precision is not None and (type(precision) is not int or precision < 1):
+            raise ValueError("precision must be a positive integer")
         return SweepConfig(
             d_values=d_values,
             eta_grid=eta_grid,
             gamma=gamma,
-            suites=list(data["suites"]) if data.get("suites") is not None else None,
-            output_path=data.get("output_path"),
-            precision=data.get("precision"),
+            suites=suites,
+            output_path=output_path,
+            precision=precision,
         )
+
+
+def _config_rational(value: object, name: str) -> Fraction:
+    try:
+        return parse_rational(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} must be a rational number, got {value!r}") from exc
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work, an output path whose file cannot be created."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ValueError(f"output directory {directory!r} is not writable")
 
 
 def expand_eta_grid(grid: tuple[Fraction, Fraction, Fraction]) -> list[Fraction]:
@@ -400,25 +443,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         d_range = _parse_d_range(args.d_range) if args.d_range else None
         suites = [args.suite] if args.suite else (config.suites or ["all"])
         out_path = args.out or config.output_path or "verification_report.jsonl"
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        _check_output_path(out_path)
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     records: list[verification.CheckRecord] = []
-    try:
-        for suite in suites:
-            records.extend(verification.run_suite(suite, d_range=d_range, precision=precision))
-        if config.d_values and config.eta_grid:
-            records.extend(
-                custom_lt_sweep(
-                    config.d_values,
-                    expand_eta_grid(config.eta_grid),
-                    config.gamma if config.gamma is not None else Fraction(1),
-                    precision,
-                )
+    for suite in suites:
+        records.extend(verification.run_suite(suite, d_range=d_range, precision=precision))
+    if config.d_values and config.eta_grid:
+        records.extend(
+            custom_lt_sweep(
+                config.d_values,
+                expand_eta_grid(config.eta_grid),
+                config.gamma if config.gamma is not None else Fraction(1),
+                precision,
             )
-    except KeyError as exc:
-        print(f"usage error: unknown suite {exc}", file=sys.stderr)
-        return 2
+        )
     if not records:
         print(f"no checks ran for suites {', '.join(suites)}; no report written", file=sys.stderr)
         return 1
@@ -443,7 +483,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
         step = parse_rational(args.step) if args.step else Fraction(1, 100)
         if step <= 0:
             raise ValueError("step must be positive")
-    except ValueError as exc:
+        _check_output_path(args.out)
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     dataset = FIGURES[args.which](step)

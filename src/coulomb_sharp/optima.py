@@ -11,9 +11,17 @@ for the Moebius transform (1+x)**n p((a+b*x)/(1+x)) puts it in the window
 the parts (exact.descartes_count).  The numerator is built without a gcd, and is still co-prime to the
 denominator because every distinct pole of the partial fractions carries a
 nonzero coefficient, so its roots are exactly the zeros of the log-derivative.
-The zero is narrowed by bisection on integer sign evaluations.  All value
-comparisons are exact; odd-d irrationality of A is handled by comparing
-squares.
+The zero is narrowed by bisection on integer sign evaluations.
+
+The window maxima are walked in integers.  P(l) = prod_{k<d}(l+k) steps
+exactly as P(l+1) = P(l)(l+d) // (l+1), and each level becomes an unreduced
+pair with positive denominator: ((2l+d) P, (2l+d-1)**d) for Q and
+(P**2, (2l+d)**(d-2) (2l+d-2)**d) for A**2, the common power of 2 dropped.
+Every level is compared against the running best by cross-multiplying, so
+the maximum is exact over the whole window and nothing assumes the levels
+rise and then fall; ties go to the smaller level and are reported.  Only the
+winner is reduced, through the closed forms q_value / a_value_squared.
+Odd-d irrationality of A is handled by comparing squares.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import excess
 from .exact import (
@@ -94,20 +103,44 @@ def a_value_squared(d: int, ell: int) -> Fraction:
     return excess.a_eval_squared(d, ell)
 
 
-def _window_argmax(values: dict[int, Fraction]) -> tuple[int, Fraction, int | None]:
-    best_ell = min(values)
-    best = values[best_ell]
+def _argmax_of_pairs(levels: Iterable[tuple[int, int, int]]) -> tuple[int, int | None]:
+    """Level of the largest num/den over (ell, num, den) triples in ascending ell, den > 0.
+
+    Each level is compared exactly against the running best by
+    cross-multiplying.  Ties break toward the smaller level; the first later
+    level equal to the winner is reported as the tie.
+    """
+    it = iter(levels)
+    best_ell, best_num, best_den = next(it)
     tie: int | None = None
-    for ell in sorted(values):
-        if ell == best_ell:
-            continue
-        v = values[ell]
-        if v > best:
-            best_ell, best, tie = ell, v, None
-        elif v == best:
-            # Ties break toward the smaller level and are reported.
-            tie = ell if tie is None else min(tie, ell)
-    return best_ell, best, tie
+    for ell, num, den in it:
+        lhs, rhs = num * best_den, best_num * den
+        if lhs > rhs:
+            best_ell, best_num, best_den, tie = ell, num, den, None
+        elif lhs == rhs and tie is None:
+            tie = ell
+    return best_ell, tie
+
+
+def _q_levels(d: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """Q(ell) / 2**(d-1) as the pair ((2l+d) P, (2l+d-1)**d), P = prod_{k<d}(l+k), walked in ell."""
+    prod = excess._pochhammer_int(d - 1, lo, 1)
+    for ell in range(lo, hi + 1):
+        yield ell, (2 * ell + d) * prod, (2 * ell + d - 1) ** d
+        prod = prod * (ell + d) // (ell + 1)
+
+
+def _a_squared_levels(d: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """A**2(ell) / 2**(2d-2) as the pair (P**2, (2l+d)**(d-2) (2l+d-2)**d), walked in ell."""
+    prod = excess._pochhammer_int(d - 1, lo, 1)
+    lower = (2 * lo + d - 2) ** d
+    for ell in range(lo, hi + 1):
+        base = 2 * ell + d
+        upper = base ** (d - 2)
+        yield ell, prod * prod, upper * lower
+        # 2(ell+1) + d - 2 = base: this level's base**d is the next one's lower factor.
+        lower = upper * base * base
+        prod = prod * (ell + d) // (ell + 1)
 
 
 def q_star(d: int) -> StarResult:
@@ -115,8 +148,8 @@ def q_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = q_candidate_window(d)
-    values = {ell: q_value(d, ell) for ell in range(lo, hi + 1)}
-    argmax, best, tie = _window_argmax(values)
+    argmax, tie = _argmax_of_pairs(_q_levels(d, lo, hi))
+    best = q_value(d, argmax)
     return StarResult(
         d=d,
         argmax_ell=argmax,
@@ -132,8 +165,8 @@ def a_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = a_candidate_window(d)
-    values = {ell: a_value_squared(d, ell) for ell in range(lo, hi + 1)}
-    argmax, best_sq, tie = _window_argmax(values)
+    argmax, tie = _argmax_of_pairs(_a_squared_levels(d, lo, hi))
+    best_sq = a_value_squared(d, argmax)
     # For even d both powers in A**2's denominator (d-2 and d) are even and its
     # numerator is a square, so the reduced fraction is a square over a square;
     # the levels are >= 0, where A > 0.

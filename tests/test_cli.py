@@ -109,6 +109,8 @@ class TestConstantsCommand:
             ("q-star", 21, "a7b50095e9a516bc56f4b5e9edb674bfd6929dca492d97806d311866c6aa2905"),
             ("q-star", 40, "c642a255d82f83a3244b122d19db0f6f3a4b797e8b313b161f1c1ab99bca7f7b"),
             ("q-star", 60, "51ecf113719ced1264a5b8705cc3ff78e9b3fbd3f247184323d4ee4dd7f85bdf"),
+            ("q-star", 150, "a68d37ff0b714412463724feb25e551944fb16fdc402c5f65f7bf86a9f7ebead"),
+            ("q-star", 200, "5bd8030d6f51c9224f47cdd1f6496a2ab5963fa473f36a489ac7b511d26d644d"),
             ("a-star", 4, "407612d8ba5d6698dad147ffeece635cc1c47527c8cee9a9a3ae336d68eeb514"),
             ("a-star", 5, "9b691c715c7a6c75bf0fb018481e858de58ab627ead8f0befff911fd4d8dfa55"),
             ("a-star", 6, "f38a97daa38d9e1c54dd9761cc3430bd43af4e61be592263b68fd633c952c5f6"),
@@ -116,10 +118,13 @@ class TestConstantsCommand:
             ("a-star", 21, "77ea064fb04cb93e0891839a71257fe86343b616fe50e4e33a944125aa27f45a"),
             ("a-star", 40, "f165409ad8467b17e235c9898ccae8325772864f1bff895b652d9c6ccae22c98"),
             ("a-star", 60, "13dd4681d633de9b76e514948d27435c97d0526deda6cc1520eaa7829abf5951"),
+            ("a-star", 150, "88f3dc39a5febfd7718e28d1154cf531b21f225dc04036244980ade363569897"),
+            ("a-star", 200, "fb556d172ddbca609ee587222a2d5a9173cec425754ea1cc03d482f72f2391b8"),
         ],
     )
     def test_star_bytes_pinned(self, capsys, which, d, sha256):
-        # One integer product path for Q, A**2 and the even-d root of A**2: not one byte may move.
+        # One integer product path for Q, A**2 and the even-d root of A**2, and the
+        # integer window walk up to the asymptotics suite's largest d: not one byte may move.
         assert main(["constants", "--d", str(d), "--which", which]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
@@ -146,8 +151,9 @@ class TestVerifyCommand:
             ("identities", 326, "404fd78cb068d2690a66504d4941fce7cdd01d76322cc2792af8a8fb8f06370c"),
             ("clr", 123, "8dfe589bc770973b79ffc2bbbcc1914944a07c5cfb40469f001c8b2f32e5f61d"),
             ("coefficients", 112, "9855d2bd13cb24567cf7ea388902254a87cf037e9760f562028f7d77d8c62b9c"),
+            ("asymptotics", 1, "12abe55039be4afd1eb6dbd49ba2d5e994116805c56dfda9236ac8f3181388fb"),
         ],
-        ids=("identities", "clr", "coefficients"),
+        ids=("identities", "clr", "coefficients", "asymptotics"),
     )
     def test_report_bytes_pinned(self, tmp_path, capsys, monkeypatch, suite, records, sha256):
         # Refactors must not move a verdict or a witness byte.
@@ -223,6 +229,86 @@ class TestVerifyCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"eta_grid": [1, 2, 3]}, "eta_grid must be an object"),
+            ({"eta_grid": {"start": "3", "stop": "4"}}, "eta_grid must be an object"),
+            ({"eta_grid": {"start": "3", "stop": "4", "step": "1/0"}}, "eta_grid.step"),
+            ({"suites": "clr"}, "suites must be a list"),
+            ({"precision": "x"}, "precision must be a positive integer"),
+            ({"precision": True}, "precision must be a positive integer"),
+            ({"precision": 0}, "precision must be a positive integer"),
+            ({"output_path": 7}, "output_path must be a string"),
+            ({"d_values": [4, 2]}, "d_values must all be >= 3"),
+            ({"gamma": "1/2"}, "gamma must be >= 1"),
+            ({"gamma": "5/2", "d_values": [5, 8]}, "gamma must be below d/2"),
+        ],
+        ids=(
+            "eta-grid-list",
+            "eta-grid-missing-step",
+            "eta-grid-zero-denominator",
+            "suites-string",
+            "precision-string",
+            "precision-bool",
+            "precision-zero",
+            "output-path-number",
+            "d-below-three",
+            "gamma-below-one",
+            "gamma-above-half-d",
+        ),
+    )
+    def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        monkeypatch.setattr(cli, "custom_lt_sweep", lambda *args, **kwargs: ran.append("sweep") or [])
+        payload = {
+            "d_values": [4, 5],
+            "eta_grid": {"start": "3.1", "stop": "3.5", "step": "1/10"},
+            "suites": ["clr"],
+        }
+        payload.update(field)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
+    def test_unknown_config_suite_named_once(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"suites": ["clr", "bogus"]}))
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unknown suite") == 1
+        assert "'bogus'" in err
+        assert ran == []
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=("out-flag", "config-output-path"))
+    def test_missing_output_directory_rejected_before_work(self, tmp_path, capsys, monkeypatch, via_config):
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        out = tmp_path / "missing" / "report.jsonl"
+        if via_config:
+            config = tmp_path / "sweep.json"
+            config.write_text(json.dumps({"suites": ["clr"], "output_path": str(out)}))
+            argv = ["verify", "--config", str(config)]
+        else:
+            argv = ["verify", "--suite", "clr", "--out", str(out)]
+        assert main(argv) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert ran == []
+
+    def test_directory_as_output_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        assert main(["verify", "--suite", "clr", "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert ran == []
+
     def test_empty_record_set_fails_without_report(self, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "lt-gamma1", "--d-range", "1..2", "--out", str(out)]) == 1
@@ -290,6 +376,18 @@ class TestFigureCommand:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_missing_output_directory_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setitem(cli.FIGURES, "f-plot", lambda step: built.append(step))
+        out = tmp_path / "missing" / "f.csv"
+        assert main(["figure", "--which", "f-plot", "--out", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert built == []
+
+    def test_zero_denominator_step_usage_error(self, tmp_path, capsys):
+        assert main(["figure", "--which", "f-plot", "--out", str(tmp_path / "x.csv"), "--step", "1/0"]) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_bad_step_usage_error(self, tmp_path, capsys):
         assert main(["figure", "--which", "f-plot", "--out", str(tmp_path / "x.csv"), "--step", "-1"]) == 2

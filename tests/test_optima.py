@@ -129,6 +129,60 @@ class TestAStar:
             assert result.argmax_ell in candidates
 
 
+def reference_star(d, window, level_value):
+    """Reference argmax: every window level reduced to a Fraction by its closed form, kept in a dict."""
+    lo, hi = window(d)
+    values = {ell: level_value(d, ell) for ell in range(lo, hi + 1)}
+    best_ell, tie = lo, None
+    for ell in range(lo + 1, hi + 1):
+        if values[ell] > values[best_ell]:
+            best_ell, tie = ell, None
+        elif values[ell] == values[best_ell] and tie is None:
+            tie = ell
+    return best_ell, values[best_ell], (lo, hi), tie
+
+
+class TestWindowWalk:
+    def test_q_star_matches_dict_reference(self):
+        for d in range(3, 151):
+            best_ell, best, window, tie = reference_star(d, optima.q_candidate_window, excess.q_eval)
+            expected = optima.StarResult(d, best_ell, best * best, best, window, tie)
+            assert optima.q_star(d) == expected
+
+    def test_a_star_matches_dict_reference(self):
+        for d in range(3, 151):
+            best_ell, best_sq, window, tie = reference_star(
+                d, optima.a_candidate_window, excess.a_eval_squared
+            )
+            value = Fraction(math.isqrt(best_sq.numerator), math.isqrt(best_sq.denominator))
+            expected = optima.StarResult(d, best_ell, best_sq, value if d % 2 == 0 else None, window, tie)
+            assert optima.a_star(d) == expected
+
+    def test_walked_pairs_are_the_level_values(self):
+        for d in (3, 4, 9, 30, 31):
+            for levels, value, scale in (
+                (optima._q_levels, excess.q_eval, 2 ** (d - 1)),
+                (optima._a_squared_levels, excess.a_eval_squared, 2 ** (2 * d - 2)),
+            ):
+                walked = list(levels(d, 2, 2 + d))
+                assert [ell for ell, _, _ in walked] == list(range(2, 3 + d))
+                for ell, num, den in walked:
+                    assert Fraction(scale * num, den) == value(d, ell)
+
+    def test_equal_levels_keep_the_smallest_and_report_the_next_as_tie(self):
+        # Levels 4, 5 and 7 are all 1/3, written with different denominators.
+        levels = [(4, 1, 3), (5, 2, 6), (6, 1, 4), (7, 3, 9)]
+        assert optima._argmax_of_pairs(levels) == (4, 5)
+
+    def test_later_larger_level_clears_the_tie(self):
+        levels = [(4, 1, 3), (5, 2, 6), (6, 2, 5), (7, 4, 10)]
+        assert optima._argmax_of_pairs(levels) == (6, 7)
+        assert optima._argmax_of_pairs(levels[:3]) == (6, None)
+
+    def test_single_level_window(self):
+        assert optima._argmax_of_pairs([(0, 5, 7)]) == (0, None)
+
+
 class TestAMaximizerBracket:
     def test_d5_negative_maximizer(self):
         bracket = optima.locate_a_maximizer(5, Fraction(1, 1000))
