@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
@@ -25,29 +25,15 @@ from .exact import CertificationError, parse_rational
 from .highprec import PrecisionError, sqrt_of_fraction
 
 DEFAULT_PRECISION = 30
-PRECISION_ENV_VAR = "COULOMB_SHARP_PRECISION"
 DECIMAL_SIGNIFICANT_DIGITS = 15
 
 
-def default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be positive")
-    return value
-
-
-def render_decimal(x: Fraction, significant: int = DECIMAL_SIGNIFICANT_DIGITS) -> str:
-    """Correctly-rounded fixed-point rendering with the given significant digits."""
+def render_decimal(x: Fraction) -> str:
+    """Correctly-rounded fixed-point rendering with DECIMAL_SIGNIFICANT_DIGITS digits."""
     if x == 0:
         return "0"
     with localcontext() as ctx:
-        ctx.prec = significant
+        ctx.prec = DECIMAL_SIGNIFICANT_DIGITS
         value = Decimal(x.numerator) / Decimal(x.denominator)
     return format(value, "f")
 
@@ -98,10 +84,13 @@ class SweepConfig:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("the config must be a JSON object")
+        unknown = sorted(data.keys() - {field.name for field in fields(SweepConfig)})
+        if unknown:
+            raise ValueError(f"unknown config field {', '.join(map(repr, unknown))}")
         d_values = data.get("d_values")
         if d_values is not None:
-            if type(d_values) is not list or any(type(d) is not int for d in d_values):
-                raise ValueError("d_values must be a list of integers")
+            if type(d_values) is not list or not d_values or any(type(d) is not int for d in d_values):
+                raise ValueError("d_values must be a non-empty list of integers")
             if any(d < 3 for d in d_values):
                 raise ValueError("d_values must all be >= 3")
         eta_grid = None
@@ -124,10 +113,16 @@ class SweepConfig:
                 raise ValueError("gamma must be >= 1")
             if d_values and gamma >= Fraction(min(d_values), 2):
                 raise ValueError("gamma must be below d/2 for every d in d_values")
+        if d_values is not None or eta_grid is not None or gamma is not None:
+            for name, value in (("d_values", d_values), ("eta_grid", eta_grid)):
+                if value is None:
+                    raise ValueError(f"{name} is missing: the eta sweep needs both d_values and eta_grid")
         suites = data.get("suites")
         if suites is not None:
             if type(suites) is not list or any(type(name) is not str for name in suites):
                 raise ValueError("suites must be a list of suite names")
+            if not suites:
+                raise ValueError("suites must name at least one suite")
             for name in suites:
                 if name != "all" and name not in verification.SUITES:
                     raise ValueError(f"unknown suite {name!r}")
@@ -165,14 +160,14 @@ def _check_output_path(path: str) -> None:
         raise ValueError(f"output directory {directory!r} is not writable")
 
 
-def expand_eta_grid(grid: tuple[Fraction, Fraction, Fraction]) -> list[Fraction]:
-    start, stop, step = grid
-    values = []
-    eta = start
-    while eta <= stop:
-        values.append(eta)
-        eta += step
-    return values
+def rational_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
+    """start + k*step for k = 0, 1, ... while it stays <= stop (empty when start > stop).
+
+    Each point is one integer numerator over the common denominator, reduced once.
+    """
+    den = start.denominator * step.denominator
+    base, stride = start.numerator * step.denominator, step.numerator * start.denominator
+    return [Fraction(base + k * stride, den) for k in range(math.floor((stop - start) / step) + 1)]
 
 
 def custom_lt_sweep(
@@ -193,104 +188,46 @@ def custom_lt_sweep(
 
 
 # -- figure datasets -----------------------------------------------------------
+#
+# Each builder returns its CSV header followed by one tuple of cells per row.
+
+Rows = list[tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class FigureDataset:
-    figure_id: str
-    columns: dict[str, list[str]]
-    metadata: str
-
-    def __post_init__(self) -> None:
-        lengths = {len(values) for values in self.columns.values()}
-        if len(lengths) != 1:
-            raise ValueError("all columns must have equal length")
-        if lengths == {0}:
-            raise ValueError("figure dataset must contain rows")
-
-    @property
-    def row_count(self) -> int:
-        return len(next(iter(self.columns.values())))
-
-    def to_csv(self) -> str:
-        headers = list(self.columns)
-        lines = [",".join(headers)]
-        for i in range(self.row_count):
-            lines.append(",".join(self.columns[name][i] for name in headers))
-        return "\n".join(lines) + "\n"
-
-
-def figure_lt_d3(step: Fraction = Fraction(1, 100)) -> FigureDataset:
+def figure_lt_d3(step: Fraction) -> Rows:
     """Trace minus the two leading envelope terms, with both correction bounds."""
-    etas: list[str] = []
-    excess_col: list[str] = []
-    lower_col: list[str] = []
-    upper_col: list[str] = []
-    eta = 2 + step
-    while eta <= 20:
-        trace = spectrum.riesz_mean_d3_closed_form(eta)
-        middle = trace - (eta**3 / 12 - eta**2 / 8)
-        lower = -eta / 12
+    rows: Rows = [
+        ("eta[Lambda=1]", "trace_excess[Lambda]", "lower_envelope[Lambda]", "upper_envelope[Lambda]")
+    ]
+    for eta in rational_grid(2 + step, Fraction(20), step):
+        middle = spectrum.riesz_mean_d3_closed_form(eta) - (eta**3 / 12 - eta**2 / 8)
         upper = Fraction(2 * math.ceil(eta / 2) - 1, 24)
-        etas.append(render_grid_value(eta))
-        excess_col.append(render_decimal(middle))
-        lower_col.append(render_decimal(lower))
-        upper_col.append(render_decimal(upper))
-        eta += step
-    return FigureDataset(
-        figure_id="lt-d3",
-        columns={
-            "eta[Lambda=1]": etas,
-            "trace_excess[Lambda]": excess_col,
-            "lower_envelope[Lambda]": lower_col,
-            "upper_envelope[Lambda]": upper_col,
-        },
-        metadata="order-1 trace minus leading and second-order terms, d=3, oscillating between its envelopes",
-    )
+        rows.append((render_grid_value(eta), render_decimal(middle), render_decimal(-eta / 12), render_decimal(upper)))
+    return rows
 
 
-def figure_rd_vs_qd(step: Fraction = Fraction(1, 100)) -> FigureDataset:
-    """Excess ratio against its upper function Q for d = 5 and d = 6."""
-    taus: list[str] = []
-    cols: dict[int, tuple[list[str], list[str]]] = {5: ([], []), 6: ([], [])}
-    tau = step
-    while tau <= 8:
-        taus.append(render_grid_value(tau))
-        for d, (q_col, r_col) in cols.items():
-            q_col.append(render_decimal(excess.q_eval(d, tau)))
-            r_col.append(render_decimal(excess.r_eval(d, 2 * tau + d - 1)))
-        tau += step
-    return FigureDataset(
-        figure_id="rd-vs-qd",
-        columns={
-            "tau[Lambda=1]": taus,
-            "q_d5[ratio]": cols[5][0],
-            "r_d5[ratio]": cols[5][1],
-            "q_d6[ratio]": cols[6][0],
-            "r_d6[ratio]": cols[6][1],
-        },
-        metadata="eigenvalue-count excess ratio sampled at eta = 2 tau + d - 1 against its envelope Q",
-    )
+def figure_rd_vs_qd(step: Fraction) -> Rows:
+    """Excess ratio R, sampled at eta = 2 tau + d - 1, against its upper function Q for d = 5 and d = 6."""
+    rows: Rows = [("tau[Lambda=1]", "q_d5[ratio]", "r_d5[ratio]", "q_d6[ratio]", "r_d6[ratio]")]
+    for tau in rational_grid(step, Fraction(8), step):
+        cells = [render_grid_value(tau)]
+        for d in (5, 6):
+            cells.append(render_decimal(excess.q_eval(d, tau)))
+            cells.append(render_decimal(excess.r_eval(d, 2 * tau + d - 1)))
+        rows.append(tuple(cells))
+    return rows
 
 
-def figure_f_plot(step: Fraction = Fraction(1, 100)) -> FigureDataset:
+def figure_f_plot(step: Fraction) -> Rows:
     """The log-derivative of Q for d = 6, with pole-adjacent windows removed."""
     d = 6
     poles = sorted({-root for _, root in excess.f_terms(d)})
     guard = Fraction(1, 20)
-    ts: list[str] = []
-    values: list[str] = []
-    t = Fraction(-11, 2)
-    while t <= 4:
+    rows: Rows = [("t[Lambda=1]", "f6[1/t]")]
+    for t in rational_grid(Fraction(-11, 2), Fraction(4), step):
         if all(abs(t - pole) > guard for pole in poles):
-            ts.append(render_grid_value(t))
-            values.append(render_decimal(excess.f_eval(d, t)))
-        t += step
-    return FigureDataset(
-        figure_id="f-plot",
-        columns={"t[Lambda=1]": ts, "f6[1/t]": values},
-        metadata="log-derivative of the d=6 excess function; four sign changes away from the poles",
-    )
+            rows.append((render_grid_value(t), render_decimal(excess.f_eval(d, t))))
+    return rows
 
 
 FIGURES = {
@@ -436,10 +373,8 @@ def _parse_d_range(text: str) -> tuple[int, int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        precision = args.precision if args.precision is not None else default_precision()
         config = SweepConfig.from_json_file(args.config) if args.config else SweepConfig()
-        if args.precision is None and config.precision is not None:
-            precision = config.precision
+        precision = args.precision or config.precision or DEFAULT_PRECISION
         d_range = _parse_d_range(args.d_range) if args.d_range else None
         suites = [args.suite] if args.suite else (config.suites or ["all"])
         out_path = args.out or config.output_path or "verification_report.jsonl"
@@ -450,15 +385,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records: list[verification.CheckRecord] = []
     for suite in suites:
         records.extend(verification.run_suite(suite, d_range=d_range, precision=precision))
-    if config.d_values and config.eta_grid:
-        records.extend(
-            custom_lt_sweep(
-                config.d_values,
-                expand_eta_grid(config.eta_grid),
-                config.gamma if config.gamma is not None else Fraction(1),
-                precision,
-            )
-        )
+    if config.d_values:
+        etas = rational_grid(*config.eta_grid)
+        records.extend(custom_lt_sweep(config.d_values, etas, config.gamma or Fraction(1), precision))
     if not records:
         print(f"no checks ran for suites {', '.join(suites)}; no report written", file=sys.stderr)
         return 1
@@ -480,20 +409,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     try:
-        step = parse_rational(args.step) if args.step else Fraction(1, 100)
+        step = parse_rational(args.step)
         if step <= 0:
             raise ValueError("step must be positive")
         _check_output_path(args.out)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    dataset = FIGURES[args.which](step)
-    _atomic_write_text(args.out, dataset.to_csv())
-    print(f"{dataset.figure_id}: {dataset.row_count} rows written to {args.out}")
+    header, *rows = FIGURES[args.which](step)
+    if not rows:
+        raise ValueError(f"step {step} leaves the {args.which} figure with no rows")
+    _atomic_write_text(args.out, "".join(",".join(row) + "\n" for row in [header, *rows]))
+    print(f"{args.which}: {len(rows)} rows written to {args.out}")
     return 0
 
 
 # -- parser ----------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,14 +464,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--d-range", help="dimension range A..B")
     p_verify.add_argument("--out", help="report path (JSON lines)")
-    p_verify.add_argument("--precision", type=int, help="significant digits for real paths")
+    p_verify.add_argument(
+        "--precision",
+        type=_positive_int,
+        help=f"significant digits for real paths (default: config precision, else {DEFAULT_PRECISION})",
+    )
     p_verify.add_argument("--config", help="JSON file mirroring the sweep configuration")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
     p_fig.add_argument("--which", choices=tuple(FIGURES), required=True)
     p_fig.add_argument("--out", required=True, help="output CSV path")
-    p_fig.add_argument("--step", help="grid step as an exact rational (default 1/100)")
+    p_fig.add_argument("--step", default="1/100", help="grid step as an exact rational (default %(default)s)")
     p_fig.set_defaults(func=cmd_figure)
     return parser
 

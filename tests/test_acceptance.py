@@ -178,13 +178,19 @@ def test_criterion_9_identity_suite():
     _report(9, watch, "recursions, telescoping, appendix sums, cumulative counts, log-derivative identities")
 
 
+def _columns(rows):
+    """Header name -> column of cells, from a figure's header-then-rows list."""
+    header, *data = rows
+    return dict(zip(header, zip(*data)))
+
+
 def test_criterion_10_figure_data():
     with _Stopwatch(30.0) as watch:
-        lt = figure_lt_d3()
-        etas = [Fraction(v) for v in lt.columns["eta[Lambda=1]"]]
-        middles = [Fraction(v) for v in lt.columns["trace_excess[Lambda]"]]
-        lowers = [Fraction(v) for v in lt.columns["lower_envelope[Lambda]"]]
-        uppers = [Fraction(v) for v in lt.columns["upper_envelope[Lambda]"]]
+        lt = _columns(figure_lt_d3(Fraction(1, 100)))
+        etas = [Fraction(v) for v in lt["eta[Lambda=1]"]]
+        middles = [Fraction(v) for v in lt["trace_excess[Lambda]"]]
+        lowers = [Fraction(v) for v in lt["lower_envelope[Lambda]"]]
+        uppers = [Fraction(v) for v in lt["upper_envelope[Lambda]"]]
         upper_touches = lower_touches = 0
         for eta, middle, lower, upper in zip(etas, middles, lowers, uppers):
             assert lower <= middle <= upper
@@ -195,15 +201,15 @@ def test_criterion_10_figure_data():
         assert upper_touches >= 9  # eta = 3, 5, ..., 19
         assert lower_touches >= 9  # eta = 4, 6, ..., 20
 
-        rd = figure_rd_vs_qd()
+        rd = _columns(figure_rd_vs_qd(Fraction(1, 100)))
         for d in (5, 6):
-            q_col = [Fraction(v) for v in rd.columns[f"q_d{d}[ratio]"]]
-            r_col = [Fraction(v) for v in rd.columns[f"r_d{d}[ratio]"]]
+            q_col = [Fraction(v) for v in rd[f"q_d{d}[ratio]"]]
+            r_col = [Fraction(v) for v in rd[f"r_d{d}[ratio]"]]
             assert all(r <= q for q, r in zip(q_col, r_col))
 
-        fp = figure_f_plot()
-        ts = [Fraction(v) for v in fp.columns["t[Lambda=1]"]]
-        values = [Fraction(v) for v in fp.columns["f6[1/t]"]]
+        fp = _columns(figure_f_plot(Fraction(1, 100)))
+        ts = [Fraction(v) for v in fp["t[Lambda=1]"]]
+        values = [Fraction(v) for v in fp["f6[1/t]"]]
         step = Fraction(1, 100)
         flips = 0
         for i in range(1, len(ts)):

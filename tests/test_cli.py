@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,20 @@ class TestRendering:
         assert main(["spectrum", "--d", "6", "--eta", "11.1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["eta"] == "111/10"
+
+
+class TestRationalGrid:
+    def test_matches_repeated_addition(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            start = Fraction(rng.randint(-500, 500), rng.randint(1, 60))
+            step = Fraction(rng.randint(1, 90), rng.randint(1, 60))
+            stop = start + Fraction(rng.randint(-200, 900), rng.randint(1, 40))
+            expected, x = [], start
+            while x <= stop:
+                expected.append(x)
+                x += step
+            assert cli.rational_grid(start, stop, step) == expected
 
 
 class TestSpectrumCommand:
@@ -151,13 +166,12 @@ class TestVerifyCommand:
             ("identities", 326, "404fd78cb068d2690a66504d4941fce7cdd01d76322cc2792af8a8fb8f06370c"),
             ("clr", 123, "8dfe589bc770973b79ffc2bbbcc1914944a07c5cfb40469f001c8b2f32e5f61d"),
             ("coefficients", 112, "9855d2bd13cb24567cf7ea388902254a87cf037e9760f562028f7d77d8c62b9c"),
-            ("asymptotics", 1, "12abe55039be4afd1eb6dbd49ba2d5e994116805c56dfda9236ac8f3181388fb"),
+            ("asymptotics", 1, "67a3b33174ecd145372d02846a863e084b39cfc7a9970d8c97d2bf41e493e799"),
         ],
         ids=("identities", "clr", "coefficients", "asymptotics"),
     )
-    def test_report_bytes_pinned(self, tmp_path, capsys, monkeypatch, suite, records, sha256):
+    def test_report_bytes_pinned(self, tmp_path, capsys, suite, records, sha256):
         # Refactors must not move a verdict or a witness byte.
-        monkeypatch.delenv(cli.PRECISION_ENV_VAR, raising=False)
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
         report = out.read_bytes()
@@ -243,6 +257,10 @@ class TestVerifyCommand:
             ({"d_values": [4, 2]}, "d_values must all be >= 3"),
             ({"gamma": "1/2"}, "gamma must be >= 1"),
             ({"gamma": "5/2", "d_values": [5, 8]}, "gamma must be below d/2"),
+            ({"suites": []}, "suites must name at least one suite"),
+            ({"gama": "7/3"}, "unknown config field 'gama'"),
+            ({"eta_grid": None, "gamma": "3/2"}, "eta_grid is missing"),
+            ({"d_values": None}, "d_values is missing"),
         ],
         ids=(
             "eta-grid-list",
@@ -256,6 +274,10 @@ class TestVerifyCommand:
             "d-below-three",
             "gamma-below-one",
             "gamma-above-half-d",
+            "suites-empty",
+            "unknown-field",
+            "sweep-without-eta-grid",
+            "sweep-without-d-values",
         ),
     )
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
@@ -315,11 +337,42 @@ class TestVerifyCommand:
         assert "no checks ran" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_env_precision_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(cli.PRECISION_ENV_VAR, "oops")
-        assert main(["verify", "--suite", "clr", "--d-range", "3..4", "--out", str(tmp_path / "r.jsonl")]) == 2
-        monkeypatch.setenv(cli.PRECISION_ENV_VAR, "35")
-        assert cli.default_precision() == 35
+    @pytest.mark.parametrize("precision", ["0", "-3", "x"])
+    def test_bad_precision_flag_rejected_before_work(self, tmp_path, capsys, monkeypatch, precision):
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "clr", "--precision", precision, "--out", str(out)]) == 2
+        assert "--precision: must be a positive integer" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, configured, used",
+        [(["--precision", "35"], 25, 35), ([], 25, 25), ([], None, cli.DEFAULT_PRECISION)],
+        ids=("flag-over-config", "config", "default"),
+    )
+    def test_precision_resolution_order(self, tmp_path, capsys, monkeypatch, flag, configured, used):
+        seen = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: seen.append(kwargs["precision"]) or [])
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"suites": ["clr"], "precision": configured}))
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.jsonl"), *flag]) == 1
+        assert seen == [used]
+
+    def test_asymptotics_outside_its_range_runs_no_check(self, tmp_path, capsys):
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "asymptotics", "--d-range", "3..9", "--out", str(out)]) == 1
+        assert "no checks ran" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_suites_below_asymptotics_range_write_report(self, tmp_path, capsys):
+        # The asymptotics suite starts at d = 10; the other suites still report on 3..9.
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "all", "--d-range", "3..9", "--out", str(out)]) == 0
+        ids = [json.loads(line)["check_id"] for line in out.read_text().splitlines()]
+        assert len(ids) == 4628
+        assert "asymptotics" not in ids
 
 
 class TestFigureCommand:
@@ -362,6 +415,27 @@ class TestFigureCommand:
                 if (values[i - 1] > 0) != (values[i] > 0):
                     flips += 1
         assert flips == 4
+
+    @pytest.mark.parametrize(
+        "which, sha256",
+        [
+            ("lt-d3", "ba72d86dafe193204f8d6fa2d19493448d87ffb703b569f70e9a3584e01b014f"),
+            ("rd-vs-qd", "f476af8333bb1a1ab2c9452f3437fc683ad552bc031ae3c47bfe6ee71bd2e4ec"),
+            ("f-plot", "659eec3d7ce8f42ad5a5de36447a0f2121ca572c4c4f2b6175cd3a45c950ec11"),
+        ],
+    )
+    def test_csv_bytes_pinned(self, tmp_path, capsys, which, sha256):
+        # The default-step grids, every rendered digit and the line layout must not move.
+        out = tmp_path / "figure.csv"
+        assert main(["figure", "--which", which, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("which", ["lt-d3", "rd-vs-qd"])
+    def test_step_without_rows_usage_error(self, tmp_path, capsys, which):
+        out = tmp_path / "x.csv"
+        assert main(["figure", "--which", which, "--out", str(out), "--step", "100"]) == 2
+        assert "no rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_byte_stable(self, tmp_path):
         a = tmp_path / "a.csv"

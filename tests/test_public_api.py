@@ -10,6 +10,7 @@ import coulomb_sharp
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "bench" / "tracer.py"
 TEST_ONLY_MODULES = {"sympy", "hypothesis"}
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_all_names_resolve():
@@ -38,3 +39,14 @@ def test_package_never_imports_test_only_oracles():
                 continue
             for name in names:
                 assert name.split(".")[0] not in TEST_ONLY_MODULES, f"{path.name} imports {name}"
+
+
+def test_package_reads_no_environment():
+    # Flags and the config file are the only inputs, so one command line always writes the same bytes.
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                assert node.attr not in ENVIRONMENT_READERS, f"{path.name} reads os.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                assert not names & ENVIRONMENT_READERS, f"{path.name} imports {names & ENVIRONMENT_READERS}"
