@@ -22,9 +22,8 @@ from typing import Sequence
 
 from . import excess, optima, spectrum, verification
 from .exact import CertificationError, parse_rational
-from .highprec import PrecisionError, sqrt_of_fraction
+from .highprec import DEFAULT_PRECISION, PrecisionError, sqrt_of_fraction
 
-DEFAULT_PRECISION = 30
 DECIMAL_SIGNIFICANT_DIGITS = 15
 
 

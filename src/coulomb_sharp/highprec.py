@@ -18,6 +18,8 @@ from typing import Callable
 import mpmath
 from mpmath import mp
 
+# Significant digits of every real path unless a caller asks for others.
+DEFAULT_PRECISION = 30
 GUARD_DIGITS = 10
 MAX_DOUBLINGS = 6
 

@@ -17,10 +17,15 @@ The window maxima are walked in integers.  P(l) = prod_{k<d}(l+k) steps
 exactly as P(l+1) = P(l)(l+d) // (l+1), and each level becomes an unreduced
 pair with positive denominator: ((2l+d) P, (2l+d-1)**d) for Q and
 (P**2, (2l+d)**(d-2) (2l+d-2)**d) for A**2, the common power of 2 dropped.
-Every level is compared against the running best by cross-multiplying, so
-the maximum is exact over the whole window and nothing assumes the levels
-rise and then fall; ties go to the smaller level and are reported.  Only the
-winner is reduced, through the closed forms q_value / a_value_squared.
+Every level is compared exactly against the running best, so the maximum is
+exact over the whole window and nothing assumes the levels rise and then
+fall; ties go to the smaller level and are reported.  A pre-screen encloses
+each level as num/den in [key, key+1) * 2**-k, key = floor(num * 2**k / den)
+with about SCREEN_BITS bits, and decides only when the two enclosures are
+disjoint: then the order of the intervals is the order of the values, with
+no float and no margin.  Overlapping enclosures, equal values always among
+them, fall back to cross-multiplying the full operands.  Only the winner is
+reduced, through the closed forms q_value / a_value_squared.
 Odd-d irrationality of A is handled by comparing squares.
 """
 
@@ -47,6 +52,8 @@ from .exact import (
 )
 
 DEFAULT_BRACKET_WIDTH = Fraction(1, 1000)
+# Bits kept in the quotient of each window level's enclosure (_enclosure).
+SCREEN_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -103,21 +110,47 @@ def a_value_squared(d: int, ell: int) -> Fraction:
     return excess.a_eval_squared(d, ell)
 
 
+def _enclosure(num: int, den: int) -> tuple[int, int]:
+    """(key, k) with key = floor(num * 2**k / den), so num/den lies in [key, key+1) * 2**-k.
+
+    k = bitlen(den) - bitlen(num) + SCREEN_BITS puts the quotient at about
+    SCREEN_BITS bits: one shift and one division with a short quotient.
+    """
+    k = den.bit_length() - num.bit_length() + SCREEN_BITS
+    key = (num << k) // den if k >= 0 else num // (den << -k)
+    return key, k
+
+
+def _cross_compare(num: int, den: int, best_num: int, best_den: int) -> int:
+    """Sign of num/den - best_num/best_den by cross-multiplying (denominators positive)."""
+    lhs, rhs = num * best_den, best_num * den
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def _argmax_of_pairs(levels: Iterable[tuple[int, int, int]]) -> tuple[int, int | None]:
     """Level of the largest num/den over (ell, num, den) triples in ascending ell, den > 0.
 
-    Each level is compared exactly against the running best by
-    cross-multiplying.  Ties break toward the smaller level; the first later
-    level equal to the winner is reported as the tie.
+    Each level is compared exactly against the running best: disjoint
+    enclosures decide, overlapping ones fall back to cross-multiplying.  Ties
+    break toward the smaller level; the first later level equal to the
+    winner is reported as the tie.
     """
     it = iter(levels)
     best_ell, best_num, best_den = next(it)
+    best_key, best_k = _enclosure(best_num, best_den)
     tie: int | None = None
     for ell, num, den in it:
-        lhs, rhs = num * best_den, best_num * den
-        if lhs > rhs:
-            best_ell, best_num, best_den, tie = ell, num, den, None
-        elif lhs == rhs and tie is None:
+        key, k = _enclosure(num, den)
+        # Both enclosures in units of 2**-K.
+        K = max(k, best_k)
+        lo, hi = key << (K - k), (key + 1) << (K - k)
+        best_lo, best_hi = best_key << (K - best_k), (best_key + 1) << (K - best_k)
+        if hi <= best_lo:
+            continue
+        order = 1 if lo >= best_hi else _cross_compare(num, den, best_num, best_den)
+        if order > 0:
+            best_ell, best_num, best_den, best_key, best_k, tie = ell, num, den, key, k, None
+        elif order == 0 and tie is None:
             tie = ell
     return best_ell, tie
 

@@ -21,7 +21,7 @@ from typing import Union
 import mpmath
 
 from .exact import RationalLike, as_rational
-from .highprec import HighPrecisionReal, fraction_to_mpf, validated_eval
+from .highprec import DEFAULT_PRECISION, HighPrecisionReal, fraction_to_mpf, validated_eval
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class PiScaledRational:
             return hash(self.ratio)
         return hash((self.ratio, self.pi_half_power))
 
-    def to_real(self, precision: int = 30) -> HighPrecisionReal:
+    def to_real(self, precision: int = DEFAULT_PRECISION) -> HighPrecisionReal:
         return validated_eval(
             lambda: fraction_to_mpf(self.ratio)
             * mpmath.power(mpmath.pi, mpmath.mpf(self.pi_half_power) / 2),
@@ -79,7 +79,7 @@ class PiScaledRational:
         return f"{self.ratio}*pi^({self.pi_half_power}/2)"
 
 
-def gamma_at(x: RationalLike, precision: int = 30) -> PiScaledRational | HighPrecisionReal:
+def gamma_at(x: RationalLike, precision: int = DEFAULT_PRECISION) -> PiScaledRational | HighPrecisionReal:
     """Gamma(x) for x > 0: exact when 2x is an integer, validated real otherwise.
 
     Gamma(n) = (n-1)! and Gamma(n + 1/2) = (2n)! sqrt(pi) / (4**n n!).
@@ -97,7 +97,7 @@ def gamma_at(x: RationalLike, precision: int = 30) -> PiScaledRational | HighPre
 
 
 def lt_rhs(
-    d: int, eta: RationalLike, gamma: RationalLike, precision: int = 30
+    d: int, eta: RationalLike, gamma: RationalLike, precision: int = DEFAULT_PRECISION
 ) -> Fraction | PiScaledRational | HighPrecisionReal:
     """Semiclassical right-hand side of the order-gamma inequality, units Lambda**gamma.
 

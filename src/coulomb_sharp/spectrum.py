@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath
 
 from .exact import RationalLike, as_rational
-from .highprec import HighPrecisionReal, fraction_to_mpf, validated_eval
+from .highprec import DEFAULT_PRECISION, HighPrecisionReal, fraction_to_mpf, validated_eval
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class RieszQuery:
 
     params: SpectrumParams
     gamma: Fraction
-    precision: int = 30
+    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", as_rational(self.gamma))

@@ -21,7 +21,7 @@ from mpmath import mp
 
 from . import excess, optima, phase_space, spectrum
 from .exact import RationalLike, as_rational, expand_linear_factors
-from .highprec import HighPrecisionReal
+from .highprec import DEFAULT_PRECISION, HighPrecisionReal
 from .phase_space import PiScaledRational
 
 # Residual bound for the d**-3 tail of the expansions of the sharp constants:
@@ -238,7 +238,7 @@ def _strict_less_high_precision(
 
 
 def check_lt_general_gamma(
-    d: int, eta: RationalLike, gamma: RationalLike, precision: int = 30
+    d: int, eta: RationalLike, gamma: RationalLike, precision: int = DEFAULT_PRECISION
 ) -> CheckRecord:
     """Strict order-gamma inequality for gamma in [1, d/2)."""
     eta, gamma = as_rational(eta), as_rational(gamma)
@@ -269,6 +269,8 @@ def check_lt_general_gamma(
             return mpmath.mpf(rhs_exact.numerator) / rhs_exact.denominator
         if isinstance(rhs_exact, PiScaledRational):
             return rhs_exact.to_real(p).value
+        if p == precision:  # rhs_exact is this very call
+            return rhs_exact.value
         return phase_space.lt_rhs(d, eta, gamma, p).value
 
     verdict, lhs, rhs, used = _strict_less_high_precision(lhs_at, rhs_at, precision)
@@ -367,7 +369,7 @@ def check_coefficients_h(d: int, a: RationalLike) -> CheckRecord:
 # -- asymptotics -----------------------------------------------------------------
 
 
-def asymptotic_residuals(d: int, precision: int = 40) -> tuple[Fraction, float]:
+def asymptotic_residuals(d: int, precision: int = DEFAULT_PRECISION) -> tuple[Fraction, float]:
     """d**3-scaled residuals of the sharp constants against their expansions.
 
     The Q residual is exact; the A - Q gap is exact for even d and evaluated
@@ -390,7 +392,7 @@ def asymptotic_residuals(d: int, precision: int = 40) -> tuple[Fraction, float]:
     return residual_q, residual_a
 
 
-def check_asymptotics(d_lo: int, d_hi: int, precision: int = 40) -> CheckRecord:
+def check_asymptotics(d_lo: int, d_hi: int, precision: int = DEFAULT_PRECISION) -> CheckRecord:
     """Boundedness and trend of the d**3-scaled expansion residuals."""
     if not (10 <= d_lo <= d_hi <= 400):
         raise ValueError("the asymptotics check runs on ranges within [10, 400]")
@@ -611,7 +613,9 @@ def _d_list(d_range: tuple[int, int] | None, default: tuple[int, int]) -> list[i
     return list(range(lo, hi + 1))
 
 
-def suite_lt_gamma1(d_range: tuple[int, int] | None = None, precision: int = 30) -> list[CheckRecord]:
+def suite_lt_gamma1(
+    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
+) -> list[CheckRecord]:
     records = []
     for d in _d_list(d_range, (4, 10)):
         if d < 4:
@@ -629,7 +633,9 @@ def suite_lt_gamma1(d_range: tuple[int, int] | None = None, precision: int = 30)
     return records
 
 
-def suite_d3_envelopes(d_range: tuple[int, int] | None = None, precision: int = 30) -> list[CheckRecord]:
+def suite_d3_envelopes(
+    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
+) -> list[CheckRecord]:
     records = []
     for k in range(201, 2001):
         records.append(check_d3_envelopes(Fraction(k, 100)))
@@ -639,7 +645,9 @@ def suite_d3_envelopes(d_range: tuple[int, int] | None = None, precision: int = 
     return records
 
 
-def suite_coefficients(d_range: tuple[int, int] | None = None, precision: int = 30) -> list[CheckRecord]:
+def suite_coefficients(
+    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
+) -> list[CheckRecord]:
     records = []
     ds = _d_list(d_range, (3, 60))
     for d in ds:
@@ -655,7 +663,9 @@ def suite_coefficients(d_range: tuple[int, int] | None = None, precision: int = 
     return records
 
 
-def suite_identities(d_range: tuple[int, int] | None = None, precision: int = 30) -> list[CheckRecord]:
+def suite_identities(
+    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
+) -> list[CheckRecord]:
     records = []
     rng = random.Random(20240814)
     for m in range(1, 41):
@@ -701,13 +711,17 @@ def suite_identities(d_range: tuple[int, int] | None = None, precision: int = 30
     return records
 
 
-def suite_asymptotics(d_range: tuple[int, int] | None = None, precision: int = 30) -> list[CheckRecord]:
+def suite_asymptotics(
+    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
+) -> list[CheckRecord]:
     lo, hi = d_range if d_range is not None else (50, 200)
     lo, hi = max(10, lo), min(400, hi)
     return [check_asymptotics(lo, hi, precision)] if lo <= hi else []
 
 
-def suite_clr(d_range: tuple[int, int] | None = None, precision: int = 30) -> list[CheckRecord]:
+def suite_clr(
+    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
+) -> list[CheckRecord]:
     records = [check_counterexample_advisory()]
     records.append(check_q_star_value(3, Fraction(3)))
     records.append(check_q_star_value(4, Fraction(64, 27)))
@@ -733,7 +747,7 @@ SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
 
 
 def run_suite(
-    name: str, d_range: tuple[int, int] | None = None, precision: int = 30
+    name: str, d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
 ) -> list[CheckRecord]:
     if name == "all":
         records = []

@@ -1,9 +1,12 @@
 """Sharp constants, certified maximizer brackets, counterexample scans."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulomb_sharp import excess, optima
 from coulomb_sharp.exact import sturm_count
@@ -142,6 +145,66 @@ def reference_star(d, window, level_value):
     return best_ell, values[best_ell], (lo, hi), tie
 
 
+def reference_argmax(levels):
+    """Reference argmax of (ell, num, den) triples: every level reduced to a Fraction."""
+    best_ell, best, tie = levels[0][0], Fraction(levels[0][1], levels[0][2]), None
+    for ell, num, den in levels[1:]:
+        value = Fraction(num, den)
+        if value > best:
+            best_ell, best, tie = ell, value, None
+        elif value == best and tie is None:
+            tie = ell
+    return best_ell, tie
+
+
+@st.composite
+def level_lists(draw):
+    """Ascending (ell, num, den) levels: fresh values, exact multiples of earlier ones, and +-1 nudges."""
+    rng = draw(st.randoms(use_true_random=False))
+    bit_sizes = st.sampled_from([1, 3, 8, 63, 64, 65, 130, 5000])
+    levels = []
+    for ell in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "multiple", "nudge"])) if levels else "fresh"
+        if kind == "fresh":
+            num = rng.getrandbits(draw(bit_sizes))
+            den = rng.getrandbits(draw(bit_sizes)) | 1
+        else:
+            _, num, den = draw(st.sampled_from(levels))
+            if kind == "multiple":
+                factor = rng.getrandbits(draw(bit_sizes)) | 1
+                num, den = num * factor, den * factor
+            else:
+                num = max(0, num + draw(st.sampled_from([-1, 1])))
+        levels.append((ell, num, den))
+    return levels
+
+
+@pytest.fixture
+def cross_compares(monkeypatch):
+    """Count the window walk's exact (cross-multiplying) comparisons."""
+    calls = []
+    exact = optima._cross_compare
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(optima, "_cross_compare", counted)
+    return calls
+
+
+def touching_pair():
+    """Two values over one denominator whose enclosures share exactly one endpoint (lower first)."""
+    den = (1 << 100) + 12345
+    upper_num = (1 << 89) + 987654321
+    k = den.bit_length() - upper_num.bit_length() + optima.SCREEN_BITS
+    key = (upper_num << k) // den
+    # Smallest numerator whose key is key - 1: its enclosure ends where upper_num's begins.
+    lower_num = -((-(key - 1) * den) >> k)
+    assert (lower_num << k) // den == key - 1 and lower_num.bit_length() == upper_num.bit_length()
+    return (lower_num, den), (upper_num, den)
+
+
 class TestWindowWalk:
     def test_q_star_matches_dict_reference(self):
         for d in range(3, 151):
@@ -181,6 +244,54 @@ class TestWindowWalk:
 
     def test_single_level_window(self):
         assert optima._argmax_of_pairs([(0, 5, 7)]) == (0, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(level_lists())
+    def test_argmax_matches_fraction_reference(self, levels):
+        assert optima._argmax_of_pairs(levels) == reference_argmax(levels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5000), st.integers(1, 5000), st.randoms(use_true_random=False))
+    def test_enclosure_contains_the_level(self, num_bits, den_bits, rng):
+        num, den = rng.getrandbits(num_bits), rng.getrandbits(den_bits) | 1
+        key, k = optima._enclosure(num, den)
+        unit = Fraction(1, 2) ** k
+        assert key * unit <= Fraction(num, den) < (key + 1) * unit
+        assert key == 0 if num == 0 else 2**63 <= key < 2**65
+
+    @pytest.mark.parametrize(
+        "first, second", [((3, 5), (9, 15)), ((9, 15), (3, 5)), ((1, 3), (3**90, 3**91))]
+    )
+    def test_tie_written_with_other_bit_lengths(self, first, second, cross_compares):
+        levels = [(0, *first), (1, *second)]
+        assert optima._argmax_of_pairs(levels) == (0, 1)
+        assert len(cross_compares) == 1
+
+    def test_5000_bit_levels_one_apart(self, cross_compares):
+        rng = random.Random(5000)
+        num, den = rng.getrandbits(4999) | 1 << 4999, rng.getrandbits(4989) | 1 << 4989
+        assert optima._argmax_of_pairs([(0, num, den), (1, num + 1, den)]) == (1, None)
+        assert optima._argmax_of_pairs([(0, num + 1, den), (1, num, den)]) == (0, None)
+        # The two levels agree far beyond the enclosure's bits, so only the product decides.
+        assert len(cross_compares) == 2
+
+    def test_larger_level_after_a_tie(self):
+        larger = ((3 << 5000) + 1, 5 << 5000)
+        assert optima._argmax_of_pairs([(0, 3, 5), (1, 9, 15), (2, *larger)]) == (2, None)
+        assert optima._argmax_of_pairs([(0, 3, 5), (1, 9, 15), (2, *larger), (3, 6, 10)]) == (2, None)
+
+    def test_touching_enclosures_decide_without_the_product(self, cross_compares):
+        lower, upper = touching_pair()
+        assert optima._argmax_of_pairs([(0, *upper), (1, *lower)]) == (0, None)
+        assert optima._argmax_of_pairs([(0, *lower), (1, *upper)]) == (1, None)
+        assert cross_compares == []
+
+    def test_window_ties_reach_the_exact_path(self, cross_compares):
+        # A**2 at d = 6 takes its maximum at levels 0 and 1, a genuine tie.
+        result = optima.a_star(6)
+        assert (result.argmax_ell, result.tie_ell) == (0, 1)
+        assert excess.a_eval_squared(6, 0) == excess.a_eval_squared(6, 1)
+        assert len(cross_compares) == 1
 
 
 class TestAMaximizerBracket:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coulomb_sharp import phase_space
 from coulomb_sharp import verification as V
 
 
@@ -124,6 +125,19 @@ class TestGeneralGamma:
     def test_generic_gamma_high_precision(self):
         record = V.check_lt_general_gamma(6, Fraction(14), Fraction(4, 3), precision=25)
         assert record.verdict == "pass"
+
+    def test_generic_gamma_rhs_computed_once(self, monkeypatch):
+        calls = []
+        lt_rhs = phase_space.lt_rhs
+
+        def counted(*args):
+            calls.append(args)
+            return lt_rhs(*args)
+
+        monkeypatch.setattr(phase_space, "lt_rhs", counted)
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3))
+        assert record.verdict == "pass" and record.witness["used_precision"] == "30"
+        assert calls == [(8, Fraction(12), Fraction(7, 3), 30)]
 
 
 class TestAsymptotics:
