@@ -1,10 +1,11 @@
 """Command-line front door: single computations, verification sweeps, figure data.
 
 Exit codes: 0 on success / all checks passing, 1 on a mathematical failure or
-an inconclusive strict comparison, 2 on usage errors.  All eta inputs are
-parsed as exact rationals (decimal strings become exact scaled integers), so
-level counts never depend on binary floating point.  Reports are written
-atomically and are byte-stable across runs.
+an inconclusive strict comparison, 2 on usage errors (input beyond the size
+limits below included).  All eta inputs are parsed as exact rationals
+(decimal strings become exact scaled integers), so level counts never depend
+on binary floating point.  Reports are written atomically and are byte-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ from typing import Sequence
 
 from . import excess, optima, spectrum, verification
 from .exact import CertificationError, parse_rational
-from .highprec import DEFAULT_PRECISION, PrecisionError, sqrt_of_fraction
+from .highprec import DEFAULT_PRECISION, MAX_PRECISION, PrecisionError, sqrt_of_fraction
 
 DECIMAL_SIGNIFICANT_DIGITS = 15
+
+# Input size limits, each refused as a usage error before any work starts.
+# MAX_DIMENSION is the top of the asymptotics range and above every pinned d.
+MAX_DIMENSION = 400
+MAX_LEVELS = 1000  # levels listed by one spectrum command
+MAX_GRID_POINTS = 100_000  # points of one figure grid or config eta grid
 
 
 def render_decimal(x: Fraction) -> str:
@@ -90,8 +97,8 @@ class SweepConfig:
         if d_values is not None:
             if type(d_values) is not list or not d_values or any(type(d) is not int for d in d_values):
                 raise ValueError("d_values must be a non-empty list of integers")
-            if any(d < 3 for d in d_values):
-                raise ValueError("d_values must all be >= 3")
+            if any(not 3 <= d <= MAX_DIMENSION for d in d_values):
+                raise ValueError(f"d_values must all be >= 3 and <= {MAX_DIMENSION}")
         eta_grid = None
         if data.get("eta_grid") is not None:
             grid = data["eta_grid"]
@@ -104,6 +111,7 @@ class SweepConfig:
                 raise ValueError("eta_grid.step must be positive")
             if not start < stop:
                 raise ValueError("eta_grid needs start < stop")
+            _grid_points(start, stop, step)
             eta_grid = (start, stop, step)
         gamma = None
         if data.get("gamma") is not None:
@@ -129,8 +137,8 @@ class SweepConfig:
         if output_path is not None and type(output_path) is not str:
             raise ValueError("output_path must be a string")
         precision = data.get("precision")
-        if precision is not None and (type(precision) is not int or precision < 1):
-            raise ValueError("precision must be a positive integer")
+        if precision is not None and (type(precision) is not int or not 1 <= precision <= MAX_PRECISION):
+            raise ValueError(f"precision must be a positive integer up to {MAX_PRECISION}")
         return SweepConfig(
             d_values=d_values,
             eta_grid=eta_grid,
@@ -159,6 +167,14 @@ def _check_output_path(path: str) -> None:
         raise ValueError(f"output directory {directory!r} is not writable")
 
 
+def _grid_points(start: Fraction, stop: Fraction, step: Fraction) -> int:
+    """Number of grid points; more than MAX_GRID_POINTS raises ValueError."""
+    count = math.floor((stop - start) / step) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"the grid has more than {MAX_GRID_POINTS} points")
+    return count
+
+
 def rational_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
     """start + k*step for k = 0, 1, ... while it stays <= stop (empty when start > stop).
 
@@ -166,7 +182,7 @@ def rational_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fract
     """
     den = start.denominator * step.denominator
     base, stride = start.numerator * step.denominator, step.numerator * start.denominator
-    return [Fraction(base + k * stride, den) for k in range(math.floor((stop - start) / step) + 1)]
+    return [Fraction(base + k * stride, den) for k in range(_grid_points(start, stop, step))]
 
 
 def custom_lt_sweep(
@@ -256,6 +272,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     try:
         eta = parse_rational(args.eta)
         params = spectrum.SpectrumParams(d=args.d, eta=eta)
+        if params.ell is not None and params.ell >= MAX_LEVELS:
+            raise ValueError(f"eta = {args.eta} gives more than {MAX_LEVELS} levels")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -320,8 +338,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
         tol = parse_rational(args.tol)
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        if args.d < 3:
-            raise ValueError("d must be >= 3")
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -367,6 +383,8 @@ def _parse_d_range(text: str) -> tuple[int, int]:
     lo, hi = int(lo_text), int(hi_text)
     if lo > hi:
         raise ValueError("d-range needs A <= B")
+    if hi > MAX_DIMENSION:
+        raise ValueError(f"d-range must end at or below d = {MAX_DIMENSION}")
     return lo, hi
 
 
@@ -426,10 +444,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _precision(text: str) -> int:
     value = int(text) if text.isdecimal() else 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if not 1 <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"must be a positive integer up to {MAX_PRECISION}, got {text!r}")
+    return value
+
+
+def _dimension(text: str) -> int:
+    value = int(text) if text.isdecimal() else 0
+    if not 3 <= value <= MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"must be an integer from 3 to {MAX_DIMENSION}, got {text!r}")
     return value
 
 
@@ -444,13 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spectrum", help="negative levels, multiplicities and the count")
-    p_spec.add_argument("--d", type=int, required=True, help="dimension, d >= 3")
+    p_spec.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
     p_spec.add_argument("--eta", required=True, help="coupling ratio as P/Q or decimal text")
     p_spec.add_argument("--format", choices=("text", "json"), default="text")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_const = sub.add_parser("constants", help="sharp constants and maximizer brackets")
-    p_const.add_argument("--d", type=int, required=True)
+    p_const.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
     p_const.add_argument("--which", choices=("q-star", "a-star", "t-star"), required=True)
     p_const.add_argument("--tol", default="1/1000000", help="bracket width for t-star")
     p_const.set_defaults(func=cmd_constants)
@@ -465,8 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="report path (JSON lines)")
     p_verify.add_argument(
         "--precision",
-        type=_positive_int,
-        help=f"significant digits for real paths (default: config precision, else {DEFAULT_PRECISION})",
+        type=_precision,
+        help=(
+            f"significant digits for real paths, at most {MAX_PRECISION}; raise it to resolve "
+            f"an inconclusive near-tie (default: config precision, else {DEFAULT_PRECISION})"
+        ),
     )
     p_verify.add_argument("--config", help="JSON file mirroring the sweep configuration")
     p_verify.set_defaults(func=cmd_verify)

@@ -79,8 +79,8 @@ class PiScaledRational:
         return f"{self.ratio}*pi^({self.pi_half_power}/2)"
 
 
-def gamma_at(x: RationalLike, precision: int = DEFAULT_PRECISION) -> PiScaledRational | HighPrecisionReal:
-    """Gamma(x) for x > 0: exact when 2x is an integer, validated real otherwise.
+def gamma_at(x: RationalLike) -> PiScaledRational:
+    """Gamma(x) exactly, for x > 0 with 2x an integer.
 
     Gamma(n) = (n-1)! and Gamma(n + 1/2) = (2n)! sqrt(pi) / (4**n n!).
     """
@@ -93,7 +93,7 @@ def gamma_at(x: RationalLike, precision: int = DEFAULT_PRECISION) -> PiScaledRat
         n = (x.numerator - 1) // 2
         ratio = Fraction(math.factorial(2 * n), 4**n * math.factorial(n))
         return PiScaledRational(ratio, 1)
-    return validated_eval(lambda: mpmath.gamma(fraction_to_mpf(x)), precision)
+    raise ValueError("gamma_at needs 2x to be an integer")
 
 
 def lt_rhs(

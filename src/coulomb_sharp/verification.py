@@ -2,9 +2,10 @@
 
 Each check produces a CheckRecord carrying its exact inputs and both-side
 witnesses.  Checks over rationals are replayable bit for bit; strict
-inequalities on the high-precision path demand a margin of ten units in the
-last kept digit and otherwise re-run at doubled precision before giving up
-as 'inconclusive' (which the CLI treats as failure).
+inequalities on the high-precision path compare validated values at the
+requested precision and demand a margin of ten units in the last kept digit
+(``highprec.strictly_less``).  A near-tie is 'inconclusive' at that precision
+(the CLI treats it as failure); a larger ``--precision`` resolves it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from mpmath import mp
 
 from . import excess, optima, phase_space, spectrum
 from .exact import RationalLike, as_rational, expand_linear_factors
-from .highprec import DEFAULT_PRECISION, HighPrecisionReal
+from .highprec import DEFAULT_PRECISION, HighPrecisionReal, fraction_to_mpf, strictly_less, validated_eval
 from .phase_space import PiScaledRational
 
 # Residual bound for the d**-3 tail of the expansions of the sharp constants:
@@ -37,10 +38,6 @@ INCONCLUSIVE = "inconclusive"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, HighPrecisionReal):
-        return value.to_decimal()
-    if isinstance(value, PiScaledRational):
-        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -71,11 +68,12 @@ class CheckRecord:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def _record(check_id: str, params: dict, ok: bool, witness: dict, note: str = "") -> CheckRecord:
+def _record(check_id: str, params: dict, ok: bool | str, witness: dict, note: str = "") -> CheckRecord:
+    """The one CheckRecord constructor; ``ok`` is a verdict string or a bool (pass/fail)."""
     return CheckRecord(
         check_id=check_id,
         params={k: _fmt(v) for k, v in params.items()},
-        verdict=PASS if ok else FAIL,
+        verdict=ok if isinstance(ok, str) else PASS if ok else FAIL,
         witness={k: _fmt(v) for k, v in witness.items()},
         note=note,
     )
@@ -89,12 +87,8 @@ def check_lt_gamma1(d: int, eta: RationalLike) -> CheckRecord:
     eta = as_rational(eta)
     params = {"d": d, "eta": eta}
     if d == 3:
-        return CheckRecord(
-            check_id="lt-gamma1",
-            params={k: _fmt(v) for k, v in params.items()},
-            verdict=SKIPPED,
-            witness={},
-            note="the improved order-1 bound does not hold for d = 3",
+        return _record(
+            "lt-gamma1", params, SKIPPED, {}, "the improved order-1 bound does not hold for d = 3"
         )
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -210,37 +204,23 @@ def check_appendix_sums(d: int) -> CheckRecord:
     )
 
 
-# -- high-precision strict comparisons ----------------------------------------
-
-
-def _strict_less_high_precision(
-    lhs_at: Callable[[int], mpmath.mpf],
-    rhs_at: Callable[[int], mpmath.mpf],
-    precision: int,
-) -> tuple[str, mpmath.mpf, mpmath.mpf, int]:
-    """Decide lhs < rhs with a margin of 10 units in the last kept digit.
-
-    Re-runs at doubled precision up to 3 times; 'inconclusive' after that.
-    """
-    work = precision
-    for _ in range(4):
-        with mp.workdps(work + 10):
-            lhs = lhs_at(work)
-            rhs = rhs_at(work)
-            scale = max(abs(lhs), abs(rhs), mpmath.mpf(1))
-            margin = 10 * scale * mpmath.mpf(10) ** (1 - work)
-            if rhs - lhs > margin:
-                return PASS, lhs, rhs, work
-            if lhs - rhs > margin:
-                return FAIL, lhs, rhs, work
-        work *= 2
-    return INCONCLUSIVE, lhs, rhs, work // 2
+def _validated(value: Fraction | PiScaledRational | HighPrecisionReal, precision: int) -> HighPrecisionReal:
+    """An exact value as a validated real at ``precision``; a validated real as it is."""
+    if isinstance(value, Fraction):
+        return validated_eval(lambda: fraction_to_mpf(value), precision)
+    if isinstance(value, PiScaledRational):
+        return value.to_real(precision)
+    return value
 
 
 def check_lt_general_gamma(
     d: int, eta: RationalLike, gamma: RationalLike, precision: int = DEFAULT_PRECISION
 ) -> CheckRecord:
-    """Strict order-gamma inequality for gamma in [1, d/2)."""
+    """Strict order-gamma inequality for gamma in [1, d/2).
+
+    Off gamma = 1 both sides are validated reals at ``precision``, compared once
+    by ``strictly_less``: a near-tie is 'inconclusive', with no retry.
+    """
     eta, gamma = as_rational(eta), as_rational(gamma)
     if gamma >= Fraction(d, 2):
         raise ValueError("phase-space integral diverges for gamma >= d/2")
@@ -254,34 +234,21 @@ def check_lt_general_gamma(
         rhs = phase_space.lt_rhs(d, eta, Fraction(1))
         return _record("lt-general-gamma", params, lhs < rhs, {"lhs": lhs, "rhs": rhs})
 
-    rhs_exact = phase_space.lt_rhs(d, eta, gamma, precision)
-
-    def lhs_at(p: int) -> mpmath.mpf:
-        value = spectrum.riesz_mean(
-            spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=gamma, precision=p)
-        )
-        if isinstance(value, Fraction):
-            return mpmath.mpf(value.numerator) / value.denominator
-        return value.value
-
-    def rhs_at(p: int) -> mpmath.mpf:
-        if isinstance(rhs_exact, Fraction):
-            return mpmath.mpf(rhs_exact.numerator) / rhs_exact.denominator
-        if isinstance(rhs_exact, PiScaledRational):
-            return rhs_exact.to_real(p).value
-        if p == precision:  # rhs_exact is this very call
-            return rhs_exact.value
-        return phase_space.lt_rhs(d, eta, gamma, p).value
-
-    verdict, lhs, rhs, used = _strict_less_high_precision(lhs_at, rhs_at, precision)
-    exact_note = "exact right-hand side" if not isinstance(rhs_exact, HighPrecisionReal) else ""
-    return CheckRecord(
-        check_id="lt-general-gamma",
-        params={k: _fmt(v) for k, v in params.items()},
-        verdict=verdict,
-        witness={"lhs": mpmath.nstr(lhs, 25), "rhs": mpmath.nstr(rhs, 25), "used_precision": str(used)},
-        note=exact_note,
+    lhs = spectrum.riesz_mean(
+        spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=gamma, precision=precision)
     )
+    rhs = phase_space.lt_rhs(d, eta, gamma, precision)
+    note = "" if isinstance(rhs, HighPrecisionReal) else "exact right-hand side"
+    lhs, rhs = _validated(lhs, precision), _validated(rhs, precision)
+    less = strictly_less(lhs, rhs)
+    return _record(
+        "lt-general-gamma",
+        params,
+        INCONCLUSIVE if less is None else less,
+        {"lhs": mpmath.nstr(lhs.value, 25), "rhs": mpmath.nstr(rhs.value, 25), "used_precision": precision},
+        note,
+    )
+
 
 
 # -- coefficient identities -----------------------------------------------------

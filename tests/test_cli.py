@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coulomb_sharp import cli, verification
+from coulomb_sharp import cli, excess, optima, phase_space, spectrum, verification
 from coulomb_sharp.cli import exact_decimal, main, render_decimal
 
 
@@ -41,6 +41,12 @@ class TestRationalGrid:
                 x += step
             assert cli.rational_grid(start, stop, step) == expected
 
+    def test_point_limit(self):
+        limit = cli.MAX_GRID_POINTS
+        assert len(cli.rational_grid(Fraction(1), Fraction(limit), Fraction(1))) == limit
+        with pytest.raises(ValueError, match=f"more than {limit} points"):
+            cli.rational_grid(Fraction(0), Fraction(limit), Fraction(1))
+
 
 class TestSpectrumCommand:
     def test_counterexample_instance(self, capsys):
@@ -70,6 +76,23 @@ class TestSpectrumCommand:
     def test_missing_argument_is_usage_error(self, capsys):
         assert main(["spectrum", "--d", "3"]) == 2
 
+    def test_dimension_above_limit_usage_error(self, capsys):
+        assert main(["spectrum", "--d", str(cli.MAX_DIMENSION + 1), "--eta", "5"]) == 2
+        assert "--d: must be an integer from 3 to 400" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["2002.1", "20000", "1e400"])
+    def test_too_many_levels_rejected_before_work(self, capsys, monkeypatch, eta):
+        def no_work(*args, **kwargs):
+            raise AssertionError("levels were built")
+
+        monkeypatch.setattr(spectrum, "levels", no_work)
+        assert main(["spectrum", "--d", "3", "--eta", eta]) == 2
+        assert "more than 1000 levels" in capsys.readouterr().err
+
+    def test_level_limit_is_inclusive(self, capsys):
+        assert main(["spectrum", "--d", "3", "--eta", "2002", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["levels"]) == cli.MAX_LEVELS
+
 
 class TestConstantsCommand:
     def test_q_star_d3(self, capsys):
@@ -98,6 +121,16 @@ class TestConstantsCommand:
 
     def test_bad_tolerance_usage_error(self, capsys):
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize("which, d", [("q-star", "494"), ("a-star", "401"), ("t-star", "100000")])
+    def test_dimension_above_limit_rejected_before_work(self, capsys, monkeypatch, which, d):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a constant was computed")
+
+        for name in ("q_star", "a_star", "locate_t_star"):
+            monkeypatch.setattr(optima, name, no_work)
+        assert main(["constants", "--d", d, "--which", which]) == 2
+        assert "--d: must be an integer from 3 to 400" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "d, sha256",
@@ -167,8 +200,9 @@ class TestVerifyCommand:
             ("clr", 123, "8dfe589bc770973b79ffc2bbbcc1914944a07c5cfb40469f001c8b2f32e5f61d"),
             ("coefficients", 112, "9855d2bd13cb24567cf7ea388902254a87cf037e9760f562028f7d77d8c62b9c"),
             ("asymptotics", 1, "67a3b33174ecd145372d02846a863e084b39cfc7a9970d8c97d2bf41e493e799"),
+            ("lt-gamma1", 2819, "986b2184edd5359d0e207f0538c228b9077e218664b9ab63293e1a134e55ca47"),
         ],
-        ids=("identities", "clr", "coefficients", "asymptotics"),
+        ids=("identities", "clr", "coefficients", "asymptotics", "lt-gamma1"),
     )
     def test_report_bytes_pinned(self, tmp_path, capsys, suite, records, sha256):
         # Refactors must not move a verdict or a witness byte.
@@ -184,6 +218,15 @@ class TestVerifyCommand:
     def test_bad_d_range_usage_error(self, capsys):
         assert main(["verify", "--suite", "clr", "--d-range", "9"]) == 2
 
+    def test_d_range_above_limit_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "clr", "--d-range", "3..401", "--out", str(out)]) == 2
+        assert "d-range must end at or below d = 400" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
     def test_failing_record_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken_suite(d_range=None, precision=30):
             return [
@@ -196,6 +239,25 @@ class TestVerifyCommand:
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "clr", "--out", str(out)]) == 1
         assert "FAILED demo" in capsys.readouterr().err
+
+    def test_inconclusive_record_exits_one(self, tmp_path, capsys, monkeypatch):
+        def rhs_equal_to_lhs(d, eta, gamma, precision):
+            query = spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=gamma, precision=precision)
+            return spectrum.riesz_mean(query)
+
+        monkeypatch.setattr(phase_space, "lt_rhs", rhs_equal_to_lhs)
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: [])
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps({"d_values": [8], "eta_grid": {"start": "12", "stop": "97/8", "step": "1/8"}, "gamma": "7/3"})
+        )
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "2 checks: 2 inconclusive" in captured.out
+        assert "FAILED lt-general-gamma" in captured.err
+        verdicts = [json.loads(line)["verdict"] for line in out.read_text().splitlines()]
+        assert verdicts == ["inconclusive", "inconclusive"]
 
     def test_config_driven_sweep(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
@@ -261,6 +323,9 @@ class TestVerifyCommand:
             ({"gama": "7/3"}, "unknown config field 'gama'"),
             ({"eta_grid": None, "gamma": "3/2"}, "eta_grid is missing"),
             ({"d_values": None}, "d_values is missing"),
+            ({"precision": 1001}, "precision must be a positive integer up to 1000"),
+            ({"d_values": [4, 401]}, "d_values must all be >= 3 and <= 400"),
+            ({"eta_grid": {"start": "3", "stop": "4", "step": "1/100000"}}, "more than 100000 points"),
         ],
         ids=(
             "eta-grid-list",
@@ -278,6 +343,9 @@ class TestVerifyCommand:
             "unknown-field",
             "sweep-without-eta-grid",
             "sweep-without-d-values",
+            "precision-above-limit",
+            "d-above-limit",
+            "eta-grid-above-point-limit",
         ),
     )
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
@@ -337,7 +405,7 @@ class TestVerifyCommand:
         assert "no checks ran" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("precision", ["0", "-3", "x"])
+    @pytest.mark.parametrize("precision", ["0", "-3", "x", "1001", "100000000"])
     def test_bad_precision_flag_rejected_before_work(self, tmp_path, capsys, monkeypatch, precision):
         ran = []
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
@@ -462,6 +530,22 @@ class TestFigureCommand:
     def test_zero_denominator_step_usage_error(self, tmp_path, capsys):
         assert main(["figure", "--which", "f-plot", "--out", str(tmp_path / "x.csv"), "--step", "1/0"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which, evaluator",
+        [("lt-d3", (spectrum, "riesz_mean_d3_closed_form")), ("rd-vs-qd", (excess, "q_eval")), ("f-plot", (excess, "f_eval"))],
+        ids=("lt-d3", "rd-vs-qd", "f-plot"),
+    )
+    def test_too_many_grid_points_rejected_before_work(self, tmp_path, capsys, monkeypatch, which, evaluator):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(*evaluator, no_work)
+        out = tmp_path / "x.csv"
+        # 1/20000 gives 160,001 to 360,000 points, small enough to build if the limit were missing.
+        assert main(["figure", "--which", which, "--out", str(out), "--step", "1/20000"]) == 2
+        assert "more than 100000 points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_step_usage_error(self, tmp_path, capsys):
         assert main(["figure", "--which", "f-plot", "--out", str(tmp_path / "x.csv"), "--step", "-1"]) == 2

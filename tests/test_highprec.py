@@ -6,9 +6,11 @@ import mpmath
 import pytest
 
 from coulomb_sharp.highprec import (
+    MAX_PRECISION,
     HighPrecisionReal,
     fraction_to_mpf,
     sqrt_of_fraction,
+    strictly_less,
     validated_eval,
 )
 
@@ -51,3 +53,23 @@ def test_carries_requested_precision():
 def test_repr_contains_digits():
     value = HighPrecisionReal(mpmath.mpf(2), 10)
     assert "2.0" in repr(value)
+
+
+@pytest.mark.parametrize("precision", [0, MAX_PRECISION + 1])
+def test_precision_out_of_range_rejected(precision):
+    with pytest.raises(ValueError, match="precision must be between"):
+        validated_eval(lambda: +mpmath.pi, precision)
+
+
+def test_strictly_less_margin_is_ten_units_in_the_last_digit():
+    # At 30 digits the margin around 1 is 10 * 10**-29: a gap of twice that decides,
+    # a gap of half of it is a near-tie in either order.
+    one = HighPrecisionReal(mpmath.mpf(1), 30)
+    with mpmath.mp.workdps(60):
+        clear = HighPrecisionReal(1 + 2 * mpmath.mpf(10) ** -28, 30)
+        close = HighPrecisionReal(1 + 5 * mpmath.mpf(10) ** -29, 30)
+    assert strictly_less(one, clear) is True
+    assert strictly_less(clear, one) is False
+    assert strictly_less(one, close) is None
+    assert strictly_less(close, one) is None
+    assert strictly_less(one, one) is None

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from coulomb_sharp import phase_space
+from coulomb_sharp import phase_space, spectrum
 from coulomb_sharp import verification as V
 
 
@@ -138,6 +138,29 @@ class TestGeneralGamma:
         record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3))
         assert record.verdict == "pass" and record.witness["used_precision"] == "30"
         assert calls == [(8, Fraction(12), Fraction(7, 3), 30)]
+
+
+    @staticmethod
+    def _rhs_equal_to_lhs(d, eta, gamma, precision):
+        return spectrum.riesz_mean(
+            spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=gamma, precision=precision)
+        )
+
+    def test_rhs_below_lhs_fails(self, monkeypatch):
+        monkeypatch.setattr(phase_space, "lt_rhs", lambda *args: Fraction(1))
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3), precision=25)
+        assert record.verdict == "fail" and not record.ok
+        assert record.witness["rhs"] == "1.0"
+        assert record.witness["used_precision"] == "25"
+        assert record.note == "exact right-hand side"
+
+    @pytest.mark.parametrize("precision", [20, 30])
+    def test_tie_is_inconclusive_at_the_requested_precision(self, monkeypatch, precision):
+        monkeypatch.setattr(phase_space, "lt_rhs", self._rhs_equal_to_lhs)
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3), precision=precision)
+        assert record.verdict == "inconclusive" and not record.ok
+        assert record.witness["lhs"] == record.witness["rhs"]
+        assert record.witness["used_precision"] == str(precision)
 
 
 class TestAsymptotics:
