@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,14 +34,22 @@ MAX_LEVELS = 1000  # levels listed by one spectrum command
 MAX_GRID_POINTS = 100_000  # points of one figure grid or config eta grid
 
 
-def render_decimal(x: Fraction) -> str:
-    """Correctly-rounded fixed-point rendering with DECIMAL_SIGNIFICANT_DIGITS digits."""
-    if x == 0:
+_DECIMAL_CONTEXT = Context(prec=DECIMAL_SIGNIFICANT_DIGITS)
+
+
+def render_ratio(num: int, den: int) -> str:
+    """num/den correctly rounded (half-even) to DECIMAL_SIGNIFICANT_DIGITS digits, fixed-point.
+
+    The quotient of two integer Decimals depends only on the value, so an
+    unreduced pair renders exactly as its reduced form does.
+    """
+    if num == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_SIGNIFICANT_DIGITS
-        value = Decimal(x.numerator) / Decimal(x.denominator)
-    return format(value, "f")
+    return format(_DECIMAL_CONTEXT.divide(Decimal(num), Decimal(den)), "f")
+
+
+def render_decimal(x: Fraction) -> str:
+    return render_ratio(x.numerator, x.denominator)
 
 
 def exact_decimal(x: Fraction) -> str | None:
@@ -65,7 +73,9 @@ def exact_decimal(x: Fraction) -> str | None:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-def render_grid_value(x: Fraction) -> str:
+def render_grid_value(num: int, den: int) -> str:
+    # Reduced first: with step 1/7 the point 21/7 is 3, a finite decimal.
+    x = Fraction(num, den)
     return exact_decimal(x) or render_decimal(x)
 
 
@@ -152,8 +162,8 @@ class SweepConfig:
 def _config_rational(value: object, name: str) -> Fraction:
     try:
         return parse_rational(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{name} must be a rational number, got {value!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a rational number, got {value!r} ({exc})") from exc
 
 
 def _check_output_path(path: str) -> None:
@@ -175,14 +185,20 @@ def _grid_points(start: Fraction, stop: Fraction, step: Fraction) -> int:
     return count
 
 
-def rational_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
-    """start + k*step for k = 0, 1, ... while it stays <= stop (empty when start > stop).
+def grid_numerators(start: Fraction, stop: Fraction, step: Fraction) -> tuple[range, int]:
+    """The grid start + k*step <= stop as integer numerators over one common denominator.
 
-    Each point is one integer numerator over the common denominator, reduced once.
+    Returns (numerators, den); the numerators are a range, empty when start > stop.
     """
     den = start.denominator * step.denominator
     base, stride = start.numerator * step.denominator, step.numerator * start.denominator
-    return [Fraction(base + k * stride, den) for k in range(_grid_points(start, stop, step))]
+    return range(base, base + _grid_points(start, stop, step) * stride, stride), den
+
+
+def rational_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
+    """start + k*step for k = 0, 1, ... while it stays <= stop (empty when start > stop)."""
+    numerators, den = grid_numerators(start, stop, step)
+    return [Fraction(n, den) for n in numerators]
 
 
 def custom_lt_sweep(
@@ -204,7 +220,9 @@ def custom_lt_sweep(
 
 # -- figure datasets -----------------------------------------------------------
 #
-# Each builder returns its CSV header followed by one tuple of cells per row.
+# Each builder walks its grid as integer numerators n over one denominator D,
+# takes every cell from an integer kernel as an unreduced pair and renders the
+# pair directly.  It returns its CSV header followed by one tuple of cells per row.
 
 Rows = list[tuple[str, ...]]
 
@@ -214,21 +232,28 @@ def figure_lt_d3(step: Fraction) -> Rows:
     rows: Rows = [
         ("eta[Lambda=1]", "trace_excess[Lambda]", "lower_envelope[Lambda]", "upper_envelope[Lambda]")
     ]
-    for eta in rational_grid(2 + step, Fraction(20), step):
-        middle = spectrum.riesz_mean_d3_closed_form(eta) - (eta**3 / 12 - eta**2 / 8)
-        upper = Fraction(2 * math.ceil(eta / 2) - 1, 24)
-        rows.append((render_grid_value(eta), render_decimal(middle), render_decimal(-eta / 12), render_decimal(upper)))
+    etas, den = grid_numerators(2 + step, Fraction(20), step)
+    cube = 24 * den**3
+    for n in etas:
+        trace_num, trace_den = spectrum.riesz_mean_d3_int(n, den)
+        # trace - (eta^3/12 - eta^2/8), with eta^3/12 - eta^2/8 = (2n^3 - 3n^2 D) / (24 D^3)
+        middle = (trace_num * cube - trace_den * (2 * n - 3 * den) * n * n, trace_den * cube)
+        upper = 2 * -(-n // (2 * den)) - 1  # (2 ceil(eta/2) - 1) / 24
+        rows.append(
+            (render_grid_value(n, den), render_ratio(*middle), render_ratio(-n, 12 * den), render_ratio(upper, 24))
+        )
     return rows
 
 
 def figure_rd_vs_qd(step: Fraction) -> Rows:
     """Excess ratio R, sampled at eta = 2 tau + d - 1, against its upper function Q for d = 5 and d = 6."""
     rows: Rows = [("tau[Lambda=1]", "q_d5[ratio]", "r_d5[ratio]", "q_d6[ratio]", "r_d6[ratio]")]
-    for tau in rational_grid(step, Fraction(8), step):
-        cells = [render_grid_value(tau)]
+    taus, den = grid_numerators(step, Fraction(8), step)
+    for n in taus:
+        cells = [render_grid_value(n, den)]
         for d in (5, 6):
-            cells.append(render_decimal(excess.q_eval(d, tau)))
-            cells.append(render_decimal(excess.r_eval(d, 2 * tau + d - 1)))
+            cells.append(render_ratio(*excess.q_int(d, n, den)))
+            cells.append(render_ratio(*excess.r_int(d, 2 * n + (d - 1) * den, den)))
         rows.append(tuple(cells))
     return rows
 
@@ -236,12 +261,13 @@ def figure_rd_vs_qd(step: Fraction) -> Rows:
 def figure_f_plot(step: Fraction) -> Rows:
     """The log-derivative of Q for d = 6, with pole-adjacent windows removed."""
     d = 6
-    poles = sorted({-root for _, root in excess.f_terms(d)})
-    guard = Fraction(1, 20)
+    poles = {-root for _, root in excess.f_terms(d)}
     rows: Rows = [("t[Lambda=1]", "f6[1/t]")]
-    for t in rational_grid(Fraction(-11, 2), Fraction(4), step):
-        if all(abs(t - pole) > guard for pole in poles):
-            rows.append((render_grid_value(t), render_decimal(excess.f_eval(d, t))))
+    ts, den = grid_numerators(Fraction(-11, 2), Fraction(4), step)
+    for n in ts:
+        # |t - P/L| > 1/20 for every pole P/L, in integers
+        if all(abs(20 * (pole.denominator * n - pole.numerator * den)) > pole.denominator * den for pole in poles):
+            rows.append((render_grid_value(n, den), render_ratio(*excess.f_int(d, n, den))))
     return rows
 
 
@@ -274,7 +300,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         params = spectrum.SpectrumParams(d=args.d, eta=eta)
         if params.ell is not None and params.ell >= MAX_LEVELS:
             raise ValueError(f"eta = {args.eta} gives more than {MAX_LEVELS} levels")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     level_rows = spectrum.levels(params)
@@ -430,7 +456,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         if step <= 0:
             raise ValueError("step must be positive")
         _check_output_path(args.out)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     header, *rows = FIGURES[args.which](step)

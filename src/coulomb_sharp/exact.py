@@ -31,6 +31,10 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
+# parse_rational refuses larger decimal exponents: Fraction("1e10000000")
+# would spend seconds building 10**10000000 before any size limit applies.
+MAX_DECIMAL_EXPONENT = 1000
+
 
 class EndpointRootError(ValueError):
     """An interval endpoint is a root of the polynomial being counted."""
@@ -52,9 +56,23 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'P/Q', integer, or decimal text into an exact rational.
 
     Decimal strings are read as exact scaled integers ('11.1' -> 111/10);
-    binary floating point is never involved.
+    binary floating point is never involved.  Every malformed input raises
+    ValueError: a zero denominator, and a decimal exponent beyond
+    +-MAX_DECIMAL_EXPONENT, refused before 10**exponent is built.
     """
-    return Fraction(text.strip())
+    text = text.strip()
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            magnitude = abs(int(exponent))
+        except ValueError:
+            magnitude = 0  # not an exponent; Fraction rejects the text below
+        if magnitude > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent {exponent} is beyond +-{MAX_DECIMAL_EXPONENT} in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def rational_sign(x: RationalLike) -> int:

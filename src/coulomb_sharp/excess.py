@@ -11,6 +11,13 @@ t = p/q share one integer closed form (_pochhammer_int); every product of
 linear factors, including the common denominator of a partial-fraction sum,
 goes through the integer expansion in exact (_int_linear_product).
 
+Each plotted quantity has one integer kernel, which takes the point as an
+integer pair p/q (q > 0, not necessarily reduced) and returns its value as an
+unreduced integer pair (numerator, denominator): q_int for Q, r_int for the
+excess ratio R and f_int for f.  q_eval, r_eval and f_eval are their Fraction
+wrappers, so a grid walked over one common denominator and a single rational
+point go through the same formula.
+
 The rational-function forms of f, g and h_a are built from their partial
 fractions in integers and need no gcd: after merging terms that share a
 root, the roots are distinct and every coefficient is nonzero, so the
@@ -23,11 +30,13 @@ squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import phase_space, spectrum
 from .exact import (
     Polynomial,
     RationalFunctionPair,
@@ -103,34 +112,49 @@ def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
     )
 
 
-def _eval_terms(terms: PartialFractionTerms, t: Fraction) -> Fraction:
-    total = Fraction(0)
+def _eval_terms(terms: PartialFractionTerms, p: int, q: int) -> tuple[int, int]:
+    """Sum of c/(t + r) over the terms at t = p/q (q > 0), as one integer pair.
+
+    With c = cn/cd and r = rn/rd each term is cn*q*rd / (cd*(p*rd + rn*q));
+    the terms are summed over their product denominator, with no gcd.
+    """
+    num, den = 0, 1
     for c, r in terms:
-        den = t + r
-        if den == 0:
-            raise ValueError(f"pole at {t}")
-        total += c / den
-    return total
+        rd = r.denominator
+        linear = p * rd + r.numerator * q
+        if linear == 0:
+            raise ValueError(f"pole at {Fraction(p, q)}")
+        term_den = c.denominator * linear
+        num, den = num * term_den + c.numerator * q * rd * den, den * term_den
+    return num, den
+
+
+def _eval_at(terms: PartialFractionTerms, t: RationalLike) -> Fraction:
+    t = as_rational(t)
+    return Fraction(*_eval_terms(terms, t.numerator, t.denominator))
 
 
 # -- Q, R and the log-derivative f --------------------------------------------
 
 
-def q_eval(d: int, t: RationalLike) -> Fraction:
-    """Excess factor Q = (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d, exact.
+def q_int(d: int, p: int, q: int) -> tuple[int, int]:
+    """Excess factor Q = (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d at t = p/q (q > 0).
 
-    For t = p/q the powers of q cancel, leaving one integer quotient
-    2**(d-1) (2p+dq) P / (2p+(d-1)q)**d with P = prod_{j<d}(p+jq).
+    The powers of q cancel, leaving the integer pair
+    2**(d-1) (2p+dq) P / (2p+(d-1)q)**d with P = prod_{j<d}(p+jq).  Both
+    are homogeneous of degree d in (p, q), so p/q need not be reduced.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
-    t = as_rational(t)
-    p, q = t.numerator, t.denominator
     base = 2 * p + (d - 1) * q
     if base == 0:
-        raise ValueError(f"pole at t = {t}")
-    prod = _pochhammer_int(d - 1, p, q)
-    return Fraction(2 ** (d - 1) * (2 * p + d * q) * prod, base**d)
+        raise ValueError(f"pole at t = {Fraction(p, q)}")
+    return 2 ** (d - 1) * (2 * p + d * q) * _pochhammer_int(d - 1, p, q), base**d
+
+
+def q_eval(d: int, t: RationalLike) -> Fraction:
+    t = as_rational(t)
+    return Fraction(*q_int(d, t.numerator, t.denominator))
 
 
 def q_as_ratfun(d: int) -> RationalFunctionPair:
@@ -141,29 +165,44 @@ def q_as_ratfun(d: int) -> RationalFunctionPair:
     return ratfun_reduce(num, den)
 
 
+def r_int(d: int, n: int, den: int) -> tuple[int, int]:
+    """Excess ratio R = count / phase_space.clr_rhs at eta = n/den (den > 0), as an integer pair.
+
+    R is 0 for an empty spectrum.  The count comes from spectrum.level_count,
+    so along a grid it is computed once per threshold interval.
+    """
+    ell = spectrum.top_level(d, n, den)
+    if ell < 0:
+        return 0, 1
+    rhs_num, rhs_den = phase_space.clr_rhs_int(d, n, den)
+    return spectrum.level_count(d, ell) * rhs_den, rhs_num
+
+
 def r_eval(d: int, eta: RationalLike) -> Fraction:
-    """Excess ratio of the eigenvalue count over its semiclassical bound."""
-    from . import phase_space, spectrum
-
     eta = as_rational(eta)
-    params = spectrum.SpectrumParams(d=d, eta=eta)
-    if not params.has_negative_spectrum:
-        return Fraction(0)
-    return Fraction(spectrum.counting_function(params)) / phase_space.clr_rhs(d, eta)
+    return Fraction(*r_int(d, eta.numerator, eta.denominator))
 
 
-def f_terms(d: int) -> list[tuple[Fraction, Fraction]]:
+@functools.lru_cache(maxsize=8)
+def f_terms(d: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The (coefficient, root) pairs of f; cached, since every f_int call on a grid reads them."""
     if d < 3:
         raise ValueError("d must be >= 3")
     return (
-        [(Fraction(1), Fraction(d, 2)), (Fraction(-d), Fraction(d - 1, 2))]
-        + [(Fraction(1), Fraction(k)) for k in range(1, d)]
+        (Fraction(1), Fraction(d, 2)),
+        (Fraction(-d), Fraction(d - 1, 2)),
+        *((Fraction(1), Fraction(k)) for k in range(1, d)),
     )
 
 
+def f_int(d: int, p: int, q: int) -> tuple[int, int]:
+    """Logarithmic derivative f of Q at t = p/q (q > 0) as an integer pair, away from its poles."""
+    return _eval_terms(f_terms(d), p, q)
+
+
 def f_eval(d: int, t: RationalLike) -> Fraction:
-    """Logarithmic derivative of Q, evaluated exactly away from its poles."""
-    return _eval_terms(f_terms(d), as_rational(t))
+    t = as_rational(t)
+    return Fraction(*f_int(d, t.numerator, t.denominator))
 
 
 def f_denominator(d: int) -> Polynomial:
@@ -219,7 +258,7 @@ def g_terms(d: int) -> list[tuple[Fraction, Fraction]]:
 
 def g_eval(d: int, t: RationalLike) -> Fraction:
     """Logarithmic derivative of A, evaluated exactly away from its poles."""
-    return _eval_terms(g_terms(d), as_rational(t))
+    return _eval_at(g_terms(d), t)
 
 
 def g_as_ratfun(d: int) -> RationalFunctionPair:
@@ -238,7 +277,7 @@ def g_shifted_terms(d: int) -> list[tuple[Fraction, Fraction]]:
 
 
 def g_shifted_eval(d: int, s: RationalLike) -> Fraction:
-    return _eval_terms(g_shifted_terms(d), as_rational(s))
+    return _eval_at(g_shifted_terms(d), s)
 
 
 def g_shifted_as_ratfun(d: int) -> RationalFunctionPair:
@@ -274,7 +313,7 @@ def h_a_terms(d: int, a: RationalLike) -> list[tuple[Fraction, Fraction]]:
 
 
 def h_a_eval(d: int, a: RationalLike, s: RationalLike) -> Fraction:
-    return _eval_terms(h_a_terms(d, a), as_rational(s))
+    return _eval_at(h_a_terms(d, a), s)
 
 
 def h_a_as_ratfun(d: int, a: RationalLike) -> RationalFunctionPair:

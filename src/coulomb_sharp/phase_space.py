@@ -137,11 +137,16 @@ def lt_rhs(
     return validated_eval(compute, precision)
 
 
+def clr_rhs_int(d: int, n: int, den: int) -> tuple[int, int]:
+    """clr_rhs at eta = n/den (den > 0) as an integer pair: n**d / (2**(d-1) d! den**d)."""
+    if d < 3:
+        raise ValueError("d must be >= 3")
+    if n <= 0:
+        raise ValueError("eta must be positive")
+    return n**d, 2 ** (d - 1) * math.factorial(d) * den**d
+
+
 def clr_rhs(d: int, eta: RationalLike) -> Fraction:
     """Semiclassical bound on the eigenvalue count: eta**d / (2**(d-1) d!)."""
     eta = as_rational(eta)
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return eta**d / (2 ** (d - 1) * math.factorial(d))
+    return Fraction(*clr_rhs_int(d, eta.numerator, eta.denominator))

@@ -8,12 +8,13 @@ units Lambda = 1.  The eigenvalues are the hydrogen-like levels
 
 with ell = ceil((eta + 1 - d)/2) - 1; the spectrum is empty when
 eta <= d - 1.  Multiplicities, the counting function and Riesz means are all
-exact integers or rationals; ell is computed by exact rational ceiling so the
-discontinuities in eta are bit-exact.
+exact integers or rationals; ell is one integer floor division on the
+numerator and denominator of eta, so the discontinuities in eta are bit-exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +46,8 @@ class SpectrumParams:
     @property
     def ell(self) -> int | None:
         """Index of the highest negative level, or None for empty spectrum."""
-        if self.eta <= self.d - 1:
-            return None
-        return math.ceil(self.tau) - 1
+        ell = top_level(self.d, self.eta.numerator, self.eta.denominator)
+        return ell if ell >= 0 else None
 
     @property
     def has_negative_spectrum(self) -> bool:
@@ -98,17 +98,37 @@ def levels(params: SpectrumParams) -> list[LevelData]:
     return out
 
 
-def counting_function(params: SpectrumParams) -> int:
-    """Total multiplicity of the negative spectrum: (d+2l)(d+l-1)!/(d! l!)."""
-    ell = params.ell
-    if ell is None:
-        return 0
-    d = params.d
+def top_level(d: int, n: int, den: int) -> int:
+    """Index ell of the highest negative level at eta = n/den (den > 0), -1 if there is none.
+
+    ell = ceil(tau) - 1 with tau = (eta + 1 - d)/2, which is one floor
+    division; it is negative exactly when eta <= d - 1.
+    """
+    if d < 3:
+        raise ValueError("dimension d must be an integer >= 3")
+    if n <= 0:
+        raise ValueError("eta must be positive")
+    return (n - (d - 1) * den - 1) // (2 * den)
+
+
+@functools.lru_cache(maxsize=16)
+def level_count(d: int, ell: int) -> int:
+    """Total multiplicity of the levels 0..ell: (d+2l)(d+l-1)!/(d! l!).
+
+    Cached: along a grid in eta the count changes only where ell does, so a
+    few entries serve a whole grid, while large counts are not kept long.
+    """
     num = (d + 2 * ell) * math.factorial(d + ell - 1)
     den = math.factorial(d) * math.factorial(ell)
     q, r = divmod(num, den)
     assert r == 0
     return q
+
+
+def counting_function(params: SpectrumParams) -> int:
+    """Total multiplicity of the negative spectrum."""
+    ell = params.ell
+    return 0 if ell is None else level_count(params.d, ell)
 
 
 def riesz_mean(query: RieszQuery) -> Fraction | HighPrecisionReal:
@@ -140,12 +160,17 @@ def riesz_mean(query: RieszQuery) -> Fraction | HighPrecisionReal:
     return validated_eval(compute, query.precision)
 
 
+def riesz_mean_d3_int(n: int, den: int) -> tuple[int, int]:
+    """Order-1 Riesz mean for d = 3 at eta = n/den (den > 0) as an integer pair.
+
+    (l+1)eta^2/4 - (l+1)(l+2)(2l+3)/6 = (l+1)(3n^2 - 2den^2(l+2)(2l+3)) / (12den^2);
+    the factor l+1 makes it 0 for eta <= 2, where l = -1.
+    """
+    ell = top_level(3, n, den)
+    return (ell + 1) * (3 * n * n - 2 * den * den * (ell + 2) * (2 * ell + 3)), 12 * den * den
+
+
 def riesz_mean_d3_closed_form(eta: RationalLike) -> Fraction:
-    """Order-1 Riesz mean for d = 3: (l+1)eta^2/4 - (l+1)(l+2)(2l+3)/6."""
+    """Order-1 Riesz mean for d = 3, exact."""
     eta = as_rational(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if eta <= 2:
-        return Fraction(0)
-    ell = math.ceil((eta - 2) / 2) - 1
-    return Fraction(ell + 1) * eta**2 / 4 - Fraction((ell + 1) * (ell + 2) * (2 * ell + 3), 6)
+    return Fraction(*riesz_mean_d3_int(eta.numerator, eta.denominator))

@@ -28,6 +28,25 @@ class TestRendering:
         assert payload["eta"] == "111/10"
 
 
+class TestRationalArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--d", "3", "--eta", "1e10000000"],
+            ["spectrum", "--d", "3", "--eta", "1e1001"],
+            ["constants", "--d", "5", "--which", "q-star", "--tol", "1e-1001"],
+            ["figure", "--which", "f-plot", "--step", "1e-1001", "--out", "OUT"],
+        ],
+        ids=("eta-1e10000000", "eta-1e1001", "tol-1e-1001", "step-1e-1001"),
+    )
+    def test_decimal_exponent_beyond_limit_usage_error(self, tmp_path, capsys, argv):
+        # Refused before Fraction builds 10**exponent, which takes seconds for 1e10000000.
+        argv = [str(tmp_path / "x.csv") if arg == "OUT" else arg for arg in argv]
+        assert main(argv) == 2
+        assert "usage error: decimal exponent" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestRationalGrid:
     def test_matches_repeated_addition(self):
         rng = random.Random(6)
@@ -121,6 +140,13 @@ class TestConstantsCommand:
 
     def test_bad_tolerance_usage_error(self, capsys):
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize("which", ["t-star", "q-star"])
+    def test_zero_denominator_tolerance_usage_error(self, capsys, which):
+        assert main(["constants", "--d", "5", "--which", which, "--tol", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error: zero denominator in '1/0'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("which, d", [("q-star", "494"), ("a-star", "401"), ("t-star", "100000")])
     def test_dimension_above_limit_rejected_before_work(self, capsys, monkeypatch, which, d):
@@ -326,6 +352,7 @@ class TestVerifyCommand:
             ({"precision": 1001}, "precision must be a positive integer up to 1000"),
             ({"d_values": [4, 401]}, "d_values must all be >= 3 and <= 400"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1/100000"}}, "more than 100000 points"),
+            ({"eta_grid": {"start": "3", "stop": "4", "step": "1e-1001"}}, "decimal exponent -1001 is beyond"),
         ],
         ids=(
             "eta-grid-list",
@@ -346,6 +373,7 @@ class TestVerifyCommand:
             "precision-above-limit",
             "d-above-limit",
             "eta-grid-above-point-limit",
+            "eta-grid-exponent-beyond-limit",
         ),
     )
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
@@ -498,6 +526,29 @@ class TestFigureCommand:
         assert main(["figure", "--which", which, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "which, step, rows, sha256",
+        [
+            ("lt-d3", "1/1000", 18000, "04c8b08a3017e63bdba9a98ac22afa4141891b9a94c3653e9bf3cffbb54e1880"),
+            ("rd-vs-qd", "1/1000", 8000, "4a92fc2bf8db4dc36d69bc1f224595ddb25bb3a7768a19d55e4720cde68a9acb"),
+            ("f-plot", "1/1000", 8895, "434033ea4b390b9a7c0731f4a6b848965525498d28c1f722cf22cce78aee8ad9"),
+            ("lt-d3", "1/7", 126, "24fb783709bc4e7e56c7aa96107133a381b6704c1f7eef729aea3be9c57beeec"),
+            ("rd-vs-qd", "1/7", 56, "8e22b89938c126e22412ddee6442018cf2390f66d24ba43f988402430a5d909d"),
+            ("f-plot", "1/7", 66, "19b84ed85ea8445802b4e2f50433a30ae1063dbeaf4828bd507c616ccca46dd3"),
+            ("lt-d3", "7/13", 33, "ff5ef831d09e613f826a8534b21283237c3857bf7957bfcd327da25d4adcfb66"),
+            ("rd-vs-qd", "7/13", 14, "d91f5d0d481f8f931e2c2f3146c9f6ca3cd3d12c727c2b3faa0820e4bbb38559"),
+            ("f-plot", "7/13", 17, "30ad5337331561c2e5cfef92695c34d53c11ae5c50cf947de61485c307b4000f"),
+        ],
+    )
+    def test_csv_bytes_pinned_at_step(self, tmp_path, capsys, which, step, rows, sha256):
+        # Steps whose common denominator is not reduced at every point (21/7 is 3) and the
+        # benchmark's fine grid: every row and rendered digit must stay as pinned.
+        out = tmp_path / "figure.csv"
+        assert main(["figure", "--which", which, "--step", step, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == rows + 1
+        assert hashlib.sha256(data).hexdigest() == sha256
+
     @pytest.mark.parametrize("which", ["lt-d3", "rd-vs-qd"])
     def test_step_without_rows_usage_error(self, tmp_path, capsys, which):
         out = tmp_path / "x.csv"
@@ -533,7 +584,7 @@ class TestFigureCommand:
 
     @pytest.mark.parametrize(
         "which, evaluator",
-        [("lt-d3", (spectrum, "riesz_mean_d3_closed_form")), ("rd-vs-qd", (excess, "q_eval")), ("f-plot", (excess, "f_eval"))],
+        [("lt-d3", (spectrum, "riesz_mean_d3_int")), ("rd-vs-qd", (excess, "q_int")), ("f-plot", (excess, "f_int"))],
         ids=("lt-d3", "rd-vs-qd", "f-plot"),
     )
     def test_too_many_grid_points_rejected_before_work(self, tmp_path, capsys, monkeypatch, which, evaluator):

@@ -11,6 +11,7 @@ import pytest
 
 from coulomb_sharp import excess
 from coulomb_sharp.exact import (
+    MAX_DECIMAL_EXPONENT,
     CertificationError,
     EndpointRootError,
     Polynomial,
@@ -56,6 +57,18 @@ class TestParseRational:
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             parse_rational("eleven")
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse_rational(" 1/0 ")
+
+    def test_decimal_exponent_limit(self):
+        limit = MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"1e{limit}") == 10**limit
+        assert parse_rational(f"-2.5E-{limit}") == Fraction(-5, 2 * 10**limit)
+        for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e10000000", "1E+1_001"):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                parse_rational(text)
 
 
 class TestPolynomial:

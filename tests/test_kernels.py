@@ -1,0 +1,179 @@
+"""Differential tests of the integer kernels behind the figures.
+
+q_int, r_int, f_int and riesz_mean_d3_int take a point as an integer pair
+(numerator, denominator > 0), not necessarily reduced, and return the value
+as an unreduced integer pair.  Each is checked here against a Fraction
+computation written from the definition, sharing no code with the kernel,
+on hypothesis-drawn points: unreduced pairs, integer tau (the thresholds of
+the count), odd and even integer eta, and points next to the poles.
+"""
+
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from coulomb_sharp import cli, excess, spectrum  # noqa: E402
+
+dimensions = st.integers(3, 10)
+multipliers = st.integers(1, 60)
+general = st.fractions(min_value=-30, max_value=60, max_denominator=10**6)
+positive = st.fractions(min_value=0, max_value=60, max_denominator=10**6).filter(lambda x: x > 0)
+
+
+def near(points):
+    """A point within 1/m of one of the given points, m up to 10**9 (the point itself included)."""
+    return st.builds(
+        lambda x, m, side: x + Fraction(side, m),
+        st.sampled_from(points),
+        st.integers(1, 10**9),
+        st.sampled_from([-1, 0, 1]),
+    )
+
+
+def unreduced(x, k):
+    return x.numerator * k, x.denominator * k
+
+
+def multiplicity(d, j):
+    """Degeneracy of the j-th level: C(j+d-2, d-2) (2j+d-1)/(d-1)."""
+    return Fraction(math.comb(j + d - 2, d - 2) * (2 * j + d - 1), d - 1)
+
+
+def negative_levels(d, eta):
+    """Indices j of the negative levels 1 - eta**2/(2j+d-1)**2 < 0."""
+    j = 0
+    while 2 * j + d - 1 < eta:
+        yield j
+        j += 1
+
+
+def q_oracle(d, t):
+    value = t + Fraction(d, 2)
+    for j in range(1, d):
+        value *= t + j
+    return value / (t + Fraction(d - 1, 2)) ** d
+
+
+def f_oracle(d, t):
+    return 1 / (t + Fraction(d, 2)) - d / (t + Fraction(d - 1, 2)) + sum(Fraction(1) / (t + k) for k in range(1, d))
+
+
+def r_oracle(d, eta):
+    count = sum(multiplicity(d, j) for j in negative_levels(d, eta))
+    return count / (eta**d / (2 ** (d - 1) * math.factorial(d)))
+
+
+def trace_d3_oracle(eta):
+    return sum(multiplicity(3, j) * (eta**2 / (2 * j + 2) ** 2 - 1) for j in negative_levels(3, eta))
+
+
+def reference_render(x):
+    """The renderer as it was before the pair form: a fresh 15-digit context per value."""
+    if x == 0:
+        return "0"
+    with localcontext() as ctx:
+        ctx.prec = cli.DECIMAL_SIGNIFICANT_DIGITS
+        return format(Decimal(x.numerator) / Decimal(x.denominator), "f")
+
+
+@st.composite
+def q_points(draw):
+    d = draw(dimensions)
+    pole = Fraction(1 - d, 2)
+    t = draw(st.one_of(general, near([pole, Fraction(-d, 2), Fraction(-1), Fraction(0)])))
+    return d, t
+
+
+@st.composite
+def f_points(draw):
+    d = draw(dimensions)
+    poles = [Fraction(-d, 2), Fraction(1 - d, 2)] + [Fraction(-k) for k in range(1, d)]
+    return d, draw(st.one_of(general, near(poles)))
+
+
+@st.composite
+def eta_points(draw, d_values=dimensions):
+    """eta > 0: general, integer tau (eta = 2 tau + d - 1), odd and even integers, and their neighbours."""
+    d = draw(d_values)
+    tau = draw(st.integers(0, 25))
+    integer = draw(st.integers(1, 60))
+    eta = draw(
+        st.one_of(
+            positive,
+            st.just(Fraction(2 * tau + d - 1)),
+            st.just(Fraction(2 * (integer // 2) + 1)),
+            st.just(Fraction(2 * (integer // 2) + 2)),
+            near([Fraction(2 * tau + d - 1), Fraction(integer)]).filter(lambda x: x > 0),
+        )
+    )
+    return d, eta
+
+
+class TestQKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(q_points(), multipliers)
+    def test_matches_product_form(self, point, k):
+        d, t = point
+        if t == Fraction(1 - d, 2):
+            with pytest.raises(ValueError, match="pole"):
+                excess.q_int(d, *unreduced(t, k))
+            return
+        expected = q_oracle(d, t)
+        assert Fraction(*excess.q_int(d, *unreduced(t, k))) == expected
+        assert excess.q_eval(d, t) == expected
+
+
+class TestRKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(eta_points(), multipliers)
+    def test_matches_count_over_clr_bound(self, point, k):
+        d, eta = point
+        expected = r_oracle(d, eta)
+        assert Fraction(*excess.r_int(d, *unreduced(eta, k))) == expected
+        assert excess.r_eval(d, eta) == expected
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_eta_rejected(self, n):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            excess.r_int(5, n, 7)
+
+
+class TestFKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(f_points(), multipliers)
+    def test_matches_partial_fractions(self, point, k):
+        d, t = point
+        poles = {Fraction(-d, 2), Fraction(1 - d, 2)} | {Fraction(-j) for j in range(1, d)}
+        if t in poles:
+            with pytest.raises(ValueError, match="pole"):
+                excess.f_int(d, *unreduced(t, k))
+            return
+        expected = f_oracle(d, t)
+        assert Fraction(*excess.f_int(d, *unreduced(t, k))) == expected
+        assert excess.f_eval(d, t) == expected
+
+
+class TestTraceD3Kernel:
+    @settings(max_examples=300, deadline=None)
+    @given(eta_points(st.just(3)), multipliers)
+    def test_matches_level_sum(self, point, k):
+        _, eta = point
+        expected = trace_d3_oracle(eta)
+        assert Fraction(*spectrum.riesz_mean_d3_int(*unreduced(eta, k))) == expected
+        assert spectrum.riesz_mean_d3_closed_form(eta) == expected
+
+
+class TestRenderRatio:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(max_denominator=10**12), st.integers(-10**6, 10**6).filter(bool))
+    def test_unreduced_pair_renders_as_its_value(self, x, k):
+        # k < 0 gives a negative denominator, as a pole-side kernel pair can.
+        assert cli.render_ratio(x.numerator * k, x.denominator * k) == reference_render(x)
+        assert cli.render_decimal(x) == reference_render(x)
