@@ -27,7 +27,6 @@ from .highprec import HighPrecisionReal, PrecisionError, validated_eval
 from .phase_space import PiScaledRational, clr_rhs, gamma_at, lt_rhs
 from .spectrum import (
     LevelData,
-    RieszQuery,
     SpectrumParams,
     counting_function,
     levels,
@@ -51,7 +50,6 @@ __all__ = [
     "PrecisionError",
     "Rational",
     "RationalFunctionPair",
-    "RieszQuery",
     "RootBracket",
     "SpectrumParams",
     "StarResult",

@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success / all checks passing, 1 on a mathematical failure or
 an inconclusive strict comparison, 2 on usage errors (input beyond the size
-limits below included).  All eta inputs are parsed as exact rationals
-(decimal strings become exact scaled integers), so level counts never depend
-on binary floating point.  Reports are written atomically and are byte-stable
-across runs.
+limits below included) and on a failed read or write.  Commands raise; only
+``main`` maps an error to its exit code.  All eta inputs are parsed as exact
+rationals (decimal strings become exact scaled integers), so level counts
+never depend on binary floating point.  Reports are written atomically and
+are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class SweepConfig:
             )
             if step <= 0:
                 raise ValueError("eta_grid.step must be positive")
+            if start <= 0:
+                raise ValueError("eta_grid.start must be positive")
             if not start < stop:
                 raise ValueError("eta_grid needs start < stop")
             _grid_points(start, stop, step)
@@ -233,15 +236,11 @@ def figure_lt_d3(step: Fraction) -> Rows:
         ("eta[Lambda=1]", "trace_excess[Lambda]", "lower_envelope[Lambda]", "upper_envelope[Lambda]")
     ]
     etas, den = grid_numerators(2 + step, Fraction(20), step)
-    cube = 24 * den**3
     for n in etas:
         trace_num, trace_den = spectrum.riesz_mean_d3_int(n, den)
-        # trace - (eta^3/12 - eta^2/8), with eta^3/12 - eta^2/8 = (2n^3 - 3n^2 D) / (24 D^3)
-        middle = (trace_num * cube - trace_den * (2 * n - 3 * den) * n * n, trace_den * cube)
-        upper = 2 * -(-n // (2 * den)) - 1  # (2 ceil(eta/2) - 1) / 24
-        rows.append(
-            (render_grid_value(n, den), render_ratio(*middle), render_ratio(-n, 12 * den), render_ratio(upper, 24))
-        )
+        (lead_num, lead_den), lower, upper = spectrum.d3_envelope_terms_int(n, den)
+        middle = render_ratio(trace_num * lead_den - trace_den * lead_num, trace_den * lead_den)
+        rows.append((render_grid_value(n, den), middle, render_ratio(*lower), render_ratio(*upper)))
     return rows
 
 
@@ -295,14 +294,9 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    try:
-        eta = parse_rational(args.eta)
-        params = spectrum.SpectrumParams(d=args.d, eta=eta)
-        if params.ell is not None and params.ell >= MAX_LEVELS:
-            raise ValueError(f"eta = {args.eta} gives more than {MAX_LEVELS} levels")
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    params = spectrum.SpectrumParams(d=args.d, eta=parse_rational(args.eta))
+    if params.ell is not None and params.ell >= MAX_LEVELS:
+        raise ValueError(f"eta = {args.eta} gives more than {MAX_LEVELS} levels")
     level_rows = spectrum.levels(params)
     count = spectrum.counting_function(params)
     if args.format == "json":
@@ -360,13 +354,9 @@ def _star_payload(which: str, result: optima.StarResult) -> dict:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    try:
-        tol = parse_rational(args.tol)
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    tol = parse_rational(args.tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     if args.which == "q-star":
         print(json.dumps(_star_payload("q-star", optima.q_star(args.d)), indent=2))
         return 0
@@ -380,11 +370,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    try:
-        bracket = optima.locate_t_star(args.d, tol)
-    except CertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 1
+    bracket = optima.locate_t_star(args.d, tol)
     lo_bound, hi_bound = optima.t_star_bounds(args.d)
     payload = {
         "d": args.d,
@@ -407,6 +393,8 @@ def _parse_d_range(text: str) -> tuple[int, int]:
     if not sep:
         raise ValueError("d-range must look like A..B")
     lo, hi = int(lo_text), int(hi_text)
+    if lo < 3:
+        raise ValueError("d-range must start at d = 3 or above")
     if lo > hi:
         raise ValueError("d-range needs A <= B")
     if hi > MAX_DIMENSION:
@@ -415,16 +403,12 @@ def _parse_d_range(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = SweepConfig.from_json_file(args.config) if args.config else SweepConfig()
-        precision = args.precision or config.precision or DEFAULT_PRECISION
-        d_range = _parse_d_range(args.d_range) if args.d_range else None
-        suites = [args.suite] if args.suite else (config.suites or ["all"])
-        out_path = args.out or config.output_path or "verification_report.jsonl"
-        _check_output_path(out_path)
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    config = SweepConfig.from_json_file(args.config) if args.config else SweepConfig()
+    precision = args.precision or config.precision or DEFAULT_PRECISION
+    d_range = _parse_d_range(args.d_range) if args.d_range else None
+    suites = [args.suite] if args.suite else (config.suites or ["all"])
+    out_path = args.out or config.output_path or "verification_report.jsonl"
+    _check_output_path(out_path)
     records: list[verification.CheckRecord] = []
     for suite in suites:
         records.extend(verification.run_suite(suite, d_range=d_range, precision=precision))
@@ -451,14 +435,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    try:
-        step = parse_rational(args.step)
-        if step <= 0:
-            raise ValueError("step must be positive")
-        _check_output_path(args.out)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    step = parse_rational(args.step)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    _check_output_path(args.out)
     header, *rows = FIGURES[args.which](step)
     if not rows:
         raise ValueError(f"step {step} leaves the {args.which} figure with no rows")
@@ -544,7 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CertificationError, PrecisionError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

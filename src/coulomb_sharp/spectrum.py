@@ -49,30 +49,12 @@ class SpectrumParams:
         ell = top_level(self.d, self.eta.numerator, self.eta.denominator)
         return ell if ell >= 0 else None
 
-    @property
-    def has_negative_spectrum(self) -> bool:
-        return self.ell is not None
-
 
 @dataclass(frozen=True)
 class LevelData:
     j: int
     multiplicity: int
     lambda_over_Lambda: Fraction
-
-
-@dataclass(frozen=True)
-class RieszQuery:
-    """Riesz-mean request; precision only matters for gamma outside {0, 1}."""
-
-    params: SpectrumParams
-    gamma: Fraction
-    precision: int = DEFAULT_PRECISION
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", as_rational(self.gamma))
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
 
 
 def multiplicity(d: int, j: int) -> int:
@@ -131,13 +113,17 @@ def counting_function(params: SpectrumParams) -> int:
     return 0 if ell is None else level_count(params.d, ell)
 
 
-def riesz_mean(query: RieszQuery) -> Fraction | HighPrecisionReal:
+def riesz_mean(
+    params: SpectrumParams, gamma: RationalLike, precision: int = DEFAULT_PRECISION
+) -> Fraction | HighPrecisionReal:
     """Sum of |lambda_j/Lambda|**gamma with multiplicities (gamma = 0: the count).
 
-    Exact rational for gamma in {0, 1}; a validated high-precision real
-    otherwise.  Returns 0 for empty spectrum.
+    Exact rational for gamma in {0, 1}; a validated high-precision real at
+    ``precision`` otherwise.  Returns 0 for empty spectrum.
     """
-    params, gamma = query.params, query.gamma
+    gamma = as_rational(gamma)
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
     ell = params.ell
     if ell is None:
         return Fraction(0)
@@ -157,7 +143,7 @@ def riesz_mean(query: RieszQuery) -> Fraction | HighPrecisionReal:
             total += mu * mpmath.power(fraction_to_mpf(x), g)
         return total
 
-    return validated_eval(compute, query.precision)
+    return validated_eval(compute, precision)
 
 
 def riesz_mean_d3_int(n: int, den: int) -> tuple[int, int]:
@@ -168,6 +154,17 @@ def riesz_mean_d3_int(n: int, den: int) -> tuple[int, int]:
     """
     ell = top_level(3, n, den)
     return (ell + 1) * (3 * n * n - 2 * den * den * (ell + 2) * (2 * ell + 3)), 12 * den * den
+
+
+def d3_envelope_terms_int(n: int, den: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The d = 3 envelope terms at eta = n/den (den > 0) as integer pairs.
+
+    The leading part eta^3/12 - eta^2/8, the lower correction -eta/12 and the
+    upper correction (2 ceil(eta/2) - 1)/24: the trace lies between the leading
+    part plus either correction.
+    """
+    lead = ((2 * n - 3 * den) * n * n, 24 * den**3)
+    return lead, (-n, 12 * den), (2 * -(-n // (2 * den)) - 1, 24)
 
 
 def riesz_mean_d3_closed_form(eta: RationalLike) -> Fraction:

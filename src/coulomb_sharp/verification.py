@@ -21,7 +21,7 @@ import mpmath
 from mpmath import mp
 
 from . import excess, optima, phase_space, spectrum
-from .exact import RationalLike, as_rational, expand_linear_factors
+from .exact import Polynomial, RationalFunctionPair, RationalLike, as_rational, expand_linear_factors
 from .highprec import DEFAULT_PRECISION, HighPrecisionReal, fraction_to_mpf, strictly_less, validated_eval
 from .phase_space import PiScaledRational
 
@@ -90,11 +90,7 @@ def check_lt_gamma1(d: int, eta: RationalLike) -> CheckRecord:
         return _record(
             "lt-gamma1", params, SKIPPED, {}, "the improved order-1 bound does not hold for d = 3"
         )
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    lhs = spectrum.riesz_mean(
-        spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=Fraction(1))
-    )
+    lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), 1)
     correction = Fraction(eta**2, 4 * (d - 1) * (d - 2) ** 2)
     rhs = max(Fraction(0), phase_space.lt_rhs(d, eta, Fraction(1)) - correction)
     return _record("lt-gamma1", params, lhs <= rhs, {"lhs": lhs, "rhs": rhs})
@@ -107,13 +103,11 @@ def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
     integer eta > 2 and on the lower side at even integer eta.
     """
     eta = as_rational(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
     trace = spectrum.riesz_mean_d3_closed_form(eta)
-    half_count = 2 * math.ceil(eta / 2) - 1
-    core = eta**3 / 12 - eta**2 / 8
-    upper = max(Fraction(0), core + Fraction(half_count, 24))
-    lower = max(Fraction(0), core - eta / 12)
+    terms = spectrum.d3_envelope_terms_int(eta.numerator, eta.denominator)
+    lead, lower_term, upper_term = (Fraction(*pair) for pair in terms)
+    upper = max(Fraction(0), lead + upper_term)
+    lower = max(Fraction(0), lead + lower_term)
     ok = lower <= trace <= upper
     note = ""
     if eta.denominator == 1:
@@ -133,13 +127,14 @@ def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
 
 
 def check_phi_envelope(m: int, eps: RationalLike) -> CheckRecord:
-    """Oscillating third term stays within [-eta/12, (2m+1)/24] for eta = 2m+2eps."""
+    """Oscillating third term stays within the d = 3 envelope corrections at eta = 2m+2eps."""
     eps = as_rational(eps)
     if m < 1 or not 0 < eps <= 1:
         raise ValueError("need m >= 1 and eps in (0, 1]")
     eta = 2 * m + 2 * eps
     phi = -Fraction(2, 3) * eps**3 + Fraction(1 - 2 * m, 2) * eps**2 + m * eps - Fraction(m, 6)
-    lower, upper = -eta / 12, Fraction(2 * m + 1, 24)
+    terms = spectrum.d3_envelope_terms_int(eta.numerator, eta.denominator)
+    _, lower, upper = (Fraction(*pair) for pair in terms)
     ok = lower <= phi <= upper
     return _record(
         "phi-envelope",
@@ -228,15 +223,11 @@ def check_lt_general_gamma(
         raise ValueError("the strict inequality needs gamma >= 1")
     params = {"d": d, "eta": eta, "gamma": gamma, "precision": precision}
     if gamma == 1:
-        lhs = spectrum.riesz_mean(
-            spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=Fraction(1))
-        )
+        lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), 1)
         rhs = phase_space.lt_rhs(d, eta, Fraction(1))
         return _record("lt-general-gamma", params, lhs < rhs, {"lhs": lhs, "rhs": rhs})
 
-    lhs = spectrum.riesz_mean(
-        spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=gamma, precision=precision)
-    )
+    lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), gamma, precision)
     rhs = phase_space.lt_rhs(d, eta, gamma, precision)
     note = "" if isinstance(rhs, HighPrecisionReal) else "exact right-hand side"
     lhs, rhs = _validated(lhs, precision), _validated(rhs, precision)
@@ -254,83 +245,68 @@ def check_lt_general_gamma(
 # -- coefficient identities -----------------------------------------------------
 
 
-def check_coefficients_f(d: int) -> CheckRecord:
-    """Top two coefficients and degree of the reduced numerator of f."""
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    pair = excess.f_as_ratfun(d)
-    p, q = pair.numerator, pair.denominator
-    expected_den = excess.f_denominator(d)
-    lead_expected = -Fraction(d, 2)
-    second_expected = lead_expected * (Fraction(d * d, 3) - (d // 2) - Fraction(1, 3))
-    ok = (
-        q == expected_den
-        and p.degree <= d - 2
-        and p.coefficient(d - 2) == lead_expected
-        and p.coefficient(d - 3) == second_expected
-    )
+def _top_two_record(
+    check_id: str,
+    params: dict,
+    pair: RationalFunctionPair,
+    expected_den: Polynomial,
+    top: int,
+    lead_expected: Fraction,
+    second_expected: Fraction,
+) -> CheckRecord:
+    """Denominator, degree and the coefficients of t^top and t^(top-1) of a reduced numerator.
+
+    Every expected lead is nonzero, so degree <= top with a matching lead
+    means degree == top.
+    """
+    p = pair.numerator
+    lead, second = p.coefficient(top), p.coefficient(top - 1)
+    ok = pair.denominator == expected_den and p.degree <= top
+    ok = ok and (lead, second) == (lead_expected, second_expected)
     witness = {
         "degree": p.degree,
-        "lead": p.coefficient(d - 2),
+        "lead": lead,
         "lead_expected": lead_expected,
-        "second": p.coefficient(d - 3),
+        "second": second,
         "second_expected": second_expected,
     }
-    return _record("coefficients-f", {"d": d}, ok, witness)
+    return _record(check_id, params, ok, witness)
+
+
+def check_coefficients_f(d: int) -> CheckRecord:
+    """Top two coefficients and degree of the reduced numerator of f."""
+    lead = -Fraction(d, 2)
+    second = lead * (Fraction(d * d, 3) - (d // 2) - Fraction(1, 3))
+    return _top_two_record(
+        "coefficients-f", {"d": d}, excess.f_as_ratfun(d), excess.f_denominator(d), d - 2, lead, second
+    )
 
 
 def check_coefficients_g_even(d: int) -> CheckRecord:
     """Top two coefficients and degree of the reduced numerator of g, even d."""
     if d < 6 or d % 2 != 0:
         raise ValueError("this identity is stated for even d >= 6")
-    pair = excess.g_as_ratfun(d)
-    p, q = pair.numerator, pair.denominator
-    expected_den = excess.pochhammer_poly(d - 1)
-    lead_expected = -Fraction(d, 2)
-    second_expected = lead_expected * (Fraction(d * d, 3) - d + Fraction(2, 3))
-    ok = (
-        q == expected_den
-        and p.degree <= d - 3
-        and p.coefficient(d - 3) == lead_expected
-        and p.coefficient(d - 4) == second_expected
+    lead = -Fraction(d, 2)
+    second = lead * (Fraction(d * d, 3) - d + Fraction(2, 3))
+    return _top_two_record(
+        "coefficients-g-even", {"d": d}, excess.g_as_ratfun(d), excess.pochhammer_poly(d - 1), d - 3, lead, second
     )
-    witness = {
-        "degree": p.degree,
-        "lead": p.coefficient(d - 3),
-        "lead_expected": lead_expected,
-        "second": p.coefficient(d - 4),
-        "second_expected": second_expected,
-    }
-    return _record("coefficients-g-even", {"d": d}, ok, witness)
 
 
 def check_coefficients_h(d: int, a: RationalLike) -> CheckRecord:
-    """Top two coefficients of the reduced numerator of h_a, odd d."""
+    """Top two coefficients and degree of the reduced numerator of h_a, odd d."""
     a = as_rational(a)
-    pair = excess.h_a_as_ratfun(d, a)
-    p, q = pair.numerator, pair.denominator
     # (s**2 - 1/4)(s + (d-1)/2) prod_{k <= (d-3)/2}(s**2 - k**2)
     half = Fraction(1, 2)
     expected_den = expand_linear_factors(
         [-half, half, Fraction(d - 1, 2)]
         + [sign * k for k in range(1, (d - 3) // 2 + 1) for sign in (-1, 1)]
     )
-    lead_expected = -(Fraction(d - 1, 2) + a)
-    second_expected = Fraction(d**3 - 6 * d**2 + 8 * d, 12) - Fraction(d - 1, 2) * a
-    ok = (
-        q == expected_den
-        and p.degree == d - 2
-        and p.coefficient(d - 2) == lead_expected
-        and p.coefficient(d - 3) == second_expected
+    lead = -(Fraction(d - 1, 2) + a)
+    second = Fraction(d**3 - 6 * d**2 + 8 * d, 12) - Fraction(d - 1, 2) * a
+    return _top_two_record(
+        "coefficients-h", {"d": d, "a": a}, excess.h_a_as_ratfun(d, a), expected_den, d - 2, lead, second
     )
-    witness = {
-        "degree": p.degree,
-        "lead": p.coefficient(d - 2),
-        "lead_expected": lead_expected,
-        "second": p.coefficient(d - 3),
-        "second_expected": second_expected,
-    }
-    return _record("coefficients-h", {"d": d, "a": a}, ok, witness)
 
 
 # -- asymptotics -----------------------------------------------------------------
@@ -422,15 +398,12 @@ def check_pochhammer_telescoping(m: int, ell_max: int) -> CheckRecord:
 
 
 def check_hockey_stick(d: int, k_max: int) -> CheckRecord:
-    """Closed-form cumulative multiplicity equals term-by-term summation."""
+    """The closed-form count spectrum.level_count equals term-by-term summation of multiplicities."""
     ok = True
     running = 0
     for k in range(k_max + 1):
         running += spectrum.multiplicity(d, k)
-        closed = (d + 2 * k) * math.factorial(d + k - 1) // (
-            math.factorial(d) * math.factorial(k)
-        )
-        ok = ok and running == closed
+        ok = ok and running == spectrum.level_count(d, k)
     return _record("hockey-stick", {"d": d, "k_max": k_max}, ok, {"holds": ok})
 
 
@@ -590,8 +563,6 @@ def suite_lt_gamma1(
         for k in range(1, 401):
             records.append(check_lt_gamma1(d, Fraction(d - 1) + Fraction(k, 10)))
     for d in _d_list(d_range, (4, 10)):
-        if d < 3:
-            continue
         for gamma in (Fraction(3, 2), Fraction(2), Fraction(7, 3)):
             if 1 <= gamma < Fraction(d, 2):
                 records.append(

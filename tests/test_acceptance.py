@@ -15,7 +15,6 @@ from coulomb_sharp.cli import figure_f_plot, figure_lt_d3, figure_rd_vs_qd
 from coulomb_sharp.exact import sturm_count
 from coulomb_sharp.phase_space import clr_rhs
 from coulomb_sharp.spectrum import (
-    RieszQuery,
     SpectrumParams,
     counting_function,
     multiplicity,

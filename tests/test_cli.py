@@ -227,8 +227,9 @@ class TestVerifyCommand:
             ("coefficients", 112, "9855d2bd13cb24567cf7ea388902254a87cf037e9760f562028f7d77d8c62b9c"),
             ("asymptotics", 1, "67a3b33174ecd145372d02846a863e084b39cfc7a9970d8c97d2bf41e493e799"),
             ("lt-gamma1", 2819, "986b2184edd5359d0e207f0538c228b9077e218664b9ab63293e1a134e55ca47"),
+            ("d3-envelopes", 1880, "81af85dee8668b480aa3cf3ba58756868e24e0c97febc91c47ee7c7a01be52a8"),
         ],
-        ids=("identities", "clr", "coefficients", "asymptotics", "lt-gamma1"),
+        ids=("identities", "clr", "coefficients", "asymptotics", "lt-gamma1", "d3-envelopes"),
     )
     def test_report_bytes_pinned(self, tmp_path, capsys, suite, records, sha256):
         # Refactors must not move a verdict or a witness byte.
@@ -243,6 +244,17 @@ class TestVerifyCommand:
 
     def test_bad_d_range_usage_error(self, capsys):
         assert main(["verify", "--suite", "clr", "--d-range", "9"]) == 2
+
+    @pytest.mark.parametrize("d_range", ["1..5", "2..9"])
+    def test_d_range_below_three_rejected_before_work(self, tmp_path, capsys, monkeypatch, d_range):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verification, "run_suite", no_work)
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "all", "--d-range", d_range, "--out", str(out)]) == 2
+        assert "d-range must start at d = 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_d_range_above_limit_rejected_before_work(self, tmp_path, capsys, monkeypatch):
         ran = []
@@ -268,8 +280,7 @@ class TestVerifyCommand:
 
     def test_inconclusive_record_exits_one(self, tmp_path, capsys, monkeypatch):
         def rhs_equal_to_lhs(d, eta, gamma, precision):
-            query = spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=gamma, precision=precision)
-            return spectrum.riesz_mean(query)
+            return spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), gamma, precision)
 
         monkeypatch.setattr(phase_space, "lt_rhs", rhs_equal_to_lhs)
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: [])
@@ -353,6 +364,11 @@ class TestVerifyCommand:
             ({"d_values": [4, 401]}, "d_values must all be >= 3 and <= 400"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1/100000"}}, "more than 100000 points"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1e-1001"}}, "decimal exponent -1001 is beyond"),
+            (
+                {"eta_grid": {"start": "-1", "stop": "2", "step": "1"}, "suites": ["lt-gamma1"]},
+                "eta_grid.start must be positive",
+            ),
+            ({"eta_grid": {"start": "0", "stop": "2", "step": "1"}}, "eta_grid.start must be positive"),
         ],
         ids=(
             "eta-grid-list",
@@ -374,6 +390,8 @@ class TestVerifyCommand:
             "d-above-limit",
             "eta-grid-above-point-limit",
             "eta-grid-exponent-beyond-limit",
+            "eta-grid-start-not-positive",
+            "eta-grid-start-zero",
         ),
     )
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
@@ -429,7 +447,7 @@ class TestVerifyCommand:
 
     def test_empty_record_set_fails_without_report(self, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
-        assert main(["verify", "--suite", "lt-gamma1", "--d-range", "1..2", "--out", str(out)]) == 1
+        assert main(["verify", "--suite", "lt-gamma1", "--d-range", "3..3", "--out", str(out)]) == 1
         assert "no checks ran" in capsys.readouterr().err
         assert not out.exists()
 
@@ -600,3 +618,22 @@ class TestFigureCommand:
 
     def test_bad_step_usage_error(self, tmp_path, capsys):
         assert main(["figure", "--which", "f-plot", "--out", str(tmp_path / "x.csv"), "--step", "-1"]) == 2
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure", "--which", "f-plot"], ["verify", "--suite", "clr", "--d-range", "3..4"]],
+        ids=("figure", "verify"),
+    )
+    def test_failed_replace_exits_two_and_leaves_no_temporary(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"usage error: cannot replace {out}"]
+        assert not out.exists()
+        assert list(tmp_path.glob(".tmp-*.part")) == []

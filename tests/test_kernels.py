@@ -1,11 +1,12 @@
 """Differential tests of the integer kernels behind the figures.
 
-q_int, r_int, f_int and riesz_mean_d3_int take a point as an integer pair
-(numerator, denominator > 0), not necessarily reduced, and return the value
-as an unreduced integer pair.  Each is checked here against a Fraction
-computation written from the definition, sharing no code with the kernel,
-on hypothesis-drawn points: unreduced pairs, integer tau (the thresholds of
-the count), odd and even integer eta, and points next to the poles.
+q_int, r_int, f_int, riesz_mean_d3_int and d3_envelope_terms_int take a
+point as an integer pair (numerator, denominator > 0), not necessarily
+reduced, and return each value as an unreduced integer pair.  Each is checked
+here against a Fraction computation written from the definition, sharing no
+code with the kernel, on hypothesis-drawn points: unreduced pairs, integer
+tau (the thresholds of the count), odd and even integer eta, and points next
+to the poles.
 """
 
 import math
@@ -168,6 +169,21 @@ class TestTraceD3Kernel:
         expected = trace_d3_oracle(eta)
         assert Fraction(*spectrum.riesz_mean_d3_int(*unreduced(eta, k))) == expected
         assert spectrum.riesz_mean_d3_closed_form(eta) == expected
+
+
+class TestD3EnvelopeTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(eta_points(st.just(3)), multipliers)
+    def test_matches_definitions_and_encloses_the_trace(self, point, k):
+        _, eta = point
+        lead, lower, upper = (Fraction(*pair) for pair in spectrum.d3_envelope_terms_int(*unreduced(eta, k)))
+        assert lead == eta**3 / 12 - eta**2 / 8
+        assert lower == -eta / 12
+        assert upper == Fraction(2 * math.ceil(eta / 2) - 1, 24)
+        trace = trace_d3_oracle(eta)
+        assert max(0, lead + lower) <= trace <= max(0, lead + upper)
+        if eta.denominator == 1 and eta > 2:
+            assert trace == lead + (upper if eta.numerator % 2 else lower)
 
 
 class TestRenderRatio:

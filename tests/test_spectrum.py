@@ -9,7 +9,6 @@ import pytest
 
 from coulomb_sharp.highprec import HighPrecisionReal
 from coulomb_sharp.spectrum import (
-    RieszQuery,
     SpectrumParams,
     counting_function,
     levels,
@@ -30,7 +29,6 @@ class TestParams:
 
     def test_empty_spectrum_marker(self):
         assert SpectrumParams(3, Fraction(2)).ell is None
-        assert SpectrumParams(3, Fraction(2)).has_negative_spectrum is False
 
     def test_ell_jumps_only_above_threshold(self):
         assert SpectrumParams(3, Fraction(201, 100)).ell == 0
@@ -108,14 +106,14 @@ class TestLevels:
 
 class TestRieszMean:
     def test_empty_spectrum_is_zero(self):
-        assert riesz_mean(RieszQuery(SpectrumParams(3, Fraction(2)), Fraction(1))) == 0
+        assert riesz_mean(SpectrumParams(3, Fraction(2)), Fraction(1)) == 0
 
     def test_d3_eta3_order1(self):
-        value = riesz_mean(RieszQuery(SpectrumParams(3, Fraction(3)), Fraction(1)))
+        value = riesz_mean(SpectrumParams(3, Fraction(3)), Fraction(1))
         assert value == Fraction(5, 4)
 
     def test_d4_eta10_order1_exact_sum(self):
-        value = riesz_mean(RieszQuery(SpectrumParams(4, Fraction(10)), Fraction(1)))
+        value = riesz_mean(SpectrumParams(4, Fraction(10)), Fraction(1))
         expected = Fraction(91, 9) + 15 + Fraction(102, 7) + Fraction(190, 27)
         assert value == expected == Fraction(8830, 189)
 
@@ -125,11 +123,11 @@ class TestRieszMean:
             d = rng.randint(3, 12)
             eta = Fraction(rng.randint(1, 400), rng.randint(1, 10))
             params = SpectrumParams(d, eta)
-            assert riesz_mean(RieszQuery(params, Fraction(0))) == counting_function(params)
+            assert riesz_mean(params, Fraction(0)) == counting_function(params)
 
     def test_noninteger_gamma_matches_direct_summation(self):
         params = SpectrumParams(5, Fraction(10))
-        value = riesz_mean(RieszQuery(params, Fraction(1, 2), precision=30))
+        value = riesz_mean(params, Fraction(1, 2), precision=30)
         assert isinstance(value, HighPrecisionReal)
         with mpmath.mp.workdps(50):
             direct = mpmath.mpf(0)
@@ -142,7 +140,7 @@ class TestRieszMean:
 
     def test_gamma_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            RieszQuery(SpectrumParams(3, Fraction(5)), Fraction(-1))
+            riesz_mean(SpectrumParams(3, Fraction(5)), Fraction(-1))
 
 
 class TestD3ClosedForm:
@@ -156,5 +154,5 @@ class TestD3ClosedForm:
     def test_matches_general_riesz_mean_on_grid(self):
         for k in range(21, 201):
             eta = Fraction(k, 10)
-            general = riesz_mean(RieszQuery(SpectrumParams(3, eta), Fraction(1)))
+            general = riesz_mean(SpectrumParams(3, eta), Fraction(1))
             assert riesz_mean_d3_closed_form(eta) == general

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from coulomb_sharp import phase_space, spectrum
+from coulomb_sharp import excess, phase_space, spectrum
 from coulomb_sharp import verification as V
+from coulomb_sharp.exact import Polynomial, RationalFunctionPair
 
 
 class TestLtGamma1:
@@ -142,9 +143,7 @@ class TestGeneralGamma:
 
     @staticmethod
     def _rhs_equal_to_lhs(d, eta, gamma, precision):
-        return spectrum.riesz_mean(
-            spectrum.RieszQuery(spectrum.SpectrumParams(d=d, eta=eta), gamma=gamma, precision=precision)
-        )
+        return spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), gamma, precision)
 
     def test_rhs_below_lhs_fails(self, monkeypatch):
         monkeypatch.setattr(phase_space, "lt_rhs", lambda *args: Fraction(1))
@@ -161,6 +160,45 @@ class TestGeneralGamma:
         assert record.verdict == "inconclusive" and not record.ok
         assert record.witness["lhs"] == record.witness["rhs"]
         assert record.witness["used_precision"] == str(precision)
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize(
+        "change, verdict",
+        [
+            ("none", "pass"),
+            ("denominator", "fail"),
+            ("term-above-top", "fail"),
+            ("top-term-dropped", "fail"),
+            ("second", "fail"),
+        ],
+    )
+    def test_h_form_compared_in_full(self, monkeypatch, change, verdict):
+        # Without an explicit degree == top test, a dropped top term must still fail through its zero lead.
+        d, a = 7, Fraction(1, 2)
+        pair = excess.h_a_as_ratfun(d, a)
+        coefficients, den = list(pair.numerator.coefficients), pair.denominator
+        if change == "denominator":
+            den = den * Polynomial.from_coefficients([1, 1])
+        elif change == "term-above-top":
+            coefficients.append(Fraction(1))
+        elif change == "top-term-dropped":
+            coefficients.pop()
+        elif change == "second":
+            coefficients[-2] += 1
+        wrong = RationalFunctionPair(Polynomial.from_coefficients(coefficients), den)
+        monkeypatch.setattr(excess, "h_a_as_ratfun", lambda *args: wrong)
+        record = V.check_coefficients_h(d, a)
+        assert record.verdict == verdict
+        assert record.witness["degree"] == str(wrong.numerator.degree)
+
+
+class TestHockeyStick:
+    def test_reads_the_production_count(self, monkeypatch):
+        count = spectrum.level_count
+        monkeypatch.setattr(spectrum, "level_count", lambda d, ell: count(d, ell) + (ell == 60))
+        assert V.check_hockey_stick(5, 59).verdict == "pass"
+        assert V.check_hockey_stick(5, 60).verdict == "fail"
 
 
 class TestAsymptotics:
