@@ -84,6 +84,48 @@ def rational_sign(x: RationalLike) -> int:
     return 0
 
 
+def iroot(n: int, q: int) -> int:
+    """floor(n**(1/q)) for integers n >= 0 and q >= 1: r**q <= n < (r+1)**q.
+
+    A Newton step y = ((q-1)x + n // x**(q-1)) // q from any x > 0 lands at
+    or above the floor (arithmetic-geometric mean inequality), and from above
+    it drops by at least one, so the steps stop exactly at the floor.  The
+    start has more than half of the root's bits right: a float estimate for
+    roots of up to 48 bits, else one plus the root of the top bits of n,
+    shifted back.  One step then usually lands on the floor or one above it.
+    """
+    if n < 0 or q < 1:
+        raise ValueError("iroot needs n >= 0 and q >= 1")
+    if q == 1 or n < 2:
+        return n
+    if q == 2:
+        return math.isqrt(n)
+    root_bits = (n.bit_length() - 1) // q + 1  # n < 2**(q*root_bits)
+    if root_bits > 48:
+        shift = root_bits // 2 - 4
+        x = (iroot(n >> (q * shift), q) + 1) << shift
+    else:
+        x = int(math.exp(math.log(n) / q)) + 1
+    while True:
+        x = ((q - 1) * x + n // x ** (q - 1)) // q
+        if x**q <= n:
+            return x
+
+
+def dyadic_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool | None:
+    """Decide a < b for enclosures (lo, hi, k) of reals in [lo, hi] / 2**k.
+
+    True when a.hi < b.lo, False when b.hi < a.lo, None when they overlap.
+    """
+    (a_lo, a_hi, ka), (b_lo, b_hi, kb) = a, b
+    shift_a, shift_b = max(kb - ka, 0), max(ka - kb, 0)
+    if a_hi << shift_a < b_lo << shift_b:
+        return True
+    if b_hi << shift_b < a_lo << shift_a:
+        return False
+    return None
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.

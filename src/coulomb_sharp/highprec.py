@@ -1,13 +1,24 @@
-"""Self-validating high-precision real evaluation.
+"""High-precision reals: integer enclosures, and self-validating evaluation.
 
 Only a handful of quantities in this project are genuinely irrational
 (half-integer powers for odd dimension, gamma values at generic arguments,
-Riesz means of non-integer order).  They are evaluated with mpmath under a
-simple contract: compute at ``precision + 10`` guard digits and again with
-ten more, accept when the two runs agree through the guarded length,
-otherwise double the working precision and retry.  The accepted value is
-therefore correct to well within one unit in the requested last digit.
-``validated_eval`` is the only loop that raises working precision.
+Riesz means of non-integer order).  They reach a requested precision in one
+of two ways.
+
+Orders gamma = p/q with q <= ``MAX_ROOT_DEGREE`` are enclosed: the Riesz
+mean by integer q-th roots (``spectrum.riesz_mean_int``), the order-gamma
+right-hand side by an interval Gamma ratio (``phase_space.lt_rhs_int``).
+An enclosure (lo, hi, k) holds the value in [lo, hi] / 2**k, with a relative
+width below 2**-``enclosure_bits(precision)`` < 10**-(precision + 20).
+Two enclosures are compared once (``exact.dyadic_less``); ``dyadic_real``
+turns the lower end into a ``HighPrecisionReal`` for display.
+
+Everything else is evaluated with mpmath under a simple contract: compute at
+``precision + 10`` guard digits and again with ten more, accept when the two
+runs agree through the guarded length, otherwise double the working
+precision and retry.  The accepted value is therefore correct to well within
+one unit in the requested last digit.  ``validated_eval`` is the only loop
+that raises working precision; enclosures are sized once and never retried.
 ``strictly_less`` compares two validated values at their requested precision
 with a margin of ten units in the last kept digit; a near-tie stays undecided
 (None), and only a larger requested precision, at most ``MAX_PRECISION``,
@@ -21,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 # Significant digits of every real path unless a caller asks for others.
 DEFAULT_PRECISION = 30
@@ -31,6 +42,10 @@ MAX_DOUBLINGS = 6
 # than the digit count: the lt-gamma1 suite on one dimension takes seconds at
 # 1000 digits and does not finish in a minute at 10000.
 MAX_PRECISION = 1000
+# Largest order denominator q enclosed by integer q-th roots.  A root costs
+# O(M(q*k)) on k-bit enclosures: per check at d = 8 the enclosures take a
+# fifth of validated_eval's time up to q = 8, but longer by q = 50.
+MAX_ROOT_DEGREE = 8
 
 
 class PrecisionError(ArithmeticError):
@@ -56,13 +71,31 @@ class HighPrecisionReal:
 
 def fraction_to_mpf(x: Fraction) -> mpmath.mpf:
     """Convert under the ambient working precision (one correctly-rounded division)."""
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, mp.prec, libmp.round_nearest))
+
+
+def _check_precision(precision: int) -> None:
+    if not 1 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be between 1 and {MAX_PRECISION} significant digits")
+
+
+def enclosure_bits(precision: int) -> int:
+    """Relative enclosure width, in bits, for ``precision`` digits: 2**-bits < 10**-(precision + 20)."""
+    _check_precision(precision)
+    # 3322/1000 exceeds log2(10).
+    return (precision + 2 * GUARD_DIGITS) * 3322 // 1000 + 1
+
+
+def dyadic_real(enclosure: tuple[int, int, int], precision: int) -> HighPrecisionReal:
+    """The lower end lo / 2**k of an enclosure (lo, hi, k), at validated_eval's final working precision."""
+    lo, _, k = enclosure
+    prec = libmp.dps_to_prec(precision + 2 * GUARD_DIGITS)
+    return HighPrecisionReal(mp.make_mpf(libmp.from_man_exp(lo, -k, prec, libmp.round_nearest)), precision)
 
 
 def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPrecisionReal:
     """Run compute() twice with guard digits; double the precision until they agree."""
-    if not 1 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must be between 1 and {MAX_PRECISION} significant digits")
+    _check_precision(precision)
     work = precision
     for _ in range(MAX_DOUBLINGS + 1):
         with mp.workdps(work + GUARD_DIGITS):

@@ -8,11 +8,15 @@ in units Lambda = 1 (finite exactly for 0 <= gamma < d/2).  Gamma values at
 integer and half-integer arguments are assembled symbolically as exact
 rationals times a power of sqrt(pi), so that pi powers cancel structurally
 before anything is evaluated numerically; only genuinely irrational queries
-fall back to validated high-precision evaluation.
+fall back to high-precision evaluation.  For orders gamma = p/q with
+q <= ``MAX_ROOT_DEGREE`` that is an enclosure: the exact eta**d / 2**(d-1)
+times an interval enclosure of the Gamma ratio, which is computed once per
+(d, gamma, bits) and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +25,15 @@ from typing import Union
 import mpmath
 
 from .exact import RationalLike, as_rational
-from .highprec import DEFAULT_PRECISION, HighPrecisionReal, fraction_to_mpf, validated_eval
+from .highprec import (
+    DEFAULT_PRECISION,
+    MAX_ROOT_DEGREE,
+    HighPrecisionReal,
+    dyadic_real,
+    enclosure_bits,
+    fraction_to_mpf,
+    validated_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -103,15 +115,12 @@ def lt_rhs(
 
     Exact whenever 2*gamma is an integer (a plain rational when the pi powers
     cancel, which happens for every odd d with 2*gamma integer and every even
-    d with gamma integer); validated high-precision real otherwise.
+    d with gamma integer); otherwise a high-precision real: the lower end of
+    ``lt_rhs_int``'s enclosure when gamma's denominator is at most
+    ``MAX_ROOT_DEGREE``, a ``validated_eval`` result for larger denominators.
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if gamma >= Fraction(d, 2):
-        raise ValueError("phase-space integral diverges for gamma >= d/2")
+    _check_order(d, gamma)
     if (2 * gamma).denominator == 1:
         prefactor = PiScaledRational(eta**d / 2 ** (d - 1), 0)
         value = (
@@ -123,6 +132,9 @@ def lt_rhs(
         if value.is_rational:
             return value.ratio
         return value
+    if gamma.denominator <= MAX_ROOT_DEGREE:
+        enclosure = lt_rhs_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
+        return dyadic_real(enclosure, precision)
 
     def compute() -> mpmath.mpf:
         g = fraction_to_mpf(gamma)
@@ -135,6 +147,51 @@ def lt_rhs(
         )
 
     return validated_eval(compute, precision)
+
+
+def _check_order(d: int, gamma: Fraction) -> None:
+    if d < 3:
+        raise ValueError("d must be >= 3")
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    if gamma >= Fraction(d, 2):
+        raise ValueError("phase-space integral diverges for gamma >= d/2")
+
+
+@functools.lru_cache(maxsize=64)
+def gamma_ratio_int(d: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:
+    """Gamma(gamma+1) Gamma(d/2-gamma) / (Gamma(d+1) Gamma(d/2)) as an enclosure (lo, hi, k).
+
+    The ratio lies in [lo, hi] / 2**k with hi - lo below 2**-(bits+2) of it:
+    the endpoints of an mpmath.iv interval evaluation at bits + 16 bits,
+    exactly.  Cached: a sweep needs one entry per dimension.
+    """
+    _check_order(d, gamma)
+    iv = mpmath.iv
+    saved = iv.prec
+    iv.prec = bits + 16
+    try:
+        g = iv.mpf(gamma.numerator) / gamma.denominator
+        dh = iv.mpf(d) / 2
+        ratio = iv.gamma(g + 1) * iv.gamma(dh - g) / (iv.gamma(iv.mpf(d + 1)) * iv.gamma(dh))
+    finally:
+        iv.prec = saved
+    (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = ratio._mpi_
+    k = max(-exp_lo, -exp_hi)
+    return man_lo << (k + exp_lo), man_hi << (k + exp_hi), k
+
+
+def lt_rhs_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:
+    """lt_rhs at eta = n/den (den > 0) as an enclosure (lo, hi, k), hi - lo below 2**-bits of it.
+
+    The exact n**d / (den**d 2**(d-1)) times gamma_ratio_int's enclosure, each
+    end rounded outward to 2**-k; k puts one unit below 2**-(bits+3) of the value.
+    """
+    c_lo, c_hi, kc = gamma_ratio_int(d, gamma, bits)
+    num, div = n**d, den**d << (d - 1 + kc)
+    low = (num * c_lo).bit_length() - 1 - div.bit_length()  # the value exceeds 2**low
+    k = max(0, bits + 3 - low)
+    return (num * c_lo << k) // div, -(-(num * c_hi << k) // div), k
 
 
 def clr_rhs_int(d: int, n: int, den: int) -> tuple[int, int]:

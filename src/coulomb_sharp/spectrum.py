@@ -21,8 +21,16 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import RationalLike, as_rational
-from .highprec import DEFAULT_PRECISION, HighPrecisionReal, fraction_to_mpf, validated_eval
+from .exact import RationalLike, as_rational, iroot
+from .highprec import (
+    DEFAULT_PRECISION,
+    MAX_ROOT_DEGREE,
+    HighPrecisionReal,
+    dyadic_real,
+    enclosure_bits,
+    fraction_to_mpf,
+    validated_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,10 @@ def riesz_mean(
 ) -> Fraction | HighPrecisionReal:
     """Sum of |lambda_j/Lambda|**gamma with multiplicities (gamma = 0: the count).
 
-    Exact rational for gamma in {0, 1}; a validated high-precision real at
-    ``precision`` otherwise.  Returns 0 for empty spectrum.
+    Exact rational for gamma in {0, 1}; a high-precision real at ``precision``
+    otherwise: the lower end of ``riesz_mean_int``'s enclosure when gamma's
+    denominator is at most ``MAX_ROOT_DEGREE``, a ``validated_eval`` result
+    for larger denominators.  Returns 0 for empty spectrum.
     """
     gamma = as_rational(gamma)
     if gamma < 0:
@@ -130,6 +140,9 @@ def riesz_mean(
     if gamma == 0:
         return Fraction(counting_function(params))
     d, eta = params.d, params.eta
+    if gamma != 1 and gamma.denominator <= MAX_ROOT_DEGREE:
+        enclosure = riesz_mean_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
+        return dyadic_real(enclosure, precision)
     terms = [
         (multiplicity(d, j), Fraction(eta**2, (2 * j + d - 1) ** 2) - 1) for j in range(ell + 1)
     ]
@@ -144,6 +157,35 @@ def riesz_mean(
         return total
 
     return validated_eval(compute, precision)
+
+
+def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:
+    """Order-gamma Riesz mean at eta = n/den (den > 0) as an enclosure (lo, hi, k).
+
+    The mean lies in [lo, hi] / 2**k, and hi - lo is below 2**-bits of it.
+    With gamma = p/q and x = a/b = (n^2 - den^2 m^2) / (den^2 m^2), m = 2j+d-1,
+    the term x**gamma * 2**k lies in [t, t+1) for the integer q-th root
+    t = floor((a^p 2^(qk) / b^p)^(1/q)); the multiplicities weight both ends,
+    so hi - lo is the eigenvalue count.  An empty spectrum gives [0, 0].
+    """
+    ell = top_level(d, n, den)
+    if ell < 0:
+        return 0, 0, bits
+    p, q = gamma.numerator, gamma.denominator
+    n2, den2 = n * n, den * den
+    mus = [multiplicity(d, j) for j in range(ell + 1)]
+    count = sum(mus)
+    # The j = 0 term is at least 2**low, a lower bound for the mean; k puts
+    # the width count / 2**k below 2**(low - bits).
+    b0 = den2 * (d - 1) ** 2
+    low = p * ((n2 - b0).bit_length() - 1 - b0.bit_length()) // q
+    k = max(0, bits + count.bit_length() - low)
+    shift = q * k
+    lo = 0
+    for j, mu in enumerate(mus):
+        b = den2 * (2 * j + d - 1) ** 2
+        lo += mu * iroot(((n2 - b) ** p << shift) // b**p, q)
+    return lo, lo + count, k
 
 
 def riesz_mean_d3_int(n: int, den: int) -> tuple[int, int]:

@@ -239,6 +239,27 @@ class TestVerifyCommand:
         assert report.count(b"\n") == records
         assert hashlib.sha256(report).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "gamma, d_values, stop, records, sha256",
+        [
+            ("7/3", [5, 6], "14", 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
+            ("233/100", [5, 8], "25/2", 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
+        ],
+        ids=("order-7/3", "order-233/100"),
+    )
+    def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, records, sha256):
+        # Order 7/3 is decided by integer enclosures, order 233/100 by validated
+        # reals; both reports must keep every verdict and witness byte.
+        config = tmp_path / "sweep.json"
+        grid = {"start": "12", "stop": stop, "step": "1/8"}
+        config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
+        out = tmp_path / "report.jsonl"
+        argv = ["verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        report = out.read_bytes()
+        assert report.count(b"\n") == records
+        assert hashlib.sha256(report).hexdigest() == sha256
+
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
 
@@ -279,14 +300,25 @@ class TestVerifyCommand:
         assert "FAILED demo" in capsys.readouterr().err
 
     def test_inconclusive_record_exits_one(self, tmp_path, capsys, monkeypatch):
+        def rhs_equal_to_lhs(d, n, den, gamma, bits):
+            return spectrum.riesz_mean_int(d, n, den, gamma, bits)
+
+        monkeypatch.setattr(phase_space, "lt_rhs_int", rhs_equal_to_lhs)
+        self._assert_two_inconclusive_records(tmp_path, capsys, monkeypatch, "7/3")
+
+    def test_inconclusive_record_exits_one_on_the_validated_path(self, tmp_path, capsys, monkeypatch):
         def rhs_equal_to_lhs(d, eta, gamma, precision):
             return spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), gamma, precision)
 
         monkeypatch.setattr(phase_space, "lt_rhs", rhs_equal_to_lhs)
+        self._assert_two_inconclusive_records(tmp_path, capsys, monkeypatch, "233/100")
+
+    @staticmethod
+    def _assert_two_inconclusive_records(tmp_path, capsys, monkeypatch, gamma):
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: [])
         config = tmp_path / "sweep.json"
         config.write_text(
-            json.dumps({"d_values": [8], "eta_grid": {"start": "12", "stop": "97/8", "step": "1/8"}, "gamma": "7/3"})
+            json.dumps({"d_values": [8], "eta_grid": {"start": "12", "stop": "97/8", "step": "1/8"}, "gamma": gamma})
         )
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--config", str(config), "--out", str(out)]) == 1

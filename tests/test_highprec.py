@@ -1,5 +1,6 @@
 """Self-validating high-precision evaluation contract."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -73,3 +74,15 @@ def test_strictly_less_margin_is_ten_units_in_the_last_digit():
     assert strictly_less(one, close) is None
     assert strictly_less(close, one) is None
     assert strictly_less(one, one) is None
+
+
+def test_fraction_to_mpf_rounds_once():
+    # mpf(numerator) rounds before the division does; one rounding of p/q
+    # leaves at most half a unit in the last place.
+    rng = random.Random(20261018)
+    with mpmath.mp.workprec(100):
+        for _ in range(300):
+            x = Fraction(rng.getrandbits(400) | 1, rng.getrandbits(400) | 1)
+            _, man, exp, bc = fraction_to_mpf(x)._mpf_
+            error = abs(Fraction(man) * Fraction(2) ** exp - x)
+            assert error <= Fraction(2) ** (exp + bc - 100 - 1)

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from coulomb_sharp import excess, phase_space, spectrum
@@ -128,6 +129,26 @@ class TestGeneralGamma:
         assert record.verdict == "pass"
 
     def test_generic_gamma_rhs_computed_once(self, monkeypatch):
+        # On the enclosure path the Gamma ratio of the right-hand side is one
+        # interval evaluation (four Gamma values) per (d, gamma, bits) of a sweep.
+        calls = []
+        interval_gamma = mpmath.iv.gamma
+
+        def counted(x):
+            calls.append(x)
+            return interval_gamma(x)
+
+        monkeypatch.setattr(mpmath.iv, "gamma", counted)
+        phase_space.gamma_ratio_int.cache_clear()
+        for precision in (30, 25):
+            for d in (7, 8):
+                for n in range(96, 104):
+                    record = V.check_lt_general_gamma(d, Fraction(n, 8), Fraction(7, 3), precision)
+                    assert record.verdict == "pass" and record.witness["used_precision"] == str(precision)
+        assert len(calls) == 4 * 2 * 2
+        assert phase_space.gamma_ratio_int.cache_info().misses == 4
+
+    def test_validated_path_rhs_computed_once(self, monkeypatch):
         calls = []
         lt_rhs = phase_space.lt_rhs
 
@@ -136,18 +157,33 @@ class TestGeneralGamma:
             return lt_rhs(*args)
 
         monkeypatch.setattr(phase_space, "lt_rhs", counted)
-        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3))
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(233, 100))
         assert record.verdict == "pass" and record.witness["used_precision"] == "30"
-        assert calls == [(8, Fraction(12), Fraction(7, 3), 30)]
+        assert calls == [(8, Fraction(12), Fraction(233, 100), 30)]
 
+    # The enclosure path (order denominator at most 8) is forced through
+    # phase_space.lt_rhs_int, the validated path (larger denominators)
+    # through phase_space.lt_rhs.
 
     @staticmethod
-    def _rhs_equal_to_lhs(d, eta, gamma, precision):
+    def _rhs_equal_to_lhs(d, n, den, gamma, bits):
+        return spectrum.riesz_mean_int(d, n, den, gamma, bits)
+
+    @staticmethod
+    def _validated_rhs_equal_to_lhs(d, eta, gamma, precision):
         return spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), gamma, precision)
 
     def test_rhs_below_lhs_fails(self, monkeypatch):
+        monkeypatch.setattr(phase_space, "lt_rhs_int", lambda *args: (1, 1, 0))
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(3, 2), precision=25)
+        assert record.verdict == "fail" and not record.ok
+        assert record.witness["rhs"] == "1.0"
+        assert record.witness["used_precision"] == "25"
+        assert record.note == "exact right-hand side"
+
+    def test_rhs_below_lhs_fails_on_the_validated_path(self, monkeypatch):
         monkeypatch.setattr(phase_space, "lt_rhs", lambda *args: Fraction(1))
-        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3), precision=25)
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(233, 100), precision=25)
         assert record.verdict == "fail" and not record.ok
         assert record.witness["rhs"] == "1.0"
         assert record.witness["used_precision"] == "25"
@@ -155,11 +191,31 @@ class TestGeneralGamma:
 
     @pytest.mark.parametrize("precision", [20, 30])
     def test_tie_is_inconclusive_at_the_requested_precision(self, monkeypatch, precision):
-        monkeypatch.setattr(phase_space, "lt_rhs", self._rhs_equal_to_lhs)
+        monkeypatch.setattr(phase_space, "lt_rhs_int", self._rhs_equal_to_lhs)
         record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3), precision=precision)
         assert record.verdict == "inconclusive" and not record.ok
         assert record.witness["lhs"] == record.witness["rhs"]
         assert record.witness["used_precision"] == str(precision)
+
+    @pytest.mark.parametrize("precision", [20, 30])
+    def test_tie_is_inconclusive_on_the_validated_path(self, monkeypatch, precision):
+        monkeypatch.setattr(phase_space, "lt_rhs", self._validated_rhs_equal_to_lhs)
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(233, 100), precision=precision)
+        assert record.verdict == "inconclusive" and not record.ok
+        assert record.witness["lhs"] == record.witness["rhs"]
+        assert record.witness["used_precision"] == str(precision)
+
+    def test_enclosures_disjoint_by_less_than_the_margin_decide(self, monkeypatch):
+        # A right-hand side one part in 10**45 above the left-hand side passes
+        # at 30 digits; the validated path's ten-unit margin would call it a tie.
+        def just_above(d, n, den, gamma, bits):
+            lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            return hi + (hi >> 150), hi + (hi >> 150), k
+
+        monkeypatch.setattr(phase_space, "lt_rhs_int", just_above)
+        record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3))
+        assert record.verdict == "pass"
+        assert record.witness["lhs"] == record.witness["rhs"]
 
 
 class TestCoefficients:
