@@ -10,6 +10,7 @@ corresponding family of inequalities and identities.
 from .exact import (
     CertificationError,
     EndpointRootError,
+    MathematicalError,
     Polynomial,
     Rational,
     RationalFunctionPair,
@@ -45,6 +46,7 @@ __all__ = [
     "EndpointRootError",
     "HighPrecisionReal",
     "LevelData",
+    "MathematicalError",
     "PiScaledRational",
     "Polynomial",
     "PrecisionError",

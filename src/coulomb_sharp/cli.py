@@ -1,12 +1,13 @@
 """Command-line front door: single computations, verification sweeps, figure data.
 
-Exit codes: 0 on success / all checks passing, 1 on a mathematical failure or
-an inconclusive strict comparison, 2 on usage errors (input beyond the size
-limits below included) and on a failed read or write.  Commands raise; only
-``main`` maps an error to its exit code.  All eta inputs are parsed as exact
-rationals (decimal strings become exact scaled integers), so level counts
-never depend on binary floating point.  Reports are written atomically and
-are byte-stable across runs.
+Exit codes: 0 on success / all checks passing, 1 on a failing or inconclusive
+check and on a mathematical failure (``exact.MathematicalError``: an
+uncertified root, t* at d = 3, an unresolved precision), 2 on usage errors
+(input beyond the size limits below included) and on a failed read or write.
+Commands raise; only ``main`` maps an error to its exit code.  All eta inputs
+are parsed as exact rationals (decimal strings become exact scaled integers),
+so level counts never depend on binary floating point.  Reports are written
+atomically and are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ import tempfile
 from dataclasses import dataclass, fields
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import excess, optima, spectrum, verification
-from .exact import CertificationError, parse_rational
-from .highprec import DEFAULT_PRECISION, MAX_PRECISION, PrecisionError, sqrt_of_fraction
+from .exact import MathematicalError, parse_rational
+from .highprec import DEFAULT_PRECISION, MAX_PRECISION, check_precision, sqrt_of_fraction
+from .spectrum import MAX_DIMENSION, check_dimension
 
 DECIMAL_SIGNIFICANT_DIGITS = 15
 
-# Input size limits, each refused as a usage error before any work starts.
-# MAX_DIMENSION is the top of the asymptotics range and above every pinned d.
-MAX_DIMENSION = 400
+# Input size limits, each refused as a usage error before any work starts
+# (with spectrum.MAX_DIMENSION and highprec.MAX_PRECISION).
 MAX_LEVELS = 1000  # levels listed by one spectrum command
 MAX_GRID_POINTS = 100_000  # points of one figure grid or config eta grid
 
@@ -106,10 +107,10 @@ class SweepConfig:
             raise ValueError(f"unknown config field {', '.join(map(repr, unknown))}")
         d_values = data.get("d_values")
         if d_values is not None:
-            if type(d_values) is not list or not d_values or any(type(d) is not int for d in d_values):
+            if type(d_values) is not list or not d_values:
                 raise ValueError("d_values must be a non-empty list of integers")
-            if any(not 3 <= d <= MAX_DIMENSION for d in d_values):
-                raise ValueError(f"d_values must all be >= 3 and <= {MAX_DIMENSION}")
+            for d in d_values:
+                check_dimension(d, "each of d_values")
         eta_grid = None
         if data.get("eta_grid") is not None:
             grid = data["eta_grid"]
@@ -150,8 +151,8 @@ class SweepConfig:
         if output_path is not None and type(output_path) is not str:
             raise ValueError("output_path must be a string")
         precision = data.get("precision")
-        if precision is not None and (type(precision) is not int or not 1 <= precision <= MAX_PRECISION):
-            raise ValueError(f"precision must be a positive integer up to {MAX_PRECISION}")
+        if precision is not None:
+            check_precision(precision)
         return SweepConfig(
             d_values=d_values,
             eta_grid=eta_grid,
@@ -363,13 +364,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
     if args.which == "a-star":
         print(json.dumps(_star_payload("a-star", optima.a_star(args.d)), indent=2))
         return 0
-    if args.d == 3:
-        print(
-            "t-star is undefined for d = 3: the excess function is strictly "
-            "decreasing beyond -1, so its integer maximum sits at the boundary level 0",
-            file=sys.stderr,
-        )
-        return 1
     bracket = optima.locate_t_star(args.d, tol)
     lo_bound, hi_bound = optima.t_star_bounds(args.d)
     payload = {
@@ -392,13 +386,9 @@ def _parse_d_range(text: str) -> tuple[int, int]:
     lo_text, sep, hi_text = text.partition("..")
     if not sep:
         raise ValueError("d-range must look like A..B")
-    lo, hi = int(lo_text), int(hi_text)
-    if lo < 3:
-        raise ValueError("d-range must start at d = 3 or above")
+    lo, hi = (check_dimension(_integer(end), "each end of d-range") for end in (lo_text, hi_text))
     if lo > hi:
         raise ValueError("d-range needs A <= B")
-    if hi > MAX_DIMENSION:
-        raise ValueError(f"d-range must end at or below d = {MAX_DIMENSION}")
     return lo, hi
 
 
@@ -450,18 +440,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _precision(text: str) -> int:
-    value = int(text) if text.isdecimal() else 0
-    if not 1 <= value <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"must be a positive integer up to {MAX_PRECISION}, got {text!r}")
-    return value
+def _integer(text: str) -> int | str:
+    """Decimal digits as an integer; any other text as it is, for the validator to refuse."""
+    return int(text) if text.isdecimal() else text
 
 
-def _dimension(text: str) -> int:
-    value = int(text) if text.isdecimal() else 0
-    if not 3 <= value <= MAX_DIMENSION:
-        raise argparse.ArgumentTypeError(f"must be an integer from 3 to {MAX_DIMENSION}, got {text!r}")
-    return value
+def _checked_integer(check: Callable[[object], int]) -> Callable[[str], int]:
+    """An argparse type: the text as an integer, accepted or refused by ``check``."""
+
+    def convert(text: str) -> int:
+        try:
+            return check(_integer(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,15 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dimension = _checked_integer(check_dimension)
 
     p_spec = sub.add_parser("spectrum", help="negative levels, multiplicities and the count")
-    p_spec.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
+    p_spec.add_argument("--d", type=dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
     p_spec.add_argument("--eta", required=True, help="coupling ratio as P/Q or decimal text")
     p_spec.add_argument("--format", choices=("text", "json"), default="text")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_const = sub.add_parser("constants", help="sharp constants and maximizer brackets")
-    p_const.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
+    p_const.add_argument("--d", type=dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
     p_const.add_argument("--which", choices=("q-star", "a-star", "t-star"), required=True)
     p_const.add_argument("--tol", default="1/1000000", help="bracket width for t-star")
     p_const.set_defaults(func=cmd_constants)
@@ -496,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="report path (JSON lines)")
     p_verify.add_argument(
         "--precision",
-        type=_precision,
+        type=_checked_integer(check_precision),
         help=(
             f"significant digits for real paths, at most {MAX_PRECISION}; raise it to resolve "
             f"an inconclusive near-tie (default: config precision, else {DEFAULT_PRECISION})"
@@ -521,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (CertificationError, PrecisionError) as exc:
+    except MathematicalError as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -40,7 +40,11 @@ class EndpointRootError(ValueError):
     """An interval endpoint is a root of the polynomial being counted."""
 
 
-class CertificationError(ValueError):
+class MathematicalError(ArithmeticError):
+    """Valid input for which the mathematics gives no certified answer (CLI exit code 1)."""
+
+
+class CertificationError(MathematicalError):
     """A claimed root count or bracket could not be certified exactly."""
 
 

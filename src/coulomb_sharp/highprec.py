@@ -34,6 +34,8 @@ from typing import Callable
 import mpmath
 from mpmath import libmp, mp
 
+from .exact import MathematicalError
+
 # Significant digits of every real path unless a caller asks for others.
 DEFAULT_PRECISION = 30
 GUARD_DIGITS = 10
@@ -48,7 +50,7 @@ MAX_PRECISION = 1000
 MAX_ROOT_DEGREE = 8
 
 
-class PrecisionError(ArithmeticError):
+class PrecisionError(MathematicalError):
     """Two evaluations kept disagreeing after repeated precision doubling."""
 
 
@@ -74,14 +76,16 @@ def fraction_to_mpf(x: Fraction) -> mpmath.mpf:
     return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, mp.prec, libmp.round_nearest))
 
 
-def _check_precision(precision: int) -> None:
-    if not 1 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must be between 1 and {MAX_PRECISION} significant digits")
+def check_precision(precision: object) -> int:
+    """The one precision rule, for every caller and input: an integer from 1 to MAX_PRECISION."""
+    if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be an integer from 1 to {MAX_PRECISION} digits, got {precision!r}")
+    return precision
 
 
 def enclosure_bits(precision: int) -> int:
     """Relative enclosure width, in bits, for ``precision`` digits: 2**-bits < 10**-(precision + 20)."""
-    _check_precision(precision)
+    check_precision(precision)
     # 3322/1000 exceeds log2(10).
     return (precision + 2 * GUARD_DIGITS) * 3322 // 1000 + 1
 
@@ -95,7 +99,7 @@ def dyadic_real(enclosure: tuple[int, int, int], precision: int) -> HighPrecisio
 
 def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPrecisionReal:
     """Run compute() twice with guard digits; double the precision until they agree."""
-    _check_precision(precision)
+    check_precision(precision)
     work = precision
     for _ in range(MAX_DOUBLINGS + 1):
         with mp.workdps(work + GUARD_DIGITS):

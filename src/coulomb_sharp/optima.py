@@ -40,6 +40,7 @@ from . import excess
 from .exact import (
     CertificationError,
     EndpointRootError,
+    MathematicalError,
     Polynomial,
     RationalLike,
     RootBracket,
@@ -245,7 +246,7 @@ def _certified_unique_root_bracket(
 def locate_t_star(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBracket:
     """Certified bracket for the unique zero of f beyond -1 (d >= 4)."""
     if d == 3:
-        raise ValueError("Q_3 is strictly decreasing on (-1, +inf); no interior maximizer")
+        raise MathematicalError("t-star is undefined for d = 3: Q_3 is strictly decreasing on (-1, +inf)")
     if d < 3:
         raise ValueError("d must be >= 3")
     poly = excess.f_as_ratfun(d).numerator

@@ -78,13 +78,6 @@ class PiScaledRational:
             return hash(self.ratio)
         return hash((self.ratio, self.pi_half_power))
 
-    def to_real(self, precision: int = DEFAULT_PRECISION) -> HighPrecisionReal:
-        return validated_eval(
-            lambda: fraction_to_mpf(self.ratio)
-            * mpmath.power(mpmath.pi, mpmath.mpf(self.pi_half_power) / 2),
-            precision,
-        )
-
     def __repr__(self) -> str:
         if self.is_rational:
             return f"{self.ratio}"

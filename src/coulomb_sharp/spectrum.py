@@ -32,6 +32,17 @@ from .highprec import (
     validated_eval,
 )
 
+# Largest dimension any input may name: the top of the asymptotics range and
+# above every pinned d.
+MAX_DIMENSION = 400
+
+
+def check_dimension(d: object, name: str = "d") -> int:
+    """The one input rule for a dimension: an integer from 3 to MAX_DIMENSION."""
+    if type(d) is not int or not 3 <= d <= MAX_DIMENSION:
+        raise ValueError(f"{name} must be an integer from 3 to {MAX_DIMENSION}, got {d!r}")
+    return d
+
 
 @dataclass(frozen=True)
 class SpectrumParams:

@@ -15,6 +15,7 @@ undecided.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -44,6 +45,7 @@ from .highprec import (
     strictly_less,
     validated_eval,
 )
+from .spectrum import MAX_DIMENSION
 
 # Residual bound for the d**-3 tail of the expansions of the sharp constants:
 # twice the largest |d^3 * residual| observed on the calibration range
@@ -372,8 +374,8 @@ def asymptotic_residuals(d: int, precision: int = DEFAULT_PRECISION) -> tuple[Fr
 
 def check_asymptotics(d_lo: int, d_hi: int, precision: int = DEFAULT_PRECISION) -> CheckRecord:
     """Boundedness and trend of the d**3-scaled expansion residuals."""
-    if not (10 <= d_lo <= d_hi <= 400):
-        raise ValueError("the asymptotics check runs on ranges within [10, 400]")
+    if not (10 <= d_lo <= d_hi <= MAX_DIMENSION):
+        raise ValueError(f"the asymptotics check runs on ranges within [10, {MAX_DIMENSION}]")
     residuals_q: list[tuple[int, float]] = []
     residuals_a: list[tuple[int, float]] = []
     for d in range(d_lo, d_hi + 1):
@@ -581,155 +583,134 @@ def check_counterexample_scan(d: int, grid: Sequence[Fraction], expect_hits: boo
 
 
 # -- suites ----------------------------------------------------------------------
+#
+# FAMILIES lists each check family once, in report order: (suite, the family's
+# own dimensions or None, builder).  A family with dimensions is built on those
+# inside the run's d-range (--d-range, else DEFAULT_D_RANGES) at the run's
+# precision; a family with None runs on fixed inputs whatever the d-range.
+# Families whose records interleave per d share a builder, with one row per
+# stretch of d over which the set of checks stays the same.
 
 
-def _d_list(d_range: tuple[int, int] | None, default: tuple[int, int]) -> list[int]:
-    lo, hi = d_range if d_range is not None else default
-    return list(range(lo, hi + 1))
+def _d(lo: int, hi: int = MAX_DIMENSION, step: int = 1) -> range:
+    """The dimensions lo, lo + step, ... up to hi, both ends included."""
+    return range(lo, hi + 1, step)
 
 
-def suite_lt_gamma1(
-    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
-) -> list[CheckRecord]:
-    records = []
-    for d in _d_list(d_range, (4, 10)):
-        if d < 4:
-            continue
-        for k in range(1, 401):
-            records.append(check_lt_gamma1(d, Fraction(d - 1) + Fraction(k, 10)))
-    for d in _d_list(d_range, (4, 10)):
-        for gamma in (Fraction(3, 2), Fraction(2), Fraction(7, 3)):
-            if 1 <= gamma < Fraction(d, 2):
-                records.append(
-                    check_lt_general_gamma(d, Fraction(2 * d), gamma, precision=precision)
-                )
-    return records
+def _lt_orders(*gammas: Fraction) -> Callable[[list[int], int], list[CheckRecord]]:
+    """The strict order-gamma checks at eta = 2d, for orders below d/2 on the row's dimensions."""
+    return lambda ds, precision: [check_lt_general_gamma(d, 2 * d, g, precision) for d in ds for g in gammas]
 
 
-def suite_d3_envelopes(
-    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
-) -> list[CheckRecord]:
-    records = []
-    for k in range(201, 2001):
-        records.append(check_d3_envelopes(Fraction(k, 100)))
-    for m in range(1, 11):
-        for j in range(1, 9):
-            records.append(check_phi_envelope(m, Fraction(j, 8)))
-    return records
-
-
-def suite_coefficients(
-    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
-) -> list[CheckRecord]:
-    records = []
-    ds = _d_list(d_range, (3, 60))
-    for d in ds:
-        if d >= 3:
-            records.append(check_coefficients_f(d))
-    for d in ds:
-        if d % 2 == 0 and 6 <= d <= 40:
-            records.append(check_coefficients_g_even(d))
-    for d in ds:
-        if d % 2 == 1 and 5 <= d <= 39:
-            records.append(check_coefficients_h(d, Fraction(1, 2)))
-            records.append(check_coefficients_h(d, excess.squeeze_coefficient(d)))
-    return records
-
-
-def suite_identities(
-    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
-) -> list[CheckRecord]:
-    records = []
+def _pochhammer_recursions() -> list[CheckRecord]:
     rng = random.Random(20240814)
-    for m in range(1, 41):
-        points = [Fraction(rng.randint(-400, 400), rng.randint(1, 40)) for _ in range(10)]
-        records.append(check_pochhammer_recursion(m, points))
-    for m in range(1, 21):
-        records.append(check_pochhammer_telescoping(m, 50))
-    ds = _d_list(d_range, (3, 12))
+    draws = [[Fraction(rng.randint(-400, 400), rng.randint(1, 40)) for _ in range(10)] for _ in range(40)]
+    return [check_pochhammer_recursion(m, points) for m, points in enumerate(draws, 1)]
+
+
+def _sandwiches_and_windows(ds: list[int], precision: int) -> list[CheckRecord]:
+    """Per odd d: the squeeze at s = (d-1)/2, (d+7)/2 and d**2, then g's certified zero window."""
+    records = []
     for d in ds:
-        records.append(check_appendix_sums(d))
-    for d in range(3, 31):
-        records.append(check_hockey_stick(d, 60))
-        records.append(check_multiplicity_formulas(d, 60))
-    for d in ds:
-        if 3 <= d <= 12:
-            records.append(check_logderiv("Q", d))
-        if 3 <= d <= 10:
-            records.append(check_logderiv("A_squared", d))
-    for d, ell in [(4, 0), (5, 3), (10, 20)]:
-        records.append(check_abel_bound(d, ell))
-    for d in ds:
-        if d >= 4:
-            for ell in (0, 2, 5, 10, 20):
-                records.append(check_abel_bound(d, ell))
-    for d in ds:
-        if 4 <= d <= 12:
-            records.append(check_big_g_bound(d, 200))
-    records.append(check_g_quadratic(4, 60))
-    for d in ds:
-        if 3 <= d <= 10:
-            records.append(check_right_limit(d, 40))
-    for d in ds:
-        if d % 2 == 1 and d >= 5:
-            base = Fraction(d - 3, 2)
-            for s in (base + 1, base + 5, Fraction(d * d)):
-                records.append(check_sandwich(d, s))
-            records.append(check_a_zero_window(d))
+        records += [check_sandwich(d, Fraction(n, 2)) for n in (d - 1, d + 7, 2 * d * d)]
+        records.append(check_a_zero_window(d))
+    return records
+
+
+def _r_below_q_draws() -> list[CheckRecord]:
     rng = random.Random(911)
+    records = []
     for _ in range(100):
         d = rng.randint(3, 12)
-        eta = Fraction(d - 1) + Fraction(rng.randint(1, 4000), 100)
-        records.append(check_r_below_q(d, eta))
+        records.append(check_r_below_q(d, Fraction(d - 1) + Fraction(rng.randint(1, 4000), 100)))
     return records
 
 
-def suite_asymptotics(
-    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
-) -> list[CheckRecord]:
-    lo, hi = d_range if d_range is not None else (50, 200)
-    lo, hi = max(10, lo), min(400, hi)
-    return [check_asymptotics(lo, hi, precision)] if lo <= hi else []
+FAMILIES: tuple[tuple[str, range | None, Callable[..., list[CheckRecord]]], ...] = (
+    (
+        "lt-gamma1",
+        _d(4),
+        lambda ds, _: [check_lt_gamma1(d, d - 1 + Fraction(k, 10)) for d in ds for k in range(1, 401)],
+    ),
+    ("lt-gamma1", _d(4, 4), _lt_orders(Fraction(3, 2))),
+    ("lt-gamma1", _d(5), _lt_orders(Fraction(3, 2), Fraction(2), Fraction(7, 3))),
+    ("d3-envelopes", None, lambda: [check_d3_envelopes(Fraction(k, 100)) for k in range(201, 2001)]),
+    ("d3-envelopes", None, lambda: [check_phi_envelope(m, Fraction(j, 8)) for m in range(1, 11) for j in range(1, 9)]),
+    ("coefficients", _d(3), lambda ds, _: [check_coefficients_f(d) for d in ds]),
+    ("coefficients", _d(6, 40, 2), lambda ds, _: [check_coefficients_g_even(d) for d in ds]),
+    (
+        "coefficients",
+        _d(5, 39, 2),
+        lambda ds, _: [check_coefficients_h(d, a) for d in ds for a in (Fraction(1, 2), excess.squeeze_coefficient(d))],
+    ),
+    ("identities", None, _pochhammer_recursions),
+    ("identities", None, lambda: [check_pochhammer_telescoping(m, 50) for m in range(1, 21)]),
+    ("identities", _d(3), lambda ds, _: [check_appendix_sums(d) for d in ds]),
+    (
+        "identities",
+        None,
+        lambda: [f(d, 60) for d in range(3, 31) for f in (check_hockey_stick, check_multiplicity_formulas)],
+    ),
+    ("identities", _d(3, 10), lambda ds, _: [check_logderiv(kind, d) for d in ds for kind in ("Q", "A_squared")]),
+    ("identities", _d(11, 12), lambda ds, _: [check_logderiv("Q", d) for d in ds]),
+    ("identities", None, lambda: [check_abel_bound(d, ell) for d, ell in ((4, 0), (5, 3), (10, 20))]),
+    ("identities", _d(4), lambda ds, _: [check_abel_bound(d, ell) for d in ds for ell in (0, 2, 5, 10, 20)]),
+    ("identities", _d(4, 12), lambda ds, _: [check_big_g_bound(d, 200) for d in ds]),
+    ("identities", None, lambda: [check_g_quadratic(4, 60)]),
+    ("identities", _d(3, 10), lambda ds, _: [check_right_limit(d, 40) for d in ds]),
+    ("identities", _d(5, step=2), _sandwiches_and_windows),
+    ("identities", None, _r_below_q_draws),
+    ("asymptotics", _d(10), lambda ds, precision: [check_asymptotics(ds[0], ds[-1], precision)] if ds else []),
+    ("clr", None, lambda: [check_counterexample_advisory()]),
+    ("clr", None, lambda: [check_q_star_value(d, q) for d, q in ((3, 3), (4, Fraction(64, 27)), (5, Fraction(15, 8)))]),
+    ("clr", _d(3, 60), lambda ds, _: [f(d) for d in ds for f in (check_q_star_exceeds_one, check_a_exceeds_q)]),
+    (
+        "clr",
+        None,
+        lambda: [
+            check_counterexample_scan(d, [eta], expect_hits=hits)
+            for d, eta, hits in ((6, Fraction(111, 10), True), (3, Fraction(3), False), (3, Fraction(201, 100), True))
+        ],
+    ),
+)
+
+DEFAULT_D_RANGES = {
+    "lt-gamma1": (4, 10),
+    "coefficients": (3, 60),
+    "identities": (3, 12),
+    "asymptotics": (50, 200),
+    "clr": (3, 60),
+}
 
 
-def suite_clr(
-    d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
+def _walk(
+    name: str, d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
 ) -> list[CheckRecord]:
-    records = [check_counterexample_advisory()]
-    records.append(check_q_star_value(3, Fraction(3)))
-    records.append(check_q_star_value(4, Fraction(64, 27)))
-    records.append(check_q_star_value(5, Fraction(15, 8)))
-    for d in _d_list(d_range, (3, 60)):
-        if 3 <= d <= 60:
-            records.append(check_q_star_exceeds_one(d))
-            records.append(check_a_exceeds_q(d))
-    records.append(check_counterexample_scan(6, [Fraction(111, 10)], expect_hits=True))
-    records.append(check_counterexample_scan(3, [Fraction(3)], expect_hits=False))
-    records.append(check_counterexample_scan(3, [Fraction(201, 100)], expect_hits=True))
+    """The records of suite ``name``: its FAMILIES rows in order."""
+    records = []
+    for suite, dims, build in FAMILIES:
+        if suite != name:
+            continue
+        if dims is None:
+            records += build()
+        else:
+            lo, hi = d_range or DEFAULT_D_RANGES[name]
+            records += build([d for d in dims if lo <= d <= hi], precision)
     return records
 
 
 SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
-    "lt-gamma1": suite_lt_gamma1,
-    "d3-envelopes": suite_d3_envelopes,
-    "coefficients": suite_coefficients,
-    "identities": suite_identities,
-    "asymptotics": suite_asymptotics,
-    "clr": suite_clr,
+    name: functools.partial(_walk, name) for name in dict.fromkeys(suite for suite, _, _ in FAMILIES)
 }
 
 
 def run_suite(
     name: str, d_range: tuple[int, int] | None = None, precision: int = DEFAULT_PRECISION
 ) -> list[CheckRecord]:
-    if name == "all":
-        records = []
-        for suite in SUITES.values():
-            records.extend(suite(d_range=d_range, precision=precision))
-        return records
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](d_range=d_range, precision=precision)
+    names = list(SUITES) if name == "all" else [name]
+    return [record for suite in names for record in SUITES[suite](d_range=d_range, precision=precision)]
 
 
 def records_to_jsonl(records: Iterable[CheckRecord]) -> str:

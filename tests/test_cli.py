@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from coulomb_sharp import cli, excess, optima, phase_space, spectrum, verification
+from coulomb_sharp import cli, excess, highprec, optima, phase_space, spectrum, verification
 from coulomb_sharp.cli import exact_decimal, main, render_decimal
+from coulomb_sharp.exact import CertificationError, MathematicalError
+from coulomb_sharp.highprec import PrecisionError
 
 
 class TestRendering:
@@ -97,7 +99,7 @@ class TestSpectrumCommand:
 
     def test_dimension_above_limit_usage_error(self, capsys):
         assert main(["spectrum", "--d", str(cli.MAX_DIMENSION + 1), "--eta", "5"]) == 2
-        assert "--d: must be an integer from 3 to 400" in capsys.readouterr().err
+        assert "argument --d: d must be an integer from 3 to 400, got 401" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eta", ["2002.1", "20000", "1e400"])
     def test_too_many_levels_rejected_before_work(self, capsys, monkeypatch, eta):
@@ -135,8 +137,23 @@ class TestConstantsCommand:
         assert upper - lower <= Fraction(1, 10**6)
 
     def test_t_star_d3_fails_with_explanation(self, capsys):
+        # The rule is optima.locate_t_star's, reported by main as a mathematical failure.
         assert main(["constants", "--d", "3", "--which", "t-star"]) == 1
-        assert "strictly decreasing" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "strictly decreasing" in captured.err
+        assert captured.err.startswith("mathematical failure: t-star is undefined for d = 3")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("error", [MathematicalError, CertificationError, PrecisionError])
+    def test_every_mathematical_failure_exits_one(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("no certified answer")
+
+        monkeypatch.setattr(optima, "q_star", fail)
+        assert main(["constants", "--d", "5", "--which", "q-star"]) == 1
+        err = capsys.readouterr().err
+        assert err == "mathematical failure: no certified answer\n"
 
     def test_bad_tolerance_usage_error(self, capsys):
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "0"]) == 2
@@ -156,7 +173,7 @@ class TestConstantsCommand:
         for name in ("q_star", "a_star", "locate_t_star"):
             monkeypatch.setattr(optima, name, no_work)
         assert main(["constants", "--d", d, "--which", which]) == 2
-        assert "--d: must be an integer from 3 to 400" in capsys.readouterr().err
+        assert f"argument --d: d must be an integer from 3 to 400, got {d}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "d, sha256",
@@ -240,6 +257,32 @@ class TestVerifyCommand:
         assert hashlib.sha256(report).hexdigest() == sha256
 
     @pytest.mark.parametrize(
+        "d_range, records, sha256",
+        [
+            ("3..9", 4628, "5f1ddd688eb4976ddfb0771da475967346a214f73ac0449a42e0dbfc810757a2"),
+            ("5..6", 2946, "0e234c5f2af4babdcd3582319ca785045a4ba99088546e4e24c98e0baa99a27c"),
+            ("10..12", 3360, "22aab38ab723866ea1a0385774e7961a020815924148a212270fa94328bdd506"),
+        ],
+    )
+    def test_all_suites_d_range_bytes_pinned(self, tmp_path, capsys, d_range, records, sha256):
+        # Each check family meets --d-range with its own dimensions; families on
+        # fixed inputs run whatever the range.  Neither may move a byte.
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "all", "--d-range", d_range, "--out", str(out)]) == 0
+        report = out.read_bytes()
+        assert report.count(b"\n") == records
+        assert hashlib.sha256(report).hexdigest() == sha256
+
+    def test_fixed_input_families_ignore_the_d_range(self, tmp_path, capsys):
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "d3-envelopes", "--d-range", "5..6", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1880
+        assert main(["verify", "--suite", "identities", "--d-range", "40..40", "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 226
+        assert sum(record["params"].get("d") == "40" for record in records) == 6
+
+    @pytest.mark.parametrize(
         "gamma, d_values, stop, records, sha256",
         [
             ("7/3", [5, 6], "14", 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
@@ -274,7 +317,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verification, "run_suite", no_work)
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "all", "--d-range", d_range, "--out", str(out)]) == 2
-        assert "d-range must start at d = 3" in capsys.readouterr().err
+        assert f"each end of d-range must be an integer from 3 to 400, got {d_range[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_d_range_above_limit_rejected_before_work(self, tmp_path, capsys, monkeypatch):
@@ -282,7 +325,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "clr", "--d-range", "3..401", "--out", str(out)]) == 2
-        assert "d-range must end at or below d = 400" in capsys.readouterr().err
+        assert "each end of d-range must be an integer from 3 to 400, got 401" in capsys.readouterr().err
         assert ran == []
         assert not out.exists()
 
@@ -381,19 +424,19 @@ class TestVerifyCommand:
             ({"eta_grid": {"start": "3", "stop": "4"}}, "eta_grid must be an object"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1/0"}}, "eta_grid.step"),
             ({"suites": "clr"}, "suites must be a list"),
-            ({"precision": "x"}, "precision must be a positive integer"),
-            ({"precision": True}, "precision must be a positive integer"),
-            ({"precision": 0}, "precision must be a positive integer"),
+            ({"precision": "x"}, "precision must be an integer from 1 to 1000 digits, got 'x'"),
+            ({"precision": True}, "precision must be an integer from 1 to 1000 digits, got True"),
+            ({"precision": 0}, "precision must be an integer from 1 to 1000 digits, got 0"),
             ({"output_path": 7}, "output_path must be a string"),
-            ({"d_values": [4, 2]}, "d_values must all be >= 3"),
+            ({"d_values": [4, 2]}, "each of d_values must be an integer from 3 to 400, got 2"),
             ({"gamma": "1/2"}, "gamma must be >= 1"),
             ({"gamma": "5/2", "d_values": [5, 8]}, "gamma must be below d/2"),
             ({"suites": []}, "suites must name at least one suite"),
             ({"gama": "7/3"}, "unknown config field 'gama'"),
             ({"eta_grid": None, "gamma": "3/2"}, "eta_grid is missing"),
             ({"d_values": None}, "d_values is missing"),
-            ({"precision": 1001}, "precision must be a positive integer up to 1000"),
-            ({"d_values": [4, 401]}, "d_values must all be >= 3 and <= 400"),
+            ({"precision": 1001}, "precision must be an integer from 1 to 1000 digits, got 1001"),
+            ({"d_values": [4, 401]}, "each of d_values must be an integer from 3 to 400, got 401"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1/100000"}}, "more than 100000 points"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1e-1001"}}, "decimal exponent -1001 is beyond"),
             (
@@ -489,7 +532,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "clr", "--precision", precision, "--out", str(out)]) == 2
-        assert "--precision: must be a positive integer" in capsys.readouterr().err
+        assert "argument --precision: precision must be an integer from 1 to 1000 digits" in capsys.readouterr().err
         assert ran == []
         assert not out.exists()
 
@@ -669,3 +712,44 @@ class TestWriteFailure:
         assert err.splitlines() == [f"usage error: cannot replace {out}"]
         assert not out.exists()
         assert list(tmp_path.glob(".tmp-*.part")) == []
+
+
+class TestInputRule:
+    """Each input bound is one rule: a value is refused, in the same words, wherever it enters."""
+
+    @pytest.mark.parametrize(
+        "site, value",
+        [(site, d) for site in ("--d", "--d-range", "d_values") for d in (2, 401)]
+        + [(site, p) for site in ("--precision", "precision", "enclosure_bits") for p in (0, 1001)],
+    )
+    def test_out_of_range_refused_before_work(self, tmp_path, capsys, monkeypatch, site, value):
+        if site == "enclosure_bits":
+            with pytest.raises(ValueError, match=f"precision must be an integer from 1 to 1000 digits, got {value}$"):
+                highprec.enclosure_bits(value)
+            return
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((verification, "run_suite"), (optima, "q_star"), (spectrum, "levels")):
+            monkeypatch.setattr(module, name, no_work)
+        config = tmp_path / "sweep.json"
+        grid = {"start": "12", "stop": "13", "step": "1"}
+        fields = {"d_values": [value], "eta_grid": grid} if site == "d_values" else {"precision": value}
+        config.write_text(json.dumps(fields))
+        out = tmp_path / "report.jsonl"
+        argv = {
+            "--d": ["constants", "--d", str(value), "--which", "q-star"],
+            "--d-range": ["verify", "--suite", "clr", "--d-range", f"{value}..{value}", "--out", str(out)],
+            "d_values": ["verify", "--config", str(config), "--out", str(out)],
+            "--precision": ["verify", "--suite", "clr", "--precision", str(value), "--out", str(out)],
+            "precision": ["verify", "--suite", "clr", "--config", str(config), "--out", str(out)],
+        }[site]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if site in ("--d", "--d-range", "d_values"):
+            assert f"must be an integer from 3 to 400, got {value}\n" in err
+        else:
+            assert f"precision must be an integer from 1 to 1000 digits, got {value}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()

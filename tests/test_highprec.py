@@ -58,7 +58,7 @@ def test_repr_contains_digits():
 
 @pytest.mark.parametrize("precision", [0, MAX_PRECISION + 1])
 def test_precision_out_of_range_rejected(precision):
-    with pytest.raises(ValueError, match="precision must be between"):
+    with pytest.raises(ValueError, match="precision must be an integer from 1 to 1000 digits"):
         validated_eval(lambda: +mpmath.pi, precision)
 
 

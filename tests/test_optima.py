@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulomb_sharp import excess, optima
-from coulomb_sharp.exact import sturm_count
+from coulomb_sharp.exact import MathematicalError, sturm_count
 
 
 class TestLocateTStar:
     def test_d3_rejected(self):
-        with pytest.raises(ValueError, match="decreasing"):
+        with pytest.raises(MathematicalError, match="strictly decreasing"):
             optima.locate_t_star(3)
 
     def test_d4_bracket_inside_unit_interval(self):

@@ -27,11 +27,6 @@ class TestPiScaledRational:
     def test_rational_equality(self):
         assert PiScaledRational(Fraction(9, 8), 0) == Fraction(9, 8)
 
-    def test_to_real(self):
-        value = PiScaledRational(Fraction(1), 2).to_real(30)
-        with mpmath.mp.workdps(40):
-            assert abs(value.value - mpmath.pi) < mpmath.mpf(10) ** -28
-
 
 class TestGammaAt:
     def test_gamma_one(self):
