@@ -1,28 +1,25 @@
-"""High-precision reals: integer enclosures, and self-validating evaluation.
+"""High-precision reals: enclosures, and self-validating evaluation.
 
 Only a handful of quantities in this project are genuinely irrational
 (half-integer powers for odd dimension, gamma values at generic arguments,
-Riesz means of non-integer order).  They reach a requested precision in one
-of two ways.
+Riesz means of non-integer order).
 
-Orders gamma = p/q with q <= ``MAX_ROOT_DEGREE`` are enclosed: the Riesz
-mean by integer q-th roots (``spectrum.riesz_mean_int``), the order-gamma
-right-hand side by an interval Gamma ratio (``phase_space.lt_rhs_int``).
-An enclosure (lo, hi, k) holds the value in [lo, hi] / 2**k, with a relative
-width below 2**-``enclosure_bits(precision)`` < 10**-(precision + 20).
-Two enclosures are compared once (``exact.dyadic_less``); ``dyadic_real``
-turns the lower end into a ``HighPrecisionReal`` for display.
+Every non-integer order gamma = p/q is enclosed: the Riesz mean by
+``spectrum.riesz_mean_int`` (integer q-th roots for q <= ``MAX_ROOT_DEGREE``,
+an interval sum above), the order-gamma right-hand side by an interval Gamma
+ratio (``phase_space.lt_rhs_int``).  An enclosure (lo, hi, k) holds the value
+in [lo, hi] / 2**k, with a relative width below 2**-``enclosure_bits(precision)``
+< 10**-(precision + 20); ``interval_enclosure`` reads one off an mpmath.iv
+evaluation.  Two enclosures are compared once (``exact.dyadic_less``);
+``dyadic_real`` turns the lower end into a ``HighPrecisionReal`` for display.
+Enclosures are sized once and never retried.
 
-Everything else is evaluated with mpmath under a simple contract: compute at
-``precision + 10`` guard digits and again with ten more, accept when the two
-runs agree through the guarded length, otherwise double the working
-precision and retry.  The accepted value is therefore correct to well within
-one unit in the requested last digit.  ``validated_eval`` is the only loop
-that raises working precision; enclosures are sized once and never retried.
-``strictly_less`` compares two validated values at their requested precision
-with a margin of ten units in the last kept digit; a near-tie stays undecided
-(None), and only a larger requested precision, at most ``MAX_PRECISION``,
-resolves it.
+The one other irrational value, the square root behind a-star's display
+(``sqrt_of_fraction``), is evaluated with mpmath under a simple contract:
+compute at ``precision + 10`` guard digits and again with ten more, accept
+when the two runs agree through the guarded length, otherwise double the
+working precision and retry.  ``validated_eval`` is the only loop that
+raises working precision; its value is displayed, never compared.
 """
 
 from __future__ import annotations
@@ -40,13 +37,14 @@ from .exact import MathematicalError
 DEFAULT_PRECISION = 30
 GUARD_DIGITS = 10
 MAX_DOUBLINGS = 6
-# Largest requested precision.  The cost of a validated evaluation grows faster
+# Largest requested precision.  The cost of a high-precision check grows faster
 # than the digit count: the lt-gamma1 suite on one dimension takes seconds at
 # 1000 digits and does not finish in a minute at 10000.
 MAX_PRECISION = 1000
-# Largest order denominator q enclosed by integer q-th roots.  A root costs
-# O(M(q*k)) on k-bit enclosures: per check at d = 8 the enclosures take a
-# fifth of validated_eval's time up to q = 8, but longer by q = 50.
+# Largest order denominator q enclosed by integer q-th roots; larger q take
+# spectrum.riesz_mean_int's interval sum.  A root costs O(M(q*k)) on k-bit
+# enclosures: on the lt-sweep-gamma grid at gamma = 7/3 the roots take a
+# tenth of the interval sum's time, but they do not finish at q = 10**12.
 MAX_ROOT_DEGREE = 8
 
 
@@ -90,8 +88,26 @@ def enclosure_bits(precision: int) -> int:
     return (precision + 2 * GUARD_DIGITS) * 3322 // 1000 + 1
 
 
+def interval_enclosure(compute: Callable[[], mpmath.ctx_iv.ivmpf], prec: int) -> tuple[int, int, int]:
+    """The endpoints of an mpmath.iv evaluation at ``prec`` bits, exactly, as an enclosure (lo, hi, k).
+
+    ``compute()`` runs with ``mpmath.iv.prec`` set to ``prec``, which is
+    restored afterwards.  An unbounded interval raises ValueError.
+    """
+    iv = mpmath.iv
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        value = compute()
+    finally:
+        iv.prec = saved
+    lo, hi = value._mpi_
+    k = -min(lo[2], hi[2])  # the smaller exponent of the two raw (sign, man, exp, bc) ends
+    return libmp.to_int(libmp.mpf_shift(lo, k)), libmp.to_int(libmp.mpf_shift(hi, k)), k
+
+
 def dyadic_real(enclosure: tuple[int, int, int], precision: int) -> HighPrecisionReal:
-    """The lower end lo / 2**k of an enclosure (lo, hi, k), at validated_eval's final working precision."""
+    """The lower end lo / 2**k of an enclosure (lo, hi, k), held at precision + 2 * GUARD_DIGITS digits."""
     lo, _, k = enclosure
     prec = libmp.dps_to_prec(precision + 2 * GUARD_DIGITS)
     return HighPrecisionReal(mp.make_mpf(libmp.from_man_exp(lo, -k, prec, libmp.round_nearest)), precision)
@@ -116,19 +132,6 @@ def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPre
                 return HighPrecisionReal(+second, precision)
         work *= 2
     raise PrecisionError(f"no agreement after {MAX_DOUBLINGS} precision doublings")
-
-
-def strictly_less(lhs: HighPrecisionReal, rhs: HighPrecisionReal) -> bool | None:
-    """Decide lhs < rhs with a margin of 10 units in the last kept digit; None within it."""
-    precision = min(lhs.precision, rhs.precision)
-    with mp.workdps(precision + GUARD_DIGITS):
-        scale = max(abs(lhs.value), abs(rhs.value), mpmath.mpf(1))
-        margin = 10 * scale * mpmath.mpf(10) ** (1 - precision)
-        if rhs.value - lhs.value > margin:
-            return True
-        if lhs.value - rhs.value > margin:
-            return False
-    return None
 
 
 def sqrt_of_fraction(x: Fraction, precision: int) -> HighPrecisionReal:

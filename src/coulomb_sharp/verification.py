@@ -3,14 +3,11 @@
 Each check produces a CheckRecord carrying its exact inputs and both-side
 witnesses.  Checks over rationals are replayable bit for bit.  The strict
 order-gamma inequality off gamma = 1 is decided once, at the requested
-precision.  For gamma = p/q with q <= ``highprec.MAX_ROOT_DEGREE`` both sides
-are integer enclosures narrower than 10**-(precision + 20) of their values,
-and only disjoint enclosures decide (``exact.dyadic_less``).  For larger q
-both sides are validated values, compared with a margin of ten units in the
-last kept digit (``highprec.strictly_less``).  Either way the witnesses are
-the same 25-digit strings, and an undecided comparison is 'inconclusive' (the
-CLI treats it as failure); a larger ``--precision`` narrows what stays
-undecided.
+precision: for every order both sides are enclosures narrower than
+10**-(precision + 20) of their values, and only disjoint enclosures decide
+(``exact.dyadic_less``).  The witnesses are 25-digit strings of the lower
+ends, and an undecided comparison is 'inconclusive' (the CLI treats it as
+failure); a larger ``--precision`` narrows what stays undecided.
 """
 
 from __future__ import annotations
@@ -35,16 +32,7 @@ from .exact import (
     dyadic_less,
     expand_linear_factors,
 )
-from .highprec import (
-    DEFAULT_PRECISION,
-    MAX_ROOT_DEGREE,
-    HighPrecisionReal,
-    dyadic_real,
-    enclosure_bits,
-    fraction_to_mpf,
-    strictly_less,
-    validated_eval,
-)
+from .highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits
 from .spectrum import MAX_DIMENSION
 
 # Residual bound for the d**-3 tail of the expansions of the sharp constants:
@@ -221,29 +209,16 @@ def check_appendix_sums(d: int) -> CheckRecord:
     )
 
 
-def _validated(value: Fraction | HighPrecisionReal, precision: int) -> HighPrecisionReal:
-    """A rational as a validated real at ``precision``; a validated real as it is.
-
-    (lt_rhs returns a PiScaledRational only when 2*gamma is an integer, and
-    those orders take the enclosure path.)
-    """
-    if isinstance(value, Fraction):
-        return validated_eval(lambda: fraction_to_mpf(value), precision)
-    return value
-
-
 def check_lt_general_gamma(
     d: int, eta: RationalLike, gamma: RationalLike, precision: int = DEFAULT_PRECISION
 ) -> CheckRecord:
     """Strict order-gamma inequality for gamma in [1, d/2).
 
-    Off gamma = 1 the sides are compared once at ``precision``, with no retry.
-    For gamma = p/q with q <= MAX_ROOT_DEGREE they are the enclosures of
-    ``spectrum.riesz_mean_int`` and ``phase_space.lt_rhs_int``: 'pass' needs
-    lhs.hi < rhs.lo, 'fail' rhs.hi < lhs.lo, and overlap is 'inconclusive'.
-    For larger q they are validated reals compared by ``strictly_less``, where
-    a near-tie is 'inconclusive'.  Both witnesses are 25-digit strings of the
-    value (an enclosure's lower end), whichever way it was decided.
+    Off gamma = 1 the sides are the enclosures of ``spectrum.riesz_mean_int``
+    and ``phase_space.lt_rhs_int``, compared once at ``precision`` with no
+    retry: 'pass' needs lhs.hi < rhs.lo, 'fail' rhs.hi < lhs.lo, and overlap
+    is 'inconclusive'.  Both witnesses are 25-digit strings of the
+    enclosures' lower ends.
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
     if gamma >= Fraction(d, 2):
@@ -256,19 +231,12 @@ def check_lt_general_gamma(
         rhs = phase_space.lt_rhs(d, eta, Fraction(1))
         return _record("lt-general-gamma", params, lhs < rhs, {"lhs": lhs, "rhs": rhs})
 
-    if gamma.denominator <= MAX_ROOT_DEGREE:
-        bits = enclosure_bits(precision)
-        lhs_int = spectrum.riesz_mean_int(d, eta.numerator, eta.denominator, gamma, bits)
-        rhs_int = phase_space.lt_rhs_int(d, eta.numerator, eta.denominator, gamma, bits)
-        less = dyadic_less(lhs_int, rhs_int)
-        note = "exact right-hand side" if (2 * gamma).denominator == 1 else ""
-        lhs, rhs = dyadic_real(lhs_int, precision), dyadic_real(rhs_int, precision)
-    else:
-        lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), gamma, precision)
-        rhs = phase_space.lt_rhs(d, eta, gamma, precision)
-        note = "" if isinstance(rhs, HighPrecisionReal) else "exact right-hand side"
-        lhs, rhs = _validated(lhs, precision), _validated(rhs, precision)
-        less = strictly_less(lhs, rhs)
+    bits = enclosure_bits(precision)
+    lhs_int = spectrum.riesz_mean_int(d, eta.numerator, eta.denominator, gamma, bits)
+    rhs_int = phase_space.lt_rhs_int(d, eta.numerator, eta.denominator, gamma, bits)
+    less = dyadic_less(lhs_int, rhs_int)
+    note = "exact right-hand side" if (2 * gamma).denominator == 1 else ""
+    lhs, rhs = dyadic_real(lhs_int, precision), dyadic_real(rhs_int, precision)
     return _record(
         "lt-general-gamma",
         params,

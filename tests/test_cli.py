@@ -291,8 +291,8 @@ class TestVerifyCommand:
         ids=("order-7/3", "order-233/100"),
     )
     def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, records, sha256):
-        # Order 7/3 is decided by integer enclosures, order 233/100 by validated
-        # reals; both reports must keep every verdict and witness byte.
+        # Order 7/3 encloses the Riesz mean by integer roots, order 233/100 by
+        # an interval sum; both reports must keep every verdict and witness byte.
         config = tmp_path / "sweep.json"
         grid = {"start": "12", "stop": stop, "step": "1/8"}
         config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
@@ -302,6 +302,20 @@ class TestVerifyCommand:
         report = out.read_bytes()
         assert report.count(b"\n") == records
         assert hashlib.sha256(report).hexdigest() == sha256
+
+    @pytest.mark.parametrize("precision", ["1", "2"])
+    def test_large_denominator_order_decided_at_low_precision(self, tmp_path, capsys, precision):
+        # Order 233/100 is decided by enclosures at every precision, also at 1
+        # and 2 digits, where ten units in the last digit exceed the values.
+        config = tmp_path / "sweep.json"
+        grid = {"start": "12", "stop": "14", "step": "1/8"}
+        config.write_text(json.dumps({"gamma": "233/100", "d_values": [5, 8], "eta_grid": grid}))
+        out = tmp_path / "report.jsonl"
+        argv = ["verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config)]
+        assert main([*argv, "--precision", precision, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        verdicts = [record["verdict"] for record in records if record["check_id"] == "lt-general-gamma"]
+        assert verdicts == ["pass"] * 34
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
@@ -342,22 +356,10 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "clr", "--out", str(out)]) == 1
         assert "FAILED demo" in capsys.readouterr().err
 
-    def test_inconclusive_record_exits_one(self, tmp_path, capsys, monkeypatch):
-        def rhs_equal_to_lhs(d, n, den, gamma, bits):
-            return spectrum.riesz_mean_int(d, n, den, gamma, bits)
-
-        monkeypatch.setattr(phase_space, "lt_rhs_int", rhs_equal_to_lhs)
-        self._assert_two_inconclusive_records(tmp_path, capsys, monkeypatch, "7/3")
-
-    def test_inconclusive_record_exits_one_on_the_validated_path(self, tmp_path, capsys, monkeypatch):
-        def rhs_equal_to_lhs(d, eta, gamma, precision):
-            return spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), gamma, precision)
-
-        monkeypatch.setattr(phase_space, "lt_rhs", rhs_equal_to_lhs)
-        self._assert_two_inconclusive_records(tmp_path, capsys, monkeypatch, "233/100")
-
-    @staticmethod
-    def _assert_two_inconclusive_records(tmp_path, capsys, monkeypatch, gamma):
+    @pytest.mark.parametrize("gamma", ["7/3", "233/100"])
+    def test_inconclusive_record_exits_one(self, tmp_path, capsys, monkeypatch, gamma):
+        # A right-hand side equal to the left-hand side's enclosure is a tie.
+        monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: [])
         config = tmp_path / "sweep.json"
         config.write_text(

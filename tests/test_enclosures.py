@@ -1,10 +1,11 @@
 """Property tests of the integer enclosures behind the order-gamma checks.
 
-exact.iroot is the floor of a q-th root; spectrum.riesz_mean_int,
-phase_space.gamma_ratio_int and phase_space.lt_rhs_int return (lo, hi, k)
-with the value in [lo, hi] / 2**k.  Each enclosure is checked against an
-independent mpmath evaluation at twice the digits its width resolves, and
-its width against the bound its docstring promises.
+exact.iroot is the floor of a q-th root; spectrum.riesz_mean_int (by q-th
+roots for q <= 8, by an interval sum above), phase_space.gamma_ratio_int and
+phase_space.lt_rhs_int return (lo, hi, k) with the value in [lo, hi] / 2**k.
+Each enclosure is checked against an independent mpmath evaluation at twice
+the digits its width resolves, and its width against the bound its docstring
+promises.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from coulomb_sharp import phase_space, spectrum  # noqa: E402
@@ -22,7 +23,7 @@ from coulomb_sharp.exact import dyadic_less, iroot  # noqa: E402
 from coulomb_sharp.highprec import dyadic_real, enclosure_bits  # noqa: E402
 
 degrees = st.integers(1, 8)
-orders = st.builds(Fraction, st.integers(1, 40), degrees)
+orders = st.builds(Fraction, st.integers(1, 40), st.one_of(degrees, st.integers(9, 10**12)))
 bit_counts = st.integers(8, 400)
 
 
@@ -74,6 +75,10 @@ class TestIntegerRoot:
 
 class TestRieszEnclosure:
     @settings(max_examples=150, deadline=None)
+    # x = eta^2/(d-1)^2 - 1 near 10**-300 or 10**-1000 at gamma near d/2: the
+    # interval sum's power widens each term by about gamma |log x|.
+    @example(400, 399 + Fraction(1, 10**300), Fraction(1999, 10), 70)
+    @example(400, 399 + Fraction(1, 10**1000), Fraction(1999, 10), 70)
     @given(
         st.integers(3, 12),
         st.fractions(min_value=Fraction(1, 10), max_value=60, max_denominator=1000),
@@ -144,7 +149,7 @@ class TestGammaRatioEnclosure:
 
 
 class TestOneEvaluator:
-    @pytest.mark.parametrize("gamma", [Fraction(1, 3), Fraction(7, 3), Fraction(17, 8)])
+    @pytest.mark.parametrize("gamma", [Fraction(1, 3), Fraction(7, 3), Fraction(17, 8), Fraction(233, 100)])
     def test_public_values_are_the_lower_ends_of_the_enclosures(self, gamma):
         # riesz_mean and lt_rhs read the kernels the order-gamma check compares.
         d, eta, bits = 6, Fraction(111, 10), enclosure_bits(30)

@@ -1,4 +1,4 @@
-"""Self-validating high-precision evaluation contract."""
+"""Self-validating evaluation, and the exact reading of an interval as an enclosure."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,8 @@ from coulomb_sharp.highprec import (
     MAX_PRECISION,
     HighPrecisionReal,
     fraction_to_mpf,
+    interval_enclosure,
     sqrt_of_fraction,
-    strictly_less,
     validated_eval,
 )
 
@@ -62,18 +62,19 @@ def test_precision_out_of_range_rejected(precision):
         validated_eval(lambda: +mpmath.pi, precision)
 
 
-def test_strictly_less_margin_is_ten_units_in_the_last_digit():
-    # At 30 digits the margin around 1 is 10 * 10**-29: a gap of twice that decides,
-    # a gap of half of it is a near-tie in either order.
-    one = HighPrecisionReal(mpmath.mpf(1), 30)
-    with mpmath.mp.workdps(60):
-        clear = HighPrecisionReal(1 + 2 * mpmath.mpf(10) ** -28, 30)
-        close = HighPrecisionReal(1 + 5 * mpmath.mpf(10) ** -29, 30)
-    assert strictly_less(one, clear) is True
-    assert strictly_less(clear, one) is False
-    assert strictly_less(one, close) is None
-    assert strictly_less(close, one) is None
-    assert strictly_less(one, one) is None
+@pytest.mark.parametrize("x", [Fraction(-1, 3), Fraction(0), Fraction(10**40, 7)])
+def test_interval_enclosure_holds_the_interval_exactly(x):
+    saved = mpmath.iv.prec
+    lo, hi, k = interval_enclosure(lambda: mpmath.iv.mpf(x.numerator) / x.denominator, 80)
+    assert mpmath.iv.prec == saved
+    scale = Fraction(2) ** -k
+    assert lo * scale <= x <= hi * scale
+    assert (hi - lo) * scale <= abs(x) * Fraction(2) ** -76  # a few units of the 80th bit
+
+
+def test_interval_enclosure_rejects_an_unbounded_interval():
+    with pytest.raises(ValueError):
+        interval_enclosure(lambda: mpmath.iv.mpf(1) / 0, 80)
 
 
 def test_fraction_to_mpf_rounds_once():
