@@ -128,7 +128,8 @@ class TestGeneralGamma:
         record = V.check_lt_general_gamma(6, Fraction(14), Fraction(4, 3), precision=25)
         assert record.verdict == "pass"
 
-    def test_generic_gamma_rhs_computed_once(self, monkeypatch):
+    @staticmethod
+    def _assert_rhs_computed_once(monkeypatch, gamma):
         # The Gamma ratio of the right-hand side is one interval evaluation
         # (four Gamma values) per (d, gamma, bits) of a sweep, whichever kernel
         # encloses the Riesz mean.
@@ -141,14 +142,21 @@ class TestGeneralGamma:
 
         monkeypatch.setattr(mpmath.iv, "gamma", counted)
         phase_space.gamma_ratio_int.cache_clear()
-        for gamma in (Fraction(7, 3), Fraction(233, 100)):
-            for precision in (30, 25):
-                for d in (7, 8):
-                    for n in range(96, 104):
-                        record = V.check_lt_general_gamma(d, Fraction(n, 8), gamma, precision)
-                        assert record.verdict == "pass" and record.witness["used_precision"] == str(precision)
-        assert len(calls) == 4 * 2 * 2 * 2
-        assert phase_space.gamma_ratio_int.cache_info().misses == 8
+        for precision in (30, 25):
+            for d in (7, 8):
+                for n in range(96, 104):
+                    record = V.check_lt_general_gamma(d, Fraction(n, 8), gamma, precision)
+                    assert record.verdict == "pass" and record.witness["used_precision"] == str(precision)
+        assert len(calls) == 4 * 2 * 2
+        assert phase_space.gamma_ratio_int.cache_info().misses == 4
+
+    def test_generic_gamma_rhs_computed_once(self, monkeypatch):
+        # q-th-root kernel for the Riesz mean.
+        self._assert_rhs_computed_once(monkeypatch, Fraction(7, 3))
+
+    def test_validated_path_rhs_computed_once(self, monkeypatch):
+        # Interval-sum kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
+        self._assert_rhs_computed_once(monkeypatch, Fraction(233, 100))
 
     # Both Riesz kernels are run: q-th roots at 7/3 (and 3/2), the interval
     # sum at 233/100; the right-hand side is forced through phase_space.lt_rhs_int.
@@ -166,21 +174,22 @@ class TestGeneralGamma:
         assert record.witness["used_precision"] == "25"
         assert record.note == note
 
-    @pytest.mark.parametrize(
-        "gamma, precision",
-        [
-            pytest.param(Fraction(7, 3), 20, id="20"),
-            pytest.param(Fraction(7, 3), 30, id="30"),
-            pytest.param(Fraction(233, 100), 20, id="233/100-20"),
-            pytest.param(Fraction(233, 100), 30, id="233/100-30"),
-        ],
-    )
-    def test_tie_is_inconclusive_at_the_requested_precision(self, monkeypatch, gamma, precision):
+    @staticmethod
+    def _assert_tie_is_inconclusive(monkeypatch, gamma, precision):
         monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
         record = V.check_lt_general_gamma(8, Fraction(12), gamma, precision=precision)
         assert record.verdict == "inconclusive" and not record.ok
         assert record.witness["lhs"] == record.witness["rhs"]
         assert record.witness["used_precision"] == str(precision)
+
+    @pytest.mark.parametrize("precision", [20, 30], ids=("20", "30"))
+    def test_tie_is_inconclusive_at_the_requested_precision(self, monkeypatch, precision):
+        self._assert_tie_is_inconclusive(monkeypatch, Fraction(7, 3), precision)
+
+    @pytest.mark.parametrize("precision", [20, 30], ids=("20", "30"))
+    def test_tie_is_inconclusive_on_the_validated_path(self, monkeypatch, precision):
+        # Interval-sum kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
+        self._assert_tie_is_inconclusive(monkeypatch, Fraction(233, 100), precision)
 
     def test_enclosures_disjoint_by_less_than_the_margin_decide(self, monkeypatch):
         # A right-hand side one part in 10**45 above the left-hand side passes
