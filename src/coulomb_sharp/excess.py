@@ -358,16 +358,31 @@ def g_shifted_sandwich_check(d: int, s: RationalLike) -> SandwichCertificate:
 # -- the summation bound G ----------------------------------------------------
 
 
-def big_g_squared(d: int, t: RationalLike) -> Fraction:
-    """G**2 as an exact rational, valid for d >= 4 and t >= 0."""
+def big_g_squared_int(d: int, p: int, q: int) -> tuple[int, int]:
+    """G**2 at t = p/q >= 0 (q > 0), d >= 4, as an unreduced integer pair.
+
+    G**2 = P(t)**2 bracket**d ((t+d/2)(t+d-1))**(2-d) with P the (d-2)-fold
+    Pochhammer product and bracket = 1 + (d-3)/(2t+d-1) + 1/(2(t+d-2)).  With
+    u = 2p+(d-1)q, v = p+(d-2)q and w = (2p+dq)(p+(d-1)q) the powers of q
+    cancel, leaving P**2 B**d / (4 (uv)**d w**(d-2)) for P = prod_{k<d-1}(p+kq)
+    and B = 2uv + 2(d-3)qv + qu.  Both are homogeneous of degree 4d-4 in
+    (p, q), so p/q need not be reduced.
+    """
     if d < 4:
         raise ValueError("G is defined for d >= 4")
-    t = as_rational(t)
-    if t < 0:
+    if p < 0:
         raise ValueError("G is studied for t >= 0")
-    bracket = 1 + Fraction(d - 3) / (d - 1 + 2 * t) + Fraction(1) / (2 * (d - 2 + t))
-    outer = (Fraction(d, 2) + t) * (d + t - 1)
-    return pochhammer_eval(d - 2, t) ** 2 * bracket**d * outer ** (2 - d)
+    u, v = 2 * p + (d - 1) * q, p + (d - 2) * q
+    bracket = 2 * u * v + 2 * (d - 3) * q * v + q * u
+    outer = (2 * p + d * q) * (p + (d - 1) * q)
+    prod = _pochhammer_int(d - 2, p, q)
+    return prod * prod * bracket**d, 4 * (u * v) ** d * outer ** (d - 2)
+
+
+def big_g_squared(d: int, t: RationalLike) -> Fraction:
+    """G**2 as an exact rational, valid for d >= 4 and t >= 0."""
+    t = as_rational(t)
+    return Fraction(*big_g_squared_int(d, t.numerator, t.denominator))
 
 
 def big_g_monotonicity_quadratic(d: int) -> Polynomial:

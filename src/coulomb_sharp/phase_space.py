@@ -111,16 +111,8 @@ def lt_rhs(
     eta, gamma = as_rational(eta), as_rational(gamma)
     _check_order(d, gamma)
     if (2 * gamma).denominator == 1:
-        prefactor = PiScaledRational(eta**d / 2 ** (d - 1), 0)
-        value = (
-            prefactor
-            * gamma_at(gamma + 1)
-            * gamma_at(Fraction(d, 2) - gamma)
-            / (gamma_at(Fraction(d + 1)) * gamma_at(Fraction(d, 2)))
-        )
-        if value.is_rational:
-            return value.ratio
-        return value
+        value = gamma_ratio_exact(d, gamma) * (eta**d / 2 ** (d - 1))
+        return value.ratio if value.is_rational else value
     enclosure = lt_rhs_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
     return dyadic_real(enclosure, precision)
 
@@ -132,6 +124,17 @@ def _check_order(d: int, gamma: Fraction) -> None:
         raise ValueError("gamma must be >= 0")
     if gamma >= Fraction(d, 2):
         raise ValueError("phase-space integral diverges for gamma >= d/2")
+
+
+@functools.lru_cache(maxsize=64)
+def gamma_ratio_exact(d: int, gamma: Fraction) -> PiScaledRational:
+    """Gamma(gamma+1) Gamma(d/2-gamma) / (Gamma(d+1) Gamma(d/2)) exactly, for 2*gamma an integer.
+
+    At gamma = 1 it is the rational 2/(d! (d-2)).  Cached like gamma_ratio_int.
+    """
+    _check_order(d, gamma)
+    half_d = Fraction(d, 2)
+    return gamma_at(gamma + 1) * gamma_at(half_d - gamma) / (gamma_at(Fraction(d + 1)) * gamma_at(half_d))
 
 
 @functools.lru_cache(maxsize=64)

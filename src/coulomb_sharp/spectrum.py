@@ -80,9 +80,8 @@ def multiplicity(d: int, j: int) -> int:
     """Multiplicity of the j-th Coulomb level: (d-2+j)! (d-1+2j) / ((d-1)! j!)."""
     if d < 3 or j < 0:
         raise ValueError("need d >= 3 and j >= 0")
-    num = math.factorial(d - 2 + j) * (d - 1 + 2 * j)
-    den = math.factorial(d - 1) * math.factorial(j)
-    q, r = divmod(num, den)
+    # = C(d-2+j, j) (d-1+2j) / (d-1): one binomial, not three factorials.
+    q, r = divmod(math.comb(d - 2 + j, j) * (d - 1 + 2 * j), d - 1)
     assert r == 0
     return q
 
@@ -137,9 +136,9 @@ def riesz_mean(
 ) -> Fraction | HighPrecisionReal:
     """Sum of |lambda_j/Lambda|**gamma with multiplicities (gamma = 0: the count).
 
-    Exact rational for gamma in {0, 1}; otherwise the lower end of
-    ``riesz_mean_int``'s enclosure, a high-precision real at ``precision``.
-    Returns 0 for empty spectrum.
+    Exact rational for gamma in {0, 1} (at 1 from ``riesz_mean_order1_int``);
+    otherwise the lower end of ``riesz_mean_int``'s enclosure, a
+    high-precision real at ``precision``.  Returns 0 for empty spectrum.
     """
     gamma = as_rational(gamma)
     if gamma < 0:
@@ -151,8 +150,7 @@ def riesz_mean(
         return Fraction(counting_function(params))
     d, eta = params.d, params.eta
     if gamma == 1:
-        terms = (multiplicity(d, j) * (Fraction(eta**2, (2 * j + d - 1) ** 2) - 1) for j in range(ell + 1))
-        return sum(terms, Fraction(0))
+        return Fraction(*riesz_mean_order1_int(d, eta.numerator, eta.denominator))
     enclosure = riesz_mean_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
     return dyadic_real(enclosure, precision)
 
@@ -168,9 +166,10 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
       in [t, t+1) for t = floor((a^p 2^(qk) / b^p)^(1/q)); the multiplicities
       weight both ends, so hi - lo is the eigenvalue count.
     - larger q: an mpmath.iv sum, read off exactly by ``interval_enclosure``,
-      at bits + count.bit_length() + 16 bits plus the bits of
+      at bits + (ell + 1).bit_length() + 16 bits plus the bits of
       2 gamma log2(n^2), which bound how much the power's log and exp widen
-      each term.
+      each term.  The terms are positive, so each rounding widens the sum by
+      a relative 2**-prec at most, and the ell + 1 terms set the rounding.
 
     An empty spectrum gives [0, 0].
     """
@@ -180,7 +179,6 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
     p, q = gamma.numerator, gamma.denominator
     n2, den2 = n * n, den * den
     mus = [multiplicity(d, j) for j in range(ell + 1)]
-    count = sum(mus)
     if q > MAX_ROOT_DEGREE:
 
         def mean() -> mpmath.ctx_iv.ivmpf:
@@ -194,9 +192,10 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
 
         # |log x| < log2(n^2), since 1/b <= x < n^2.
         spare = (2 * p * n2.bit_length() // q).bit_length()
-        return interval_enclosure(mean, bits + count.bit_length() + spare + 16)
+        return interval_enclosure(mean, bits + (ell + 1).bit_length() + spare + 16)
     # The j = 0 term is at least 2**low, a lower bound for the mean; k puts
     # the width count / 2**k below 2**(low - bits).
+    count = sum(mus)
     b0 = den2 * (d - 1) ** 2
     low = p * ((n2 - b0).bit_length() - 1 - b0.bit_length()) // q
     k = max(0, bits + count.bit_length() - low)
@@ -206,6 +205,31 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
         b = den2 * (2 * j + d - 1) ** 2
         lo += mu * iroot(((n2 - b) ** p << shift) // b**p, q)
     return lo, lo + count, k
+
+
+@functools.lru_cache(maxsize=16)
+def _order1_sums(d: int, ell: int) -> tuple[int, int]:
+    """(S, L) for the levels 0..ell: L = lcm of the m_j**2 and S = sum mu_j L/m_j**2, m_j = 2j+d-1.
+
+    Cached like level_count: along a grid in eta they change only where ell does.
+    """
+    squares = [(2 * j + d - 1) ** 2 for j in range(ell + 1)]
+    lcm = math.lcm(*squares)
+    return sum(multiplicity(d, j) * (lcm // m2) for j, m2 in enumerate(squares)), lcm
+
+
+def riesz_mean_order1_int(d: int, n: int, den: int) -> tuple[int, int]:
+    """Order-1 Riesz mean at eta = n/den (den > 0) as an unreduced integer pair.
+
+    sum_j mu_j (eta^2/m_j^2 - 1) = (S n^2 - M L den^2) / (L den^2), with M the
+    eigenvalue count and (S, L) from ``_order1_sums``; an empty spectrum gives 0.
+    """
+    ell = top_level(d, n, den)
+    if ell < 0:
+        return 0, den * den
+    weighted, lcm = _order1_sums(d, ell)
+    scale = lcm * den * den
+    return weighted * n * n - level_count(d, ell) * scale, scale
 
 
 def riesz_mean_d3_int(n: int, den: int) -> tuple[int, int]:

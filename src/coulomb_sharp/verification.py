@@ -32,7 +32,7 @@ from .exact import (
     dyadic_less,
     expand_linear_factors,
 )
-from .highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits
+from .highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits, fraction_to_mpf
 from .spectrum import MAX_DIMENSION
 
 # Residual bound for the d**-3 tail of the expansions of the sharp constants:
@@ -100,10 +100,20 @@ def check_lt_gamma1(d: int, eta: RationalLike) -> CheckRecord:
         return _record(
             "lt-gamma1", params, SKIPPED, {}, "the improved order-1 bound does not hold for d = 3"
         )
-    lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), 1)
-    correction = Fraction(eta**2, 4 * (d - 1) * (d - 2) ** 2)
-    rhs = max(Fraction(0), phase_space.lt_rhs(d, eta, Fraction(1)) - correction)
-    return _record("lt-gamma1", params, lhs <= rhs, {"lhs": lhs, "rhs": rhs})
+    n, den = eta.numerator, eta.denominator
+    lhs_num, lhs_den = spectrum.riesz_mean_order1_int(d, n, den)
+    # rhs - correction = n^d a / (2^(d-1) den^d b) - n^2 / (c den^2) with a/b the
+    # order-1 Gamma ratio and c = 4(d-1)(d-2)^2, over one positive denominator.
+    ratio = phase_space.gamma_ratio_exact(d, Fraction(1)).ratio
+    a, b, c = ratio.numerator, ratio.denominator, 4 * (d - 1) * (d - 2) ** 2
+    rhs_num = max(0, n * n * (n ** (d - 2) * a * c - 2 ** (d - 1) * b * den ** (d - 2)))
+    rhs_den = 2 ** (d - 1) * b * c * den**d
+    return _record(
+        "lt-gamma1",
+        params,
+        lhs_num * rhs_den <= rhs_num * lhs_den,
+        {"lhs": Fraction(lhs_num, lhs_den), "rhs": Fraction(rhs_num, rhs_den)},
+    )
 
 
 def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
@@ -158,9 +168,8 @@ def check_abel_bound(d: int, ell: int) -> CheckRecord:
     """Summation-by-parts bound on (d-1)!(d-2) sum mu_j/(2j+d-1)**2."""
     if d < 4 or ell < 0:
         raise ValueError("need d >= 4 and ell >= 0")
-    lhs = math.factorial(d - 1) * (d - 2) * sum(
-        Fraction(spectrum.multiplicity(d, j), (2 * j + d - 1) ** 2) for j in range(ell + 1)
-    )
+    weighted, lcm = spectrum._order1_sums(d, ell)
+    lhs = Fraction(math.factorial(d - 1) * (d - 2) * weighted, lcm)
     alpha = (
         Fraction(1, 2)
         + Fraction(d - 3, 2 * (d - 1 + 2 * ell))
@@ -174,18 +183,13 @@ def check_big_g_bound(d: int, ell_max: int) -> CheckRecord:
     """G(ell)**2 <= 1 and strictly increasing on 0..ell_max, exactly."""
     if d < 4 or ell_max < 0:
         raise ValueError("need d >= 4 and ell_max >= 0")
-    previous = None
-    bounded = increasing = True
-    for ell in range(ell_max + 1):
-        value = excess.big_g_squared(d, ell)
-        bounded = bounded and value <= 1
-        if previous is not None:
-            increasing = increasing and previous < value
-        previous = value
+    pairs = [excess.big_g_squared_int(d, ell, 1) for ell in range(ell_max + 1)]
+    bounded = all(num <= den for num, den in pairs)
+    increasing = all(num0 * den1 < num1 * den0 for (num0, den0), (num1, den1) in zip(pairs, pairs[1:]))
     ok = bounded and increasing
     witness = {
-        "g_squared_at_0": excess.big_g_squared(d, 0),
-        "g_squared_at_max": float(excess.big_g_squared(d, ell_max)),
+        "g_squared_at_0": Fraction(*pairs[0]),
+        "g_squared_at_max": float(Fraction(*pairs[-1])),
         "bounded": bounded,
         "strictly_increasing": increasing,
     }
@@ -320,8 +324,9 @@ def check_coefficients_h(d: int, a: RationalLike) -> CheckRecord:
 def asymptotic_residuals(d: int, precision: int = DEFAULT_PRECISION) -> tuple[Fraction, float]:
     """d**3-scaled residuals of the sharp constants against their expansions.
 
-    The Q residual is exact; the A - Q gap is exact for even d and evaluated
-    at the requested precision for odd d.
+    The Q residual is exact; the A - Q gap is exact for even d.  For odd d it
+    is d**3 (A**2 - Q**2) / (A + Q), an exact numerator over a sum evaluated
+    at the requested precision, so no digits cancel.
     """
     q_result = optima.q_star(d)
     a_result = optima.a_star(d)
@@ -330,13 +335,10 @@ def asymptotic_residuals(d: int, precision: int = DEFAULT_PRECISION) -> tuple[Fr
     if a_result.value is not None:
         residual_a = float(d**3 * (a_result.value - q_result.value))
     else:
+        gap = d**3 * (a_result.value_squared - q_result.value**2)
         with mp.workdps(precision + 10):
-            a_val = mpmath.sqrt(
-                mpmath.mpf(a_result.value_squared.numerator)
-                / a_result.value_squared.denominator
-            )
-            q_val = mpmath.mpf(q_result.value.numerator) / q_result.value.denominator
-            residual_a = float(d**3 * (a_val - q_val))
+            a_val = mpmath.sqrt(fraction_to_mpf(a_result.value_squared))
+            residual_a = float(fraction_to_mpf(gap) / (a_val + fraction_to_mpf(q_result.value)))
     return residual_q, residual_a
 
 
@@ -393,10 +395,12 @@ def check_pochhammer_recursion(m: int, points: Sequence[Fraction]) -> CheckRecor
 
 
 def check_pochhammer_telescoping(m: int, ell_max: int) -> CheckRecord:
+    """m sum_{j<=ell} (j+1)...(j+m-1) = (ell+1)...(ell+m), summed as one running integer."""
     ok = True
+    running = 0
     for ell in range(ell_max + 1):
-        lhs = m * sum(excess.pochhammer_eval(m - 1, j) for j in range(ell + 1))
-        ok = ok and lhs == excess.pochhammer_eval(m, ell)
+        running += excess._pochhammer_int(m - 1, ell, 1)
+        ok = ok and m * running == excess._pochhammer_int(m, ell, 1)
     return _record(
         "pochhammer-telescoping", {"m": m, "ell_max": ell_max}, ok, {"holds": ok}
     )

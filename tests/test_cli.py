@@ -287,12 +287,15 @@ class TestVerifyCommand:
         [
             ("7/3", [5, 6], "14", 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
             ("233/100", [5, 8], "25/2", 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
+            ("1", [3, 4, 9, 20], "20", 269, "9020bbdb8762de59414bd480545909d5a292204be434a9bf3068851d5885673e"),
         ],
-        ids=("order-7/3", "order-233/100"),
+        ids=("order-7/3", "order-233/100", "order-1"),
     )
     def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, records, sha256):
         # Order 7/3 encloses the Riesz mean by integer roots, order 233/100 by
-        # an interval sum; both reports must keep every verdict and witness byte.
+        # an interval sum; order 1 runs check_lt_gamma1 on integer pairs (d = 3
+        # skipped, d = 20 with empty spectra and a right-hand side clamped to
+        # 0).  Every report must keep every verdict and witness byte.
         config = tmp_path / "sweep.json"
         grid = {"start": "12", "stop": stop, "step": "1/8"}
         config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
@@ -316,6 +319,19 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         verdicts = [record["verdict"] for record in records if record["check_id"] == "lt-general-gamma"]
         assert verdicts == ["pass"] * 34
+
+    def test_odd_d_asymptotic_gap_keeps_its_digits_at_low_precision(self, tmp_path, capsys):
+        # At d = 11 the A residual is the odd-d gap d^3 (A - Q); evaluated as
+        # an exact numerator over A + Q it loses no digits at precision 5.
+        residuals = {}
+        for precision in (5, 30):
+            out = tmp_path / f"report-{precision}.jsonl"
+            argv = ["verify", "--suite", "asymptotics", "--d-range", "11..11", "--precision", str(precision)]
+            assert main([*argv, "--out", str(out)]) == 0
+            (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+            residuals[precision] = float(record["witness"]["max_residual_a"])
+        assert abs(residuals[5] - residuals[30]) <= residuals[30] * 1e-10
+        assert residuals[5] == residuals[30] == 9.807481098616028
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

@@ -79,6 +79,9 @@ class TestRieszEnclosure:
     # interval sum's power widens each term by about gamma |log x|.
     @example(400, 399 + Fraction(1, 10**300), Fraction(1999, 10), 70)
     @example(400, 399 + Fraction(1, 10**1000), Fraction(1999, 10), 70)
+    # 2,451 levels with a 605-bit eigenvalue count: the interval sum is sized
+    # by the number of terms, and its width must still meet the contract.
+    @example(100, Fraction(5000), Fraction(4999, 100), enclosure_bits(30))
     @given(
         st.integers(3, 12),
         st.fractions(min_value=Fraction(1, 10), max_value=60, max_denominator=1000),

@@ -1,12 +1,13 @@
-"""Differential tests of the integer kernels behind the figures.
+"""Differential tests of the integer kernels behind the figures and the verifier.
 
-q_int, r_int, f_int, riesz_mean_d3_int and d3_envelope_terms_int take a
-point as an integer pair (numerator, denominator > 0), not necessarily
-reduced, and return each value as an unreduced integer pair.  Each is checked
-here against a Fraction computation written from the definition, sharing no
-code with the kernel, on hypothesis-drawn points: unreduced pairs, integer
-tau (the thresholds of the count), odd and even integer eta, and points next
-to the poles.
+q_int, r_int, f_int, riesz_mean_d3_int, riesz_mean_order1_int,
+d3_envelope_terms_int and big_g_squared_int take a point as an integer pair
+(numerator, denominator > 0), not necessarily reduced, and return each value
+as an unreduced integer pair.  Each is checked here against a Fraction
+computation written from the definition, sharing no code with the kernel, on
+hypothesis-drawn points: unreduced pairs, integer tau (the thresholds of the
+count), odd and even integer eta, and points next to the poles.  The cached
+order-1 Gamma ratio behind lt_rhs is checked against its closed form.
 """
 
 import math
@@ -20,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from coulomb_sharp import cli, excess, spectrum  # noqa: E402
+from coulomb_sharp import cli, excess, phase_space, spectrum  # noqa: E402
 
 dimensions = st.integers(3, 10)
 multipliers = st.integers(1, 60)
@@ -71,8 +72,22 @@ def r_oracle(d, eta):
     return count / (eta**d / (2 ** (d - 1) * math.factorial(d)))
 
 
+def trace_oracle(d, eta):
+    """Order-1 Riesz mean: sum of mu_j (eta^2/(2j+d-1)^2 - 1) over the negative levels."""
+    return sum(multiplicity(d, j) * (eta**2 / (2 * j + d - 1) ** 2 - 1) for j in negative_levels(d, eta))
+
+
 def trace_d3_oracle(eta):
-    return sum(multiplicity(3, j) * (eta**2 / (2 * j + 2) ** 2 - 1) for j in negative_levels(3, eta))
+    return trace_oracle(3, eta)
+
+
+def big_g_squared_oracle(d, t):
+    """G^2 = P(t)^2 bracket^d ((t + d/2)(t + d - 1))^(2-d), P = (t+1)...(t+d-2)."""
+    pochhammer = Fraction(1)
+    for k in range(1, d - 1):
+        pochhammer *= t + k
+    bracket = 1 + (d - 3) / (2 * t + d - 1) + 1 / (2 * (t + d - 2))
+    return pochhammer**2 * bracket**d / ((t + Fraction(d, 2)) * (t + d - 1)) ** (d - 2)
 
 
 def reference_render(x):
@@ -169,6 +184,47 @@ class TestTraceD3Kernel:
         expected = trace_d3_oracle(eta)
         assert Fraction(*spectrum.riesz_mean_d3_int(*unreduced(eta, k))) == expected
         assert spectrum.riesz_mean_d3_closed_form(eta) == expected
+
+
+class TestOrder1TraceKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(eta_points(), multipliers)
+    def test_matches_level_sum(self, point, k):
+        d, eta = point
+        pair = spectrum.riesz_mean_order1_int(d, *unreduced(eta, k))
+        assert pair[1] > 0
+        expected = trace_oracle(d, eta)
+        assert Fraction(*pair) == expected
+        assert spectrum.riesz_mean(spectrum.SpectrumParams(d, eta), 1) == expected
+        if d == 3:
+            assert Fraction(*pair) == Fraction(*spectrum.riesz_mean_d3_int(*unreduced(eta, k)))
+
+
+class TestBigGSquaredKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(4, 12),
+        st.one_of(st.just(Fraction(0)), st.integers(0, 200).map(Fraction), positive),
+        multipliers,
+    )
+    def test_matches_product_form(self, d, t, k):
+        expected = big_g_squared_oracle(d, t)
+        assert Fraction(*excess.big_g_squared_int(d, *unreduced(t, k))) == expected
+        assert excess.big_g_squared(d, t) == expected
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError, match="t >= 0"):
+            excess.big_g_squared_int(5, -1, 3)
+
+
+class TestOrder1RightHandSide:
+    @settings(max_examples=300, deadline=None)
+    @given(eta_points(st.integers(3, 40)))
+    def test_cached_gamma_ratio_matches_closed_form(self, point):
+        d, eta = point
+        expected = eta**d / (2 ** (d - 2) * math.factorial(d) * (d - 2))
+        assert phase_space.lt_rhs(d, eta, 1) == expected
+        assert phase_space.gamma_ratio_exact(d, Fraction(1)) == Fraction(2, math.factorial(d) * (d - 2))
 
 
 class TestD3EnvelopeTerms:
