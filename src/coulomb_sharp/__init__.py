@@ -25,7 +25,7 @@ from .exact import (
     sturm_count,
 )
 from .highprec import HighPrecisionReal, PrecisionError, validated_eval
-from .phase_space import PiScaledRational, clr_rhs, gamma_at, lt_rhs
+from .phase_space import clr_rhs, lt_rhs
 from .spectrum import (
     LevelData,
     SpectrumParams,
@@ -33,7 +33,6 @@ from .spectrum import (
     levels,
     multiplicity,
     riesz_mean,
-    riesz_mean_d3_closed_form,
 )
 from .optima import StarResult, a_star, counterexample_scan, locate_t_star, q_star
 from .verification import CheckRecord, run_suite
@@ -47,7 +46,6 @@ __all__ = [
     "HighPrecisionReal",
     "LevelData",
     "MathematicalError",
-    "PiScaledRational",
     "Polynomial",
     "PrecisionError",
     "Rational",
@@ -61,7 +59,6 @@ __all__ = [
     "counterexample_scan",
     "counting_function",
     "expand_linear_factors",
-    "gamma_at",
     "isolate_unique_root",
     "levels",
     "locate_t_star",
@@ -73,7 +70,6 @@ __all__ = [
     "q_star",
     "ratfun_reduce",
     "riesz_mean",
-    "riesz_mean_d3_closed_form",
     "run_suite",
     "sturm_count",
     "validated_eval",

@@ -238,7 +238,7 @@ def figure_lt_d3(step: Fraction) -> Rows:
     ]
     etas, den = grid_numerators(2 + step, Fraction(20), step)
     for n in etas:
-        trace_num, trace_den = spectrum.riesz_mean_d3_int(n, den)
+        trace_num, trace_den = spectrum.riesz_mean_order1_int(3, n, den)
         (lead_num, lead_den), lower, upper = spectrum.d3_envelope_terms_int(n, den)
         middle = render_ratio(trace_num * lead_den - trace_den * lead_num, trace_den * lead_den)
         rows.append((render_grid_value(n, den), middle, render_ratio(*lower), render_ratio(*upper)))

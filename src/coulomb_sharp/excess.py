@@ -174,7 +174,7 @@ def r_int(d: int, n: int, den: int) -> tuple[int, int]:
     ell = spectrum.top_level(d, n, den)
     if ell < 0:
         return 0, 1
-    rhs_num, rhs_den = phase_space.clr_rhs_int(d, n, den)
+    rhs_num, rhs_den = phase_space.lt_rhs_order_int(d, n, den, 0)
     return spectrum.level_count(d, ell) * rhs_den, rhs_num
 
 

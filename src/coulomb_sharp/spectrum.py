@@ -232,16 +232,6 @@ def riesz_mean_order1_int(d: int, n: int, den: int) -> tuple[int, int]:
     return weighted * n * n - level_count(d, ell) * scale, scale
 
 
-def riesz_mean_d3_int(n: int, den: int) -> tuple[int, int]:
-    """Order-1 Riesz mean for d = 3 at eta = n/den (den > 0) as an integer pair.
-
-    (l+1)eta^2/4 - (l+1)(l+2)(2l+3)/6 = (l+1)(3n^2 - 2den^2(l+2)(2l+3)) / (12den^2);
-    the factor l+1 makes it 0 for eta <= 2, where l = -1.
-    """
-    ell = top_level(3, n, den)
-    return (ell + 1) * (3 * n * n - 2 * den * den * (ell + 2) * (2 * ell + 3)), 12 * den * den
-
-
 def d3_envelope_terms_int(n: int, den: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """The d = 3 envelope terms at eta = n/den (den > 0) as integer pairs.
 
@@ -251,9 +241,3 @@ def d3_envelope_terms_int(n: int, den: int) -> tuple[tuple[int, int], tuple[int,
     """
     lead = ((2 * n - 3 * den) * n * n, 24 * den**3)
     return lead, (-n, 12 * den), (2 * -(-n // (2 * den)) - 1, 24)
-
-
-def riesz_mean_d3_closed_form(eta: RationalLike) -> Fraction:
-    """Order-1 Riesz mean for d = 3, exact."""
-    eta = as_rational(eta)
-    return Fraction(*riesz_mean_d3_int(eta.numerator, eta.denominator))

@@ -102,12 +102,12 @@ def check_lt_gamma1(d: int, eta: RationalLike) -> CheckRecord:
         )
     n, den = eta.numerator, eta.denominator
     lhs_num, lhs_den = spectrum.riesz_mean_order1_int(d, n, den)
-    # rhs - correction = n^d a / (2^(d-1) den^d b) - n^2 / (c den^2) with a/b the
-    # order-1 Gamma ratio and c = 4(d-1)(d-2)^2, over one positive denominator.
-    ratio = phase_space.gamma_ratio_exact(d, Fraction(1)).ratio
-    a, b, c = ratio.numerator, ratio.denominator, 4 * (d - 1) * (d - 2) ** 2
-    rhs_num = max(0, n * n * (n ** (d - 2) * a * c - 2 ** (d - 1) * b * den ** (d - 2)))
-    rhs_den = 2 ** (d - 1) * b * c * den**d
+    # rhs - correction = a/b - n^2 / (c den^2) with a/b the order-1 right-hand
+    # side and c = 4(d-1)(d-2)^2, over one positive denominator.
+    a, b = phase_space.lt_rhs_order_int(d, n, den, 1)
+    c = 4 * (d - 1) * (d - 2) ** 2
+    rhs_num = max(0, a * c * den * den - n * n * b)
+    rhs_den = b * c * den * den
     return _record(
         "lt-gamma1",
         params,
@@ -123,7 +123,7 @@ def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
     integer eta > 2 and on the lower side at even integer eta.
     """
     eta = as_rational(eta)
-    trace = spectrum.riesz_mean_d3_closed_form(eta)
+    trace = Fraction(*spectrum.riesz_mean_order1_int(3, eta.numerator, eta.denominator))
     terms = spectrum.d3_envelope_terms_int(eta.numerator, eta.denominator)
     lead, lower_term, upper_term = (Fraction(*pair) for pair in terms)
     upper = max(Fraction(0), lead + upper_term)

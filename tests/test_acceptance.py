@@ -19,7 +19,7 @@ from coulomb_sharp.spectrum import (
     counting_function,
     multiplicity,
     riesz_mean,
-    riesz_mean_d3_closed_form,
+    riesz_mean_order1_int,
 )
 
 
@@ -101,6 +101,15 @@ def test_criterion_5_lt_gamma1_sweep():
     _report(5, watch, f"improved order-1 bound exact on {checked} (d, eta) pairs, zero violations")
 
 
+def _d3_trace(eta: int) -> Fraction:
+    """The order-1 mean at d = 3 and integer eta, from the kernel on the unreduced pair (3 eta, 3),
+    checked against the paper's closed form (l+1) eta^2/4 - (l+1)(l+2)(2l+3)/6, l = ceil(eta/2) - 2."""
+    trace = Fraction(*riesz_mean_order1_int(3, 3 * eta, 3))
+    ell = math.ceil(eta / 2) - 2
+    assert trace == Fraction((ell + 1) * eta**2, 4) - Fraction((ell + 1) * (ell + 2) * (2 * ell + 3), 6)
+    return trace
+
+
 def test_criterion_6_d3_envelopes():
     with _Stopwatch(30.0) as watch:
         for k in range(201, 2001):
@@ -108,13 +117,13 @@ def test_criterion_6_d3_envelopes():
             record = verification.check_d3_envelopes(eta)
             assert record.verdict == "pass", record.to_json()
         for eta in range(3, 20, 2):
-            trace = riesz_mean_d3_closed_form(Fraction(eta))
+            trace = _d3_trace(eta)
             upper = Fraction(eta) ** 3 / 12 - Fraction(eta) ** 2 / 8 + Fraction(
                 2 * math.ceil(Fraction(eta, 2)) - 1, 24
             )
             assert trace == upper
         for eta in range(4, 21, 2):
-            trace = riesz_mean_d3_closed_form(Fraction(eta))
+            trace = _d3_trace(eta)
             lower = Fraction(eta) ** 3 / 12 - Fraction(eta) ** 2 / 8 - Fraction(eta, 12)
             assert trace == lower
     _report(6, watch, "containment on the full grid; equality at odd (upper) and even (lower) eta")

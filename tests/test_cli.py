@@ -695,7 +695,7 @@ class TestFigureCommand:
 
     @pytest.mark.parametrize(
         "which, evaluator",
-        [("lt-d3", (spectrum, "riesz_mean_d3_int")), ("rd-vs-qd", (excess, "q_int")), ("f-plot", (excess, "f_int"))],
+        [("lt-d3", (spectrum, "riesz_mean_order1_int")), ("rd-vs-qd", (excess, "q_int")), ("f-plot", (excess, "f_int"))],
         ids=("lt-d3", "rd-vs-qd", "f-plot"),
     )
     def test_too_many_grid_points_rejected_before_work(self, tmp_path, capsys, monkeypatch, which, evaluator):

@@ -1,15 +1,17 @@
 """Differential tests of the integer kernels behind the figures and the verifier.
 
-q_int, r_int, f_int, riesz_mean_d3_int, riesz_mean_order1_int,
-d3_envelope_terms_int and big_g_squared_int take a point as an integer pair
+q_int, r_int, f_int, riesz_mean_order1_int, d3_envelope_terms_int,
+big_g_squared_int and lt_rhs_order_int take a point as an integer pair
 (numerator, denominator > 0), not necessarily reduced, and return each value
 as an unreduced integer pair.  Each is checked here against a Fraction
 computation written from the definition, sharing no code with the kernel, on
 hypothesis-drawn points: unreduced pairs, integer tau (the thresholds of the
-count), odd and even integer eta, and points next to the poles.  The cached
-order-1 Gamma ratio behind lt_rhs is checked against its closed form.
+count), odd and even integer eta, and points next to the poles.  The order-1
+mean at d = 3 is also checked against the paper's closed form, and the
+integer-order right-hand side against sympy's Gamma function.
 """
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -77,8 +79,18 @@ def trace_oracle(d, eta):
     return sum(multiplicity(d, j) * (eta**2 / (2 * j + d - 1) ** 2 - 1) for j in negative_levels(d, eta))
 
 
-def trace_d3_oracle(eta):
-    return trace_oracle(3, eta)
+def trace_d3_closed_form(eta):
+    """The paper's d = 3 order-1 mean: (l+1) eta^2/4 - (l+1)(l+2)(2l+3)/6, l the top level (-1 if none)."""
+    ell = len(list(negative_levels(3, eta))) - 1
+    return (ell + 1) * eta**2 / 4 - Fraction((ell + 1) * (ell + 2) * (2 * ell + 3), 6)
+
+
+@functools.lru_cache(maxsize=None)
+def gamma_ratio_sympy(d, g):
+    """Gamma(g+1) Gamma(d/2-g) / (Gamma(d+1) Gamma(d/2)), exactly by sympy."""
+    sympy = pytest.importorskip("sympy")
+    half = sympy.Rational(d, 2)
+    return sympy.gamma(g + 1) * sympy.gamma(half - g) / (sympy.gamma(d + 1) * sympy.gamma(half))
 
 
 def big_g_squared_oracle(d, t):
@@ -181,9 +193,9 @@ class TestTraceD3Kernel:
     @given(eta_points(st.just(3)), multipliers)
     def test_matches_level_sum(self, point, k):
         _, eta = point
-        expected = trace_d3_oracle(eta)
-        assert Fraction(*spectrum.riesz_mean_d3_int(*unreduced(eta, k))) == expected
-        assert spectrum.riesz_mean_d3_closed_form(eta) == expected
+        expected = trace_oracle(3, eta)
+        assert trace_d3_closed_form(eta) == expected
+        assert Fraction(*spectrum.riesz_mean_order1_int(3, *unreduced(eta, k))) == expected
 
 
 class TestOrder1TraceKernel:
@@ -196,8 +208,6 @@ class TestOrder1TraceKernel:
         expected = trace_oracle(d, eta)
         assert Fraction(*pair) == expected
         assert spectrum.riesz_mean(spectrum.SpectrumParams(d, eta), 1) == expected
-        if d == 3:
-            assert Fraction(*pair) == Fraction(*spectrum.riesz_mean_d3_int(*unreduced(eta, k)))
 
 
 class TestBigGSquaredKernel:
@@ -219,12 +229,30 @@ class TestBigGSquaredKernel:
 
 class TestOrder1RightHandSide:
     @settings(max_examples=300, deadline=None)
-    @given(eta_points(st.integers(3, 40)))
-    def test_cached_gamma_ratio_matches_closed_form(self, point):
+    @given(eta_points(st.integers(3, 40)), multipliers)
+    def test_cached_gamma_ratio_matches_closed_form(self, point, k):
         d, eta = point
         expected = eta**d / (2 ** (d - 2) * math.factorial(d) * (d - 2))
         assert phase_space.lt_rhs(d, eta, 1) == expected
-        assert phase_space.gamma_ratio_exact(d, Fraction(1)) == Fraction(2, math.factorial(d) * (d - 2))
+        assert Fraction(*phase_space.lt_rhs_order_int(d, *unreduced(eta, k), 1)) == expected
+
+
+class TestIntegerOrderRightHandSide:
+    @settings(max_examples=30, deadline=None)
+    @given(positive, multipliers)
+    def test_matches_sympy_gamma(self, eta, k):
+        sympy = pytest.importorskip("sympy")
+        for d in range(3, 41):
+            power = sympy.Rational(eta.numerator, eta.denominator) ** d / 2 ** (d - 1)
+            for g in range((d + 1) // 2):
+                pair = phase_space.lt_rhs_order_int(d, *unreduced(eta, k), g)
+                assert sympy.Rational(*pair) == power * gamma_ratio_sympy(d, g)
+                if g == 0:
+                    assert Fraction(*pair) == eta**d / (2 ** (d - 1) * math.factorial(d))
+
+    def test_divergent_order_rejected(self):
+        with pytest.raises(ValueError, match="diverges"):
+            phase_space.lt_rhs_order_int(6, 1, 1, 3)
 
 
 class TestD3EnvelopeTerms:
@@ -236,7 +264,7 @@ class TestD3EnvelopeTerms:
         assert lead == eta**3 / 12 - eta**2 / 8
         assert lower == -eta / 12
         assert upper == Fraction(2 * math.ceil(eta / 2) - 1, 24)
-        trace = trace_d3_oracle(eta)
+        trace = trace_oracle(3, eta)
         assert max(0, lead + lower) <= trace <= max(0, lead + upper)
         if eta.denominator == 1 and eta > 2:
             assert trace == lead + (upper if eta.numerator % 2 else lower)

@@ -1,4 +1,4 @@
-"""Phase-space quantities: exact gamma values, semiclassical right-hand sides."""
+"""Phase-space quantities: the semiclassical right-hand sides."""
 
 import math
 from fractions import Fraction
@@ -6,61 +6,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from coulomb_sharp.phase_space import (
-    PiScaledRational,
-    clr_rhs,
-    gamma_at,
-    lt_rhs,
-)
+from coulomb_sharp.highprec import HighPrecisionReal
+from coulomb_sharp.phase_space import clr_rhs, lt_rhs
 
 
-class TestPiScaledRational:
-    def test_zero_normalises_power(self):
-        assert PiScaledRational(Fraction(0), 5) == PiScaledRational(Fraction(0), 0)
-
-    def test_mixed_power_comparison_rejected(self):
-        a = PiScaledRational(Fraction(1), 0)
-        b = PiScaledRational(Fraction(1), 1)
-        with pytest.raises(TypeError):
-            _ = a < b
-
-    def test_rational_equality(self):
-        assert PiScaledRational(Fraction(9, 8), 0) == Fraction(9, 8)
-
-
-class TestGammaAt:
-    def test_gamma_one(self):
-        assert gamma_at(Fraction(1)) == PiScaledRational(Fraction(1), 0)
-
-    def test_gamma_half(self):
-        assert gamma_at(Fraction(1, 2)) == PiScaledRational(Fraction(1), 1)
-
-    def test_gamma_seven_halves_by_recurrence_oracle(self):
-        # Walk Gamma(x+1) = x Gamma(x) up from Gamma(1/2) = sqrt(pi).
-        ratio = Fraction(1)
-        x = Fraction(1, 2)
-        while x < Fraction(7, 2):
-            ratio *= x
-            x += 1
-        assert ratio == Fraction(15, 8)
-        assert gamma_at(Fraction(7, 2)) == PiScaledRational(Fraction(15, 8), 1)
-
-    def test_recurrence_exact_on_half_integer_grid(self):
-        x = Fraction(1, 2)
-        while x <= 50:
-            left = gamma_at(x + 1)
-            right = gamma_at(x) * x
-            assert left == right
-            x += Fraction(1, 2)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_at(Fraction(0))
-
-    def test_generic_argument_rejected(self):
-        # Generic Gamma values are evaluated inside lt_rhs, never here.
-        with pytest.raises(ValueError, match="2x to be an integer"):
-            gamma_at(Fraction(1, 3))
+def assert_close(value, exact):
+    """value is a HighPrecisionReal within 10**-30 relative of exact; call at 60 digits."""
+    assert isinstance(value, HighPrecisionReal)
+    assert abs(value.value - exact) <= abs(exact) * mpmath.mpf(10) ** -30
 
 
 class TestLtRhs:
@@ -91,17 +44,15 @@ class TestLtRhs:
         with pytest.raises(ValueError, match="diverges"):
             lt_rhs(4, Fraction(5), Fraction(2))
 
-    def test_half_integer_gamma_exact_for_odd_d(self):
-        value = lt_rhs(5, Fraction(10), Fraction(3, 2))
-        assert isinstance(value, Fraction)
+    def test_half_integer_gamma_enclosed_for_odd_d(self):
         # Gamma(5/2)Gamma(1)/(Gamma(6)Gamma(5/2)) = 1/120.
-        assert value == Fraction(10) ** 5 / 2**4 / 120
+        with mpmath.mp.workdps(60):
+            assert_close(lt_rhs(5, Fraction(10), Fraction(3, 2)), mpmath.mpf(10) ** 5 / 2**4 / 120)
 
     def test_half_integer_gamma_keeps_pi_for_even_d(self):
-        value = lt_rhs(4, Fraction(1), Fraction(1, 2))
-        assert isinstance(value, PiScaledRational)
-        assert value.pi_half_power == 2
-        assert value.ratio == Fraction(1, 768)
+        # Gamma(3/2)Gamma(3/2)/(Gamma(5)Gamma(2)) / 2**3 = pi/768.
+        with mpmath.mp.workdps(60):
+            assert_close(lt_rhs(4, Fraction(1), Fraction(1, 2)), mpmath.pi / 768)
 
     def test_generic_gamma_self_consistency(self):
         low = lt_rhs(5, Fraction(7), Fraction(1, 3), precision=20)

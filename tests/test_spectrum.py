@@ -14,7 +14,7 @@ from coulomb_sharp.spectrum import (
     levels,
     multiplicity,
     riesz_mean,
-    riesz_mean_d3_closed_form,
+    riesz_mean_order1_int,
 )
 
 
@@ -143,16 +143,30 @@ class TestRieszMean:
             riesz_mean(SpectrumParams(3, Fraction(5)), Fraction(-1))
 
 
+def d3_closed_form(eta):
+    """The paper's d = 3 order-1 mean: (l+1) eta^2/4 - (l+1)(l+2)(2l+3)/6 with l = ceil(eta/2) - 2."""
+    ell = math.ceil(eta / 2) - 2
+    return (ell + 1) * eta**2 / 4 - Fraction((ell + 1) * (ell + 2) * (2 * ell + 3), 6)
+
+
+def order1_d3(eta, k):
+    """riesz_mean_order1_int(3, .) at eta given as the unreduced pair (k num, k den)."""
+    return Fraction(*riesz_mean_order1_int(3, eta.numerator * k, eta.denominator * k))
+
+
 class TestD3ClosedForm:
     def test_threshold_is_zero(self):
-        assert riesz_mean_d3_closed_form(Fraction(2)) == 0
+        assert d3_closed_form(Fraction(2)) == 0
+        assert order1_d3(Fraction(2), 3) == 0
 
     def test_known_values(self):
-        assert riesz_mean_d3_closed_form(Fraction(3)) == Fraction(5, 4)
-        assert riesz_mean_d3_closed_form(Fraction(5)) == Fraction(15, 2)
+        for eta, value in ((Fraction(3), Fraction(5, 4)), (Fraction(5), Fraction(15, 2))):
+            assert d3_closed_form(eta) == value
+            assert order1_d3(eta, 7) == value
 
     def test_matches_general_riesz_mean_on_grid(self):
         for k in range(21, 201):
             eta = Fraction(k, 10)
             general = riesz_mean(SpectrumParams(3, eta), Fraction(1))
-            assert riesz_mean_d3_closed_form(eta) == general
+            assert d3_closed_form(eta) == general
+            assert order1_d3(eta, k % 5 + 1) == general
