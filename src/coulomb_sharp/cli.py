@@ -13,6 +13,7 @@ atomically and are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, fields
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import excess, optima, spectrum, verification
 from .exact import MathematicalError, parse_rational
@@ -54,9 +55,8 @@ def render_decimal(x: Fraction) -> str:
     return render_ratio(x.numerator, x.denominator)
 
 
-def exact_decimal(x: Fraction) -> str | None:
-    """Finite decimal expansion when the denominator is 2^a 5^b, else None."""
-    den = x.denominator
+def _decimal_shift(den: int) -> int | None:
+    """max(a, b) when den = 2^a 5^b, so that 10**max(a, b) / den is an integer; else None."""
     e2 = e5 = 0
     while den % 2 == 0:
         den //= 2
@@ -64,21 +64,34 @@ def exact_decimal(x: Fraction) -> str | None:
     while den % 5 == 0:
         den //= 5
         e5 += 1
-    if den != 1:
-        return None
-    shift = max(e2, e5)
-    scaled = x.numerator * 10**shift // x.denominator
+    return max(e2, e5) if den == 1 else None
+
+
+def _fixed_point(scaled: int, shift: int) -> str:
+    """The decimal scaled * 10**-shift, written out in full."""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
-    sign = "-" if scaled < 0 else ""
-    if shift == 0:
-        return sign + digits
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+    return ("-" if scaled < 0 else "") + (f"{digits[:-shift]}.{digits[-shift:]}" if shift else digits)
 
 
-def render_grid_value(num: int, den: int) -> str:
-    # Reduced first: with step 1/7 the point 21/7 is 3, a finite decimal.
-    x = Fraction(num, den)
-    return exact_decimal(x) or render_decimal(x)
+def exact_decimal(x: Fraction) -> str | None:
+    """Finite decimal expansion when the denominator is 2^a 5^b, else None."""
+    shift = _decimal_shift(x.denominator)
+    return None if shift is None else _fixed_point(x.numerator * 10**shift // x.denominator, shift)
+
+
+def render_grid_column(numerators: Iterable[int], den: int) -> list[str]:
+    """Each grid point n/den as exact_decimal writes it when finite, else as render_ratio does.
+
+    Finiteness depends on the reduced denominator den // gcd(n, den), a
+    divisor of den, so each divisor is tested once per grid.  With step 1/7
+    the point 21/7 is 3, a finite decimal.
+    """
+    shift_of = functools.cache(_decimal_shift)  # lives for this grid only
+    cells = []
+    for n in numerators:
+        shift = shift_of(den // math.gcd(n, den))
+        cells.append(render_ratio(n, den) if shift is None else _fixed_point(n * 10**shift // den, shift))
+    return cells
 
 
 # -- sweep configuration -----------------------------------------------------
@@ -237,11 +250,11 @@ def figure_lt_d3(step: Fraction) -> Rows:
         ("eta[Lambda=1]", "trace_excess[Lambda]", "lower_envelope[Lambda]", "upper_envelope[Lambda]")
     ]
     etas, den = grid_numerators(2 + step, Fraction(20), step)
-    for n in etas:
+    for n, eta in zip(etas, render_grid_column(etas, den)):
         trace_num, trace_den = spectrum.riesz_mean_order1_int(3, n, den)
         (lead_num, lead_den), lower, upper = spectrum.d3_envelope_terms_int(n, den)
         middle = render_ratio(trace_num * lead_den - trace_den * lead_num, trace_den * lead_den)
-        rows.append((render_grid_value(n, den), middle, render_ratio(*lower), render_ratio(*upper)))
+        rows.append((eta, middle, render_ratio(*lower), render_ratio(*upper)))
     return rows
 
 
@@ -249,8 +262,8 @@ def figure_rd_vs_qd(step: Fraction) -> Rows:
     """Excess ratio R, sampled at eta = 2 tau + d - 1, against its upper function Q for d = 5 and d = 6."""
     rows: Rows = [("tau[Lambda=1]", "q_d5[ratio]", "r_d5[ratio]", "q_d6[ratio]", "r_d6[ratio]")]
     taus, den = grid_numerators(step, Fraction(8), step)
-    for n in taus:
-        cells = [render_grid_value(n, den)]
+    for n, tau in zip(taus, render_grid_column(taus, den)):
+        cells = [tau]
         for d in (5, 6):
             cells.append(render_ratio(*excess.q_int(d, n, den)))
             cells.append(render_ratio(*excess.r_int(d, 2 * n + (d - 1) * den, den)))
@@ -261,13 +274,12 @@ def figure_rd_vs_qd(step: Fraction) -> Rows:
 def figure_f_plot(step: Fraction) -> Rows:
     """The log-derivative of Q for d = 6, with pole-adjacent windows removed."""
     d = 6
-    poles = {-root for _, root in excess.f_terms(d)}
     rows: Rows = [("t[Lambda=1]", "f6[1/t]")]
     ts, den = grid_numerators(Fraction(-11, 2), Fraction(4), step)
-    for n in ts:
-        # |t - P/L| > 1/20 for every pole P/L, in integers
-        if all(abs(20 * (pole.denominator * n - pole.numerator * den)) > pole.denominator * den for pole in poles):
-            rows.append((render_grid_value(n, den), render_ratio(*excess.f_int(d, n, den))))
+    # |t - pn/pd| > 1/20 for every pole pn/pd, in integers: |20 (pd n - pn den)| > pd den.
+    poles = {(-root.numerator, root.denominator) for _, root in excess.f_terms(d)}
+    kept = [n for n in ts if all(abs(20 * (pd * n - pn * den)) > pd * den for pn, pd in poles)]
+    rows += [(t, render_ratio(*excess.f_int(d, n, den))) for n, t in zip(kept, render_grid_column(kept, den))]
     return rows
 
 

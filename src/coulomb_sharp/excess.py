@@ -221,22 +221,27 @@ def f_as_ratfun(d: int) -> RationalFunctionPair:
 # -- A, its log-derivative g, and the odd-d squeeze ---------------------------
 
 
-def a_eval_squared(d: int, t: RationalLike) -> Fraction:
-    """A**2 = (t+d/2)**(2-d) (t+d/2-1)**(-d) prod_{j<d}(t+j)**2, exact for any d.
+def a_squared_int(d: int, p: int, q: int) -> tuple[int, int]:
+    """A**2 = (t+d/2)**(2-d) (t+d/2-1)**(-d) prod_{j<d}(t+j)**2 at t = p/q (q > 0).
 
-    For t = p/q the powers of q cancel, leaving one integer quotient
-    2**(2d-2) P**2 / ((2p+dq)**(d-2) (2p+(d-2)q)**d) with P = prod_{j<d}(p+jq).
+    The powers of q cancel, leaving the integer pair
+    2**(2d-2) P**2 / ((2p+dq)**(d-2) (2p+(d-2)q)**d) with P = prod_{j<d}(p+jq),
+    whose denominator is positive for t >= 0.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
-    t = as_rational(t)
-    p, q = t.numerator, t.denominator
     b1 = 2 * p + d * q
     b2 = 2 * p + (d - 2) * q
     if b1 == 0 or b2 == 0:
-        raise ValueError(f"pole at t = {t}")
+        raise ValueError(f"pole at t = {Fraction(p, q)}")
     prod = _pochhammer_int(d - 1, p, q)
-    return Fraction(2 ** (2 * d - 2) * prod * prod, b1 ** (d - 2) * b2**d)
+    return 2 ** (2 * d - 2) * prod * prod, b1 ** (d - 2) * b2**d
+
+
+def a_eval_squared(d: int, t: RationalLike) -> Fraction:
+    """A**2 at a rational t, exact for any d."""
+    t = as_rational(t)
+    return Fraction(*a_squared_int(d, t.numerator, t.denominator))
 
 
 def a_squared_as_ratfun(d: int) -> RationalFunctionPair:

@@ -13,19 +13,14 @@ denominator because every distinct pole of the partial fractions carries a
 nonzero coefficient, so its roots are exactly the zeros of the log-derivative.
 The zero is narrowed by bisection on integer sign evaluations.
 
-The window maxima are walked in integers.  P(l) = prod_{k<d}(l+k) steps
-exactly as P(l+1) = P(l)(l+d) // (l+1), and each level becomes an unreduced
-pair with positive denominator: ((2l+d) P, (2l+d-1)**d) for Q and
-(P**2, (2l+d)**(d-2) (2l+d-2)**d) for A**2, the common power of 2 dropped.
-Every level is compared exactly against the running best, so the maximum is
-exact over the whole window and nothing assumes the levels rise and then
-fall; ties go to the smaller level and are reported.  A pre-screen encloses
-each level as num/den in [key, key+1) * 2**-k, key = floor(num * 2**k / den)
-with about SCREEN_BITS bits, and decides only when the two enclosures are
-disjoint: then the order of the intervals is the order of the values, with
-no float and no margin.  Overlapping enclosures, equal values always among
-them, fall back to cross-multiplying the full operands.  Only the winner is
-reduced, through the closed forms q_value / a_value_squared.
+The window maxima are walked in integers, through the sign of each
+difference of adjacent levels: both sides of the closed-form ratio
+V(l+1)/V(l) are small factors times powers near 2l+d, one new power per
+level, so no level value is built.  Only weak local maxima can be maximal;
+they are compared exactly by cross-multiplying their unreduced integer
+pairs, so nothing assumes the levels rise and then fall.  Ties go to the
+smaller level and are reported.  Only the winner is reduced, through the
+closed forms q_value / a_value_squared.
 Odd-d irrationality of A is handled by comparing squares.
 """
 
@@ -34,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import excess
 from .exact import (
@@ -53,8 +48,6 @@ from .exact import (
 )
 
 DEFAULT_BRACKET_WIDTH = Fraction(1, 1000)
-# Bits kept in the quotient of each window level's enclosure (_enclosure).
-SCREEN_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -111,70 +104,62 @@ def a_value_squared(d: int, ell: int) -> Fraction:
     return excess.a_eval_squared(d, ell)
 
 
-def _enclosure(num: int, den: int) -> tuple[int, int]:
-    """(key, k) with key = floor(num * 2**k / den), so num/den lies in [key, key+1) * 2**-k.
+def _q_steps(d: int, lo: int, hi: int) -> Iterator[int]:
+    """Sign of Q(l+1) - Q(l) for l = lo..hi-1, from the ratio of adjacent levels.
 
-    k = bitlen(den) - bitlen(num) + SCREEN_BITS puts the quotient at about
-    SCREEN_BITS bits: one shift and one division with a short quotient.
+    Q(l+1)/Q(l) = (2l+d+2)(l+d) (2l+d-1)**d / ((2l+d)(l+1) (2l+d+1)**d), and
+    this level's (2l+d+1)**d is the next one's (2l+d-1)**d.
     """
-    k = den.bit_length() - num.bit_length() + SCREEN_BITS
-    key = (num << k) // den if k >= 0 else num // (den << -k)
-    return key, k
-
-
-def _cross_compare(num: int, den: int, best_num: int, best_den: int) -> int:
-    """Sign of num/den - best_num/best_den by cross-multiplying (denominators positive)."""
-    lhs, rhs = num * best_den, best_num * den
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def _argmax_of_pairs(levels: Iterable[tuple[int, int, int]]) -> tuple[int, int | None]:
-    """Level of the largest num/den over (ell, num, den) triples in ascending ell, den > 0.
-
-    Each level is compared exactly against the running best: disjoint
-    enclosures decide, overlapping ones fall back to cross-multiplying.  Ties
-    break toward the smaller level; the first later level equal to the
-    winner is reported as the tie.
-    """
-    it = iter(levels)
-    best_ell, best_num, best_den = next(it)
-    best_key, best_k = _enclosure(best_num, best_den)
-    tie: int | None = None
-    for ell, num, den in it:
-        key, k = _enclosure(num, den)
-        # Both enclosures in units of 2**-K.
-        K = max(k, best_k)
-        lo, hi = key << (K - k), (key + 1) << (K - k)
-        best_lo, best_hi = best_key << (K - best_k), (best_key + 1) << (K - best_k)
-        if hi <= best_lo:
-            continue
-        order = 1 if lo >= best_hi else _cross_compare(num, den, best_num, best_den)
-        if order > 0:
-            best_ell, best_num, best_den, best_key, best_k, tie = ell, num, den, key, k, None
-        elif order == 0 and tie is None:
-            tie = ell
-    return best_ell, tie
-
-
-def _q_levels(d: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """Q(ell) / 2**(d-1) as the pair ((2l+d) P, (2l+d-1)**d), P = prod_{k<d}(l+k), walked in ell."""
-    prod = excess._pochhammer_int(d - 1, lo, 1)
-    for ell in range(lo, hi + 1):
-        yield ell, (2 * ell + d) * prod, (2 * ell + d - 1) ** d
-        prod = prod * (ell + d) // (ell + 1)
-
-
-def _a_squared_levels(d: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """A**2(ell) / 2**(2d-2) as the pair (P**2, (2l+d)**(d-2) (2l+d-2)**d), walked in ell."""
-    prod = excess._pochhammer_int(d - 1, lo, 1)
-    lower = (2 * lo + d - 2) ** d
-    for ell in range(lo, hi + 1):
+    upper = (2 * lo + d - 1) ** d
+    for ell in range(lo, hi):
         base = 2 * ell + d
-        upper = base ** (d - 2)
-        yield ell, prod * prod, upper * lower
-        # 2(ell+1) + d - 2 = base: this level's base**d is the next one's lower factor.
-        lower = upper * base * base
-        prod = prod * (ell + d) // (ell + 1)
+        lower, upper = upper, (base + 1) ** d
+        lhs, rhs = (base + 2) * (ell + d) * lower, base * (ell + 1) * upper
+        yield (lhs > rhs) - (lhs < rhs)
+
+
+def _a_squared_steps(d: int, lo: int, hi: int) -> Iterator[int]:
+    """Sign of A**2(l+1) - A**2(l) for l = lo..hi-1, from the ratio of adjacent levels.
+
+    A**2(l+1)/A**2(l) = (l+d)**2 (2l+d-2)**d / ((l+1)**2 (2l+d)**2 (2l+d+2)**(d-2)).
+    y**(d-2) rolls over y = 2l+d-2, 2l+d, 2l+d+2, and y**d = y**(d-2) y**2.
+    """
+    below, middle = (2 * lo + d - 2) ** (d - 2), (2 * lo + d) ** (d - 2)
+    for ell in range(lo, hi):
+        base = 2 * ell + d
+        above = (base + 2) ** (d - 2)
+        lhs, rhs = (ell + d) ** 2 * (base - 2) ** 2 * below, ((ell + 1) * base) ** 2 * above
+        yield (lhs > rhs) - (lhs < rhs)
+        below, middle = middle, above
+
+
+def _window_argmax(
+    lo: int, hi: int, steps: Iterable[int], pair: Callable[[int], tuple[int, int]]
+) -> tuple[int, int | None]:
+    """Smallest maximal level of V over lo..hi, and the next level of equal value.
+
+    steps holds sign(V(l+1) - V(l)) for l = lo..hi-1; pair(l) is V(l) as an
+    integer pair with positive denominator, built only for the weak local
+    maxima (no fall into the level, no rise out of it) when there are several.
+    """
+    candidates, no_fall_in = [], True
+    for ell, step in zip(range(lo, hi), steps):
+        if no_fall_in and step <= 0:
+            candidates.append(ell)
+        no_fall_in = step >= 0
+    if no_fall_in:
+        candidates.append(hi)
+    best, tie = candidates[0], None
+    if len(candidates) > 1:
+        best_num, best_den = pair(best)
+        for ell in candidates[1:]:
+            num, den = pair(ell)
+            lhs, rhs = num * best_den, best_num * den
+            if lhs > rhs:
+                best, best_num, best_den, tie = ell, num, den, None
+            elif lhs == rhs and tie is None:
+                tie = ell
+    return best, tie
 
 
 def q_star(d: int) -> StarResult:
@@ -182,7 +167,7 @@ def q_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = q_candidate_window(d)
-    argmax, tie = _argmax_of_pairs(_q_levels(d, lo, hi))
+    argmax, tie = _window_argmax(lo, hi, _q_steps(d, lo, hi), lambda ell: excess.q_int(d, ell, 1))
     best = q_value(d, argmax)
     return StarResult(
         d=d,
@@ -199,7 +184,9 @@ def a_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = a_candidate_window(d)
-    argmax, tie = _argmax_of_pairs(_a_squared_levels(d, lo, hi))
+    argmax, tie = _window_argmax(
+        lo, hi, _a_squared_steps(d, lo, hi), lambda ell: excess.a_squared_int(d, ell, 1)
+    )
     best_sq = a_value_squared(d, argmax)
     # For even d both powers in A**2's denominator (d-2 and d) are even and its
     # numerator is a square, so the reduced fraction is a square over a square;

@@ -202,6 +202,8 @@ class TestConstantsCommand:
             ("q-star", 60, "51ecf113719ced1264a5b8705cc3ff78e9b3fbd3f247184323d4ee4dd7f85bdf"),
             ("q-star", 150, "a68d37ff0b714412463724feb25e551944fb16fdc402c5f65f7bf86a9f7ebead"),
             ("q-star", 200, "5bd8030d6f51c9224f47cdd1f6496a2ab5963fa473f36a489ac7b511d26d644d"),
+            ("q-star", 299, "27a2dcd8b7bb4368b9dbb438d432a22e63f4117447c5a0f3eb9fda436915310f"),
+            ("q-star", 400, "bc5ea8b2845140df2a499e6ac2c7708dcfbcdcbc23fe9d674bf97e9a41c6378f"),
             ("a-star", 4, "407612d8ba5d6698dad147ffeece635cc1c47527c8cee9a9a3ae336d68eeb514"),
             ("a-star", 5, "9b691c715c7a6c75bf0fb018481e858de58ab627ead8f0befff911fd4d8dfa55"),
             ("a-star", 6, "f38a97daa38d9e1c54dd9761cc3430bd43af4e61be592263b68fd633c952c5f6"),
@@ -211,11 +213,13 @@ class TestConstantsCommand:
             ("a-star", 60, "13dd4681d633de9b76e514948d27435c97d0526deda6cc1520eaa7829abf5951"),
             ("a-star", 150, "88f3dc39a5febfd7718e28d1154cf531b21f225dc04036244980ade363569897"),
             ("a-star", 200, "fb556d172ddbca609ee587222a2d5a9173cec425754ea1cc03d482f72f2391b8"),
+            ("a-star", 299, "7ba40b0acded770dddfc94a65bbb03202db8bea92a09807d522e3a3a38ee8220"),
+            ("a-star", 400, "26b4e1ad6434d862077f9ab984f32c21a077a47d442085f2b639a08e2f4b75c0"),
         ],
     )
     def test_star_bytes_pinned(self, capsys, which, d, sha256):
         # One integer product path for Q, A**2 and the even-d root of A**2, and the
-        # integer window walk up to the asymptotics suite's largest d: not one byte may move.
+        # integer window walk up to the largest d that --d-range accepts: not one byte may move.
         assert main(["constants", "--d", str(d), "--which", which]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 

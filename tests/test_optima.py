@@ -120,6 +120,15 @@ class TestAStar:
             assert result.value > 0
             assert result.value**2 == result.value_squared
 
+    def test_window_never_excludes_brute_force_argmax(self):
+        # Brute-force oracle over [0, d^2], every level reduced by its closed form.
+        for d in range(5, 61):
+            values = [excess.a_eval_squared(d, ell) for ell in range(d * d + 1)]
+            best = max(values)
+            result = optima.a_star(d)
+            assert result.argmax_ell == values.index(best)
+            assert result.value_squared == best
+
     def test_integer_argmax_flanks_real_maximizer(self):
         for d in range(6, 17):
             bracket = optima.locate_a_maximizer(d, Fraction(1, 100))
@@ -179,30 +188,45 @@ def level_lists(draw):
     return levels
 
 
-@pytest.fixture
-def cross_compares(monkeypatch):
-    """Count the window walk's exact (cross-multiplying) comparisons."""
-    calls = []
-    exact = optima._cross_compare
+@st.composite
+def peaked_levels(draw):
+    """Ascending (ell, num, den) levels from a few small values: plateaus, several peaks, equal separate peaks."""
+    rng = draw(st.randoms(use_true_random=False))
+    lo = draw(st.integers(0, 50))
+    values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    levels = []
+    for ell, value in enumerate(values, lo):
+        # The same value written over denominators of different bit lengths.
+        scale = rng.getrandbits(draw(st.sampled_from([1, 8, 64, 130]))) | 1
+        levels.append((ell, value * scale, 3 * scale))
+    return levels
 
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
 
-    monkeypatch.setattr(optima, "_cross_compare", counted)
-    return calls
+def walk(levels):
+    """optima._window_argmax over (ell, num, den) levels in ascending ell, and the levels whose pairs it built.
+
+    The step signs come from the exact values; each built pair beyond the
+    first is one exact comparison.
+    """
+    values = [Fraction(num, den) for _, num, den in levels]
+    steps = [(b > a) - (b < a) for a, b in zip(values, values[1:])]
+    pairs = {ell: (num, den) for ell, num, den in levels}
+    built = []
+
+    def pair(ell):
+        built.append(ell)
+        return pairs[ell]
+
+    return optima._window_argmax(levels[0][0], levels[-1][0], steps, pair), built
 
 
-def touching_pair():
-    """Two values over one denominator whose enclosures share exactly one endpoint (lower first)."""
-    den = (1 << 100) + 12345
-    upper_num = (1 << 89) + 987654321
-    k = den.bit_length() - upper_num.bit_length() + optima.SCREEN_BITS
-    key = (upper_num << k) // den
-    # Smallest numerator whose key is key - 1: its enclosure ends where upper_num's begins.
-    lower_num = -((-(key - 1) * den) >> k)
-    assert (lower_num << k) // den == key - 1 and lower_num.bit_length() == upper_num.bit_length()
-    return (lower_num, den), (upper_num, den)
+def weak_local_maxima(values):
+    """Indices i with values[i-1] <= values[i] >= values[i+1], the missing neighbours at the ends ignored."""
+    return [
+        i
+        for i, value in enumerate(values)
+        if (i == 0 or values[i - 1] <= value) and (i == len(values) - 1 or values[i + 1] <= value)
+    ]
 
 
 class TestWindowWalk:
@@ -221,77 +245,120 @@ class TestWindowWalk:
             expected = optima.StarResult(d, best_ell, best_sq, value if d % 2 == 0 else None, window, tie)
             assert optima.a_star(d) == expected
 
-    def test_walked_pairs_are_the_level_values(self):
-        for d in (3, 4, 9, 30, 31):
-            for levels, value, scale in (
-                (optima._q_levels, excess.q_eval, 2 ** (d - 1)),
-                (optima._a_squared_levels, excess.a_eval_squared, 2 ** (2 * d - 2)),
-            ):
-                walked = list(levels(d, 2, 2 + d))
-                assert [ell for ell, _, _ in walked] == list(range(2, 3 + d))
-                for ell, num, den in walked:
-                    assert Fraction(scale * num, den) == value(d, ell)
+    @pytest.mark.parametrize(
+        "steps, value, window",
+        [
+            (optima._q_steps, excess.q_eval, optima.q_candidate_window),
+            (optima._a_squared_steps, excess.a_eval_squared, optima.a_candidate_window),
+        ],
+        ids=("Q", "A_squared"),
+    )
+    def test_step_signs_are_the_level_differences(self, steps, value, window):
+        # From level 0 to three levels past the window, for every d in 3..80.
+        for d in range(3, 81):
+            hi = window(d)[1] + 3
+            values = [value(d, ell) for ell in range(hi + 1)]
+            expected = [(b > a) - (b < a) for a, b in zip(values, values[1:])]
+            assert list(steps(d, 0, hi)) == expected
+            # A walk started inside the range carries its powers from its own first level.
+            mid = min(hi, 9)
+            assert list(steps(d, 2, mid)) == expected[2:mid]
 
     def test_equal_levels_keep_the_smallest_and_report_the_next_as_tie(self):
         # Levels 4, 5 and 7 are all 1/3, written with different denominators.
         levels = [(4, 1, 3), (5, 2, 6), (6, 1, 4), (7, 3, 9)]
-        assert optima._argmax_of_pairs(levels) == (4, 5)
+        assert walk(levels)[0] == (4, 5)
 
     def test_later_larger_level_clears_the_tie(self):
         levels = [(4, 1, 3), (5, 2, 6), (6, 2, 5), (7, 4, 10)]
-        assert optima._argmax_of_pairs(levels) == (6, 7)
-        assert optima._argmax_of_pairs(levels[:3]) == (6, None)
+        assert walk(levels)[0] == (6, 7)
+        assert walk(levels[:3])[0] == (6, None)
 
     def test_single_level_window(self):
-        assert optima._argmax_of_pairs([(0, 5, 7)]) == (0, None)
+        assert walk([(0, 5, 7)]) == ((0, None), [])
+
+    def test_one_peak_builds_no_pair(self):
+        assert walk([(3, 1, 5), (4, 2, 5), (5, 4, 5), (6, 3, 5)]) == ((5, None), [])
+        assert walk([(3, 4, 5), (4, 2, 5), (5, 1, 5)]) == ((3, None), [])
+        assert walk([(3, 1, 5), (4, 2, 5), (5, 4, 5)]) == ((5, None), [])
+
+    def test_separate_peaks_are_the_only_pairs_built(self):
+        levels = [(0, 1, 9), (1, 5, 9), (2, 2, 9), (3, 1, 9), (4, 7, 9), (5, 3, 9), (6, 7, 9)]
+        assert walk(levels) == ((4, 6), [1, 4, 6])
 
     @settings(max_examples=300, deadline=None)
     @given(level_lists())
     def test_argmax_matches_fraction_reference(self, levels):
-        assert optima._argmax_of_pairs(levels) == reference_argmax(levels)
+        assert walk(levels)[0] == reference_argmax(levels)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 5000), st.integers(1, 5000), st.randoms(use_true_random=False))
-    def test_enclosure_contains_the_level(self, num_bits, den_bits, rng):
-        num, den = rng.getrandbits(num_bits), rng.getrandbits(den_bits) | 1
-        key, k = optima._enclosure(num, den)
-        unit = Fraction(1, 2) ** k
-        assert key * unit <= Fraction(num, den) < (key + 1) * unit
-        assert key == 0 if num == 0 else 2**63 <= key < 2**65
+    @given(peaked_levels())
+    def test_peaks_and_plateaus_match_fraction_reference(self, levels):
+        (best, tie), built = walk(levels)
+        assert (best, tie) == reference_argmax(levels)
+        peaks = weak_local_maxima([Fraction(num, den) for _, num, den in levels])
+        assert built == ([] if len(peaks) == 1 else [levels[i][0] for i in peaks])
 
     @pytest.mark.parametrize(
         "first, second", [((3, 5), (9, 15)), ((9, 15), (3, 5)), ((1, 3), (3**90, 3**91))]
     )
-    def test_tie_written_with_other_bit_lengths(self, first, second, cross_compares):
-        levels = [(0, *first), (1, *second)]
-        assert optima._argmax_of_pairs(levels) == (0, 1)
-        assert len(cross_compares) == 1
+    def test_tie_written_with_other_bit_lengths(self, first, second):
+        # Two equal levels are both peaks: one exact comparison decides the tie.
+        assert walk([(0, *first), (1, *second)]) == ((0, 1), [0, 1])
 
-    def test_5000_bit_levels_one_apart(self, cross_compares):
+    def test_5000_bit_levels_one_apart(self):
         rng = random.Random(5000)
         num, den = rng.getrandbits(4999) | 1 << 4999, rng.getrandbits(4989) | 1 << 4989
-        assert optima._argmax_of_pairs([(0, num, den), (1, num + 1, den)]) == (1, None)
-        assert optima._argmax_of_pairs([(0, num + 1, den), (1, num, den)]) == (0, None)
-        # The two levels agree far beyond the enclosure's bits, so only the product decides.
-        assert len(cross_compares) == 2
+        assert walk([(0, num, den), (1, num + 1, den)]) == ((1, None), [])
+        assert walk([(0, num + 1, den), (1, num, den)]) == ((0, None), [])
+        assert walk([(0, num, den), (1, 1, den), (2, num + 1, den)]) == ((2, None), [0, 2])
+        assert walk([(0, num + 1, den), (1, 1, den), (2, num, den)]) == ((0, None), [0, 2])
 
     def test_larger_level_after_a_tie(self):
         larger = ((3 << 5000) + 1, 5 << 5000)
-        assert optima._argmax_of_pairs([(0, 3, 5), (1, 9, 15), (2, *larger)]) == (2, None)
-        assert optima._argmax_of_pairs([(0, 3, 5), (1, 9, 15), (2, *larger), (3, 6, 10)]) == (2, None)
+        assert walk([(0, 3, 5), (1, 9, 15), (2, *larger)])[0] == (2, None)
+        assert walk([(0, 3, 5), (1, 9, 15), (2, *larger), (3, 6, 10)])[0] == (2, None)
 
-    def test_touching_enclosures_decide_without_the_product(self, cross_compares):
-        lower, upper = touching_pair()
-        assert optima._argmax_of_pairs([(0, *upper), (1, *lower)]) == (0, None)
-        assert optima._argmax_of_pairs([(0, *lower), (1, *upper)]) == (1, None)
-        assert cross_compares == []
-
-    def test_window_ties_reach_the_exact_path(self, cross_compares):
+    def test_window_ties_reach_the_exact_path(self, monkeypatch):
         # A**2 at d = 6 takes its maximum at levels 0 and 1, a genuine tie.
+        assert excess.a_eval_squared(6, 0) == excess.a_eval_squared(6, 1)
+        calls = []
+        exact = excess.a_squared_int
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(excess, "a_squared_int", counted)
         result = optima.a_star(6)
         assert (result.argmax_ell, result.tie_ell) == (0, 1)
-        assert excess.a_eval_squared(6, 0) == excess.a_eval_squared(6, 1)
-        assert len(cross_compares) == 1
+        # One pair per peak, so exactly one exact comparison, then the winner's reduction.
+        assert calls == [(6, 0, 1), (6, 1, 1), (6, 0, 1)]
+
+    @pytest.mark.parametrize(
+        "star, value, window",
+        [
+            (optima.q_star, excess.q_eval, optima.q_candidate_window),
+            (optima.a_star, excess.a_eval_squared, optima.a_candidate_window),
+        ],
+        ids=("Q", "A_squared"),
+    )
+    def test_level_products_only_for_peaks(self, monkeypatch, star, value, window):
+        # The walk builds no level value: the Pochhammer product runs once per
+        # compared peak and once for the winner's reduction.
+        d = 200
+        lo, hi = window(d)
+        peaks = weak_local_maxima([value(d, ell) for ell in range(lo, hi + 1)])
+        calls = []
+        product = excess._pochhammer_int
+
+        def counted(*args):
+            calls.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(excess, "_pochhammer_int", counted)
+        star(d)
+        assert len(calls) <= len(peaks) + 1
 
 
 class TestAMaximizerBracket:
