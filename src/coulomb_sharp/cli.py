@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success / all checks passing, 1 on a failing or inconclusive
 check and on a mathematical failure (``exact.MathematicalError``: an
-uncertified root, t* at d = 3, an unresolved precision), 2 on usage errors
-(input beyond the size limits below included) and on a failed read or write.
+uncertified root, t* at d = 3), 2 on usage errors (input beyond the size
+limits below included) and on a failed read or write.
 Commands raise; only ``main`` maps an error to its exit code.  All eta inputs
 are parsed as exact rationals (decimal strings become exact scaled integers),
 so level counts never depend on binary floating point.  Reports are written
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import excess, optima, spectrum, verification
 from .exact import MathematicalError, parse_rational
-from .highprec import DEFAULT_PRECISION, MAX_PRECISION, check_precision, sqrt_of_fraction
+from .highprec import DEFAULT_PRECISION, MAX_PRECISION, check_precision
 from .spectrum import MAX_DIMENSION, check_dimension
 
 DECIMAL_SIGNIFICANT_DIGITS = 15
@@ -73,14 +73,21 @@ def _fixed_point(scaled: int, shift: int) -> str:
     return ("-" if scaled < 0 else "") + (f"{digits[:-shift]}.{digits[-shift:]}" if shift else digits)
 
 
-def exact_decimal(x: Fraction) -> str | None:
-    """Finite decimal expansion when the denominator is 2^a 5^b, else None."""
-    shift = _decimal_shift(x.denominator)
-    return None if shift is None else _fixed_point(x.numerator * 10**shift // x.denominator, shift)
+def render_sqrt(x: Fraction) -> str:
+    """sqrt(x) for a rational x > 1 that is not a square, rounded to DECIMAL_SIGNIFICANT_DIGITS digits.
+
+    With m places after the point, floor(sqrt(x) 10**(m+1)) is one exact
+    isqrt and carries one spare digit; a spare digit of 5 or more rounds up.
+    The root is irrational, so the digits after the spare one are never all
+    zero and no tie is possible.
+    """
+    places = DECIMAL_SIGNIFICANT_DIGITS - len(str(math.isqrt(x.numerator // x.denominator)))
+    scaled = math.isqrt(x.numerator * 100 ** (places + 1) // x.denominator)
+    return _fixed_point((scaled + 5) // 10, places)
 
 
 def render_grid_column(numerators: Iterable[int], den: int) -> list[str]:
-    """Each grid point n/den as exact_decimal writes it when finite, else as render_ratio does.
+    """Each grid point n/den written out in full when it is a finite decimal, else as render_ratio writes it.
 
     Finiteness depends on the reduced denominator den // gcd(n, den), a
     divisor of den, so each divisor is tested once per grid.  With step 1/7
@@ -346,20 +353,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _star_payload(which: str, result: optima.StarResult) -> dict:
-    value_decimal = None
-    if result.value is not None:
-        value_decimal = render_decimal(result.value)
-    else:
-        value_decimal = sqrt_of_fraction(
-            result.value_squared, DECIMAL_SIGNIFICANT_DIGITS
-        ).to_decimal()
+    irrational = result.value is None  # A at odd d: only its square is rational
     return {
         "d": result.d,
         "which": which,
         "argmax_ell": result.argmax_ell,
         "candidate_window": list(result.candidate_window),
-        "value": str(result.value) if result.value is not None else None,
-        "value_decimal": value_decimal,
+        "value": None if irrational else str(result.value),
+        "value_decimal": render_sqrt(result.value_squared) if irrational else render_decimal(result.value),
         "value_squared": str(result.value_squared),
         "value_squared_decimal": render_decimal(result.value_squared),
         "tie_ell": result.tie_ell,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -261,11 +260,6 @@ def g_terms(d: int) -> list[tuple[Fraction, Fraction]]:
     )
 
 
-def g_eval(d: int, t: RationalLike) -> Fraction:
-    """Logarithmic derivative of A, evaluated exactly away from its poles."""
-    return _eval_at(g_terms(d), t)
-
-
 def g_as_ratfun(d: int) -> RationalFunctionPair:
     return partial_fraction_sum(g_terms(d))
 
@@ -329,37 +323,6 @@ def h_a_as_ratfun(d: int, a: RationalLike) -> RationalFunctionPair:
     return partial_fraction_sum(h_a_terms(d, a))
 
 
-@dataclass(frozen=True)
-class SandwichCertificate:
-    """Exact witness for h_{a_d}(s) < g~(s) < h_{1/2}(s) at one sample point."""
-
-    d: int
-    s: Fraction
-    lower: Fraction
-    middle: Fraction
-    upper: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.lower < self.middle < self.upper
-
-
-def g_shifted_sandwich_check(d: int, s: RationalLike) -> SandwichCertificate:
-    """Certify the strict squeeze at a rational point s > (d-3)/2."""
-    s = as_rational(s)
-    if d < 5 or d % 2 == 0:
-        raise ValueError("the squeeze applies to odd d >= 5")
-    if s <= Fraction(d - 3, 2):
-        raise ValueError("precondition violated: need s > (d-3)/2")
-    return SandwichCertificate(
-        d=d,
-        s=s,
-        lower=h_a_eval(d, squeeze_coefficient(d), s),
-        middle=g_shifted_eval(d, s),
-        upper=h_a_eval(d, Fraction(1, 2), s),
-    )
-
-
 # -- the summation bound G ----------------------------------------------------
 
 
@@ -382,12 +345,6 @@ def big_g_squared_int(d: int, p: int, q: int) -> tuple[int, int]:
     outer = (2 * p + d * q) * (p + (d - 1) * q)
     prod = _pochhammer_int(d - 2, p, q)
     return prod * prod * bracket**d, 4 * (u * v) ** d * outer ** (d - 2)
-
-
-def big_g_squared(d: int, t: RationalLike) -> Fraction:
-    """G**2 as an exact rational, valid for d >= 4 and t >= 0."""
-    t = as_rational(t)
-    return Fraction(*big_g_squared_int(d, t.numerator, t.denominator))
 
 
 def big_g_monotonicity_quadratic(d: int) -> Polynomial:

@@ -1,4 +1,4 @@
-"""High-precision reals: enclosures, and self-validating evaluation.
+"""High-precision reals: enclosures for the non-integer orders, and their display.
 
 Only a handful of quantities in this project are genuinely irrational
 (half-integer powers for odd dimension, gamma values at generic arguments,
@@ -14,18 +14,17 @@ evaluation.  Two enclosures are compared once (``exact.dyadic_less``);
 ``dyadic_real`` turns the lower end into a ``HighPrecisionReal`` for display.
 Enclosures are sized once and never retried.
 
-The one other irrational value, the square root behind a-star's display
-(``sqrt_of_fraction``), is evaluated with mpmath under a simple contract:
-compute at ``precision + 10`` guard digits and again with ten more, accept
-when the two runs agree through the guarded length, otherwise double the
-working precision and retry.  ``validated_eval`` is the only loop that
-raises working precision; its value is displayed, never compared.
+The other irrational value, A at odd d, is the square root of an exact
+rational and is read off one integer square root (``cli.render_sqrt``,
+``verification.asymptotic_residuals``).  This module is the only one that
+sets an mpmath working precision; ``validated_eval``, which runs a
+computation twice and doubles the precision until the runs agree, is kept
+for the benchmark tracer only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import mpmath
@@ -69,11 +68,6 @@ class HighPrecisionReal:
         return f"HighPrecisionReal({self.to_decimal()}, precision={self.precision})"
 
 
-def fraction_to_mpf(x: Fraction) -> mpmath.mpf:
-    """Convert under the ambient working precision (one correctly-rounded division)."""
-    return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, mp.prec, libmp.round_nearest))
-
-
 def check_precision(precision: object) -> int:
     """The one precision rule, for every caller and input: an integer from 1 to MAX_PRECISION."""
     if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
@@ -113,6 +107,7 @@ def dyadic_real(enclosure: tuple[int, int, int], precision: int) -> HighPrecisio
     return HighPrecisionReal(mp.make_mpf(libmp.from_man_exp(lo, -k, prec, libmp.round_nearest)), precision)
 
 
+# No production caller; bench/tracer.TRACED names it.
 def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPrecisionReal:
     """Run compute() twice with guard digits; double the precision until they agree."""
     check_precision(precision)
@@ -132,9 +127,3 @@ def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPre
                 return HighPrecisionReal(+second, precision)
         work *= 2
     raise PrecisionError(f"no agreement after {MAX_DOUBLINGS} precision doublings")
-
-
-def sqrt_of_fraction(x: Fraction, precision: int) -> HighPrecisionReal:
-    if x < 0:
-        raise ValueError("square root of a negative rational")
-    return validated_eval(lambda: mpmath.sqrt(fraction_to_mpf(x)), precision)

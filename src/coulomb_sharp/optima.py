@@ -284,19 +284,3 @@ def counterexample_scan(
             hits.append((eta, ratio))
     return hits
 
-
-def a_zero_window_check(d: int) -> bool:
-    """Certify that g has exactly one zero beyond -1, strictly inside a_zero_bounds(d).
-
-    g tends to +inf just right of its pole at -1 and the reduced denominator
-    is positive on the domain, so a certified unique simple zero in the open
-    window with signs (+, -) means g > 0 left of the window and g < 0 right
-    of it, on the whole half-line.
-    """
-    if d < 5 or d % 2 == 0:
-        raise ValueError("this window check is for odd d >= 5")
-    try:
-        bracket = locate_a_maximizer(d)
-    except CertificationError:
-        return False
-    return (bracket.sign_at_lower, bracket.sign_at_upper) == (1, -1)

@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import mpmath
-from mpmath import mp
 
 from . import excess, optima, phase_space, spectrum
 from .exact import (
+    CertificationError,
     Polynomial,
     RationalFunctionPair,
     RationalLike,
@@ -32,7 +32,7 @@ from .exact import (
     dyadic_less,
     expand_linear_factors,
 )
-from .highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits, fraction_to_mpf
+from .highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits
 from .spectrum import MAX_DIMENSION
 
 # Residual bound for the d**-3 tail of the expansions of the sharp constants:
@@ -230,14 +230,15 @@ def check_lt_general_gamma(
     if gamma < 1:
         raise ValueError("the strict inequality needs gamma >= 1")
     params = {"d": d, "eta": eta, "gamma": gamma, "precision": precision}
+    n, den = eta.numerator, eta.denominator
     if gamma == 1:
-        lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d=d, eta=eta), 1)
-        rhs = phase_space.lt_rhs(d, eta, Fraction(1))
+        lhs = Fraction(*spectrum.riesz_mean_order1_int(d, n, den))
+        rhs = Fraction(*phase_space.lt_rhs_order_int(d, n, den, 1))
         return _record("lt-general-gamma", params, lhs < rhs, {"lhs": lhs, "rhs": rhs})
 
     bits = enclosure_bits(precision)
-    lhs_int = spectrum.riesz_mean_int(d, eta.numerator, eta.denominator, gamma, bits)
-    rhs_int = phase_space.lt_rhs_int(d, eta.numerator, eta.denominator, gamma, bits)
+    lhs_int = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+    rhs_int = phase_space.lt_rhs_int(d, n, den, gamma, bits)
     less = dyadic_less(lhs_int, rhs_int)
     note = "exact right-hand side" if (2 * gamma).denominator == 1 else ""
     lhs, rhs = dyadic_real(lhs_int, precision), dyadic_real(rhs_int, precision)
@@ -321,12 +322,14 @@ def check_coefficients_h(d: int, a: RationalLike) -> CheckRecord:
 # -- asymptotics -----------------------------------------------------------------
 
 
-def asymptotic_residuals(d: int, precision: int = DEFAULT_PRECISION) -> tuple[Fraction, float]:
+def asymptotic_residuals(d: int) -> tuple[Fraction, float]:
     """d**3-scaled residuals of the sharp constants against their expansions.
 
     The Q residual is exact; the A - Q gap is exact for even d.  For odd d it
-    is d**3 (A**2 - Q**2) / (A + Q), an exact numerator over a sum evaluated
-    at the requested precision, so no digits cancel.
+    is d**3 (A**2 - Q**2) / (A + Q): an exact numerator, over a sum whose A is
+    floor(sqrt(A**2) 2**128) / 2**128, one integer square root.  No digits
+    cancel; A + Q > 2, so the quotient is within a relative 2**-129 of the
+    gap before its one rounding to a float, whatever the --precision.
     """
     q_result = optima.q_star(d)
     a_result = optima.a_star(d)
@@ -335,10 +338,9 @@ def asymptotic_residuals(d: int, precision: int = DEFAULT_PRECISION) -> tuple[Fr
     if a_result.value is not None:
         residual_a = float(d**3 * (a_result.value - q_result.value))
     else:
-        gap = d**3 * (a_result.value_squared - q_result.value**2)
-        with mp.workdps(precision + 10):
-            a_val = mpmath.sqrt(fraction_to_mpf(a_result.value_squared))
-            residual_a = float(fraction_to_mpf(gap) / (a_val + fraction_to_mpf(q_result.value)))
+        a_sq = a_result.value_squared
+        a_low = Fraction(math.isqrt((a_sq.numerator << 256) // a_sq.denominator), 1 << 128)
+        residual_a = float(d**3 * (a_sq - q_result.value**2) / (a_low + q_result.value))
     return residual_q, residual_a
 
 
@@ -349,7 +351,7 @@ def check_asymptotics(d_lo: int, d_hi: int, precision: int = DEFAULT_PRECISION) 
     residuals_q: list[tuple[int, float]] = []
     residuals_a: list[tuple[int, float]] = []
     for d in range(d_lo, d_hi + 1):
-        rq, ra = asymptotic_residuals(d, precision)
+        rq, ra = asymptotic_residuals(d)
         residuals_q.append((d, abs(float(rq))))
         residuals_a.append((d, abs(ra)))
     bound = float(ASYMPTOTIC_RESIDUAL_BOUND)
@@ -430,12 +432,15 @@ def check_logderiv(kind: str, d: int) -> CheckRecord:
 
 
 def check_sandwich(d: int, s: RationalLike) -> CheckRecord:
-    cert = excess.g_shifted_sandwich_check(d, s)
+    """The strict squeeze h_{a_d}(s) < g~(s) < h_{1/2}(s) of the shifted g, odd d >= 5, at a rational s > (d-3)/2."""
+    s = as_rational(s)
+    if s <= Fraction(d - 3, 2):
+        raise ValueError("precondition violated: need s > (d-3)/2")
+    lower = excess.h_a_eval(d, excess.squeeze_coefficient(d), s)
+    middle = excess.g_shifted_eval(d, s)
+    upper = excess.h_a_eval(d, Fraction(1, 2), s)
     return _record(
-        "sandwich",
-        {"d": d, "s": cert.s},
-        cert.holds,
-        {"lower": cert.lower, "middle": cert.middle, "upper": cert.upper},
+        "sandwich", {"d": d, "s": s}, lower < middle < upper, {"lower": lower, "middle": middle, "upper": upper}
     )
 
 
@@ -449,7 +454,21 @@ def check_g_quadratic(d_lo: int, d_hi: int) -> CheckRecord:
 
 
 def check_a_zero_window(d: int) -> CheckRecord:
-    ok = optima.a_zero_window_check(d)
+    """g has exactly one zero beyond -1, strictly inside optima.a_zero_bounds(d), for odd d.
+
+    g tends to +inf just right of its pole at -1 and the reduced denominator
+    is positive on the domain, so a certified unique simple zero in the open
+    window with signs (+, -) means g > 0 left of the window and g < 0 right
+    of it, on the whole half-line.
+    """
+    if d < 5 or d % 2 == 0:
+        raise ValueError("this window check is for odd d >= 5")
+    try:
+        bracket = optima.locate_a_maximizer(d)
+    except CertificationError:
+        ok = False
+    else:
+        ok = (bracket.sign_at_lower, bracket.sign_at_upper) == (1, -1)
     return _record("a-zero-window", {"d": d}, ok, {"holds": ok})
 
 

@@ -134,7 +134,7 @@ def test_criterion_7_g_function():
         for d in range(4, 13):
             previous = None
             for ell in range(201):
-                value = excess.big_g_squared(d, ell)
+                value = Fraction(*excess.big_g_squared_int(d, ell, 1))
                 assert value <= 1
                 if previous is not None:
                     assert previous < value

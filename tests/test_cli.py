@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from coulomb_sharp import cli, excess, highprec, optima, phase_space, spectrum, verification
-from coulomb_sharp.cli import exact_decimal, main, render_decimal
+from coulomb_sharp.cli import main, render_decimal, render_grid_column, render_ratio
 from coulomb_sharp.exact import CertificationError, MathematicalError
 from coulomb_sharp.highprec import PrecisionError
 
@@ -19,10 +19,10 @@ class TestRendering:
         assert render_decimal(Fraction(0)) == "0"
 
     def test_exact_decimal(self):
-        assert exact_decimal(Fraction(201, 100)) == "2.01"
-        assert exact_decimal(Fraction(-11, 2)) == "-5.5"
-        assert exact_decimal(Fraction(7)) == "7"
-        assert exact_decimal(Fraction(1, 3)) is None
+        # Finite decimals are written out in full; any other point is rounded.
+        assert render_grid_column([201, -550, 700, 100], 100) == ["2.01", "-5.5", "7", "1"]
+        assert render_grid_column([-11], 2) == ["-5.5"]
+        assert render_grid_column([1, 21], 3) == [render_ratio(1, 3), "7"]
 
     def test_decimal_eta_roundtrips_to_fraction(self, capsys):
         assert main(["spectrum", "--d", "6", "--eta", "11.1", "--format", "json"]) == 0
@@ -127,6 +127,20 @@ class TestConstantsCommand:
         assert payload["value_squared"] == "16384/3375"
         assert Fraction(payload["value_squared"]) == Fraction(147456, 30375)
         assert payload["value"] is None
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 21, 51, 151, 299, 399])
+    def test_odd_a_star_decimal_is_the_rounded_root(self, capsys, d):
+        # sympy's 60-digit square root is the oracle: the printed decimal has
+        # 15 significant digits and lies within half a unit of its last one.
+        sympy = pytest.importorskip("sympy")
+        assert main(["constants", "--d", str(d), "--which", "a-star"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        square = Fraction(payload["value_squared"])
+        root = sympy.sqrt(sympy.Rational(square.numerator, square.denominator)).evalf(60)
+        whole, _, places = payload["value_decimal"].partition(".")
+        assert len(whole.lstrip("0") + places) == cli.DECIMAL_SIGNIFICANT_DIGITS
+        error = sympy.Rational(payload["value_decimal"]) - root
+        assert abs(error) < sympy.Rational(1, 2 * 10 ** len(places))
 
     def test_t_star_d6_within_window(self, capsys):
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "1/1000000"]) == 0
@@ -325,17 +339,16 @@ class TestVerifyCommand:
         assert verdicts == ["pass"] * 34
 
     def test_odd_d_asymptotic_gap_keeps_its_digits_at_low_precision(self, tmp_path, capsys):
-        # At d = 11 the A residual is the odd-d gap d^3 (A - Q); evaluated as
-        # an exact numerator over A + Q it loses no digits at precision 5.
-        residuals = {}
-        for precision in (5, 30):
-            out = tmp_path / f"report-{precision}.jsonl"
-            argv = ["verify", "--suite", "asymptotics", "--d-range", "11..11", "--precision", str(precision)]
-            assert main([*argv, "--out", str(out)]) == 0
-            (record,) = [json.loads(line) for line in out.read_text().splitlines()]
-            residuals[precision] = float(record["witness"]["max_residual_a"])
-        assert abs(residuals[5] - residuals[30]) <= residuals[30] * 1e-10
-        assert residuals[5] == residuals[30] == 9.807481098616028
+        # At odd d the A residual is the gap d^3 (A - Q), an exact numerator
+        # over A + Q with A from one integer square root: --precision does not
+        # reach it, so every precision reads the same float.
+        for d, residual in ((11, 9.807481098616028), (51, 5.241324182109934)):
+            for precision in (1, 5, 30):
+                out = tmp_path / f"report-{d}-{precision}.jsonl"
+                argv = ["verify", "--suite", "asymptotics", "--d-range", f"{d}..{d}", "--precision", str(precision)]
+                assert main([*argv, "--out", str(out)]) == 0
+                (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+                assert float(record["witness"]["max_residual_a"]) == residual, (d, precision)
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

@@ -10,6 +10,7 @@ from coulomb_sharp import excess
 from coulomb_sharp.exact import Polynomial, poly_gcd, sturm_count
 from coulomb_sharp.phase_space import clr_rhs
 from coulomb_sharp.spectrum import SpectrumParams, counting_function
+from coulomb_sharp.verification import check_sandwich
 
 
 class TestPochhammer:
@@ -243,32 +244,37 @@ class TestHa:
 
 class TestSandwich:
     def test_holds_at_sample_points(self):
-        assert excess.g_shifted_sandwich_check(5, 3).holds
-        assert excess.g_shifted_sandwich_check(7, 10).holds
+        assert check_sandwich(5, 3).verdict == "pass"
+        assert check_sandwich(7, 10).verdict == "pass"
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
-            excess.g_shifted_sandwich_check(5, 1)
+            check_sandwich(5, 1)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_middle_outside_either_bound_fails(self, monkeypatch, side):
+        bound = Fraction(check_sandwich(7, 10).witness[side])
+        monkeypatch.setattr(excess, "g_shifted_eval", lambda d, s: bound)
+        assert check_sandwich(7, 10).verdict == "fail"
 
     def test_shifted_g_consistency(self):
         rng = random.Random(31337)
         for d in (5, 7, 9, 11):
             for _ in range(5):
                 s = Fraction(d - 3, 2) + Fraction(rng.randint(1, 500), 100)
-                assert excess.g_shifted_eval(d, s) == excess.g_eval(d, s - Fraction(d - 1, 2))
+                assert excess.g_shifted_eval(d, s) == excess.g_as_ratfun(d).eval(s - Fraction(d - 1, 2))
 
 
 class TestBigG:
     def test_exact_value_at_zero(self):
-        assert excess.big_g_squared(4, 0) == Fraction(361, 432) ** 2
+        assert Fraction(*excess.big_g_squared_int(4, 0, 1)) == Fraction(361, 432) ** 2
 
     def test_limit_approached(self):
-        assert abs(excess.big_g_squared(4, 10**6) - 1) < Fraction(2, 10**5)
+        assert abs(Fraction(*excess.big_g_squared_int(4, 10**6, 1)) - 1) < Fraction(2, 10**5)
 
     def test_odd_dimension_squared_path(self):
-        squared = excess.big_g_squared(5, 0)
-        assert isinstance(squared, Fraction)
-        assert squared < 1
+        num, den = excess.big_g_squared_int(5, 0, 1)
+        assert 0 < num < den
 
     def test_monotonicity_quadratic_coefficients_nonnegative(self):
         for d in range(4, 61):
@@ -277,7 +283,7 @@ class TestBigG:
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
-            excess.big_g_squared(4, Fraction(-1, 2))
+            excess.big_g_squared_int(4, -1, 2)
 
 
 class TestGRatfun:

@@ -1,6 +1,5 @@
 """Self-validating evaluation, and the exact reading of an interval as an enclosure."""
 
-import random
 from fractions import Fraction
 
 import mpmath
@@ -9,9 +8,7 @@ import pytest
 from coulomb_sharp.highprec import (
     MAX_PRECISION,
     HighPrecisionReal,
-    fraction_to_mpf,
     interval_enclosure,
-    sqrt_of_fraction,
     validated_eval,
 )
 
@@ -23,17 +20,6 @@ def test_pi_to_thirty_digits():
         assert abs(result.value - reference) < mpmath.mpf(10) ** -29
 
 
-def test_sqrt_squares_back():
-    result = sqrt_of_fraction(Fraction(2), 40)
-    with mpmath.mp.workdps(60):
-        assert abs(result.value**2 - 2) < mpmath.mpf(10) ** -38
-
-
-def test_negative_sqrt_rejected():
-    with pytest.raises(ValueError):
-        sqrt_of_fraction(Fraction(-1), 20)
-
-
 def test_zero_is_accepted_exactly():
     result = validated_eval(lambda: mpmath.mpf(0), 20)
     assert result.value == 0
@@ -41,14 +27,14 @@ def test_zero_is_accepted_exactly():
 
 def test_fraction_roundtrip_precision():
     x = Fraction(123456789, 987654321)
-    result = validated_eval(lambda: fraction_to_mpf(x), 35)
+    result = validated_eval(lambda: mpmath.mpf(x.numerator) / x.denominator, 35)
     with mpmath.mp.workdps(60):
         reference = mpmath.mpf(x.numerator) / x.denominator
         assert abs(result.value - reference) <= abs(reference) * mpmath.mpf(10) ** -34
 
 
 def test_carries_requested_precision():
-    assert sqrt_of_fraction(Fraction(1, 3), 25).precision == 25
+    assert validated_eval(lambda: mpmath.mpf(1) / 3, 25).precision == 25
 
 
 def test_repr_contains_digits():
@@ -76,14 +62,3 @@ def test_interval_enclosure_rejects_an_unbounded_interval():
     with pytest.raises(ValueError):
         interval_enclosure(lambda: mpmath.iv.mpf(1) / 0, 80)
 
-
-def test_fraction_to_mpf_rounds_once():
-    # mpf(numerator) rounds before the division does; one rounding of p/q
-    # leaves at most half a unit in the last place.
-    rng = random.Random(20261018)
-    with mpmath.mp.workprec(100):
-        for _ in range(300):
-            x = Fraction(rng.getrandbits(400) | 1, rng.getrandbits(400) | 1)
-            _, man, exp, bc = fraction_to_mpf(x)._mpf_
-            error = abs(Fraction(man) * Fraction(2) ** exp - x)
-            assert error <= Fraction(2) ** (exp + bc - 100 - 1)

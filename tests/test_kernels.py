@@ -220,7 +220,6 @@ class TestBigGSquaredKernel:
     def test_matches_product_form(self, d, t, k):
         expected = big_g_squared_oracle(d, t)
         assert Fraction(*excess.big_g_squared_int(d, *unreduced(t, k))) == expected
-        assert excess.big_g_squared(d, t) == expected
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError, match="t >= 0"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coulomb_sharp import excess, optima
 from coulomb_sharp.exact import MathematicalError, sturm_count
+from coulomb_sharp.verification import check_a_zero_window
 
 
 class TestLocateTStar:
@@ -409,18 +410,19 @@ class TestCounterexampleScan:
 class TestAZeroWindow:
     @pytest.mark.parametrize("d", range(5, 22, 2))
     def test_sign_windows_hold(self, d):
-        assert optima.a_zero_window_check(d)
+        record = check_a_zero_window(d)
+        assert (record.verdict, record.witness) == ("pass", {"holds": "true"})
 
     def test_large_dimension_bracket_unchanged(self):
         # Bracket as a Sturm-certified localization produced it; d = 81 lies
         # past the dimensions the default identities sweep visits.
-        assert optima.a_zero_window_check(81)
+        assert check_a_zero_window(81).verdict == "pass"
         bracket = optima.locate_a_maximizer(81)
         assert (bracket.lower, bracket.upper) == (Fraction(132742419, 131072), Fraction(99556873, 98304))
 
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError):
-            optima.a_zero_window_check(6)
+            check_a_zero_window(6)
 
 
 class TestHaSignBounds:

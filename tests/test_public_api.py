@@ -11,6 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "bench" / "tracer.py"
 TEST_ONLY_MODULES = {"sympy", "hypothesis"}
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+MPMATH_NAMES = {"mpmath", "mp", "mpmath.mp"}
+MPMATH_PRECISION_CONTEXTS = {"workdps", "workprec"}
+MPMATH_PRECISION_FIELDS = {"dps", "prec"}
 
 
 def test_all_names_resolve():
@@ -50,3 +53,24 @@ def test_package_reads_no_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 names = {alias.name for alias in node.names}
                 assert not names & ENVIRONMENT_READERS, f"{path.name} imports {names & ENVIRONMENT_READERS}"
+
+
+def test_only_highprec_sets_mpmath_precision():
+    # A root or quotient read off a floating-point run at a chosen precision is
+    # not a proof; outside highprec, irrational values come from integer roots.
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.stem == "highprec":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in MPMATH_PRECISION_CONTEXTS, f"{path.name} enters mpmath .{node.attr}"
+                owner = ast.unparse(node.value)
+                assert not (node.attr == "sqrt" and owner in MPMATH_NAMES), f"{path.name} calls {owner}.sqrt"
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Attribute):
+                        assert target.attr not in MPMATH_PRECISION_FIELDS, f"{path.name} sets .{target.attr}"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+                names = {alias.name for alias in node.names} & (MPMATH_PRECISION_CONTEXTS | {"sqrt"})
+                assert not names, f"{path.name} imports {names} from mpmath"
