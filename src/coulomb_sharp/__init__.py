@@ -12,7 +12,6 @@ from .exact import (
     EndpointRootError,
     MathematicalError,
     Polynomial,
-    Rational,
     RationalFunctionPair,
     RootBracket,
     bisect_root,
@@ -34,7 +33,7 @@ from .spectrum import (
     multiplicity,
     riesz_mean,
 )
-from .optima import StarResult, a_star, counterexample_scan, locate_t_star, q_star
+from .optima import StarResult, a_star, locate_t_star, q_star
 from .verification import CheckRecord, run_suite
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "MathematicalError",
     "Polynomial",
     "PrecisionError",
-    "Rational",
     "RationalFunctionPair",
     "RootBracket",
     "SpectrumParams",
@@ -56,7 +54,6 @@ __all__ = [
     "a_star",
     "bisect_root",
     "clr_rhs",
-    "counterexample_scan",
     "counting_function",
     "expand_linear_factors",
     "isolate_unique_root",

@@ -2,12 +2,12 @@
 
 Everything in this module is computed with arbitrary-precision rational
 numbers; floating point never decides a comparison.  The scalar type is
-``fractions.Fraction`` (always in lowest terms, positive denominator),
-re-exported as :data:`Rational`.  On top of it sit dense univariate
-polynomials, co-prime rational-function pairs, root counting and bisection
-with certified brackets.  A product of linear factors is expanded in one
-place, in integers: _int_linear_product, which expand_linear_factors calls
-after scaling its rational roots by the lcm of their denominators.
+``fractions.Fraction`` (always in lowest terms, positive denominator).
+On top of it sit dense univariate polynomials, co-prime rational-function
+pairs, root counting and bisection with certified brackets.  A product of
+linear factors is expanded in one place, in integers: _int_linear_product,
+which expand_linear_factors calls after scaling its rational roots by the
+lcm of their denominators.
 
 The root work runs on primitive integer images of the polynomials.  A root
 is certified by Descartes' rule of signs: a sign-variation count of exactly
@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 

@@ -265,22 +265,18 @@ def g_as_ratfun(d: int) -> RationalFunctionPair:
 
 
 def g_shifted_terms(d: int) -> list[tuple[Fraction, Fraction]]:
-    """g in the shifted variable s = t + (d-1)/2 (only used for odd d)."""
+    """g in s = t + (d-1)/2 for odd d >= 5: the roots of g_terms(d), each moved by -(d-1)/2.
+
+    The poles then sit at s = -1/2, 1/2 and at the integers -(d-1)/2..(d-3)/2.
+    """
     if d < 5 or d % 2 == 0:
         raise ValueError("the shifted form is used for odd d >= 5")
-    half = Fraction(1, 2)
-    return (
-        [(1 - Fraction(d, 2), half), (-Fraction(d, 2), -half)]
-        + [(Fraction(1), Fraction(j)) for j in range(-(d - 3) // 2, (d - 1) // 2 + 1)]
-    )
+    shift = Fraction(d - 1, 2)
+    return [(c, r - shift) for c, r in g_terms(d)]
 
 
 def g_shifted_eval(d: int, s: RationalLike) -> Fraction:
     return _eval_at(g_shifted_terms(d), s)
-
-
-def g_shifted_as_ratfun(d: int) -> RationalFunctionPair:
-    return partial_fraction_sum(g_shifted_terms(d))
 
 
 def squeeze_coefficient(d: int) -> Fraction:
@@ -291,24 +287,17 @@ def squeeze_coefficient(d: int) -> Fraction:
 
 
 def h_a_terms(d: int, a: RationalLike) -> list[tuple[Fraction, Fraction]]:
+    """The squeeze h_a in s, odd d >= 5, 0 <= a <= 1: g_shifted_terms(d) without its pole at s = 0.
+
+    That pole's unit weight is split into a at s = -1/2 and 1 - a at s = 1/2.
+    """
     if d < 5 or d % 2 == 0:
         raise ValueError("h_a needs odd d >= 5")
     a = as_rational(a)
     if not 0 <= a <= 1:
         raise ValueError("need 0 <= a <= 1")
     half = Fraction(1, 2)
-    terms = [
-        (1 - Fraction(d, 2), half),
-        (-Fraction(d, 2), -half),
-        (1 - a, -half),
-        (a, half),
-    ]
-    terms += [
-        (Fraction(1), Fraction(k))
-        for k in range(-(d - 3) // 2, (d - 1) // 2 + 1)
-        if k != 0
-    ]
-    return terms
+    return [term for term in g_shifted_terms(d) if term[1] != 0] + [(1 - a, -half), (a, half)]
 
 
 def h_a_eval(d: int, a: RationalLike, s: RationalLike) -> Fraction:

@@ -2,16 +2,19 @@
 
 The optimal excess factors are maxima of Q (shifted Coulomb) and A
 (conjectured general bound) over small integer windows around d**2/6.  The
-windows come from localizing the unique positive zero of the respective
-logarithmic derivative.  That zero is certified by Descartes' rule of signs
-on the primitive integer image of the numerator: a variation count of 1
-for p(x + lo) proves one root on the half-line (lo, +inf), and a count of 1
-for the Moebius transform (1+x)**n p((a+b*x)/(1+x)) puts it in the window
-(a, b); a larger count is resolved by splitting the interval and recounting
-the parts (exact.descartes_count).  The numerator is built without a gcd, and is still co-prime to the
-denominator because every distinct pole of the partial fractions carries a
-nonzero coefficient, so its roots are exactly the zeros of the log-derivative.
-The zero is narrowed by bisection on integer sign evaluations.
+windows come from localizing the unique zero beyond -1 of the respective
+logarithmic derivative: f for Q and g for A, both in the level variable t
+and for every d.  One certifier (_certified_unique_root_bracket) serves
+both.  The zero is certified by Descartes' rule of signs on the primitive
+integer image of the numerator: a variation count of 1 for p(x - 1) proves
+one root on the half-line (-1, +inf), and a count of 1 for the Moebius
+transform (1+x)**n p((a+b*x)/(1+x)) puts it in the window (a, b); a larger
+count is resolved by splitting the interval and recounting the parts
+(exact.descartes_count).  The numerator is built without a gcd, and is
+still co-prime to the denominator because every distinct pole of the
+partial fractions carries a nonzero coefficient, so its roots are exactly
+the zeros of the log-derivative.  The zero is narrowed by bisection on
+integer sign evaluations.
 
 The window maxima are walked in integers, through the sign of each
 difference of adjacent levels: both sides of the closed-form ratio
@@ -78,20 +81,19 @@ def a_zero_bounds(d: int) -> tuple[Fraction, Fraction]:
     )
 
 
+def _integer_hull(bounds: tuple[Fraction, Fraction]) -> tuple[int, int]:
+    lo, hi = bounds
+    return (max(0, math.floor(lo)), max(0, math.ceil(hi)))
+
+
 def q_candidate_window(d: int) -> tuple[int, int]:
     """Integer hull of t_star_bounds(d), clamped at 0."""
-    if d < 4:
-        return (0, 0)
-    lo, hi = t_star_bounds(d)
-    return (max(0, math.floor(lo)), max(0, math.ceil(hi)))
+    return (0, 0) if d < 4 else _integer_hull(t_star_bounds(d))
 
 
 def a_candidate_window(d: int) -> tuple[int, int]:
     """Integer hull of a_zero_bounds(d), clamped at 0."""
-    if d < 5:
-        return (0, 0)
-    lo, hi = a_zero_bounds(d)
-    return (max(0, math.floor(lo)), max(0, math.ceil(hi)))
+    return (0, 0) if d < 5 else _integer_hull(a_zero_bounds(d))
 
 
 def q_value(d: int, ell: int) -> Fraction:
@@ -203,27 +205,25 @@ def a_star(d: int) -> StarResult:
 
 
 def _certified_unique_root_bracket(
-    poly: Polynomial,
-    domain_lo: Fraction,
-    window: tuple[Fraction, Fraction],
-    width: Fraction,
+    poly: Polynomial, window: tuple[Fraction, Fraction], width: RationalLike
 ) -> RootBracket:
-    """Certify a unique root of poly in (domain_lo, +inf), inside window, by Descartes' rule.
+    """Certify a unique root of poly in (-1, +inf), inside window, by Descartes' rule.
 
-    The first count covers the whole half-line; the second, inside
-    isolate_unique_root, places that root strictly inside the window.  Any
-    count other than 1 is a failure.
+    The window's lower end is clamped to the domain end -1.  The first count
+    covers the whole half-line; the second, inside isolate_unique_root,
+    places that root strictly inside the window.  Any count other than 1 is
+    a failure.
     """
-    win_lo, win_hi = window
+    win_lo, win_hi = max(window[0], Fraction(-1)), window[1]
     try:
-        total = descartes_count(poly, domain_lo)
+        total = descartes_count(poly, -1)
         if total != 1:
-            raise CertificationError(f"expected one zero beyond {domain_lo}, Descartes count is {total}")
+            raise CertificationError(f"expected one zero beyond -1, Descartes count is {total}")
         bracket = isolate_unique_root(poly, win_lo, win_hi)
     except EndpointRootError as exc:
         raise CertificationError(f"maximizer sits on a window endpoint: {exc}") from exc
     sign = sign_function(poly)
-    bracket = bisect_root(sign, bracket, width)
+    bracket = bisect_root(sign, bracket, as_rational(width))
     # Tighten until strictly inside the open window.
     while bracket.lower <= win_lo or bracket.upper >= win_hi:
         bracket = bisect_root(sign, bracket, bracket.width / 4)
@@ -236,51 +236,13 @@ def locate_t_star(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBr
         raise MathematicalError("t-star is undefined for d = 3: Q_3 is strictly decreasing on (-1, +inf)")
     if d < 3:
         raise ValueError("d must be >= 3")
-    poly = excess.f_as_ratfun(d).numerator
-    return _certified_unique_root_bracket(poly, Fraction(-1), t_star_bounds(d), as_rational(width))
+    return _certified_unique_root_bracket(excess.f_as_ratfun(d).numerator, t_star_bounds(d), width)
 
 
 def locate_a_maximizer(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBracket | None:
-    """Certified bracket for the unique zero of g beyond -1; None for d <= 4.
-
-    The zero is certified strictly inside a_zero_bounds(d), whose lower end is
-    clamped to the domain t > -1.  For even d it is isolated on the numerator
-    of g directly; for odd d on the numerator of the shifted form in
-    s = t + (d-1)/2 (poles at s <= (d-3)/2), and the bracket is shifted back.
-    """
+    """Certified bracket for the unique zero of g beyond -1, on g's own numerator; None for d <= 4."""
     if d < 3:
         raise ValueError("d must be >= 3")
     if d <= 4:
         return None
-    if d % 2 == 0:
-        poly, shift = excess.g_as_ratfun(d).numerator, Fraction(0)
-    else:
-        poly, shift = excess.g_shifted_as_ratfun(d).numerator, Fraction(d - 1, 2)
-    lo, hi = a_zero_bounds(d)
-    lo = max(lo, Fraction(-1))
-    bracket = _certified_unique_root_bracket(
-        poly, Fraction(-1) + shift, (lo + shift, hi + shift), as_rational(width)
-    )
-    return RootBracket(
-        bracket.lower - shift,
-        bracket.upper - shift,
-        bracket.sign_at_lower,
-        bracket.sign_at_upper,
-    )
-
-
-def counterexample_scan(
-    d: int, eta_grid: list[Fraction]
-) -> list[tuple[Fraction, Fraction]]:
-    """Grid points where the eigenvalue count beats the semiclassical bound."""
-    grid = [as_rational(eta) for eta in eta_grid]
-    for eta in grid:
-        if eta <= d - 1:
-            raise ValueError(f"eta = {eta} is outside the negative-spectrum regime")
-    hits = []
-    for eta in sorted(grid):
-        ratio = excess.r_eval(d, eta)
-        if ratio > 1:
-            hits.append((eta, ratio))
-    return hits
-
+    return _certified_unique_root_bracket(excess.g_as_ratfun(d).numerator, a_zero_bounds(d), width)

@@ -559,7 +559,11 @@ def check_a_exceeds_q(d: int) -> CheckRecord:
 
 
 def check_counterexample_scan(d: int, grid: Sequence[Fraction], expect_hits: bool) -> CheckRecord:
-    hits = optima.counterexample_scan(d, list(grid))
+    """Whether the count beats the semiclassical bound at some grid point; the least such eta is the witness."""
+    etas = sorted(as_rational(eta) for eta in grid)
+    if etas and etas[0] <= d - 1:
+        raise ValueError(f"eta = {etas[0]} is outside the negative-spectrum regime")
+    hits = [(eta, ratio) for eta in etas if (ratio := excess.r_eval(d, eta)) > 1]
     ok = bool(hits) == expect_hits
     witness = {"hits": len(hits)}
     if hits:

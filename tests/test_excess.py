@@ -202,6 +202,42 @@ class TestAEval:
                 t += Fraction(1, 2)
 
 
+def written_g_shifted_terms(d):
+    """The shifted g~(s) = g(s - (d-1)/2) for odd d, its (coefficient, root) pairs written out as in the paper."""
+    half = Fraction(1, 2)
+    return [(1 - Fraction(d, 2), half), (-Fraction(d, 2), -half)] + [
+        (Fraction(1), Fraction(j)) for j in range(-(d - 3) // 2, (d - 1) // 2 + 1)
+    ]
+
+
+def written_h_a_terms(d, a):
+    """The squeeze h_a for odd d, written out: g~ with its pole at s = 0 split between s = 1/2 and s = -1/2."""
+    half = Fraction(1, 2)
+    terms = [(1 - Fraction(d, 2), half), (-Fraction(d, 2), -half), (1 - a, -half), (a, half)]
+    return terms + [(Fraction(1), Fraction(k)) for k in range(-(d - 3) // 2, (d - 1) // 2 + 1) if k != 0]
+
+
+class TestDerivedTermLists:
+    """g~ and h_a are derived from g's terms; the written-out lists are the oracle."""
+
+    def test_shifted_g_terms_are_the_written_list(self):
+        for d in range(5, 42, 2):
+            assert excess.g_shifted_terms(d) == written_g_shifted_terms(d)
+
+    def test_h_a_sum_is_the_written_sum(self):
+        for d in range(5, 42, 2):
+            for a in (Fraction(0), Fraction(1, 2), excess.squeeze_coefficient(d), Fraction(1)):
+                derived = excess.partial_fraction_sum(excess.h_a_terms(d, a))
+                assert derived == excess.partial_fraction_sum(written_h_a_terms(d, a))
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_shifted_forms_need_odd_d_from_5(self, d):
+        with pytest.raises(ValueError, match="odd d >= 5"):
+            excess.g_shifted_terms(d)
+        with pytest.raises(ValueError, match="h_a needs odd d >= 5"):
+            excess.h_a_terms(d, Fraction(1, 2))
+
+
 class TestHa:
     def test_leading_coefficient_d5(self):
         p = excess.h_a_as_ratfun(5, Fraction(1, 2)).numerator

@@ -1,5 +1,6 @@
 """Sharp constants, certified maximizer brackets, counterexample scans."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from coulomb_sharp import excess, optima
 from coulomb_sharp.exact import MathematicalError, sturm_count
-from coulomb_sharp.verification import check_a_zero_window
+from coulomb_sharp.verification import check_a_zero_window, check_counterexample_scan
 
 
 class TestLocateTStar:
@@ -377,34 +378,51 @@ class TestAMaximizerBracket:
             lo, hi = optima.a_zero_bounds(d)
             assert max(Fraction(-1), lo) < bracket.lower < bracket.upper < hi
 
+    def test_brackets_pinned(self):
+        # Both ends and both signs of every bracket, hashed: A's maximizer for
+        # d = 5..100 and t* for d = 4..100, at widths 1/1000 and 1/10**6.
+        located = (("a", optima.locate_a_maximizer, range(5, 101)), ("t", optima.locate_t_star, range(4, 101)))
+        digest = hashlib.sha256()
+        for width in (Fraction(1, 1000), Fraction(1, 10**6)):
+            for name, locate, dims in located:
+                for d in dims:
+                    b = locate(d, width)
+                    line = f"{name} {d} {width} {b.lower} {b.upper} {b.sign_at_lower} {b.sign_at_upper}\n"
+                    digest.update(line.encode())
+        assert digest.hexdigest() == "a18ea3d8a3769d4b049b196ef27c7df79fbbb932b8264f377cfc48e55d563551"
+
 
 class TestCounterexampleScan:
     def test_d6_reported_point(self):
-        hits = optima.counterexample_scan(6, [Fraction(111, 10)])
-        assert len(hits) == 1
-        eta, ratio = hits[0]
-        assert eta == Fraction(111, 10)
-        assert ratio > 1
-        assert abs(float(ratio) - 1.3796) < 0.001
+        record = check_counterexample_scan(6, [Fraction(111, 10)], expect_hits=True)
+        assert record.verdict == "pass"
+        assert (record.witness["hits"], record.witness["first_eta"]) == ("1", "111/10")
+        assert float(record.witness["first_ratio"]) > 1
+        assert abs(float(record.witness["first_ratio"]) - 1.3796) < 0.001
 
     def test_d3_at_eta3_is_empty(self):
-        assert optima.counterexample_scan(3, [Fraction(3)]) == []
+        record = check_counterexample_scan(3, [Fraction(3)], expect_hits=False)
+        assert (record.verdict, record.witness) == ("pass", {"hits": "0"})
+        assert check_counterexample_scan(3, [Fraction(3)], expect_hits=True).verdict == "fail"
 
     def test_d3_just_above_threshold_hits(self):
-        hits = optima.counterexample_scan(3, [Fraction(201, 100)])
-        assert len(hits) == 1
+        record = check_counterexample_scan(3, [Fraction(201, 100)], expect_hits=True)
+        assert record.witness["hits"] == "1"
         # One eigenvalue against a tiny semiclassical volume.
-        assert hits[0][1] == Fraction(1) / (Fraction(201, 100) ** 3 / 24)
+        assert record.witness["first_ratio"] == repr(float(Fraction(1) / (Fraction(201, 100) ** 3 / 24)))
 
     def test_sorted_by_eta(self):
-        grid = [Fraction(5), Fraction(201, 100), Fraction(21, 10)]
-        hits = optima.counterexample_scan(3, grid)
-        etas = [eta for eta, _ in hits]
-        assert etas == sorted(etas)
+        # 5 is no hit; the smaller of the two hits is the witness, whatever the grid order.
+        grid = [Fraction(21, 10), Fraction(5), Fraction(201, 100)]
+        record = check_counterexample_scan(3, grid, expect_hits=True)
+        assert (record.witness["hits"], record.witness["first_eta"]) == ("2", "201/100")
+        assert record.witness["first_ratio"] == repr(float(excess.r_eval(3, Fraction(201, 100))))
 
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError):
-            optima.counterexample_scan(3, [Fraction(2)])
+            check_counterexample_scan(3, [Fraction(2)], expect_hits=False)
+        with pytest.raises(ValueError):
+            check_counterexample_scan(3, [Fraction(5), Fraction(3, 2)], expect_hits=True)
 
 
 class TestAZeroWindow:
@@ -414,7 +432,7 @@ class TestAZeroWindow:
         assert (record.verdict, record.witness) == ("pass", {"holds": "true"})
 
     def test_large_dimension_bracket_unchanged(self):
-        # Bracket as a Sturm-certified localization produced it; d = 81 lies
+        # Bracket as a Descartes-certified localization produced it; d = 81 lies
         # past the dimensions the default identities sweep visits.
         assert check_a_zero_window(81).verdict == "pass"
         bracket = optima.locate_a_maximizer(81)

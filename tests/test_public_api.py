@@ -21,13 +21,35 @@ def test_all_names_resolve():
         assert hasattr(coulomb_sharp, name), name
 
 
-def test_traced_functions_exist():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_functions_exist():
+    tracer = load_tracer()
     for module, function in tracer.TRACED:
         target = importlib.import_module(f"{tracer.PACKAGE}.{module}")
         assert callable(getattr(target, function, None)), f"{module}.{function}"
+
+
+def test_every_export_is_used_in_the_package_or_traced():
+    # An exported name that no module reads is public API nothing uses.  The
+    # benchmark tracer still wraps some names whose callers have moved on.
+    loaded = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    traced = {function for _, function in load_tracer().TRACED}
+    unused = sorted(set(coulomb_sharp.__all__) - {"__version__"} - loaded - traced)
+    assert not unused, f"exported but never loaded in src/: {unused}"
 
 
 def test_package_never_imports_test_only_oracles():
