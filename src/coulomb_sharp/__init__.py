@@ -23,7 +23,7 @@ from .exact import (
     ratfun_reduce,
     sturm_count,
 )
-from .highprec import HighPrecisionReal, PrecisionError, validated_eval
+from .highprec import PrecisionError, validated_eval
 from .phase_space import clr_rhs, lt_rhs
 from .spectrum import (
     LevelData,
@@ -42,7 +42,6 @@ __all__ = [
     "CertificationError",
     "CheckRecord",
     "EndpointRootError",
-    "HighPrecisionReal",
     "LevelData",
     "MathematicalError",
     "Polynomial",

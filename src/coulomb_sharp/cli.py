@@ -33,7 +33,7 @@ DECIMAL_SIGNIFICANT_DIGITS = 15
 
 # Input size limits, each refused as a usage error before any work starts
 # (with spectrum.MAX_DIMENSION and highprec.MAX_PRECISION).
-MAX_LEVELS = 1000  # levels listed by one spectrum command
+MAX_LEVELS = 1000  # levels of one spectrum command or of any point of a config sweep
 MAX_GRID_POINTS = 100_000  # points of one figure grid or config eta grid
 
 
@@ -145,7 +145,11 @@ class SweepConfig:
                 raise ValueError("eta_grid.start must be positive")
             if not start < stop:
                 raise ValueError("eta_grid needs start < stop")
-            _grid_points(start, stop, step)
+            top = start + (_grid_points(start, stop, step) - 1) * step
+            if d_values and spectrum.top_level(min(d_values), top.numerator, top.denominator) >= MAX_LEVELS:
+                raise ValueError(
+                    f"eta_grid reaches eta = {top}, which gives more than {MAX_LEVELS} levels at d = {min(d_values)}"
+                )
             eta_grid = (start, stop, step)
         gamma = None
         if data.get("gamma") is not None:

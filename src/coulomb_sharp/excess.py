@@ -63,14 +63,6 @@ def pochhammer_eval(m: int, t: RationalLike) -> Fraction:
     return Fraction(_pochhammer_int(m, t.numerator, t.denominator), t.denominator**m)
 
 
-def pochhammer_poly(m: int) -> Polynomial:
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return Polynomial.one()
-    return expand_linear_factors(list(range(1, m + 1)))
-
-
 def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
     """Sum coeff/(t + root) over the given terms, in co-prime form with monic denominator.
 
@@ -202,14 +194,6 @@ def f_int(d: int, p: int, q: int) -> tuple[int, int]:
 def f_eval(d: int, t: RationalLike) -> Fraction:
     t = as_rational(t)
     return Fraction(*f_int(d, t.numerator, t.denominator))
-
-
-def f_denominator(d: int) -> Polynomial:
-    """The monic pole polynomial of f: (t + ceil(d/2) - 1/2) prod_{k<d}(t+k)."""
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    half_pole = Fraction(2 * math.ceil(Fraction(d, 2)) - 1, 2)
-    return expand_linear_factors([half_pole] + list(range(1, d)))
 
 
 def f_as_ratfun(d: int) -> RationalFunctionPair:

@@ -1,17 +1,17 @@
-"""High-precision reals: enclosures for the non-integer orders, and their display.
+"""The precision rule and the enclosures of the non-integer orders.
 
 Only a handful of quantities in this project are genuinely irrational
 (half-integer powers for odd dimension, gamma values at generic arguments,
 Riesz means of non-integer order).
 
 Every non-integer order gamma = p/q is enclosed: the Riesz mean by
-``spectrum.riesz_mean_int`` (integer q-th roots for q <= ``MAX_ROOT_DEGREE``,
-an interval sum above), the order-gamma right-hand side by an interval Gamma
-ratio (``phase_space.lt_rhs_int``).  An enclosure (lo, hi, k) holds the value
-in [lo, hi] / 2**k, with a relative width below 2**-``enclosure_bits(precision)``
+``spectrum.riesz_mean_int`` (integer q-th roots for small q, an interval sum
+above), the order-gamma right-hand side by an interval Gamma ratio
+(``phase_space.lt_rhs_int``).  An enclosure (lo, hi, k) holds the value in
+[lo, hi] / 2**k, with a relative width below 2**-``enclosure_bits(precision)``
 < 10**-(precision + 20); ``interval_enclosure`` reads one off an mpmath.iv
 evaluation.  Two enclosures are compared once (``exact.dyadic_less``);
-``dyadic_real`` turns the lower end into a ``HighPrecisionReal`` for display.
+``dyadic_real`` rounds the lower end to a plain ``mpmath.mpf`` for display.
 Enclosures are sized once and never retried.
 
 The other irrational value, A at odd d, is the square root of an exact
@@ -24,7 +24,6 @@ for the benchmark tracer only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import mpmath
@@ -40,32 +39,10 @@ MAX_DOUBLINGS = 6
 # than the digit count: the lt-gamma1 suite on one dimension takes seconds at
 # 1000 digits and does not finish in a minute at 10000.
 MAX_PRECISION = 1000
-# Largest order denominator q enclosed by integer q-th roots; larger q take
-# spectrum.riesz_mean_int's interval sum.  A root costs O(M(q*k)) on k-bit
-# enclosures: on the lt-sweep-gamma grid at gamma = 7/3 the roots take a
-# tenth of the interval sum's time, but they do not finish at q = 10**12.
-MAX_ROOT_DEGREE = 8
 
 
 class PrecisionError(MathematicalError):
     """Two evaluations kept disagreeing after repeated precision doubling."""
-
-
-@dataclass(frozen=True)
-class HighPrecisionReal:
-    """A real number carrying its requested significant-digit precision."""
-
-    value: mpmath.mpf
-    precision: int
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def to_decimal(self) -> str:
-        return mpmath.nstr(self.value, self.precision, strip_zeros=False, min_fixed=-4, max_fixed=15)
-
-    def __repr__(self) -> str:
-        return f"HighPrecisionReal({self.to_decimal()}, precision={self.precision})"
 
 
 def check_precision(precision: object) -> int:
@@ -100,15 +77,15 @@ def interval_enclosure(compute: Callable[[], mpmath.ctx_iv.ivmpf], prec: int) ->
     return libmp.to_int(libmp.mpf_shift(lo, k)), libmp.to_int(libmp.mpf_shift(hi, k)), k
 
 
-def dyadic_real(enclosure: tuple[int, int, int], precision: int) -> HighPrecisionReal:
+def dyadic_real(enclosure: tuple[int, int, int], precision: int) -> mpmath.mpf:
     """The lower end lo / 2**k of an enclosure (lo, hi, k), held at precision + 2 * GUARD_DIGITS digits."""
     lo, _, k = enclosure
     prec = libmp.dps_to_prec(precision + 2 * GUARD_DIGITS)
-    return HighPrecisionReal(mp.make_mpf(libmp.from_man_exp(lo, -k, prec, libmp.round_nearest)), precision)
+    return mp.make_mpf(libmp.from_man_exp(lo, -k, prec, libmp.round_nearest))
 
 
 # No production caller; bench/tracer.TRACED names it.
-def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPrecisionReal:
+def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> mpmath.mpf:
     """Run compute() twice with guard digits; double the precision until they agree."""
     check_precision(precision)
     work = precision
@@ -124,6 +101,6 @@ def validated_eval(compute: Callable[[], mpmath.mpf], precision: int) -> HighPre
                     -(work + GUARD_DIGITS - 1)
                 )
             if agreed:
-                return HighPrecisionReal(+second, precision)
+                return +second
         work *= 2
     raise PrecisionError(f"no agreement after {MAX_DOUBLINGS} precision doublings")

@@ -7,9 +7,9 @@ The combined semiclassical bound for the shifted Coulomb potential is
 in units Lambda = 1 (finite exactly for 0 <= gamma < d/2).  At an integer
 order g it is rational, eta**d g! / (2**(d-1-g) d! prod_{k=1..g} (d-2k)), and
 ``lt_rhs_order_int`` returns it as an integer pair; g = 0 is the CLR count.
-Every other order is enclosed: the exact eta**d / 2**(d-1) times an interval
-enclosure of the Gamma ratio, which is computed once per (d, gamma, bits) and
-cached.
+Every other order is enclosed (``lt_rhs_int``): the exact eta**d / 2**(d-1)
+times an interval enclosure of the Gamma ratio, which is computed once per
+(d, gamma, bits) and cached; ``lt_rhs`` returns the lower end as a plain mpf.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import mpmath
 from .exact import RationalLike, as_rational
 from .highprec import (
     DEFAULT_PRECISION,
-    HighPrecisionReal,
     dyadic_real,
     enclosure_bits,
     interval_enclosure,
@@ -33,12 +32,12 @@ from .highprec import (
 
 def lt_rhs(
     d: int, eta: RationalLike, gamma: RationalLike, precision: int = DEFAULT_PRECISION
-) -> Fraction | HighPrecisionReal:
+) -> Fraction | mpmath.mpf:
     """Semiclassical right-hand side of the order-gamma inequality, units Lambda**gamma.
 
     Exact for integer gamma (``lt_rhs_order_int``); for every other order,
-    half-integers included, the lower end of ``lt_rhs_int``'s enclosure, a
-    high-precision real at ``precision``.
+    half-integers included, the lower end of ``lt_rhs_int``'s enclosure, an
+    mpf held at ``precision`` plus guard digits (``highprec.dyadic_real``).
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
     _check_order(d, gamma)

@@ -7,9 +7,11 @@ units Lambda = 1.  The eigenvalues are the hydrogen-like levels
     lambda_j / Lambda = 1 - eta**2 / (2j + d - 1)**2,   j = 0, ..., ell,
 
 with ell = ceil((eta + 1 - d)/2) - 1; the spectrum is empty when
-eta <= d - 1.  Multiplicities, the counting function and Riesz means are all
-exact integers or rationals; ell is one integer floor division on the
-numerator and denominator of eta, so the discontinuities in eta are bit-exact.
+eta <= d - 1.  Multiplicities, the counting function and the Riesz means of
+orders 0 and 1 are exact integers or rationals; ell is one integer floor
+division on the numerator and denominator of eta, so the discontinuities in
+eta are bit-exact.  Every other order is an enclosure (``riesz_mean_int``),
+and ``riesz_mean`` returns its lower end as a plain mpf.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import mpmath
 from .exact import RationalLike, as_rational, iroot
 from .highprec import (
     DEFAULT_PRECISION,
-    MAX_ROOT_DEGREE,
-    HighPrecisionReal,
     dyadic_real,
     enclosure_bits,
     interval_enclosure,
@@ -35,6 +35,11 @@ from .highprec import (
 # Largest dimension any input may name: the top of the asymptotics range and
 # above every pinned d.
 MAX_DIMENSION = 400
+# Largest order denominator q enclosed by integer q-th roots; larger q take
+# riesz_mean_int's interval sum.  A root costs O(M(q*k)) on k-bit
+# enclosures: on the lt-sweep-gamma grid at gamma = 7/3 the roots take a
+# tenth of the interval sum's time, but they do not finish at q = 10**12.
+MAX_ROOT_DEGREE = 8
 
 
 def check_dimension(d: object, name: str = "d") -> int:
@@ -133,12 +138,13 @@ def counting_function(params: SpectrumParams) -> int:
 
 def riesz_mean(
     params: SpectrumParams, gamma: RationalLike, precision: int = DEFAULT_PRECISION
-) -> Fraction | HighPrecisionReal:
+) -> Fraction | mpmath.mpf:
     """Sum of |lambda_j/Lambda|**gamma with multiplicities (gamma = 0: the count).
 
     Exact rational for gamma in {0, 1} (at 1 from ``riesz_mean_order1_int``);
-    otherwise the lower end of ``riesz_mean_int``'s enclosure, a
-    high-precision real at ``precision``.  Returns 0 for empty spectrum.
+    otherwise the lower end of ``riesz_mean_int``'s enclosure, an mpf held
+    at ``precision`` plus guard digits (``highprec.dyadic_real``).  Returns
+    0 for empty spectrum.
     """
     gamma = as_rational(gamma)
     if gamma < 0:

@@ -25,7 +25,6 @@ import mpmath
 from . import excess, optima, phase_space, spectrum
 from .exact import (
     CertificationError,
-    Polynomial,
     RationalFunctionPair,
     RationalLike,
     as_rational,
@@ -246,7 +245,7 @@ def check_lt_general_gamma(
         "lt-general-gamma",
         params,
         INCONCLUSIVE if less is None else less,
-        {"lhs": mpmath.nstr(lhs.value, 25), "rhs": mpmath.nstr(rhs.value, 25), "used_precision": precision},
+        {"lhs": mpmath.nstr(lhs, 25), "rhs": mpmath.nstr(rhs, 25), "used_precision": precision},
         note,
     )
 
@@ -259,19 +258,19 @@ def _top_two_record(
     check_id: str,
     params: dict,
     pair: RationalFunctionPair,
-    expected_den: Polynomial,
+    pole_roots: Sequence[RationalLike],
     top: int,
     lead_expected: Fraction,
     second_expected: Fraction,
 ) -> CheckRecord:
-    """Denominator, degree and the coefficients of t^top and t^(top-1) of a reduced numerator.
+    """Denominator prod_r (t + r), degree and the coefficients of t^top and t^(top-1) of a reduced numerator.
 
     Every expected lead is nonzero, so degree <= top with a matching lead
     means degree == top.
     """
     p = pair.numerator
     lead, second = p.coefficient(top), p.coefficient(top - 1)
-    ok = pair.denominator == expected_den and p.degree <= top
+    ok = pair.denominator == expand_linear_factors(pole_roots) and p.degree <= top
     ok = ok and (lead, second) == (lead_expected, second_expected)
     witness = {
         "degree": p.degree,
@@ -287,9 +286,9 @@ def check_coefficients_f(d: int) -> CheckRecord:
     """Top two coefficients and degree of the reduced numerator of f."""
     lead = -Fraction(d, 2)
     second = lead * (Fraction(d * d, 3) - (d // 2) - Fraction(1, 3))
-    return _top_two_record(
-        "coefficients-f", {"d": d}, excess.f_as_ratfun(d), excess.f_denominator(d), d - 2, lead, second
-    )
+    # (t + (2 ceil(d/2) - 1)/2) prod_{k<d} (t + k)
+    poles = [Fraction(2 * ((d + 1) // 2) - 1, 2), *range(1, d)]
+    return _top_two_record("coefficients-f", {"d": d}, excess.f_as_ratfun(d), poles, d - 2, lead, second)
 
 
 def check_coefficients_g_even(d: int) -> CheckRecord:
@@ -298,9 +297,8 @@ def check_coefficients_g_even(d: int) -> CheckRecord:
         raise ValueError("this identity is stated for even d >= 6")
     lead = -Fraction(d, 2)
     second = lead * (Fraction(d * d, 3) - d + Fraction(2, 3))
-    return _top_two_record(
-        "coefficients-g-even", {"d": d}, excess.g_as_ratfun(d), excess.pochhammer_poly(d - 1), d - 3, lead, second
-    )
+    # poles: prod_{k<d} (t + k)
+    return _top_two_record("coefficients-g-even", {"d": d}, excess.g_as_ratfun(d), range(1, d), d - 3, lead, second)
 
 
 def check_coefficients_h(d: int, a: RationalLike) -> CheckRecord:
@@ -308,15 +306,10 @@ def check_coefficients_h(d: int, a: RationalLike) -> CheckRecord:
     a = as_rational(a)
     # (s**2 - 1/4)(s + (d-1)/2) prod_{k <= (d-3)/2}(s**2 - k**2)
     half = Fraction(1, 2)
-    expected_den = expand_linear_factors(
-        [-half, half, Fraction(d - 1, 2)]
-        + [sign * k for k in range(1, (d - 3) // 2 + 1) for sign in (-1, 1)]
-    )
+    poles = [-half, half, Fraction(d - 1, 2)] + [sign * k for k in range(1, (d - 3) // 2 + 1) for sign in (-1, 1)]
     lead = -(Fraction(d - 1, 2) + a)
     second = Fraction(d**3 - 6 * d**2 + 8 * d, 12) - Fraction(d - 1, 2) * a
-    return _top_two_record(
-        "coefficients-h", {"d": d, "a": a}, excess.h_a_as_ratfun(d, a), expected_den, d - 2, lead, second
-    )
+    return _top_two_record("coefficients-h", {"d": d, "a": a}, excess.h_a_as_ratfun(d, a), poles, d - 2, lead, second)
 
 
 # -- asymptotics -----------------------------------------------------------------

@@ -301,24 +301,40 @@ class TestVerifyCommand:
         assert sum(record["params"].get("d") == "40" for record in records) == 6
 
     @pytest.mark.parametrize(
-        "gamma, d_values, stop, records, sha256",
+        "gamma, d_values, stop, precision, records, sha256",
         [
-            ("7/3", [5, 6], "14", 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
-            ("233/100", [5, 8], "25/2", 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
-            ("1", [3, 4, 9, 20], "20", 269, "9020bbdb8762de59414bd480545909d5a292204be434a9bf3068851d5885673e"),
+            ("7/3", [5, 6], "14", None, 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
+            ("233/100", [5, 8], "25/2", None, 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
+            ("1", [3, 4, 9, 20], "20", None, 269, "9020bbdb8762de59414bd480545909d5a292204be434a9bf3068851d5885673e"),
+            ("7/3", [5, 6], "14", "1", 43, "002032733678586e97553f40893ee50f7b73a1f8fd721d405455d46f976b234c"),
+            ("7/3", [5, 6], "14", "5", 43, "f82255198c9b03ab504d642038441894455d959bba9c2d741939e913ed037501"),
+            ("233/100", [5, 8], "25/2", "1", 19, "8ef6d4482ded8a78d479ea47de9e13e1656f6185edef1d0e45f4fd4c49d39ba8"),
+            ("233/100", [5, 8], "25/2", "5", 19, "8eaa7bb6d412b014fee808f0614a3a187c8d8f225f36428baeb0427971e4d629"),
         ],
-        ids=("order-7/3", "order-233/100", "order-1"),
+        ids=(
+            "order-7/3",
+            "order-233/100",
+            "order-1",
+            "order-7/3-precision-1",
+            "order-7/3-precision-5",
+            "order-233/100-precision-1",
+            "order-233/100-precision-5",
+        ),
     )
-    def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, records, sha256):
+    def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, precision, records, sha256):
         # Order 7/3 encloses the Riesz mean by integer roots, order 233/100 by
         # an interval sum; order 1 runs check_lt_gamma1 on integer pairs (d = 3
         # skipped, d = 20 with empty spectra and a right-hand side clamped to
-        # 0).  Every report must keep every verdict and witness byte.
+        # 0).  Every report must keep every verdict and witness byte.  At
+        # --precision 1 the 25-digit witnesses show the 21-digit lower ends in
+        # full, so those rows pin how an enclosure's lower end is rounded.
         config = tmp_path / "sweep.json"
         grid = {"start": "12", "stop": stop, "step": "1/8"}
         config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
         out = tmp_path / "report.jsonl"
         argv = ["verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out)]
+        if precision is not None:
+            argv += ["--precision", precision]
         assert main(argv) == 0
         report = out.read_bytes()
         assert report.count(b"\n") == records
@@ -479,6 +495,14 @@ class TestVerifyCommand:
                 "eta_grid.start must be positive",
             ),
             ({"eta_grid": {"start": "0", "stop": "2", "step": "1"}}, "eta_grid.start must be positive"),
+            (
+                {"d_values": [4], "eta_grid": {"start": "20001", "stop": "20002", "step": "2"}},
+                "eta = 20001, which gives more than 1000 levels at d = 4",
+            ),
+            (
+                {"d_values": [9, 4], "eta_grid": {"start": "2001", "stop": "2004.5", "step": "3"}},
+                "eta = 2004, which gives more than 1000 levels at d = 4",
+            ),
         ],
         ids=(
             "eta-grid-list",
@@ -502,6 +526,8 @@ class TestVerifyCommand:
             "eta-grid-exponent-beyond-limit",
             "eta-grid-start-not-positive",
             "eta-grid-start-zero",
+            "eta-grid-above-level-limit",
+            "eta-grid-largest-point-above-level-limit",
         ),
     )
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
@@ -521,6 +547,14 @@ class TestVerifyCommand:
         assert message in capsys.readouterr().err
         assert ran == []
         assert not out.exists()
+
+    def test_config_level_limit_is_inclusive(self, tmp_path):
+        # At d = 4 the largest point 2003 has levels 0..999; the stop 2003.5
+        # would have one more, and d = 9 alone fewer.
+        config = tmp_path / "sweep.json"
+        grid = {"start": "2000", "stop": "2003.5", "step": "3"}
+        config.write_text(json.dumps({"d_values": [9, 4], "eta_grid": grid}))
+        assert cli.SweepConfig.from_json_file(str(config)).eta_grid[1] == Fraction(4007, 2)
 
     def test_unknown_config_suite_named_once(self, tmp_path, capsys, monkeypatch):
         ran = []

@@ -157,9 +157,9 @@ class TestOneEvaluator:
         # riesz_mean and lt_rhs read the kernels the order-gamma check compares.
         d, eta, bits = 6, Fraction(111, 10), enclosure_bits(30)
         lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d, eta), gamma, 30)
-        assert lhs.value == dyadic_real(spectrum.riesz_mean_int(d, 111, 10, gamma, bits), 30).value
+        assert lhs == dyadic_real(spectrum.riesz_mean_int(d, 111, 10, gamma, bits), 30)
         rhs = phase_space.lt_rhs(d, eta, gamma, 30)
-        assert rhs.value == dyadic_real(phase_space.lt_rhs_int(d, 111, 10, gamma, bits), 30).value
+        assert rhs == dyadic_real(phase_space.lt_rhs_int(d, 111, 10, gamma, bits), 30)
 
 
 class TestDyadicComparison:

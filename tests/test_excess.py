@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coulomb_sharp import excess
-from coulomb_sharp.exact import Polynomial, poly_gcd, sturm_count
+from coulomb_sharp.exact import Polynomial, expand_linear_factors, poly_gcd, sturm_count
 from coulomb_sharp.phase_space import clr_rhs
 from coulomb_sharp.spectrum import SpectrumParams, counting_function
 from coulomb_sharp.verification import check_sandwich
@@ -24,12 +24,6 @@ class TestPochhammer:
 
     def test_small_product(self):
         assert excess.pochhammer_eval(3, Fraction(2)) == 60
-
-    def test_poly_matches_eval(self):
-        for m in range(7):
-            p = excess.pochhammer_poly(m)
-            for t in (Fraction(1, 3), Fraction(-5, 2), Fraction(4)):
-                assert p.eval(t) == excess.pochhammer_eval(m, t)
 
     def test_difference_recursion(self):
         rng = random.Random(77)
@@ -128,8 +122,10 @@ class TestFRatfun:
         assert p.coefficient(1) == -6
 
     def test_denominator_structure(self):
+        # (t + ceil(d/2) - 1/2) prod_{k<d} (t + k)
         for d in range(3, 12):
-            assert excess.f_as_ratfun(d).denominator == excess.f_denominator(d)
+            half_pole = Fraction(d, 2) if d % 2 else Fraction(d - 1, 2)
+            assert excess.f_as_ratfun(d).denominator == expand_linear_factors([half_pole, *range(1, d)])
 
     def test_degree_bound(self):
         for d in range(3, 61):
@@ -326,7 +322,7 @@ class TestGRatfun:
     def test_even_d_denominator_and_degree(self):
         for d in (6, 8, 10):
             pair = excess.g_as_ratfun(d)
-            assert pair.denominator == excess.pochhammer_poly(d - 1)
+            assert pair.denominator == expand_linear_factors(range(1, d))
             assert pair.numerator.degree <= d - 3
             assert pair.numerator.coefficient(d - 3) == -Fraction(d, 2)
 

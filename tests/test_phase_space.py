@@ -6,14 +6,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from coulomb_sharp.highprec import HighPrecisionReal
 from coulomb_sharp.phase_space import clr_rhs, lt_rhs
 
 
 def assert_close(value, exact):
-    """value is a HighPrecisionReal within 10**-30 relative of exact; call at 60 digits."""
-    assert isinstance(value, HighPrecisionReal)
-    assert abs(value.value - exact) <= abs(exact) * mpmath.mpf(10) ** -30
+    """value is an mpf within 10**-30 relative of exact; call at 60 digits."""
+    assert isinstance(value, mpmath.mpf)
+    assert abs(value - exact) <= abs(exact) * mpmath.mpf(10) ** -30
 
 
 class TestLtRhs:
@@ -58,7 +57,7 @@ class TestLtRhs:
         low = lt_rhs(5, Fraction(7), Fraction(1, 3), precision=20)
         high = lt_rhs(5, Fraction(7), Fraction(1, 3), precision=30)
         with mpmath.mp.workdps(45):
-            assert abs(low.value - high.value) <= abs(high.value) * mpmath.mpf(10) ** -19
+            assert abs(low - high) <= abs(high) * mpmath.mpf(10) ** -19
 
 
 class TestClrRhs:
