@@ -60,13 +60,15 @@ class TestRationalGrid:
             while x <= stop:
                 expected.append(x)
                 x += step
-            assert cli.rational_grid(start, stop, step) == expected
+            numerators, den = cli.grid_numerators(start, stop, step)
+            assert [Fraction(n, den) for n in numerators] == expected
 
     def test_point_limit(self):
         limit = cli.MAX_GRID_POINTS
-        assert len(cli.rational_grid(Fraction(1), Fraction(limit), Fraction(1))) == limit
+        numerators, _ = cli.grid_numerators(Fraction(1), Fraction(limit), Fraction(1))
+        assert len(numerators) == limit
         with pytest.raises(ValueError, match=f"more than {limit} points"):
-            cli.rational_grid(Fraction(0), Fraction(limit), Fraction(1))
+            cli.grid_numerators(Fraction(0), Fraction(limit), Fraction(1))
 
 
 class TestSpectrumCommand:
@@ -171,6 +173,22 @@ class TestConstantsCommand:
 
     def test_bad_tolerance_usage_error(self, capsys):
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize("tol", ["1e-300", "1e-101"])
+    def test_tolerance_below_floor_rejected_before_work(self, capsys, monkeypatch, tol):
+        # Narrower brackets cost far more than their digits: 1e-300 did not finish in two minutes at d = 400.
+        def no_work(*args, **kwargs):
+            raise AssertionError("t* was located")
+
+        monkeypatch.setattr(optima, "locate_t_star", no_work)
+        assert main(["constants", "--d", "400", "--which", "t-star", "--tol", tol]) == 2
+        assert capsys.readouterr().err == f"usage error: tolerance must be at least 1e-100, got {tol}\n"
+
+    def test_tolerance_floor_is_inclusive(self, capsys, monkeypatch):
+        widths, locate = [], optima.locate_t_star
+        monkeypatch.setattr(optima, "locate_t_star", lambda d, tol: widths.append(tol) or locate(d))
+        assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "1e-100"]) == 0
+        assert widths == [cli.MIN_T_STAR_TOL] == [Fraction(1, 10**100)]
 
     @pytest.mark.parametrize("which", ["t-star", "q-star"])
     def test_zero_denominator_tolerance_usage_error(self, capsys, which):
@@ -533,7 +551,8 @@ class TestVerifyCommand:
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
         ran = []
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
-        monkeypatch.setattr(cli, "custom_lt_sweep", lambda *args, **kwargs: ran.append("sweep") or [])
+        for name in ("check_lt_gamma1", "check_lt_general_gamma"):
+            monkeypatch.setattr(verification, name, lambda *args, **kwargs: ran.append("sweep"))
         payload = {
             "d_values": [4, 5],
             "eta_grid": {"start": "3.1", "stop": "3.5", "step": "1/10"},
@@ -581,6 +600,26 @@ class TestVerifyCommand:
         assert main(argv) == 2
         assert "does not exist" in capsys.readouterr().err
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "via_config, message",
+        [(False, "output path is empty"), (True, "output_path is empty")],
+        ids=("out-flag", "config-output-path"),
+    )
+    def test_empty_output_path_rejected_before_work(self, tmp_path, capsys, monkeypatch, via_config, message):
+        # An empty path must not fall back to the default report name.
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        monkeypatch.chdir(tmp_path)
+        if via_config:
+            (tmp_path / "sweep.json").write_text(json.dumps({"suites": ["clr"], "output_path": ""}))
+            argv = ["verify", "--config", "sweep.json"]
+        else:
+            argv = ["verify", "--suite", "clr", "--out", ""]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert ran == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == (["sweep.json"] if via_config else [])
 
     def test_directory_as_output_rejected_before_work(self, tmp_path, capsys, monkeypatch):
         ran = []
@@ -739,6 +778,17 @@ class TestFigureCommand:
         assert main(["figure", "--which", "f-plot", "--out", str(out)]) == 2
         assert "does not exist" in capsys.readouterr().err
         assert built == []
+
+    def test_empty_output_path_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        # The directory of "" is taken as the parent of the working directory, so it needs its own rule.
+        built = []
+        monkeypatch.setitem(cli.FIGURES, "f-plot", lambda step: built.append(step))
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(["figure", "--which", "f-plot", "--out", ""]) == 2
+        assert capsys.readouterr().err == "usage error: output path is empty\n"
+        assert built == []
+        assert [path.name for path in tmp_path.rglob("*")] == ["work"]
 
     def test_zero_denominator_step_usage_error(self, tmp_path, capsys):
         assert main(["figure", "--which", "f-plot", "--out", str(tmp_path / "x.csv"), "--step", "1/0"]) == 2

@@ -107,9 +107,19 @@ class TestAppendixSums:
 
 class TestGeneralGamma:
     def test_exact_order_one(self):
-        record = V.check_lt_general_gamma(3, Fraction(5), Fraction(1))
-        assert record.verdict == "pass"
-        assert record.witness == {"lhs": "15/2", "rhs": "125/12"}
+        # Order 1 is decided by enclosures like every other order; the exact
+        # order-1 kernels are the oracle.  eta = n/6 with n up to 12d + 12
+        # meets empty spectra (eta <= d - 1) and points whose pair n/6 is not
+        # reduced; the kernels take that pair as it stands.
+        for d in range(3, 13):
+            for n in range(1, 12 * d + 13, 5):
+                record = V.check_lt_general_gamma(d, Fraction(n, 6), Fraction(1))
+                lhs_num, lhs_den = spectrum.riesz_mean_order1_int(d, n, 6)
+                rhs_num, rhs_den = phase_space.lt_rhs_order_int(d, n, 6, 1)
+                assert record.verdict == "pass"
+                assert (record.verdict == "pass") == (lhs_num * rhs_den < rhs_num * lhs_den)
+                for side, exact in (("lhs", Fraction(lhs_num, lhs_den)), ("rhs", Fraction(rhs_num, rhs_den))):
+                    assert abs(Fraction(record.witness[side]) - exact) <= exact / 10**24, (d, n, side)
 
     def test_half_odd_gamma_exact_rhs(self):
         record = V.check_lt_general_gamma(5, Fraction(10), Fraction(3, 2))
