@@ -22,17 +22,16 @@ import tempfile
 from dataclasses import dataclass, fields
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import excess, optima, spectrum, verification
 from .exact import MathematicalError, parse_rational
-from .highprec import DEFAULT_PRECISION, MAX_PRECISION, check_precision
 from .spectrum import MAX_DIMENSION, check_dimension
 
 DECIMAL_SIGNIFICANT_DIGITS = 15
 
 # Input size limits, each refused as a usage error before any work starts
-# (with spectrum.MAX_DIMENSION and highprec.MAX_PRECISION).
+# (with spectrum.MAX_DIMENSION).
 MAX_LEVELS = 1000  # levels of one spectrum command or of any point of a config sweep
 MAX_GRID_POINTS = 100_000  # points of one figure grid or config eta grid
 # Narrowest t* bracket of constants --tol: the bisection's points lengthen as the
@@ -116,7 +115,6 @@ class SweepConfig:
     gamma: Fraction | None = None
     suites: list[str] | None = None
     output_path: str | None = None
-    precision: int | None = None
 
     @staticmethod
     def from_json_file(path: str) -> "SweepConfig":
@@ -179,16 +177,12 @@ class SweepConfig:
             raise ValueError("output_path must be a string")
         if output_path == "":
             raise ValueError("output_path is empty")
-        precision = data.get("precision")
-        if precision is not None:
-            check_precision(precision)
         return SweepConfig(
             d_values=d_values,
             eta_grid=eta_grid,
             gamma=gamma,
             suites=suites,
             output_path=output_path,
-            precision=precision,
         )
 
 
@@ -356,15 +350,15 @@ def _star_payload(which: str, result: optima.StarResult) -> dict:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    tol = parse_rational(args.tol)
-    if tol < MIN_T_STAR_TOL:
-        raise ValueError(f"tolerance must be at least 1e-100, got {args.tol}")
     if args.which == "q-star":
         print(json.dumps(_star_payload("q-star", optima.q_star(args.d)), indent=2))
         return 0
     if args.which == "a-star":
         print(json.dumps(_star_payload("a-star", optima.a_star(args.d)), indent=2))
         return 0
+    tol = parse_rational(args.tol)
+    if tol < MIN_T_STAR_TOL:
+        raise ValueError(f"tolerance must be at least 1e-100, got {args.tol}")
     bracket = optima.locate_t_star(args.d, tol)
     lo_bound, hi_bound = optima.t_star_bounds(args.d)
     payload = {
@@ -395,14 +389,13 @@ def _parse_d_range(text: str) -> tuple[int, int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = SweepConfig.from_json_file(args.config) if args.config else SweepConfig()
-    precision = args.precision or config.precision or DEFAULT_PRECISION
     d_range = _parse_d_range(args.d_range) if args.d_range else None
     suites = [args.suite] if args.suite else (config.suites or ["all"])
     out_path = next(path for path in (args.out, config.output_path, "verification_report.jsonl") if path is not None)
     _check_output_path(out_path)
     records: list[verification.CheckRecord] = []
     for suite in suites:
-        records.extend(verification.run_suite(suite, d_range=d_range, precision=precision))
+        records.extend(verification.run_suite(suite, d_range=d_range))
     if config.d_values:
         # The config's (d, eta) rectangle, d outer: order 1 runs the improved order-1 bound.
         numerators, den = grid_numerators(*config.eta_grid)
@@ -413,7 +406,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if gamma == 1:
                     records.append(verification.check_lt_gamma1(d, eta))
                 else:
-                    records.append(verification.check_lt_general_gamma(d, eta, gamma, precision))
+                    records.append(verification.check_lt_general_gamma(d, eta, gamma))
     if not records:
         print(f"no checks ran for suites {', '.join(suites)}; no report written", file=sys.stderr)
         return 1
@@ -454,16 +447,12 @@ def _integer(text: str) -> int | str:
     return int(text) if text.isdecimal() else text
 
 
-def _checked_integer(check: Callable[[object], int]) -> Callable[[str], int]:
-    """An argparse type: the text as an integer, accepted or refused by ``check``."""
-
-    def convert(text: str) -> int:
-        try:
-            return check(_integer(text))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return convert
+def _dimension(text: str) -> int:
+    """An argparse type: the text as an integer, accepted or refused by ``check_dimension``."""
+    try:
+        return check_dimension(_integer(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,16 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    dimension = _checked_integer(check_dimension)
 
     p_spec = sub.add_parser("spectrum", help="negative levels, multiplicities and the count")
-    p_spec.add_argument("--d", type=dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
+    p_spec.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
     p_spec.add_argument("--eta", required=True, help="coupling ratio as P/Q or decimal text")
     p_spec.add_argument("--format", choices=("text", "json"), default="text")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_const = sub.add_parser("constants", help="sharp constants and maximizer brackets")
-    p_const.add_argument("--d", type=dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
+    p_const.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
     p_const.add_argument("--which", choices=("q-star", "a-star", "t-star"), required=True)
     p_const.add_argument("--tol", default="1/1000000", help="bracket width for t-star")
     p_const.set_defaults(func=cmd_constants)
@@ -497,14 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--d-range", help="dimension range A..B")
     p_verify.add_argument("--out", help="report path (JSON lines)")
-    p_verify.add_argument(
-        "--precision",
-        type=_checked_integer(check_precision),
-        help=(
-            f"significant digits for real paths, at most {MAX_PRECISION}; raise it to resolve "
-            f"an inconclusive near-tie (default: config precision, else {DEFAULT_PRECISION})"
-        ),
-    )
     p_verify.add_argument("--config", help="JSON file mirroring the sweep configuration")
     p_verify.set_defaults(func=cmd_verify)
 

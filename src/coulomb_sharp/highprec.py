@@ -1,4 +1,4 @@
-"""The precision rule and the enclosures of the non-integer orders.
+"""The precision ladder and the enclosures of the non-integer orders.
 
 Only a handful of quantities in this project are genuinely irrational
 (half-integer powers for odd dimension, gamma values at generic arguments,
@@ -10,9 +10,11 @@ above), the order-gamma right-hand side by an interval Gamma ratio
 (``phase_space.lt_rhs_int``).  An enclosure (lo, hi, k) holds the value in
 [lo, hi] / 2**k, with a relative width below 2**-``enclosure_bits(precision)``
 < 10**-(precision + 20); ``interval_enclosure`` reads one off an mpmath.iv
-evaluation.  Two enclosures are compared once (``exact.dyadic_less``);
-``dyadic_real`` rounds the lower end to a plain ``mpmath.mpf`` for display.
-Enclosures are sized once and never retried.
+evaluation.  Two enclosures are compared by ``exact.dyadic_less``; the
+strict check (``verification.check_lt_general_gamma``) starts at
+DEFAULT_PRECISION digits and doubles them while the enclosures overlap, up
+to MAX_PRECISION.  ``dyadic_real`` rounds a lower end to a plain
+``mpmath.mpf`` for display.
 
 The other irrational value, A at odd d, is the square root of an exact
 rational and is read off one integer square root (``cli.render_sqrt``,
@@ -31,11 +33,11 @@ from mpmath import libmp, mp
 
 from .exact import MathematicalError
 
-# Significant digits of every real path unless a caller asks for others.
+# Significant digits of the first enclosures of every real path.
 DEFAULT_PRECISION = 30
 GUARD_DIGITS = 10
 MAX_DOUBLINGS = 6
-# Largest requested precision.  The cost of a high-precision check grows faster
+# Top of the escalation ladder.  The cost of a high-precision check grows faster
 # than the digit count: the lt-gamma1 suite on one dimension takes seconds at
 # 1000 digits and does not finish in a minute at 10000.
 MAX_PRECISION = 1000
@@ -46,7 +48,7 @@ class PrecisionError(MathematicalError):
 
 
 def check_precision(precision: object) -> int:
-    """The one precision rule, for every caller and input: an integer from 1 to MAX_PRECISION."""
+    """The one precision rule: an integer from 1 to MAX_PRECISION."""
     if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
         raise ValueError(f"precision must be an integer from 1 to {MAX_PRECISION} digits, got {precision!r}")
     return precision

@@ -30,21 +30,19 @@ from .highprec import (
 )
 
 
-def lt_rhs(
-    d: int, eta: RationalLike, gamma: RationalLike, precision: int = DEFAULT_PRECISION
-) -> Fraction | mpmath.mpf:
+def lt_rhs(d: int, eta: RationalLike, gamma: RationalLike) -> Fraction | mpmath.mpf:
     """Semiclassical right-hand side of the order-gamma inequality, units Lambda**gamma.
 
     Exact for integer gamma (``lt_rhs_order_int``); for every other order,
     half-integers included, the lower end of ``lt_rhs_int``'s enclosure, an
-    mpf held at ``precision`` plus guard digits (``highprec.dyadic_real``).
+    mpf held at DEFAULT_PRECISION plus guard digits (``highprec.dyadic_real``).
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
     _check_order(d, gamma)
     if gamma.denominator == 1:
         return Fraction(*lt_rhs_order_int(d, eta.numerator, eta.denominator, gamma.numerator))
-    enclosure = lt_rhs_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
-    return dyadic_real(enclosure, precision)
+    enclosure = lt_rhs_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(DEFAULT_PRECISION))
+    return dyadic_real(enclosure, DEFAULT_PRECISION)
 
 
 def _check_order(d: int, gamma: Fraction) -> None:

@@ -136,15 +136,13 @@ def counting_function(params: SpectrumParams) -> int:
     return 0 if ell is None else level_count(params.d, ell)
 
 
-def riesz_mean(
-    params: SpectrumParams, gamma: RationalLike, precision: int = DEFAULT_PRECISION
-) -> Fraction | mpmath.mpf:
+def riesz_mean(params: SpectrumParams, gamma: RationalLike) -> Fraction | mpmath.mpf:
     """Sum of |lambda_j/Lambda|**gamma with multiplicities (gamma = 0: the count).
 
     Exact rational for gamma in {0, 1} (at 1 from ``riesz_mean_order1_int``);
     otherwise the lower end of ``riesz_mean_int``'s enclosure, an mpf held
-    at ``precision`` plus guard digits (``highprec.dyadic_real``).  Returns
-    0 for empty spectrum.
+    at DEFAULT_PRECISION plus guard digits (``highprec.dyadic_real``).
+    Returns 0 for empty spectrum.
     """
     gamma = as_rational(gamma)
     if gamma < 0:
@@ -157,8 +155,8 @@ def riesz_mean(
     d, eta = params.d, params.eta
     if gamma == 1:
         return Fraction(*riesz_mean_order1_int(d, eta.numerator, eta.denominator))
-    enclosure = riesz_mean_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(precision))
-    return dyadic_real(enclosure, precision)
+    enclosure = riesz_mean_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(DEFAULT_PRECISION))
+    return dyadic_real(enclosure, DEFAULT_PRECISION)
 
 
 def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:

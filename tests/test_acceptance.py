@@ -147,7 +147,7 @@ def test_criterion_7_g_function():
 
 def test_criterion_8_asymptotics():
     with _Stopwatch(300.0) as watch:
-        record = verification.check_asymptotics(50, 200, precision=40)
+        record = verification.check_asymptotics(50, 200)
         assert record.verdict == "pass", record.to_json()
         bound = float(verification.ASYMPTOTIC_RESIDUAL_BOUND)
         assert float(record.witness["max_residual_q"]) <= bound

@@ -36,7 +36,7 @@ class TestRationalArguments:
         [
             ["spectrum", "--d", "3", "--eta", "1e10000000"],
             ["spectrum", "--d", "3", "--eta", "1e1001"],
-            ["constants", "--d", "5", "--which", "q-star", "--tol", "1e-1001"],
+            ["constants", "--d", "5", "--which", "t-star", "--tol", "1e-1001"],
             ["figure", "--which", "f-plot", "--step", "1e-1001", "--out", "OUT"],
         ],
         ids=("eta-1e10000000", "eta-1e1001", "tol-1e-1001", "step-1e-1001"),
@@ -190,12 +190,21 @@ class TestConstantsCommand:
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "1e-100"]) == 0
         assert widths == [cli.MIN_T_STAR_TOL] == [Fraction(1, 10**100)]
 
-    @pytest.mark.parametrize("which", ["t-star", "q-star"])
+    @pytest.mark.parametrize("which", ["t-star"])
     def test_zero_denominator_tolerance_usage_error(self, capsys, which):
         assert main(["constants", "--d", "5", "--which", which, "--tol", "1/0"]) == 2
         err = capsys.readouterr().err
         assert "usage error: zero denominator in '1/0'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["q-star", "a-star"])
+    @pytest.mark.parametrize("tol", ["0", "1/0", "1e-1001"])
+    def test_tolerance_is_read_by_t_star_only(self, capsys, which, tol):
+        # The window maxima have no bracket width, so --tol leaves their output alone.
+        assert main(["constants", "--d", "5", "--which", which]) == 0
+        plain = capsys.readouterr().out
+        assert main(["constants", "--d", "5", "--which", which, "--tol", tol]) == 0
+        assert capsys.readouterr().out == plain
 
     @pytest.mark.parametrize("which, d", [("q-star", "494"), ("a-star", "401"), ("t-star", "100000")])
     def test_dimension_above_limit_rejected_before_work(self, capsys, monkeypatch, which, d):
@@ -319,70 +328,39 @@ class TestVerifyCommand:
         assert sum(record["params"].get("d") == "40" for record in records) == 6
 
     @pytest.mark.parametrize(
-        "gamma, d_values, stop, precision, records, sha256",
+        "gamma, d_values, stop, records, sha256",
         [
-            ("7/3", [5, 6], "14", None, 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
-            ("233/100", [5, 8], "25/2", None, 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
-            ("1", [3, 4, 9, 20], "20", None, 269, "9020bbdb8762de59414bd480545909d5a292204be434a9bf3068851d5885673e"),
-            ("7/3", [5, 6], "14", "1", 43, "002032733678586e97553f40893ee50f7b73a1f8fd721d405455d46f976b234c"),
-            ("7/3", [5, 6], "14", "5", 43, "f82255198c9b03ab504d642038441894455d959bba9c2d741939e913ed037501"),
-            ("233/100", [5, 8], "25/2", "1", 19, "8ef6d4482ded8a78d479ea47de9e13e1656f6185edef1d0e45f4fd4c49d39ba8"),
-            ("233/100", [5, 8], "25/2", "5", 19, "8eaa7bb6d412b014fee808f0614a3a187c8d8f225f36428baeb0427971e4d629"),
+            ("7/3", [5, 6], "14", 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
+            ("233/100", [5, 8], "25/2", 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
+            ("1", [3, 4, 9, 20], "20", 269, "9020bbdb8762de59414bd480545909d5a292204be434a9bf3068851d5885673e"),
         ],
-        ids=(
-            "order-7/3",
-            "order-233/100",
-            "order-1",
-            "order-7/3-precision-1",
-            "order-7/3-precision-5",
-            "order-233/100-precision-1",
-            "order-233/100-precision-5",
-        ),
+        ids=("order-7/3", "order-233/100", "order-1"),
     )
-    def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, precision, records, sha256):
+    def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, records, sha256):
         # Order 7/3 encloses the Riesz mean by integer roots, order 233/100 by
         # an interval sum; order 1 runs check_lt_gamma1 on integer pairs (d = 3
         # skipped, d = 20 with empty spectra and a right-hand side clamped to
-        # 0).  Every report must keep every verdict and witness byte.  At
-        # --precision 1 the 25-digit witnesses show the 21-digit lower ends in
-        # full, so those rows pin how an enclosure's lower end is rounded.
+        # 0).  Every report must keep every verdict and witness byte.
         config = tmp_path / "sweep.json"
         grid = {"start": "12", "stop": stop, "step": "1/8"}
         config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
         out = tmp_path / "report.jsonl"
         argv = ["verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out)]
-        if precision is not None:
-            argv += ["--precision", precision]
         assert main(argv) == 0
         report = out.read_bytes()
         assert report.count(b"\n") == records
         assert hashlib.sha256(report).hexdigest() == sha256
 
-    @pytest.mark.parametrize("precision", ["1", "2"])
-    def test_large_denominator_order_decided_at_low_precision(self, tmp_path, capsys, precision):
-        # Order 233/100 is decided by enclosures at every precision, also at 1
-        # and 2 digits, where ten units in the last digit exceed the values.
-        config = tmp_path / "sweep.json"
-        grid = {"start": "12", "stop": "14", "step": "1/8"}
-        config.write_text(json.dumps({"gamma": "233/100", "d_values": [5, 8], "eta_grid": grid}))
-        out = tmp_path / "report.jsonl"
-        argv = ["verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config)]
-        assert main([*argv, "--precision", precision, "--out", str(out)]) == 0
-        records = [json.loads(line) for line in out.read_text().splitlines()]
-        verdicts = [record["verdict"] for record in records if record["check_id"] == "lt-general-gamma"]
-        assert verdicts == ["pass"] * 34
-
     def test_odd_d_asymptotic_gap_keeps_its_digits_at_low_precision(self, tmp_path, capsys):
         # At odd d the A residual is the gap d^3 (A - Q), an exact numerator
-        # over A + Q with A from one integer square root: --precision does not
-        # reach it, so every precision reads the same float.
+        # over A + Q with A from one integer square root: no cancellation
+        # costs it digits.
         for d, residual in ((11, 9.807481098616028), (51, 5.241324182109934)):
-            for precision in (1, 5, 30):
-                out = tmp_path / f"report-{d}-{precision}.jsonl"
-                argv = ["verify", "--suite", "asymptotics", "--d-range", f"{d}..{d}", "--precision", str(precision)]
-                assert main([*argv, "--out", str(out)]) == 0
-                (record,) = [json.loads(line) for line in out.read_text().splitlines()]
-                assert float(record["witness"]["max_residual_a"]) == residual, (d, precision)
+            out = tmp_path / f"report-{d}.jsonl"
+            argv = ["verify", "--suite", "asymptotics", "--d-range", f"{d}..{d}"]
+            assert main([*argv, "--out", str(out)]) == 0
+            (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+            assert float(record["witness"]["max_residual_a"]) == residual, d
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
@@ -411,7 +389,7 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_failing_record_exits_one(self, tmp_path, capsys, monkeypatch):
-        def broken_suite(d_range=None, precision=30):
+        def broken_suite(d_range=None):
             return [
                 verification.CheckRecord(
                     check_id="demo", params={}, verdict="fail", witness={"lhs": "2", "rhs": "1"}
@@ -451,7 +429,6 @@ class TestVerifyCommand:
                     "gamma": "1",
                     "suites": ["clr"],
                     "output_path": str(out),
-                    "precision": 30,
                 }
             )
         )
@@ -493,9 +470,9 @@ class TestVerifyCommand:
             ({"eta_grid": {"start": "3", "stop": "4"}}, "eta_grid must be an object"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1/0"}}, "eta_grid.step"),
             ({"suites": "clr"}, "suites must be a list"),
-            ({"precision": "x"}, "precision must be an integer from 1 to 1000 digits, got 'x'"),
-            ({"precision": True}, "precision must be an integer from 1 to 1000 digits, got True"),
-            ({"precision": 0}, "precision must be an integer from 1 to 1000 digits, got 0"),
+            ({"precision": "x"}, "unknown config field 'precision'"),
+            ({"precision": True}, "unknown config field 'precision'"),
+            ({"precision": 0}, "unknown config field 'precision'"),
             ({"output_path": 7}, "output_path must be a string"),
             ({"d_values": [4, 2]}, "each of d_values must be an integer from 3 to 400, got 2"),
             ({"gamma": "1/2"}, "gamma must be >= 1"),
@@ -504,7 +481,7 @@ class TestVerifyCommand:
             ({"gama": "7/3"}, "unknown config field 'gama'"),
             ({"eta_grid": None, "gamma": "3/2"}, "eta_grid is missing"),
             ({"d_values": None}, "d_values is missing"),
-            ({"precision": 1001}, "precision must be an integer from 1 to 1000 digits, got 1001"),
+            ({"precision": 1001}, "unknown config field 'precision'"),
             ({"d_values": [4, 401]}, "each of d_values must be an integer from 3 to 400, got 401"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1/100000"}}, "more than 100000 points"),
             ({"eta_grid": {"start": "3", "stop": "4", "step": "1e-1001"}}, "decimal exponent -1001 is beyond"),
@@ -636,26 +613,14 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("precision", ["0", "-3", "x", "1001", "100000000"])
     def test_bad_precision_flag_rejected_before_work(self, tmp_path, capsys, monkeypatch, precision):
+        # The strict check works its precision out itself; verify takes no such flag.
         ran = []
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "clr", "--precision", precision, "--out", str(out)]) == 2
-        assert "argument --precision: precision must be an integer from 1 to 1000 digits" in capsys.readouterr().err
+        assert f"unrecognized arguments: --precision {precision}" in capsys.readouterr().err
         assert ran == []
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag, configured, used",
-        [(["--precision", "35"], 25, 35), ([], 25, 25), ([], None, cli.DEFAULT_PRECISION)],
-        ids=("flag-over-config", "config", "default"),
-    )
-    def test_precision_resolution_order(self, tmp_path, capsys, monkeypatch, flag, configured, used):
-        seen = []
-        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: seen.append(kwargs["precision"]) or [])
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({"suites": ["clr"], "precision": configured}))
-        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.jsonl"), *flag]) == 1
-        assert seen == [used]
 
     def test_asymptotics_outside_its_range_runs_no_check(self, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
@@ -839,7 +804,8 @@ class TestInputRule:
     @pytest.mark.parametrize(
         "site, value",
         [(site, d) for site in ("--d", "--d-range", "d_values") for d in (2, 401)]
-        + [(site, p) for site in ("--precision", "precision", "enclosure_bits") for p in (0, 1001)],
+        + [(site, p) for site in ("--precision", "precision") for p in (0, 30, 1001)]
+        + [("enclosure_bits", p) for p in (0, 1001)],
     )
     def test_out_of_range_refused_before_work(self, tmp_path, capsys, monkeypatch, site, value):
         if site == "enclosure_bits":
@@ -868,7 +834,10 @@ class TestInputRule:
         err = capsys.readouterr().err
         if site in ("--d", "--d-range", "d_values"):
             assert f"must be an integer from 3 to 400, got {value}\n" in err
+        elif site == "--precision":
+            # No precision is an input: the strict check escalates on its own.
+            assert f"unrecognized arguments: --precision {value}\n" in err
         else:
-            assert f"precision must be an integer from 1 to 1000 digits, got {value}\n" in err
+            assert "unknown config field 'precision'\n" in err
         assert "Traceback" not in err
         assert not out.exists()

@@ -20,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from coulomb_sharp import phase_space, spectrum  # noqa: E402
 from coulomb_sharp.exact import dyadic_less, iroot  # noqa: E402
-from coulomb_sharp.highprec import dyadic_real, enclosure_bits  # noqa: E402
+from coulomb_sharp.highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits  # noqa: E402
 
 degrees = st.integers(1, 8)
 orders = st.builds(Fraction, st.integers(1, 40), st.one_of(degrees, st.integers(9, 10**12)))
@@ -155,11 +155,11 @@ class TestOneEvaluator:
     @pytest.mark.parametrize("gamma", [Fraction(1, 3), Fraction(7, 3), Fraction(17, 8), Fraction(233, 100)])
     def test_public_values_are_the_lower_ends_of_the_enclosures(self, gamma):
         # riesz_mean and lt_rhs read the kernels the order-gamma check compares.
-        d, eta, bits = 6, Fraction(111, 10), enclosure_bits(30)
-        lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d, eta), gamma, 30)
-        assert lhs == dyadic_real(spectrum.riesz_mean_int(d, 111, 10, gamma, bits), 30)
-        rhs = phase_space.lt_rhs(d, eta, gamma, 30)
-        assert rhs == dyadic_real(phase_space.lt_rhs_int(d, 111, 10, gamma, bits), 30)
+        d, eta, bits = 6, Fraction(111, 10), enclosure_bits(DEFAULT_PRECISION)
+        lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d, eta), gamma)
+        assert lhs == dyadic_real(spectrum.riesz_mean_int(d, 111, 10, gamma, bits), DEFAULT_PRECISION)
+        rhs = phase_space.lt_rhs(d, eta, gamma)
+        assert rhs == dyadic_real(phase_space.lt_rhs_int(d, 111, 10, gamma, bits), DEFAULT_PRECISION)
 
 
 class TestDyadicComparison:

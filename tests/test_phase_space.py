@@ -54,10 +54,13 @@ class TestLtRhs:
             assert_close(lt_rhs(4, Fraction(1), Fraction(1, 2)), mpmath.pi / 768)
 
     def test_generic_gamma_self_consistency(self):
-        low = lt_rhs(5, Fraction(7), Fraction(1, 3), precision=20)
-        high = lt_rhs(5, Fraction(7), Fraction(1, 3), precision=30)
-        with mpmath.mp.workdps(45):
-            assert abs(low - high) <= abs(high) * mpmath.mpf(10) ** -19
+        # Gamma(4/3)Gamma(13/6)/(Gamma(6)Gamma(5/2)) * 7**5 / 2**4, the lower end good to 30 digits.
+        value = lt_rhs(5, Fraction(7), Fraction(1, 3))
+        with mpmath.mp.workdps(60):
+            third = mpmath.mpf(1) / 3
+            ratio = mpmath.gamma(1 + third) * mpmath.gamma(mpmath.mpf(5) / 2 - third)
+            direct = mpmath.mpf(7) ** 5 / 2**4 * ratio / (mpmath.gamma(6) * mpmath.gamma(mpmath.mpf(5) / 2))
+            assert direct - abs(direct) * mpmath.mpf(10) ** -30 <= value <= direct
 
 
 class TestClrRhs:

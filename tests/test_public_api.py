@@ -77,6 +77,21 @@ def test_package_reads_no_environment():
                 assert not names & ENVIRONMENT_READERS, f"{path.name} imports {names & ENVIRONMENT_READERS}"
 
 
+def test_only_highprec_takes_a_precision():
+    # The strict check escalates its precision until the enclosures are
+    # disjoint; no other function may offer the digit count as an option.
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.stem == "highprec":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                arguments = node.args
+                names = [a.arg for a in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)]
+                names += [a.arg for a in (arguments.vararg, arguments.kwarg) if a is not None]
+                owner = getattr(node, "name", "lambda")
+                assert "precision" not in names, f"{path.name}:{node.lineno} {owner} takes a precision"
+
+
 def test_only_highprec_sets_mpmath_precision():
     # A root or quotient read off a floating-point run at a chosen precision is
     # not a proof; outside highprec, irrational values come from integer roots.

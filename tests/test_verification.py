@@ -9,6 +9,7 @@ import pytest
 from coulomb_sharp import excess, phase_space, spectrum
 from coulomb_sharp import verification as V
 from coulomb_sharp.exact import Polynomial, RationalFunctionPair
+from coulomb_sharp.highprec import MAX_PRECISION, enclosure_bits
 
 
 class TestLtGamma1:
@@ -135,14 +136,14 @@ class TestGeneralGamma:
             V.check_lt_general_gamma(4, Fraction(10), Fraction(2))
 
     def test_generic_gamma_high_precision(self):
-        record = V.check_lt_general_gamma(6, Fraction(14), Fraction(4, 3), precision=25)
+        record = V.check_lt_general_gamma(6, Fraction(14), Fraction(4, 3))
         assert record.verdict == "pass"
 
     @staticmethod
     def _assert_rhs_computed_once(monkeypatch, gamma):
         # The Gamma ratio of the right-hand side is one interval evaluation
         # (four Gamma values) per (d, gamma, bits) of a sweep, whichever kernel
-        # encloses the Riesz mean.
+        # encloses the Riesz mean; a repeated sweep evaluates none.
         calls = []
         interval_gamma = mpmath.iv.gamma
 
@@ -152,13 +153,13 @@ class TestGeneralGamma:
 
         monkeypatch.setattr(mpmath.iv, "gamma", counted)
         phase_space.gamma_ratio_int.cache_clear()
-        for precision in (30, 25):
+        for _ in range(2):
             for d in (7, 8):
                 for n in range(96, 104):
-                    record = V.check_lt_general_gamma(d, Fraction(n, 8), gamma, precision)
-                    assert record.verdict == "pass" and record.witness["used_precision"] == str(precision)
-        assert len(calls) == 4 * 2 * 2
-        assert phase_space.gamma_ratio_int.cache_info().misses == 4
+                    record = V.check_lt_general_gamma(d, Fraction(n, 8), gamma)
+                    assert record.verdict == "pass" and record.witness["used_precision"] == "30"
+        assert len(calls) == 4 * 2
+        assert phase_space.gamma_ratio_int.cache_info().misses == 2
 
     def test_generic_gamma_rhs_computed_once(self, monkeypatch):
         # q-th-root kernel for the Riesz mean.
@@ -178,28 +179,47 @@ class TestGeneralGamma:
     )
     def test_rhs_below_lhs_fails(self, monkeypatch, gamma, note):
         monkeypatch.setattr(phase_space, "lt_rhs_int", lambda *args: (1, 1, 0))
-        record = V.check_lt_general_gamma(8, Fraction(12), gamma, precision=25)
+        record = V.check_lt_general_gamma(8, Fraction(12), gamma)
         assert record.verdict == "fail" and not record.ok
         assert record.witness["rhs"] == "1.0"
-        assert record.witness["used_precision"] == "25"
+        assert record.witness["used_precision"] == "30"
         assert record.note == note
 
-    @staticmethod
-    def _assert_tie_is_inconclusive(monkeypatch, gamma, precision):
+    @pytest.mark.parametrize("gamma", [Fraction(7, 3), Fraction(233, 100)], ids=("7/3", "233/100"))
+    @pytest.mark.parametrize("sign, verdict", [(1, "pass"), (-1, "fail")], ids=("above", "below"))
+    def test_near_tie_escalates_until_the_enclosures_are_disjoint(self, monkeypatch, gamma, sign, verdict):
+        # A right-hand side 2**-300 of the value above (below) the left-hand
+        # side overlaps it at 30 and 60 digits (167 and 266 bits) and
+        # separates at 120 (465 bits); the witnesses are read at 120 digits.
+        def shifted(d, n, den, gamma, bits):
+            lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            return lo + sign * (lo >> 300), hi + sign * (lo >> 300), k
+
+        monkeypatch.setattr(phase_space, "lt_rhs_int", shifted)
+        record = V.check_lt_general_gamma(8, Fraction(12), gamma)
+        assert record.verdict == verdict
+        assert record.witness["used_precision"] == "120"
+        assert record.params["precision"] == "30"
+
+    def test_tie_climbs_every_rung_of_the_ladder(self, monkeypatch):
+        rungs = []
+
+        def tie(d, n, den, gamma, bits):
+            rungs.append(bits)
+            return spectrum.riesz_mean_int(d, n, den, gamma, bits)
+
+        monkeypatch.setattr(phase_space, "lt_rhs_int", tie)
+        V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3))
+        assert rungs == [enclosure_bits(p) for p in (30, 60, 120, 240, 480, 960, 1000)]
+
+    @pytest.mark.parametrize("gamma", [Fraction(7, 3), Fraction(233, 100)], ids=("7/3", "233/100"))
+    def test_tie_is_inconclusive_at_the_cap(self, monkeypatch, gamma):
+        # Both Riesz kernels: q-th roots at 7/3, the interval sum at 233/100.
         monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
-        record = V.check_lt_general_gamma(8, Fraction(12), gamma, precision=precision)
+        record = V.check_lt_general_gamma(8, Fraction(12), gamma)
         assert record.verdict == "inconclusive" and not record.ok
         assert record.witness["lhs"] == record.witness["rhs"]
-        assert record.witness["used_precision"] == str(precision)
-
-    @pytest.mark.parametrize("precision", [20, 30], ids=("20", "30"))
-    def test_tie_is_inconclusive_at_the_requested_precision(self, monkeypatch, precision):
-        self._assert_tie_is_inconclusive(monkeypatch, Fraction(7, 3), precision)
-
-    @pytest.mark.parametrize("precision", [20, 30], ids=("20", "30"))
-    def test_tie_is_inconclusive_on_the_validated_path(self, monkeypatch, precision):
-        # Interval-sum kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
-        self._assert_tie_is_inconclusive(monkeypatch, Fraction(233, 100), precision)
+        assert record.witness["used_precision"] == str(MAX_PRECISION) == "1000"
 
     def test_enclosures_disjoint_by_less_than_the_margin_decide(self, monkeypatch):
         # A right-hand side one part in 10**45 above the left-hand side passes
@@ -211,7 +231,7 @@ class TestGeneralGamma:
 
         monkeypatch.setattr(phase_space, "lt_rhs_int", just_above)
         record = V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3))
-        assert record.verdict == "pass"
+        assert record.verdict == "pass" and record.witness["used_precision"] == "30"
         assert record.witness["lhs"] == record.witness["rhs"]
 
 
