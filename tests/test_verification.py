@@ -221,6 +221,27 @@ class TestGeneralGamma:
         assert record.witness["lhs"] == record.witness["rhs"]
         assert record.witness["used_precision"] == str(MAX_PRECISION) == "1000"
 
+    @staticmethod
+    def _assert_tie_is_inconclusive(monkeypatch, gamma, precision):
+        # A ladder of one rung: start and cap both at ``precision``, so the
+        # cap test must come before any doubling.
+        monkeypatch.setattr(V, "DEFAULT_PRECISION", precision)
+        monkeypatch.setattr(V, "MAX_PRECISION", precision)
+        monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
+        record = V.check_lt_general_gamma(8, Fraction(12), gamma)
+        assert record.verdict == "inconclusive" and not record.ok
+        assert record.witness["lhs"] == record.witness["rhs"]
+        assert record.witness["used_precision"] == str(precision)
+
+    @pytest.mark.parametrize("precision", [20, 30], ids=("20", "30"))
+    def test_tie_is_inconclusive_at_the_requested_precision(self, monkeypatch, precision):
+        self._assert_tie_is_inconclusive(monkeypatch, Fraction(7, 3), precision)
+
+    @pytest.mark.parametrize("precision", [20, 30], ids=("20", "30"))
+    def test_tie_is_inconclusive_on_the_validated_path(self, monkeypatch, precision):
+        # Interval-sum kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
+        self._assert_tie_is_inconclusive(monkeypatch, Fraction(233, 100), precision)
+
     def test_enclosures_disjoint_by_less_than_the_margin_decide(self, monkeypatch):
         # A right-hand side one part in 10**45 above the left-hand side passes
         # at 30 digits, where a margin of ten units in the last digit would
