@@ -1,20 +1,20 @@
-"""Exact rational polynomial arithmetic and certified real-root isolation.
+"""Exact polynomial arithmetic over the rationals and certified real-root isolation.
 
-Everything in this module is computed with arbitrary-precision rational
-numbers; floating point never decides a comparison.  The scalar type is
-``fractions.Fraction`` (always in lowest terms, positive denominator).
-On top of it sit dense univariate polynomials, co-prime rational-function
-pairs, root counting and bisection with certified brackets.  A product of
-linear factors is expanded in one place, in integers: _int_linear_product,
-which expand_linear_factors calls after scaling its rational roots by the
-lcm of their denominators.
+Everything in this module is computed with arbitrary-precision integers and
+rationals; floating point never decides a comparison.  The scalar type is
+``fractions.Fraction`` (always in lowest terms, positive denominator).  A
+polynomial is held as a primitive integer polynomial times one rational
+content, and all its arithmetic runs on the integers; on top of it sit
+co-prime rational-function pairs, root counting and bisection with certified
+brackets.  A product of linear factors is expanded in one place, in
+integers: _linear_product, the product of the primitive factors q*t + p.
 
-The root work runs on primitive integer images of the polynomials.  A root
+The root work reads the stored primitive integer polynomials.  A root
 is certified by Descartes' rule of signs: a sign-variation count of exactly
 1 for the Moebius-transformed integer polynomial (1+x)**n p((lo+hi*x)/(1+x))
 proves one simple root in (lo, hi), and an interval with a larger count is
-halved and both halves recounted.  Sturm chains, built from integer
-pseudo-remainders, remain as the general exact root counter.  Partial-fraction
+halved and both halves recounted.  Sturm chains, built from the integer
+remainders of Polynomial.divmod, remain as the general exact root counter.  Partial-fraction
 sums (excess.partial_fraction_sum) reach co-prime form without a gcd: once
 terms sharing a root are merged, each distinct pole keeps a nonzero
 coefficient, so the numerator cannot vanish there.
@@ -130,200 +130,204 @@ def dyadic_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool | None
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients.
+    """Dense univariate polynomial: a primitive integer polynomial times a rational content.
 
-    Coefficients are stored lowest degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple.  Instances are immutable
-    and safe to share across threads.
+    ``primitive`` holds integer coefficients, lowest degree first, with gcd 1
+    and a positive leading coefficient; ``content`` is a nonzero Fraction.
+    The pair is unique for each polynomial, so equality and hashing compare
+    it directly.  The zero polynomial is ((), 0).  Arithmetic runs on the
+    integers: a product of primitive polynomials is primitive (Gauss's
+    lemma), so multiplication takes no gcd, sums and derivatives take one,
+    and a division one per result.  Rational coefficients are built only
+    when read (coefficients, coefficient, leading_coefficient, eval).
+    Instances are immutable and safe to share across threads.
     """
 
-    coefficients: tuple[Fraction, ...]
+    primitive: tuple[int, ...]
+    content: Fraction
 
     @staticmethod
     def from_coefficients(coeffs: Iterable[RationalLike]) -> "Polynomial":
         cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return _from_ints([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return Polynomial((), Fraction(0))
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((Fraction(1),))
+        return Polynomial((1,), Fraction(1))
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """Rational coefficients, lowest degree first, with no trailing zeros."""
+        return tuple(self.content * c for c in self.primitive)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.primitive
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.primitive) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
+        if not self.primitive:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return self.content * self.primitive[-1]
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of t**k (zero beyond the degree)."""
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
+        if 0 <= k < len(self.primitive):
+            return self.content * self.primitive[k]
         return Fraction(0)
 
     def eval(self, t: RationalLike) -> Fraction:
+        if not self.primitive:
+            return Fraction(0)
         t = as_rational(t)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+        value = _eval_int_sign(self.primitive, t.numerator, t.denominator)  # times den**degree
+        return Fraction(self.content.numerator * value, self.content.denominator * t.denominator**self.degree)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.from_coefficients(
-            c * i for i, c in enumerate(self.coefficients) if i >= 1
-        )
+        return _from_ints([i * v for i, v in enumerate(self.primitive)][1:], self.content)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
+        return Polynomial(self.primitive, -self.content)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial.from_coefficients(out)
+        if not other.primitive:
+            return self
+        if not self.primitive:
+            return other
+        # a*A + b*B = g/den * (sa*A + sb*B) with integers sa, sb.
+        a, b = self.content, other.content
+        den = math.lcm(a.denominator, b.denominator)
+        sa, sb = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        g = math.gcd(sa, sb)
+        sa, sb, long, short = sa // g, sb // g, self.primitive, other.primitive
+        if len(long) < len(short):
+            sa, sb, long, short = sb, sa, short, long
+        out = [sa * v for v in long]
+        for i, v in enumerate(short):
+            out[i] += sb * v
+        return _from_ints(out, Fraction(g, den))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: Union["Polynomial", RationalLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
+            a, b = self.primitive, other.primitive
+            if not a or not b:
                 return Polynomial.zero()
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                if a:
-                    for j, b in enumerate(other.coefficients):
-                        if b:
-                            out[i + j] += a * b
-            return Polynomial.from_coefficients(out)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return Polynomial(tuple(out), self.content * other.content)
         c = as_rational(other)
-        if c == 0:
+        if c == 0 or not self.primitive:
             return Polynomial.zero()
-        return Polynomial(tuple(a * c for a in self.coefficients))
+        return Polynomial(self.primitive, self.content * c)
 
-    def __rmul__(self, other: RationalLike) -> "Polynomial":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact Euclidean division: self = q*other + r with deg r < deg other."""
-        if other.is_zero:
+        """Exact Euclidean division: self = q*other + r with deg r < deg other.
+
+        Division in integers: the running remainder and quotient are scaled
+        by lead/gcd(lead, top) only when lead does not divide the top term,
+        so a quotient that is an integer polynomial (by Gauss's lemma, any
+        exact division of primitive polynomials) is found with no scaling.
+        """
+        if not other.primitive:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        lead = div[-1]
-        qdeg = len(rem) - len(div)
+        div, n = other.primitive, other.degree
+        qdeg = self.degree - n
         if qdeg < 0:
             return Polynomial.zero(), self
-        quot = [Fraction(0)] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            c = rem[k + len(div) - 1] / lead
-            quot[k] = c
-            if c:
-                for i, b in enumerate(div):
-                    rem[k + i] -= c * b
-        return Polynomial.from_coefficients(quot), Polynomial.from_coefficients(rem)
+        rem, quot, scale, lead = list(self.primitive), [0] * (qdeg + 1), 1, div[-1]
+        for k in range(qdeg, -1, -1):  # invariant: scale*self.primitive = quot*div + rem
+            top = rem[k + n]
+            if top:
+                m = lead // math.gcd(lead, top)
+                if m != 1:
+                    rem, quot, scale = [m * v for v in rem], [m * v for v in quot], scale * m
+                    top *= m
+                quot[k] = top // lead
+                for i, v in enumerate(div):
+                    rem[k + i] -= quot[k] * v
+        c = self.content / scale
+        return _from_ints(quot, c / other.content), _from_ints(rem[:n], c)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
+        if not self.primitive:
             return self
-        return self * (1 / self.leading_coefficient)
+        return Polynomial(self.primitive, Fraction(1, self.primitive[-1]))
 
 
-def _int_linear_product(roots: Sequence[int]) -> list[int]:
-    """Coefficients of prod_j (u + R_j) over integer R_j, lowest degree first."""
-    coeffs = [1]
-    for root in roots:
-        coeffs = [root * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+def _from_ints(ints: list[int], content: Fraction) -> Polynomial:
+    """content times the integer polynomial ints (trailing zeros allowed), in primitive form."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
+        return Polynomial.zero()
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    if g != 1:
+        ints = [v // g for v in ints]
+    return Polynomial(tuple(ints), content * g)
 
 
 def expand_linear_factors(roots: Sequence[RationalLike]) -> Polynomial:
-    """Expand the product of (t + r) over the given roots, exactly.
-
-    With L the lcm of the root denominators, the product is expanded in
-    integers in u = L*t; coefficient k of the result is c_k / L**(n-k).
-    """
+    """Expand the product of (t + r) over the given roots, exactly."""
     if not roots:
         raise ValueError("need at least one linear factor")
-    rs = [as_rational(r) for r in roots]
-    scale = math.lcm(*(r.denominator for r in rs))
-    coeffs = _int_linear_product([r.numerator * (scale // r.denominator) for r in rs])
-    n = len(rs)
-    return Polynomial(tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs)))
+    return _linear_product([as_rational(r).as_integer_ratio() for r in roots])
 
 
-# -- primitive integer images, gcd, and Sturm chains -------------------------
-#
-# Remainder sequences are normalised to primitive integer coefficient lists
-# after every step.  Scaling is always by a positive factor, so the sign
-# pattern of the chain (which Sturm counting relies on) is preserved.
+def _linear_product(roots: Iterable[tuple[int, int]]) -> Polynomial:
+    """prod (t + p/q) over coprime pairs (p, q), q > 0, expanded in integers.
 
-
-def _primitive_int(coeffs: Sequence[Fraction]) -> list[int]:
-    if not coeffs:
-        return []
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
-    g = math.gcd(*ints)
-    return [v // g for v in ints]
-
-
-def _prem_primitive(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive image of the rational remainder of a modulo b (sign preserved).
-
-    Integer pseudo-division: each step scales the running remainder by
-    |lc(b)|/g > 0 before cancelling its leading term, then divides out the
-    (positive) content, so the result is the rational remainder times a
-    positive rational.
+    t + p/q = (q*t + p)/q with q*t + p primitive, so the integer product of
+    the q*t + p is the primitive part (Gauss's lemma) and 1/prod(q) the content.
     """
-    rem = list(a)
-    lead = b[-1]
-    abs_lead, lead_sign = abs(lead), (1 if lead > 0 else -1)
-    while len(rem) >= len(b):
-        top = rem[-1]
-        g = math.gcd(abs_lead, top)
-        scale, factor = abs_lead // g, lead_sign * (top // g)
-        shift = len(rem) - len(b)
-        rem = [scale * v for v in rem[:-1]]
-        for i, bc in enumerate(b[:-1]):
-            rem[shift + i] -= factor * bc
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if rem:
-            content = math.gcd(*rem)
-            if content != 1:
-                rem = [v // content for v in rem]
-    return rem
+    coeffs, den = [1], 1
+    for p, q in roots:
+        coeffs = [p * a + q * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        den *= q
+    return Polynomial(tuple(coeffs), Fraction(1, den))
+
+
+# -- signed primitive images and Sturm chains --------------------------------
+#
+# Remainder sequences run on Polynomial.divmod, whose remainder is a primitive
+# integer polynomial times a rational content.  A Sturm chain keeps each
+# element's primitive part with the sign of its content: a positive multiple,
+# so the sign pattern that Sturm counting relies on is preserved.
+
+
+def _signed_primitive(p: Polynomial) -> list[int]:
+    """p's primitive part times the sign of its content: p over a positive rational."""
+    return list(p.primitive) if p.content > 0 else [-v for v in p.primitive]
+
+
+def _primitive_int(coeffs: Sequence[RationalLike]) -> list[int]:
+    """The coefficients over a positive rational, as coprime integers."""
+    return _signed_primitive(Polynomial.from_coefficients(coeffs))
 
 
 def _sturm_chain(poly: Polynomial) -> tuple[tuple[int, ...], ...]:
-    chain: list[list[int]] = [_primitive_int(poly.coefficients)]
-    deriv = _primitive_int(poly.derivative().coefficients)
-    if deriv:
-        chain.append(deriv)
-    while len(chain) >= 2:
-        rem = _prem_primitive(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-v for v in rem])
-    return tuple(tuple(c) for c in chain)
+    """Signed primitive images of p, p' and the negated remainders -rem(p_{k-1}, p_k)."""
+    chain = [poly, poly.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+    return tuple(tuple(_signed_primitive(c)) for c in chain[:-1])
 
 
 def _eval_int_sign(coeffs: Sequence[int], num: int, den: int) -> int:
@@ -470,7 +474,7 @@ def descartes_count(p: Polynomial, lo: RationalLike, hi: RationalLike | None = N
         ends.append(hi)
     if p.is_zero:
         raise ValueError("root counting of the zero polynomial")
-    coeffs = _primitive_int(p.coefficients)
+    coeffs = p.primitive
     for end in ends:
         if _eval_int_sign(coeffs, end.numerator, end.denominator) == 0:
             raise EndpointRootError(
@@ -483,7 +487,7 @@ def sign_function(p: Polynomial) -> Callable[[Fraction], int]:
     """Exact sign of p at rational points, by integer Horner on p's primitive image."""
     if p.is_zero:
         raise ValueError("sign of the zero polynomial")
-    coeffs = _primitive_int(p.coefficients)
+    coeffs = _signed_primitive(p)
 
     def sign_at(t: Fraction) -> int:
         v = _eval_int_sign(coeffs, t.numerator, t.denominator)
@@ -545,18 +549,11 @@ def bisect_root(
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor, by a primitive remainder sequence."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    ca = _primitive_int(a.coefficients)
-    cb = _primitive_int(b.coefficients)
-    if len(ca) < len(cb):
-        ca, cb = cb, ca
-    while cb:
-        rem = _prem_primitive(ca, cb)
-        ca, cb = cb, rem
-    return Polynomial.from_coefficients(ca).monic()
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1].monic()
+    return a.monic()
 
 
 @dataclass(frozen=True)
@@ -599,14 +596,10 @@ def ratfun_reduce(num: Polynomial, den: Polynomial) -> RationalFunctionPair:
         if not (num_r.is_zero and den_r.is_zero):
             raise CertificationError("gcd does not divide exactly")
         num, den = num_q, den_q
-    lead = den.leading_coefficient
-    return RationalFunctionPair(num * (1 / lead), den * (1 / lead))
+    return RationalFunctionPair(num * (1 / den.leading_coefficient), den.monic())
 
 
 def log_derivative(pair: RationalFunctionPair) -> RationalFunctionPair:
     """Reduced form of (num/den)' / (num/den) = (num'*den - num*den')/(num*den)."""
     num, den = pair.numerator, pair.denominator
-    return ratfun_reduce(
-        num.derivative() * den - num * den.derivative(),
-        num * den,
-    )
+    return ratfun_reduce(num.derivative() * den - num * den.derivative(), num * den)

@@ -8,8 +8,10 @@ dimension, and G the summation bound behind the improved order-1 estimate.
 
 Products are built in integers, once.  Pochhammer values and Q and A**2 at
 t = p/q share one integer closed form (_pochhammer_int); every product of
-linear factors, including the common denominator of a partial-fraction sum,
-goes through the integer expansion in exact (_int_linear_product).
+linear factors, including those of a partial-fraction sum, goes through the
+integer expansion in exact (_linear_product), and the polynomials it
+returns are exact.Polynomial values: a primitive integer polynomial times
+one rational content, with integer arithmetic throughout.
 
 Each plotted quantity has one integer kernel, which takes the point as an
 integer pair p/q (q > 0, not necessarily reduced) and returns its value as an
@@ -21,7 +23,9 @@ point go through the same formula.
 The rational-function forms of f, g and h_a are built from their partial
 fractions in integers and need no gcd: after merging terms that share a
 root, the roots are distinct and every coefficient is nonzero, so the
-numerator is nonzero at every pole and the pair is already co-prime.
+numerator is nonzero at every pole and the pair is already co-prime.  The
+numerator takes one product per distinct coefficient (f and g have two or
+three), not one per term.
 Evaluation at rational points is exact.  Odd-dimension irrationality is
 dodged systematically by squaring: A**2 and G**2 are rational functions, so
 every order comparison against a rational threshold is decided exactly on
@@ -40,7 +44,7 @@ from .exact import (
     Polynomial,
     RationalFunctionPair,
     RationalLike,
-    _int_linear_product,
+    _linear_product,
     as_rational,
     expand_linear_factors,
     log_derivative,
@@ -67,40 +71,34 @@ def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
     """Sum coeff/(t + root) over the given terms, in co-prime form with monic denominator.
 
     Terms sharing a root are merged and terms whose merged coefficient is 0
-    dropped.  With u = L*t for L the lcm of the root denominators, the sum is
-    (L/M) * sum_i C_i prod_{j!=i}(u + R_j) / prod_j(u + R_j) with integers
-    C_i = M*c_i and R_j = L*r_j; both products are built in Python ints.  The
-    R_j are distinct and every C_i is nonzero, so the numerator is nonzero at
-    every pole: the pair is co-prime without a gcd, and as a co-prime pair
-    with monic denominator it is the one ratfun_reduce would return.
+    dropped.  The roots sharing a merged coefficient c form a group with
+    product P_c = prod (t + r), and their terms sum to c P_c'/P_c, so the
+    numerator over prod_c P_c is sum_c c P_c' prod_{c' != c} P_c': one
+    product per distinct coefficient, each built in integers.  The roots
+    are distinct and every coefficient is nonzero, so the numerator is
+    nonzero at every pole: the pair is co-prime without a gcd, and as a
+    co-prime pair with monic denominator it is the one ratfun_reduce would
+    return.
     """
     if not terms:
         raise ValueError("no terms")
-    merged: dict[Fraction, Fraction] = {}
+    merged: dict[tuple[int, int], Fraction] = {}
     for c, r in terms:
-        r = as_rational(r)
-        merged[r] = merged.get(r, Fraction(0)) + as_rational(c)
-    merged = {r: c for r, c in merged.items() if c}
-    if not merged:
+        root = as_rational(r).as_integer_ratio()
+        merged[root] = merged[root] + c if root in merged else as_rational(c)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for root, c in merged.items():
+        if c:
+            groups.setdefault(c.as_integer_ratio(), []).append(root)
+    if not groups:
         return RationalFunctionPair(Polynomial.zero(), Polynomial.one())
-    scale = math.lcm(*(r.denominator for r in merged))
-    coeff_den = math.lcm(*(c.denominator for c in merged.values()))
-    shifted = [(int(c * coeff_den), int(r * scale)) for r, c in merged.items()]
-    n = len(shifted)
-    common = _int_linear_product([root for _, root in shifted])
-    num = [0] * n
-    for coeff, root in shifted:
-        # Synthetic division of the monic common by (u + root).
-        acc = 0
-        for k in range(n, 0, -1):
-            acc = common[k] - root * acc
-            num[k - 1] += coeff * acc
-    return RationalFunctionPair(
-        Polynomial.from_coefficients(
-            Fraction(v * scale ** (k + 1), coeff_den * scale**n) for k, v in enumerate(num)
-        ),
-        Polynomial.from_coefficients(Fraction(v, scale ** (n - k)) for k, v in enumerate(common)),
-    )
+    products = [_linear_product(roots) for roots in groups.values()]
+    num = Polynomial.zero()
+    for i, c in enumerate(groups):
+        others = (p for j, p in enumerate(products) if j != i)
+        num = num + math.prod(others, start=products[i].derivative() * Fraction(*c))
+    den = math.prod(products[1:], start=products[0])
+    return RationalFunctionPair(num * (1 / den.leading_coefficient), den.monic())
 
 
 def _eval_terms(terms: PartialFractionTerms, p: int, q: int) -> tuple[int, int]:

@@ -182,7 +182,7 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
         return 0, 0, bits
     p, q = gamma.numerator, gamma.denominator
     n2, den2 = n * n, den * den
-    mus = [multiplicity(d, j) for j in range(ell + 1)]
+    mus = _multiplicities(d, ell)
     if q > MAX_ROOT_DEGREE:
 
         def mean() -> mpmath.ctx_iv.ivmpf:
@@ -209,6 +209,12 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
         b = den2 * (2 * j + d - 1) ** 2
         lo += mu * iroot(((n2 - b) ** p << shift) // b**p, q)
     return lo, lo + count, k
+
+
+@functools.lru_cache(maxsize=16)
+def _multiplicities(d: int, ell: int) -> tuple[int, ...]:
+    """mu_0..mu_ell; cached like level_count, since a grid in eta keeps ell for many points."""
+    return tuple(multiplicity(d, j) for j in range(ell + 1))
 
 
 @functools.lru_cache(maxsize=16)

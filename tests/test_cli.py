@@ -301,6 +301,16 @@ class TestVerifyCommand:
         assert report.count(b"\n") == records
         assert hashlib.sha256(report).hexdigest() == sha256
 
+    def test_coefficients_beyond_default_range_bytes_pinned(self, tmp_path, capsys):
+        # d = 61..100 leaves only coefficients-f, with numerator coefficients
+        # larger than any the default range (d <= 60) builds.
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "coefficients", "--d-range", "61..100", "--out", str(out)]) == 0
+        report = out.read_bytes()
+        assert report.count(b"\n") == 40
+        assert report.count(b'"check_id":"coefficients-f"') == 40
+        assert hashlib.sha256(report).hexdigest() == "0e21325bea063d6d21a9953542dd8f85c28802d353147afb1e40b16eb7d7d62c"
+
     @pytest.mark.parametrize(
         "d_range, records, sha256",
         [

@@ -22,12 +22,13 @@ from coulomb_sharp.exact import (  # noqa: E402
     Polynomial,
     _descartes_variations,
     _primitive_int,
-    _prem_primitive,
     _sturm_chain,
     bisect_root,
     descartes_count,
     expand_linear_factors,
     isolate_unique_root,
+    log_derivative,
+    poly_gcd,
     ratfun_reduce,
     rational_sign,
     sturm_count,
@@ -238,9 +239,95 @@ class TestIntegerPseudoRemainder:
     @given(int_polys, int_polys)
     def test_matches_fraction_remainder(self, a, b):
         a, b = (a, b) if len(a) >= len(b) else (b, a)
-        assert _prem_primitive(a, b) == fraction_prem_primitive(a, b)
+        assert _primitive_int(poly(*a).divmod(poly(*b))[1].coefficients) == fraction_prem_primitive(a, b)
 
     def test_sturm_chains_match_fraction_reference(self):
         for d in range(4, 25):
             p = excess.f_as_ratfun(d).numerator
             assert _sturm_chain(p) == fraction_sturm_chain(p)
+
+
+# -- Polynomial arithmetic against sympy over QQ ---------------------------------
+
+X = sympy.Symbol("x")
+wide_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+nonzero_rationals = wide_rationals.filter(bool)
+rational_polys = st.lists(st.one_of(small_rationals, wide_rationals), max_size=7).map(Polynomial.from_coefficients)
+nonzero_polys = rational_polys.filter(lambda p: not p.is_zero)
+
+
+def qq(p):
+    """p as a sympy Poly over QQ (the zero polynomial included)."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients)] or [0], X, domain=sympy.QQ)
+
+
+def fractions_of(s):
+    """Coefficients of a sympy Poly, lowest degree first, with no trailing zeros."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(s.all_coeffs())]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def assert_same(p, s):
+    assert list(p.coefficients) == fractions_of(s)
+
+
+def assert_reduced_pair(pair, num, den):
+    """pair is num/den over sympy's gcd, with the denominator made monic."""
+    g = sympy.gcd(num, den)
+    num, den = num.exquo(g), den.exquo(g)
+    lead = den.LC()
+    assert_same(pair.numerator, num.quo_ground(lead))
+    assert_same(pair.denominator, den.quo_ground(lead))
+
+
+class TestPolynomialArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys, rational_polys, wide_rationals)
+    def test_ring_operations_match_sympy(self, a, b, c):
+        assert_same(a * b, qq(a) * qq(b))
+        assert_same(a + b, qq(a) + qq(b))
+        assert_same(a - b, qq(a) - qq(b))
+        assert_same(a * c, qq(a) * sympy.Rational(c.numerator, c.denominator))
+        assert_same(a.derivative(), qq(a).diff(X))
+        if not a.is_zero:
+            assert_same(a.monic(), qq(a).monic())
+            assert a.leading_coefficient == fractions_of(qq(a))[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys, nonzero_polys)
+    def test_divmod_matches_sympy(self, a, b):
+        quotient, remainder = a.divmod(b)
+        expected_q, expected_r = sympy.div(qq(a), qq(b))
+        assert_same(quotient, expected_q)
+        assert_same(remainder, expected_r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys, rational_polys, nonzero_polys)
+    def test_gcd_matches_sympy(self, a, b, common):
+        # A shared factor makes most drawn pairs have a gcd of positive degree.
+        a, b = a * common, b * common
+        assume(not (a.is_zero and b.is_zero))
+        assert_same(poly_gcd(a, b), sympy.gcd(qq(a), qq(b)).monic())
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys, nonzero_polys, nonzero_polys)
+    def test_ratfun_reduce_matches_sympy(self, num, den, common):
+        num, den = num * common, den * common
+        assert_reduced_pair(ratfun_reduce(num, den), qq(num), qq(den))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    def test_log_derivative_matches_sympy(self, num, den, common):
+        pair = ratfun_reduce(num * common, den * common)
+        n, d = qq(pair.numerator), qq(pair.denominator)
+        assert_reduced_pair(log_derivative(pair), n.diff(X) * d - n * d.diff(X), n * d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys, nonzero_rationals, nonzero_rationals)
+    def test_equality_and_hash_ignore_how_a_polynomial_is_scaled(self, p, c, e):
+        scaled = [Polynomial.from_coefficients(x * c for x in p.coefficients) * (1 / c), (p * c) * (1 / c), c * p * (1 / c)]
+        for q in scaled + [(p + poly(e)) - poly(e), Polynomial.from_coefficients(list(p.coefficients) + [0, 0])]:
+            assert q == p and hash(q) == hash(p)
+        assert p + poly(e) != p
