@@ -91,10 +91,9 @@ def iroot(n: int, q: int) -> int:
 
     A Newton step y = ((q-1)x + n // x**(q-1)) // q from any x > 0 lands at
     or above the floor (arithmetic-geometric mean inequality), and from above
-    it drops by at least one, so the steps stop exactly at the floor.  The
-    start has more than half of the root's bits right: a float estimate for
-    roots of up to 48 bits, else one plus the root of the top bits of n,
-    shifted back.  One step then usually lands on the floor or one above it.
+    it drops by at least one, so the steps stop exactly at the floor whatever
+    the start.  A float root seeds the leading 53 bits; steps on ever more of
+    n's top bits double them, so one step on n usually lands on the floor.
     """
     if n < 0 or q < 1:
         raise ValueError("iroot needs n >= 0 and q >= 1")
@@ -102,12 +101,18 @@ def iroot(n: int, q: int) -> int:
         return n
     if q == 2:
         return math.isqrt(n)
-    root_bits = (n.bit_length() - 1) // q + 1  # n < 2**(q*root_bits)
-    if root_bits > 48:
-        shift = root_bits // 2 - 4
-        x = (iroot(n >> (q * shift), q) + 1) << shift
-    else:
-        x = int(math.exp(math.log(n) / q)) + 1
+    top = (n.bit_length() - 1) // q + 1  # n < 2**(q*top)
+    widths = [top]  # root bits per Newton step, each about half the last plus guard bits
+    while widths[-1] > 53:
+        widths.append(widths[-1] // 2 + q.bit_length() + 3)
+    width = widths.pop()
+    x = int(math.exp(math.log(n >> (q * (top - width))) / q)) + 1
+    for wider in reversed(widths[1:]):
+        x <<= wider - width
+        top_bits = n >> (q * (top - wider))
+        x = ((q - 1) * x + top_bits // x ** (q - 1)) // q
+        width = wider
+    x <<= top - width
     while True:
         x = ((q - 1) * x + n // x ** (q - 1)) // q
         if x**q <= n:

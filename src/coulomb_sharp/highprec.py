@@ -5,9 +5,9 @@ Only a handful of quantities in this project are genuinely irrational
 Riesz means of non-integer order).
 
 Every non-integer order gamma = p/q is enclosed: the Riesz mean by
-``spectrum.riesz_mean_int`` (integer q-th roots for small q, an interval sum
-above), the order-gamma right-hand side by an interval Gamma ratio
-(``phase_space.lt_rhs_int``).  An enclosure (lo, hi, k) holds the value in
+``spectrum.riesz_mean_int`` (integer q-th roots up to q = MAX_ROOT_DEGREE, an
+interval sum above), the order-gamma right-hand side by an interval Gamma
+ratio (``phase_space.lt_rhs_int``).  An enclosure (lo, hi, k) holds the value in
 [lo, hi] / 2**k, with a relative width below 2**-``enclosure_bits(precision)``
 < 10**-(precision + 20); ``interval_enclosure`` reads one off an mpmath.iv
 evaluation.  Two enclosures are compared by ``exact.dyadic_less``; the

@@ -36,10 +36,10 @@ from .highprec import (
 # above every pinned d.
 MAX_DIMENSION = 400
 # Largest order denominator q enclosed by integer q-th roots; larger q take
-# riesz_mean_int's interval sum.  A root costs O(M(q*k)) on k-bit
-# enclosures: on the lt-sweep-gamma grid at gamma = 7/3 the roots take a
-# tenth of the interval sum's time, but they do not finish at q = 10**12.
-MAX_ROOT_DEGREE = 8
+# riesz_mean_int's interval sum.  A root costs O(M(q*k)) on k-bit enclosures,
+# the sum about the same at every q.  Per point at d = 8 and 30 digits, roots
+# take 0.23 ms at q = 9 and 0.64 ms at q = 32 (a tie at 60 digits), sums 1.3 ms.
+MAX_ROOT_DEGREE = 32
 
 
 def check_dimension(d: object, name: str = "d") -> int:
@@ -167,8 +167,8 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
     the mean is the sum of mu_j x**gamma, by one of two kernels:
 
     - q <= MAX_ROOT_DEGREE: integer q-th roots.  The term x**gamma * 2**k lies
-      in [t, t+1) for t = floor((a^p 2^(qk) / b^p)^(1/q)); the multiplicities
-      weight both ends, so hi - lo is the eigenvalue count.
+      in [t, t+1) for t = ``iroot``(a^p 2^(qk) // b^p, q), with mu_j, m^2 and
+      m^(2p) cached; the multiplicities weight both ends, so hi - lo is the count.
     - larger q: an mpmath.iv sum, read off exactly by ``interval_enclosure``,
       at bits + (ell + 1).bit_length() + 16 bits plus the bits of
       2 gamma log2(n^2), which bound how much the power's log and exp widen
@@ -182,16 +182,15 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
         return 0, 0, bits
     p, q = gamma.numerator, gamma.denominator
     n2, den2 = n * n, den * den
-    mus = _multiplicities(d, ell)
     if q > MAX_ROOT_DEGREE:
 
         def mean() -> mpmath.ctx_iv.ivmpf:
             iv = mpmath.iv
             g = iv.mpf(p) / q
             total = iv.mpf(0)
-            for j, mu in enumerate(mus):
+            for j in range(ell + 1):
                 b = den2 * (2 * j + d - 1) ** 2
-                total += mu * (iv.mpf(n2 - b) / b) ** g
+                total += multiplicity(d, j) * (iv.mpf(n2 - b) / b) ** g
             return total
 
         # |log x| < log2(n^2), since 1/b <= x < n^2.
@@ -199,22 +198,20 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
         return interval_enclosure(mean, bits + (ell + 1).bit_length() + spare + 16)
     # The j = 0 term is at least 2**low, a lower bound for the mean; k puts
     # the width count / 2**k below 2**(low - bits).
-    count = sum(mus)
+    count = level_count(d, ell)
     b0 = den2 * (d - 1) ** 2
     low = p * ((n2 - b0).bit_length() - 1 - b0.bit_length()) // q
     k = max(0, bits + count.bit_length() - low)
-    shift = q * k
-    lo = 0
-    for j, mu in enumerate(mus):
-        b = den2 * (2 * j + d - 1) ** 2
-        lo += mu * iroot(((n2 - b) ** p << shift) // b**p, q)
+    shift, den2p = q * k, den2**p  # b_j = den2 m_j^2, so b_j^p = den2p m_j^(2p)
+    terms = _root_terms(d, ell, p)
+    lo = sum(mu * iroot(((n2 - den2 * m2) ** p << shift) // (den2p * m2p), q) for mu, m2, m2p in terms)
     return lo, lo + count, k
 
 
-@functools.lru_cache(maxsize=16)
-def _multiplicities(d: int, ell: int) -> tuple[int, ...]:
-    """mu_0..mu_ell; cached like level_count, since a grid in eta keeps ell for many points."""
-    return tuple(multiplicity(d, j) for j in range(ell + 1))
+@functools.lru_cache(maxsize=4)
+def _root_terms(d: int, ell: int, p: int) -> tuple[tuple[int, int, int], ...]:
+    """(mu_j, m_j^2, m_j^(2p)) for the levels 0..ell, m_j = 2j+d-1; cached like level_count, whatever den is."""
+    return tuple((multiplicity(d, j), m * m, m ** (2 * p)) for j, m in enumerate(range(d - 1, d + 2 * ell, 2)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -123,27 +123,25 @@ def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
     integer eta > 2 and on the lower side at even integer eta.
     """
     eta = as_rational(eta)
-    trace = Fraction(*spectrum.riesz_mean_order1_int(3, eta.numerator, eta.denominator))
-    terms = spectrum.d3_envelope_terms_int(eta.numerator, eta.denominator)
-    lead, lower_term, upper_term = (Fraction(*pair) for pair in terms)
-    upper = max(Fraction(0), lead + upper_term)
-    lower = max(Fraction(0), lead + lower_term)
-    ok = lower <= trace <= upper
+    n, den = eta.numerator, eta.denominator
+    trace = spectrum.riesz_mean_order1_int(3, n, den)
+    (lead_num, lead_den), *terms = spectrum.d3_envelope_terms_int(n, den)
+    # (lead + term)_+ over the positive denominator lead_den * term_den.
+    lower, upper = ((max(0, lead_num * t_den + t_num * lead_den), lead_den * t_den) for t_num, t_den in terms)
+    # The signs of trace - lower and upper - trace, all denominators positive.
+    above_lower = trace[0] * lower[1] - lower[0] * trace[1]
+    below_upper = upper[0] * trace[1] - trace[0] * upper[1]
+    ok = above_lower >= 0 and below_upper >= 0
     note = ""
-    if eta.denominator == 1:
-        if eta.numerator % 2 == 1 and eta > 2:
-            ok = ok and trace == upper
+    if den == 1:
+        if n % 2 == 1 and n > 2:
+            ok = ok and below_upper == 0
             note = "upper equality at odd integer eta"
-        elif eta.numerator % 2 == 0:
-            ok = ok and trace == lower
+        elif n % 2 == 0:
+            ok = ok and above_lower == 0
             note = "lower equality at even integer eta"
-    return _record(
-        "d3-envelope",
-        {"eta": eta},
-        ok,
-        {"lower": lower, "trace": trace, "upper": upper},
-        note,
-    )
+    witness = {"lower": Fraction(*lower), "trace": Fraction(*trace), "upper": Fraction(*upper)}
+    return _record("d3-envelope", {"eta": eta}, ok, witness, note)
 
 
 def check_phi_envelope(m: int, eps: RationalLike) -> CheckRecord:

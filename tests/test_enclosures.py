@@ -1,11 +1,12 @@
 """Property tests of the integer enclosures behind the order-gamma checks.
 
 exact.iroot is the floor of a q-th root; spectrum.riesz_mean_int (by q-th
-roots for q <= 8, by an interval sum above), phase_space.gamma_ratio_int and
-phase_space.lt_rhs_int return (lo, hi, k) with the value in [lo, hi] / 2**k.
-Each enclosure is checked against an independent mpmath evaluation at twice
-the digits its width resolves, and its width against the bound its docstring
-promises.
+roots for q <= spectrum.MAX_ROOT_DEGREE, by an interval sum above),
+phase_space.gamma_ratio_int and phase_space.lt_rhs_int return (lo, hi, k)
+with the value in [lo, hi] / 2**k.  Each enclosure is checked against an
+independent mpmath evaluation at twice the digits its width resolves, and
+its width against the bound its docstring promises; the root sum is also
+checked bit for bit against sympy's integer roots.
 """
 
 from fractions import Fraction
@@ -22,8 +23,16 @@ from coulomb_sharp import phase_space, spectrum  # noqa: E402
 from coulomb_sharp.exact import dyadic_less, iroot  # noqa: E402
 from coulomb_sharp.highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits  # noqa: E402
 
-degrees = st.integers(1, 8)
-orders = st.builds(Fraction, st.integers(1, 40), st.one_of(degrees, st.integers(9, 10**12)))
+try:
+    import sympy
+except ImportError:  # a test-only dependency, like hypothesis
+    sympy = None
+
+# Split at the cut, so both Riesz kernels are drawn.
+degrees = st.integers(1, spectrum.MAX_ROOT_DEGREE)
+orders = st.builds(
+    Fraction, st.integers(1, 40), st.one_of(degrees, st.integers(spectrum.MAX_ROOT_DEGREE + 1, 10**12))
+)
 bit_counts = st.integers(8, 400)
 
 
@@ -43,23 +52,28 @@ def _contains(enclosure, value, bits):
 
 
 class TestIntegerRoot:
-    @pytest.mark.parametrize("q", range(1, 9))
+    @pytest.mark.parametrize("q", range(1, spectrum.MAX_ROOT_DEGREE + 1))
     def test_small_values_and_perfect_powers(self, q):
         for n in (0, 1):
             assert iroot(n, q) == n
-        for r in (2, 3, 255, 256, 2**48 - 1, 2**48, 2**48 + 1, 3**90):
+        # Roots of 45 to 55 bits sit where the float seed alone gives way to
+        # Newton steps on the top bits of n.
+        edges = (2**44 + 1, 2**45 - 1, 3**30, 2**50 - 1, 2**50, 2**50 + 1, 2**53 - 1, 2**53, 2**53 + 1, 2**55 - 1)
+        for r in (2, 3, 255, 256, 2**48 - 1, 2**48, 2**48 + 1, 3**90, *edges):
             assert iroot(r**q, q) == r
             assert iroot(r**q - 1, q) == r - 1
             assert iroot(r**q + 1, q) == (r + 1 if q == 1 else r)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**3000), degrees)
+    @given(st.integers(0, 2**20000), degrees)
+    @example(2**20000, spectrum.MAX_ROOT_DEGREE)
     def test_floor_of_the_root(self, n, q):
         r = iroot(n, q)
         assert r**q <= n < (r + 1) ** q
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**500), degrees)
+    # Half the roots near the float seed's width, where Newton steps take over.
+    @given(st.one_of(st.integers(0, 2**600), st.integers(2**44, 2**56)), degrees)
     def test_floor_of_the_root_of_an_exact_power(self, r, q):
         n = r**q
         assert iroot(n, q) == r
@@ -101,6 +115,30 @@ class TestRieszEnclosure:
                 x = eta**2 / (2 * j + d - 1) ** 2 - 1
                 total += spectrum.multiplicity(d, j) * mpmath.power(mpmath.mpf(x.numerator) / x.denominator, g)
             _contains(enclosure, total, bits)
+
+    @pytest.mark.skipif(sympy is None, reason="sympy is a test-only dependency")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(3, 12),
+        st.fractions(min_value=Fraction(1, 10), max_value=60, max_denominator=1000),
+        st.builds(Fraction, st.integers(1, 40), degrees),
+        bit_counts,
+    )
+    def test_root_sum_is_exact(self, d, eta, gamma, bits):
+        # For q <= MAX_ROOT_DEGREE, lo is the sum of mu_j floor(x_j**gamma 2**k)
+        # at the k returned, with x_j = a/b the level's ratio and each floor
+        # from sympy; hi adds the eigenvalue count.
+        n, den = eta.numerator, eta.denominator
+        lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+        ell = spectrum.top_level(d, n, den)
+        p, q = gamma.numerator, gamma.denominator
+        expected = 0
+        for j in range(ell + 1):
+            b = den**2 * (2 * j + d - 1) ** 2
+            term, _ = sympy.integer_nthroot(((n * n - b) ** p << (q * k)) // b**p, q)
+            expected += spectrum.multiplicity(d, j) * int(term)
+        assert lo == expected
+        assert hi == lo + (spectrum.level_count(d, ell) if ell >= 0 else 0)
 
     @pytest.mark.parametrize("eta", [Fraction(1, 3), Fraction(2), Fraction(7, 2), Fraction(4)])
     def test_empty_spectrum_is_exactly_zero(self, eta):

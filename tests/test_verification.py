@@ -52,6 +52,18 @@ class TestD3Envelopes:
         assert record.witness["trace"] == "0"
         assert record.witness["lower"] == "0"
 
+    @pytest.mark.parametrize(
+        "eta, side, nudge",
+        [(Fraction(5), "upper", -1), (Fraction(4), "lower", 1), (Fraction(77, 10), "upper", 1), (Fraction(77, 10), "lower", -1)],
+        ids=("off-upper-equality", "off-lower-equality", "above-upper", "below-lower"),
+    )
+    def test_trace_moved_off_an_envelope_fails(self, monkeypatch, eta, side, nudge):
+        # A trace 10**-9 outside an envelope, or inside but off the envelope it
+        # must equal at integer eta, fails.
+        moved = Fraction(V.check_d3_envelopes(eta).witness[side]) + Fraction(nudge, 10**9)
+        monkeypatch.setattr(spectrum, "riesz_mean_order1_int", lambda d, n, den: (moved.numerator, moved.denominator))
+        assert V.check_d3_envelopes(eta).verdict == "fail"
+
 
 class TestPhiEnvelope:
     def test_upper_equality_at_half(self):
