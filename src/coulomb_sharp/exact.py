@@ -322,11 +322,6 @@ def _signed_primitive(p: Polynomial) -> list[int]:
     return list(p.primitive) if p.content > 0 else [-v for v in p.primitive]
 
 
-def _primitive_int(coeffs: Sequence[RationalLike]) -> list[int]:
-    """The coefficients over a positive rational, as coprime integers."""
-    return _signed_primitive(Polynomial.from_coefficients(coeffs))
-
-
 def _sturm_chain(poly: Polynomial) -> tuple[tuple[int, ...], ...]:
     """Signed primitive images of p, p' and the negated remainders -rem(p_{k-1}, p_k)."""
     chain = [poly, poly.derivative()]
@@ -532,13 +527,13 @@ def bisect_root(
     s_lo, s_hi = bracket.sign_at_lower, bracket.sign_at_upper
     while hi - lo > width:
         mid = (lo + hi) / 2
-        s_mid = rational_sign(as_rational(value_at(mid)))
+        s_mid = rational_sign(value_at(mid))
         if s_mid == 0:
             # The midpoint is the root itself; return a tight symmetric bracket.
             delta = min(width, hi - mid, mid - lo) / 2
             lo2, hi2 = mid - delta, mid + delta
-            s2_lo = rational_sign(as_rational(value_at(lo2)))
-            s2_hi = rational_sign(as_rational(value_at(hi2)))
+            s2_lo = rational_sign(value_at(lo2))
+            s2_hi = rational_sign(value_at(hi2))
             if s2_lo != s_lo or s2_hi != s_hi:
                 raise CertificationError("sign pattern broke around an exact rational root")
             return RootBracket(lo2, hi2, s_lo, s_hi)

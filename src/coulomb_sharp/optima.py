@@ -19,12 +19,11 @@ integer sign evaluations.
 The window maxima are walked in integers, through the sign of each
 difference of adjacent levels: both sides of the closed-form ratio
 V(l+1)/V(l) are small factors times powers near 2l+d, one new power per
-level, so no level value is built.  Only weak local maxima can be maximal;
-they are compared exactly by cross-multiplying their unreduced integer
-pairs, so nothing assumes the levels rise and then fall.  Ties go to the
-smaller level and are reported.  Only the winner is reduced, through the
-closed forms q_value / a_value_squared.
-Odd-d irrationality of A is handled by comparing squares.
+level, so no level value is built or compared.  The signs certify the
+maximum: the levels must rise, hold at most once (a tie, reported, which
+goes to the smaller level) and then fall; any other pattern is a
+CertificationError.  Only the winner is reduced, through q_value /
+a_value_squared.  Odd-d irrationality of A is handled by comparing squares.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import excess
 from .exact import (
@@ -88,12 +87,12 @@ def _integer_hull(bounds: tuple[Fraction, Fraction]) -> tuple[int, int]:
 
 def q_candidate_window(d: int) -> tuple[int, int]:
     """Integer hull of t_star_bounds(d), clamped at 0."""
-    return (0, 0) if d < 4 else _integer_hull(t_star_bounds(d))
+    return _integer_hull(t_star_bounds(d))
 
 
 def a_candidate_window(d: int) -> tuple[int, int]:
     """Integer hull of a_zero_bounds(d), clamped at 0."""
-    return (0, 0) if d < 5 else _integer_hull(a_zero_bounds(d))
+    return _integer_hull(a_zero_bounds(d))
 
 
 def q_value(d: int, ell: int) -> Fraction:
@@ -135,33 +134,20 @@ def _a_squared_steps(d: int, lo: int, hi: int) -> Iterator[int]:
         below, middle = middle, above
 
 
-def _window_argmax(
-    lo: int, hi: int, steps: Iterable[int], pair: Callable[[int], tuple[int, int]]
-) -> tuple[int, int | None]:
-    """Smallest maximal level of V over lo..hi, and the next level of equal value.
+def _window_argmax(lo: int, hi: int, steps: Iterable[int]) -> tuple[int, int | None]:
+    """Certified maximal level of V over lo..hi, and the next level if it ties.
 
-    steps holds sign(V(l+1) - V(l)) for l = lo..hi-1; pair(l) is V(l) as an
-    integer pair with positive denominator, built only for the weak local
-    maxima (no fall into the level, no rise out of it) when there are several.
+    steps holds sign(V(l+1) - V(l)) for l = lo..hi-1.  The argmax is the first
+    level whose step is <= 0, or hi; a 0 step there reports the next level as a
+    tie, and every later step must be -1, so V provably rises, holds, then falls.
     """
-    candidates, no_fall_in = [], True
+    argmax, tie = hi, None
     for ell, step in zip(range(lo, hi), steps):
-        if no_fall_in and step <= 0:
-            candidates.append(ell)
-        no_fall_in = step >= 0
-    if no_fall_in:
-        candidates.append(hi)
-    best, tie = candidates[0], None
-    if len(candidates) > 1:
-        best_num, best_den = pair(best)
-        for ell in candidates[1:]:
-            num, den = pair(ell)
-            lhs, rhs = num * best_den, best_num * den
-            if lhs > rhs:
-                best, best_num, best_den, tie = ell, num, den, None
-            elif lhs == rhs and tie is None:
-                tie = ell
-    return best, tie
+        if ell <= argmax and step <= 0:
+            argmax, tie = ell, (ell + 1 if step == 0 else None)
+        elif ell > argmax and step != -1:
+            raise CertificationError(f"levels rise to {argmax}, but level {ell + 1} is not below level {ell}")
+    return argmax, tie
 
 
 def q_star(d: int) -> StarResult:
@@ -169,7 +155,7 @@ def q_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = q_candidate_window(d)
-    argmax, tie = _window_argmax(lo, hi, _q_steps(d, lo, hi), lambda ell: excess.q_int(d, ell, 1))
+    argmax, tie = _window_argmax(lo, hi, _q_steps(d, lo, hi))
     best = q_value(d, argmax)
     return StarResult(
         d=d,
@@ -186,9 +172,7 @@ def a_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = a_candidate_window(d)
-    argmax, tie = _window_argmax(
-        lo, hi, _a_squared_steps(d, lo, hi), lambda ell: excess.a_squared_int(d, ell, 1)
-    )
+    argmax, tie = _window_argmax(lo, hi, _a_squared_steps(d, lo, hi))
     best_sq = a_value_squared(d, argmax)
     # For even d both powers in A**2's denominator (d-2 and d) are even and its
     # numerator is a square, so the reduced fraction is a square over a square;

@@ -264,6 +264,17 @@ class TestConstantsCommand:
         assert main(["constants", "--d", str(d), "--which", which]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
+    def test_star_bytes_pinned_on_every_dimension(self, capsys):
+        # q-star then a-star for each d in 3..400, d ascending: every window walk
+        # that --d-range accepts, in one hash.
+        out = []
+        for d in range(3, 401):
+            for which in ("q-star", "a-star"):
+                assert main(["constants", "--d", str(d), "--which", which]) == 0
+                out.append(capsys.readouterr().out)
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == "21ff9998eb3b001740b1579bdd18b6dbb5aa15128efd11219ee5fa8e98b9997b"
+
 
 class TestVerifyCommand:
     def test_d3_envelopes_suite(self, tmp_path, capsys):

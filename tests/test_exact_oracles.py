@@ -21,7 +21,7 @@ from coulomb_sharp.exact import (  # noqa: E402
     EndpointRootError,
     Polynomial,
     _descartes_variations,
-    _primitive_int,
+    _signed_primitive,
     _sturm_chain,
     bisect_root,
     descartes_count,
@@ -52,7 +52,8 @@ def sympy_poly(p):
 def variations(p, lo, hi=None):
     """The raw Descartes bound, before any subdivision."""
     hi = None if hi is None else Fraction(hi)
-    return _descartes_variations(_primitive_int(p.coefficients), Fraction(lo), hi)
+    primitive = _signed_primitive(Polynomial.from_coefficients(p.coefficients))
+    return _descartes_variations(primitive, Fraction(lo), hi)
 
 
 def has_multiple_root_in(p, lo, hi=None):
@@ -222,11 +223,11 @@ def fraction_prem_primitive(a, b):
         rem.pop()
         while rem and rem[-1] == 0:
             rem.pop()
-    return _primitive_int(rem)
+    return _signed_primitive(Polynomial.from_coefficients(rem))
 
 
 def fraction_sturm_chain(p):
-    chain = [_primitive_int(p.coefficients), _primitive_int(p.derivative().coefficients)]
+    chain = [_signed_primitive(Polynomial.from_coefficients(q.coefficients)) for q in (p, p.derivative())]
     while True:
         rem = fraction_prem_primitive(chain[-2], chain[-1])
         if not rem:
@@ -239,7 +240,8 @@ class TestIntegerPseudoRemainder:
     @given(int_polys, int_polys)
     def test_matches_fraction_remainder(self, a, b):
         a, b = (a, b) if len(a) >= len(b) else (b, a)
-        assert _primitive_int(poly(*a).divmod(poly(*b))[1].coefficients) == fraction_prem_primitive(a, b)
+        remainder = poly(*a).divmod(poly(*b))[1]
+        assert _signed_primitive(Polynomial.from_coefficients(remainder.coefficients)) == fraction_prem_primitive(a, b)
 
     def test_sturm_chains_match_fraction_reference(self):
         for d in range(4, 25):

@@ -3,14 +3,15 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulomb_sharp import excess, optima
-from coulomb_sharp.exact import MathematicalError, sturm_count
+from coulomb_sharp import excess, optima, spectrum
+from coulomb_sharp.exact import CertificationError, MathematicalError, sturm_count
 from coulomb_sharp.verification import check_a_zero_window, check_counterexample_scan
 
 
@@ -204,31 +205,29 @@ def peaked_levels(draw):
     return levels
 
 
-def walk(levels):
-    """optima._window_argmax over (ell, num, den) levels in ascending ell, and the levels whose pairs it built.
-
-    The step signs come from the exact values; each built pair beyond the
-    first is one exact comparison.
-    """
+def level_steps(levels):
+    """sign(V(l+1) - V(l)) over (ell, num, den) levels in ascending ell, from the exact values."""
     values = [Fraction(num, den) for _, num, den in levels]
-    steps = [(b > a) - (b < a) for a, b in zip(values, values[1:])]
-    pairs = {ell: (num, den) for ell, num, den in levels}
-    built = []
-
-    def pair(ell):
-        built.append(ell)
-        return pairs[ell]
-
-    return optima._window_argmax(levels[0][0], levels[-1][0], steps, pair), built
+    return [(b > a) - (b < a) for a, b in zip(values, values[1:])]
 
 
-def weak_local_maxima(values):
-    """Indices i with values[i-1] <= values[i] >= values[i+1], the missing neighbours at the ends ignored."""
-    return [
-        i
-        for i, value in enumerate(values)
-        if (i == 0 or values[i - 1] <= value) and (i == len(values) - 1 or values[i + 1] <= value)
-    ]
+def walk(levels):
+    """optima._window_argmax over (ell, num, den) levels in ascending ell."""
+    return optima._window_argmax(levels[0][0], levels[-1][0], level_steps(levels))
+
+
+def rise_hold_fall(steps):
+    """True when the step signs read: rises, at most one hold, then falls."""
+    return re.fullmatch(r"\+*0?-*", "".join("-0+"[step + 1] for step in steps)) is not None
+
+
+def walk_certifies_or_refuses(levels):
+    """The walk agrees with the Fraction reference on rise/hold/fall levels and refuses every other pattern."""
+    if rise_hold_fall(level_steps(levels)):
+        assert walk(levels) == reference_argmax(levels)
+    else:
+        with pytest.raises(CertificationError, match="is not below level"):
+            walk(levels)
 
 
 class TestWindowWalk:
@@ -246,6 +245,18 @@ class TestWindowWalk:
             value = Fraction(math.isqrt(best_sq.numerator), math.isqrt(best_sq.denominator))
             expected = optima.StarResult(d, best_ell, best_sq, value if d % 2 == 0 else None, window, tie)
             assert optima.a_star(d) == expected
+
+    def test_every_dimension_certifies(self):
+        # Both walks read rise, hold, fall for every d that --d-range accepts;
+        # the only hold is A**2 at d = 6, on levels 0 and 1.
+        ties = []
+        for d in range(3, spectrum.MAX_DIMENSION + 1):
+            for name, result in (("Q", optima.q_star(d)), ("A_squared", optima.a_star(d))):
+                lo, hi = result.candidate_window
+                assert lo <= result.argmax_ell <= hi
+                if result.tie_ell is not None:
+                    ties.append((name, d, result.argmax_ell, result.tie_ell))
+        assert ties == [("A_squared", 6, 0, 1)]
 
     @pytest.mark.parametrize(
         "steps, value, window",
@@ -266,60 +277,93 @@ class TestWindowWalk:
             mid = min(hi, 9)
             assert list(steps(d, 2, mid)) == expected[2:mid]
 
-    def test_equal_levels_keep_the_smallest_and_report_the_next_as_tie(self):
-        # Levels 4, 5 and 7 are all 1/3, written with different denominators.
-        levels = [(4, 1, 3), (5, 2, 6), (6, 1, 4), (7, 3, 9)]
-        assert walk(levels)[0] == (4, 5)
+    @pytest.mark.parametrize(
+        "steps, expected",
+        [
+            ([], (5, None)),
+            ([1, 1], (7, None)),
+            ([-1, -1], (5, None)),
+            ([0], (5, 6)),
+            ([1, 0], (6, 7)),
+            ([1, 1, 0, -1, -1], (7, 8)),
+            ([1, -1, -1, -1], (6, None)),
+        ],
+    )
+    def test_rise_hold_fall_certifies(self, steps, expected):
+        assert optima._window_argmax(5, 5 + len(steps), steps) == expected
 
-    def test_later_larger_level_clears_the_tie(self):
-        levels = [(4, 1, 3), (5, 2, 6), (6, 2, 5), (7, 4, 10)]
-        assert walk(levels)[0] == (6, 7)
-        assert walk(levels[:3])[0] == (6, None)
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ([0, 0], "to 5, but level 7 is not below level 6"),
+            ([1, 0, 1], "to 6, but level 8 is not below level 7"),
+            ([1, -1, 1], "to 6, but level 8 is not below level 7"),
+            ([-1, 0], "to 5, but level 7 is not below level 6"),
+            ([0, -1, -1, 0, -1], "to 5, but level 9 is not below level 8"),
+        ],
+    )
+    def test_other_step_patterns_are_refused(self, steps, message):
+        with pytest.raises(CertificationError, match=message):
+            optima._window_argmax(5, 5 + len(steps), steps)
+
+    def test_equal_levels_keep_the_smallest_and_report_the_next_as_tie(self):
+        # Levels 4 and 5 are both 1/3, written with different denominators.
+        levels = [(4, 1, 3), (5, 2, 6), (6, 1, 4), (7, 3, 9)]
+        assert walk(levels[:3]) == (4, 5)
+        # Level 7 is 1/3 again: a second peak, so the levels do not rise and then fall.
+        with pytest.raises(CertificationError, match="to 4, but level 7 is not below level 6"):
+            walk(levels)
 
     def test_single_level_window(self):
-        assert walk([(0, 5, 7)]) == ((0, None), [])
+        assert walk([(0, 5, 7)]) == (0, None)
 
     def test_one_peak_builds_no_pair(self):
-        assert walk([(3, 1, 5), (4, 2, 5), (5, 4, 5), (6, 3, 5)]) == ((5, None), [])
-        assert walk([(3, 4, 5), (4, 2, 5), (5, 1, 5)]) == ((3, None), [])
-        assert walk([(3, 1, 5), (4, 2, 5), (5, 4, 5)]) == ((5, None), [])
+        assert walk([(3, 1, 5), (4, 2, 5), (5, 4, 5), (6, 3, 5)]) == (5, None)
+        assert walk([(3, 4, 5), (4, 2, 5), (5, 1, 5)]) == (3, None)
+        assert walk([(3, 1, 5), (4, 2, 5), (5, 4, 5)]) == (5, None)
 
-    def test_separate_peaks_are_the_only_pairs_built(self):
+    def test_separate_peaks_are_refused(self):
+        # The walk names the first level that does not fall; it never compares the two peaks.
         levels = [(0, 1, 9), (1, 5, 9), (2, 2, 9), (3, 1, 9), (4, 7, 9), (5, 3, 9), (6, 7, 9)]
-        assert walk(levels) == ((4, 6), [1, 4, 6])
+        with pytest.raises(CertificationError, match="to 1, but level 4 is not below level 3"):
+            walk(levels)
 
     @settings(max_examples=300, deadline=None)
     @given(level_lists())
     def test_argmax_matches_fraction_reference(self, levels):
-        assert walk(levels)[0] == reference_argmax(levels)
+        walk_certifies_or_refuses(levels)
 
     @settings(max_examples=300, deadline=None)
     @given(peaked_levels())
     def test_peaks_and_plateaus_match_fraction_reference(self, levels):
-        (best, tie), built = walk(levels)
-        assert (best, tie) == reference_argmax(levels)
-        peaks = weak_local_maxima([Fraction(num, den) for _, num, den in levels])
-        assert built == ([] if len(peaks) == 1 else [levels[i][0] for i in peaks])
+        walk_certifies_or_refuses(levels)
 
     @pytest.mark.parametrize(
         "first, second", [((3, 5), (9, 15)), ((9, 15), (3, 5)), ((1, 3), (3**90, 3**91))]
     )
     def test_tie_written_with_other_bit_lengths(self, first, second):
-        # Two equal levels are both peaks: one exact comparison decides the tie.
-        assert walk([(0, *first), (1, *second)]) == ((0, 1), [0, 1])
+        # Two equal levels: the 0 step alone reports the tie.
+        assert walk([(0, *first), (1, *second)]) == (0, 1)
 
     def test_5000_bit_levels_one_apart(self):
         rng = random.Random(5000)
         num, den = rng.getrandbits(4999) | 1 << 4999, rng.getrandbits(4989) | 1 << 4989
-        assert walk([(0, num, den), (1, num + 1, den)]) == ((1, None), [])
-        assert walk([(0, num + 1, den), (1, num, den)]) == ((0, None), [])
-        assert walk([(0, num, den), (1, 1, den), (2, num + 1, den)]) == ((2, None), [0, 2])
-        assert walk([(0, num + 1, den), (1, 1, den), (2, num, den)]) == ((0, None), [0, 2])
+        assert walk([(0, num, den), (1, num + 1, den)]) == (1, None)
+        assert walk([(0, num + 1, den), (1, num, den)]) == (0, None)
+        assert walk([(0, num, den), (1, num + 1, den), (2, num + 1, den), (3, num, den)]) == (1, 2)
+        for first, last in ((num, num + 1), (num + 1, num)):
+            with pytest.raises(CertificationError, match="to 0, but level 2 is not below level 1"):
+                walk([(0, first, den), (1, 1, den), (2, last, den)])
 
     def test_larger_level_after_a_tie(self):
+        # A tie followed by a rise, in 5000-bit and in small levels, is refused, not cleared.
         larger = ((3 << 5000) + 1, 5 << 5000)
-        assert walk([(0, 3, 5), (1, 9, 15), (2, *larger)])[0] == (2, None)
-        assert walk([(0, 3, 5), (1, 9, 15), (2, *larger), (3, 6, 10)])[0] == (2, None)
+        with pytest.raises(CertificationError, match="to 0, but level 2 is not below level 1"):
+            walk([(0, 3, 5), (1, 9, 15), (2, *larger)])
+        with pytest.raises(CertificationError, match="to 0, but level 2 is not below level 1"):
+            walk([(0, 3, 5), (1, 9, 15), (2, *larger), (3, 6, 10)])
+        with pytest.raises(CertificationError, match="to 4, but level 6 is not below level 5"):
+            walk([(4, 1, 3), (5, 2, 6), (6, 2, 5)])
 
     def test_window_ties_reach_the_exact_path(self, monkeypatch):
         # A**2 at d = 6 takes its maximum at levels 0 and 1, a genuine tie.
@@ -334,23 +378,12 @@ class TestWindowWalk:
         monkeypatch.setattr(excess, "a_squared_int", counted)
         result = optima.a_star(6)
         assert (result.argmax_ell, result.tie_ell) == (0, 1)
-        # One pair per peak, so exactly one exact comparison, then the winner's reduction.
-        assert calls == [(6, 0, 1), (6, 1, 1), (6, 0, 1)]
+        # The tie is read off a 0 step: the only exact level built is the winner's reduction.
+        assert calls == [(6, 0, 1)]
 
-    @pytest.mark.parametrize(
-        "star, value, window",
-        [
-            (optima.q_star, excess.q_eval, optima.q_candidate_window),
-            (optima.a_star, excess.a_eval_squared, optima.a_candidate_window),
-        ],
-        ids=("Q", "A_squared"),
-    )
-    def test_level_products_only_for_peaks(self, monkeypatch, star, value, window):
-        # The walk builds no level value: the Pochhammer product runs once per
-        # compared peak and once for the winner's reduction.
-        d = 200
-        lo, hi = window(d)
-        peaks = weak_local_maxima([value(d, ell) for ell in range(lo, hi + 1)])
+    @pytest.mark.parametrize("star", [optima.q_star, optima.a_star], ids=("Q", "A_squared"))
+    def test_level_products_only_for_peaks(self, monkeypatch, star):
+        # The walk builds no level value: the Pochhammer product runs once, for the winner's reduction.
         calls = []
         product = excess._pochhammer_int
 
@@ -359,8 +392,8 @@ class TestWindowWalk:
             return product(*args)
 
         monkeypatch.setattr(excess, "_pochhammer_int", counted)
-        star(d)
-        assert len(calls) <= len(peaks) + 1
+        star(200)
+        assert len(calls) == 1
 
 
 class TestAMaximizerBracket:

@@ -35,21 +35,50 @@ def test_traced_functions_exist():
         assert callable(getattr(target, function, None)), f"{module}.{function}"
 
 
-def test_every_export_is_used_in_the_package_or_traced():
-    # An exported name that no module reads is public API nothing uses.  The
-    # benchmark tracer still wraps some names whose callers have moved on.
+def package_modules():
+    """Each module of the package but __init__, parsed."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def names_loaded(modules):
+    """Every name and attribute read anywhere in the given modules."""
     loaded = set()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in modules.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+    return loaded
+
+
+def test_every_export_is_used_in_the_package_or_traced():
+    # An exported name that no module reads is public API nothing uses.  The
+    # benchmark tracer still wraps some names whose callers have moved on.
+    loaded = names_loaded(package_modules())
     traced = {function for _, function in load_tracer().TRACED}
     unused = sorted(set(coulomb_sharp.__all__) - {"__version__"} - loaded - traced)
     assert not unused, f"exported but never loaded in src/: {unused}"
+
+
+def test_every_private_function_is_called_in_the_package():
+    # A private helper that only tests call is code the program does not run.
+    modules = package_modules()
+    loaded = names_loaded(modules)
+    private = [
+        f"{stem}.{node.name}"
+        for stem, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in loaded
+    ]
+    assert not private, f"private but never loaded in src/: {private}"
 
 
 def test_package_never_imports_test_only_oracles():
