@@ -314,6 +314,14 @@ class TestWindowWalk:
         with pytest.raises(CertificationError, match="to 4, but level 7 is not below level 6"):
             walk(levels)
 
+    def test_later_larger_level_clears_the_tie(self):
+        # Levels 4 and 5 tie at 1/3, then level 6 (2/5) rises above them: no tie
+        # is reported, because the walk refuses a hold that is followed by a rise.
+        levels = [(4, 1, 3), (5, 2, 6), (6, 2, 5), (7, 4, 10)]
+        for window in (levels, levels[:3]):
+            with pytest.raises(CertificationError, match="to 4, but level 6 is not below level 5"):
+                walk(window)
+
     def test_single_level_window(self):
         assert walk([(0, 5, 7)]) == (0, None)
 
@@ -356,14 +364,12 @@ class TestWindowWalk:
                 walk([(0, first, den), (1, 1, den), (2, last, den)])
 
     def test_larger_level_after_a_tie(self):
-        # A tie followed by a rise, in 5000-bit and in small levels, is refused, not cleared.
+        # A tie followed by a rise, in 5000-bit levels, is refused, not cleared.
         larger = ((3 << 5000) + 1, 5 << 5000)
         with pytest.raises(CertificationError, match="to 0, but level 2 is not below level 1"):
             walk([(0, 3, 5), (1, 9, 15), (2, *larger)])
         with pytest.raises(CertificationError, match="to 0, but level 2 is not below level 1"):
             walk([(0, 3, 5), (1, 9, 15), (2, *larger), (3, 6, 10)])
-        with pytest.raises(CertificationError, match="to 4, but level 6 is not below level 5"):
-            walk([(4, 1, 3), (5, 2, 6), (6, 2, 5)])
 
     def test_window_ties_reach_the_exact_path(self, monkeypatch):
         # A**2 at d = 6 takes its maximum at levels 0 and 1, a genuine tie.
