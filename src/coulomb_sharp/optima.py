@@ -16,14 +16,28 @@ partial fractions carries a nonzero coefficient, so its roots are exactly
 the zeros of the log-derivative.  The zero is narrowed by bisection on
 integer sign evaluations.
 
-The window maxima are walked in integers, through the sign of each
-difference of adjacent levels: both sides of the closed-form ratio
-V(l+1)/V(l) are small factors times powers near 2l+d, one new power per
-level, so no level value is built or compared.  The signs certify the
-maximum: the levels must rise, hold at most once (a tie, reported, which
-goes to the smaller level) and then fall; any other pattern is a
-CertificationError.  Only the winner is reduced, through q_value /
-a_value_squared.  Odd-d irrationality of A is handled by comparing squares.
+The window maxima are walked through the sign of each difference of
+adjacent levels.  With b = 2l+d, V(l+1)/V(l) = F/G for F = ((b+2)(l+d)/(b(l+1)))**k
+and G = ((b+c)/(b-c))**d, where Q is (c, k) = (1, 1) and A**2 is (2, 2); no
+level value is built.  Each step is filtered in doubles: f is one correctly
+rounded int / int (squared once for k = 2) and g is the correctly rounded
+quotient raised to d by left-to-right squaring, so every operation is one
+IEEE-754 rounding (1 + delta), |delta| <= u = 2**-53.  In the powering chain a
+value standing for R**e carries at most 2e - 1 roundings (true for e = 1, and a
+square or a product with the base adds the counts plus one), so with
+theta_n a product of n factors (1 + delta)**(+-1), |theta_n| <= gamma_n =
+n u / (1 - n u), f = F (1 + theta_3) and g = G (1 + theta_(2d-1)).  A step
+reads +1 when f > fl(g s) for s = 1 + 2 n u, n = 2d + 3; then F/G > s (1 +
+theta_n) >= (1 + 2nu)(1 - 2nu) / (1 - nu) >= 1 while 4 n u <= 1, which holds for
+d < 2**49.  A step reads -1 when g > fl(f s), by the same count.  All values lie
+in [1, 2**1024): F <= (5d/3)**2 and 1 <= G <= ((d+2)/(d-2))**d < e**12, so
+nothing overflows or is subnormal.  Neither test holding, the step takes the
+exact integer comparison (_exact_step); over every window of d = 3..400 that is
+only the tie of A**2 at d = 6, level 0.  The signs certify the maximum: the
+levels must rise, hold at most once (a tie, reported, which goes to the
+smaller level) and then fall; any other pattern is a CertificationError.  Only
+the winner is reduced, through q_value / a_value_squared.  Odd-d irrationality
+of A is handled by comparing squares.
 """
 
 from __future__ import annotations
@@ -105,33 +119,32 @@ def a_value_squared(d: int, ell: int) -> Fraction:
     return excess.a_eval_squared(d, ell)
 
 
-def _q_steps(d: int, lo: int, hi: int) -> Iterator[int]:
-    """Sign of Q(l+1) - Q(l) for l = lo..hi-1, from the ratio of adjacent levels.
+def _exact_step(d: int, ell: int, c: int, k: int) -> int:
+    """sign(V(l+1) - V(l)) in integers: ((b+2)(l+d))**k (b-c)**d against (b(l+1))**k (b+c)**d."""
+    base = 2 * ell + d
+    lhs = ((base + 2) * (ell + d)) ** k * (base - c) ** d
+    rhs = (base * (ell + 1)) ** k * (base + c) ** d
+    return (lhs > rhs) - (lhs < rhs)
 
-    Q(l+1)/Q(l) = (2l+d+2)(l+d) (2l+d-1)**d / ((2l+d)(l+1) (2l+d+1)**d), and
-    this level's (2l+d+1)**d is the next one's (2l+d-1)**d.
+
+def _steps(d: int, lo: int, hi: int, c: int, k: int) -> Iterator[int]:
+    """Sign of V(l+1) - V(l) for l = lo..hi-1, filtered in doubles (see the module docstring).
+
+    Q is (c, k) = (1, 1) and A**2 is (2, 2): V(l+1)/V(l) = F/G with
+    F = ((b+2)(l+d)/(b(l+1)))**k and G = ((b+c)/(b-c))**d, b = 2l+d.
     """
-    upper = (2 * lo + d - 1) ** d
+    slack, bits = 1 + (2 * d + 3) * 2.0**-52, [bit == "1" for bit in bin(d)[3:]]
     for ell in range(lo, hi):
         base = 2 * ell + d
-        lower, upper = upper, (base + 1) ** d
-        lhs, rhs = (base + 2) * (ell + d) * lower, base * (ell + 1) * upper
-        yield (lhs > rhs) - (lhs < rhs)
-
-
-def _a_squared_steps(d: int, lo: int, hi: int) -> Iterator[int]:
-    """Sign of A**2(l+1) - A**2(l) for l = lo..hi-1, from the ratio of adjacent levels.
-
-    A**2(l+1)/A**2(l) = (l+d)**2 (2l+d-2)**d / ((l+1)**2 (2l+d)**2 (2l+d+2)**(d-2)).
-    y**(d-2) rolls over y = 2l+d-2, 2l+d, 2l+d+2, and y**d = y**(d-2) y**2.
-    """
-    below, middle = (2 * lo + d - 2) ** (d - 2), (2 * lo + d) ** (d - 2)
-    for ell in range(lo, hi):
-        base = 2 * ell + d
-        above = (base + 2) ** (d - 2)
-        lhs, rhs = (ell + d) ** 2 * (base - 2) ** 2 * below, ((ell + 1) * base) ** 2 * above
-        yield (lhs > rhs) - (lhs < rhs)
-        below, middle = middle, above
+        f = (base + 2) * (ell + d) / (base * (ell + 1))
+        if k == 2:
+            f *= f
+        g = ratio = (base + c) / (base - c)
+        for bit in bits:
+            g *= g
+            if bit:
+                g *= ratio
+        yield 1 if f > g * slack else -1 if g > f * slack else _exact_step(d, ell, c, k)
 
 
 def _window_argmax(lo: int, hi: int, steps: Iterable[int]) -> tuple[int, int | None]:
@@ -155,12 +168,12 @@ def q_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = q_candidate_window(d)
-    argmax, tie = _window_argmax(lo, hi, _q_steps(d, lo, hi))
+    argmax, tie = _window_argmax(lo, hi, _steps(d, lo, hi, 1, 1))
     best = q_value(d, argmax)
     return StarResult(
         d=d,
         argmax_ell=argmax,
-        value_squared=best * best,
+        value_squared=best**2,
         value=best,
         candidate_window=(lo, hi),
         tie_ell=tie,
@@ -172,7 +185,7 @@ def a_star(d: int) -> StarResult:
     if d < 3:
         raise ValueError("d must be >= 3")
     lo, hi = a_candidate_window(d)
-    argmax, tie = _window_argmax(lo, hi, _a_squared_steps(d, lo, hi))
+    argmax, tie = _window_argmax(lo, hi, _steps(d, lo, hi, 2, 2))
     best_sq = a_value_squared(d, argmax)
     # For even d both powers in A**2's denominator (d-2 and d) are even and its
     # numerator is a square, so the reduced fraction is a square over a square;

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,33 @@ def walk_certifies_or_refuses(levels):
             walk(levels)
 
 
+STEP_FORMS = [
+    (1, 1, excess.q_eval, optima.q_candidate_window),
+    (2, 2, excess.a_eval_squared, optima.a_candidate_window),
+]
+
+
+def exact_step(d, ell, c, k):
+    """sign(V(l+1) - V(l)) from ((b+2)(l+d)/(b(l+1)))**k against ((b+c)/(b-c))**d, b = 2l+d, in integers."""
+    b = 2 * ell + d
+    rise = ((b + 2) * (ell + d)) ** k * (b - c) ** d
+    fall = (b * (ell + 1)) ** k * (b + c) ** d
+    return (rise > fall) - (rise < fall)
+
+
+def count_exact_steps(monkeypatch):
+    """Record the arguments of every step that optima._steps leaves to its exact branch."""
+    calls = []
+    exact = optima._exact_step
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(optima, "_exact_step", counted)
+    return calls
+
+
 class TestWindowWalk:
     def test_q_star_matches_dict_reference(self):
         for d in range(3, 151):
@@ -258,24 +286,47 @@ class TestWindowWalk:
                     ties.append((name, d, result.argmax_ell, result.tie_ell))
         assert ties == [("A_squared", 6, 0, 1)]
 
-    @pytest.mark.parametrize(
-        "steps, value, window",
-        [
-            (optima._q_steps, excess.q_eval, optima.q_candidate_window),
-            (optima._a_squared_steps, excess.a_eval_squared, optima.a_candidate_window),
-        ],
-        ids=("Q", "A_squared"),
-    )
-    def test_step_signs_are_the_level_differences(self, steps, value, window):
+    @pytest.mark.parametrize("c, k, value, window", STEP_FORMS, ids=("Q", "A_squared"))
+    def test_step_signs_are_the_level_differences(self, c, k, value, window):
         # From level 0 to three levels past the window, for every d in 3..80.
         for d in range(3, 81):
             hi = window(d)[1] + 3
             values = [value(d, ell) for ell in range(hi + 1)]
             expected = [(b > a) - (b < a) for a, b in zip(values, values[1:])]
-            assert list(steps(d, 0, hi)) == expected
-            # A walk started inside the range carries its powers from its own first level.
+            assert list(optima._steps(d, 0, hi, c, k)) == expected
+            # A walk started inside the range gives the same signs from its own first level.
             mid = min(hi, 9)
-            assert list(steps(d, 2, mid)) == expected[2:mid]
+            assert list(optima._steps(d, 2, mid, c, k)) == expected[2:mid]
+
+    def test_doubles_are_ieee_binary64(self):
+        # The filter's error bound counts roundings of u = 2**-53.
+        assert (sys.float_info.radix, sys.float_info.mant_dig) == (2, 53)
+
+    @pytest.mark.parametrize("c, k, value, window", STEP_FORMS, ids=("Q", "A_squared"))
+    def test_filtered_steps_match_integers_on_every_window(self, c, k, value, window):
+        for d in range(3, spectrum.MAX_DIMENSION + 1):
+            lo, hi = window(d)
+            assert list(optima._steps(d, lo, hi, c, k)) == [exact_step(d, ell, c, k) for ell in range(lo, hi)]
+
+    @pytest.mark.parametrize("c, k, value, window", STEP_FORMS, ids=("Q", "A_squared"))
+    def test_filtered_steps_match_integers_far_past_the_window(self, monkeypatch, c, k, value, window):
+        # Far out V(l+1)/V(l) is within about 1/l**2 of 1, so the doubles cannot
+        # decide and the exact branch must give the sign.
+        deferred = count_exact_steps(monkeypatch)
+        for d in (3, 4, 5, 8, 20, 60, 200):
+            for start in (m * 10**e for e in range(5, 13) for m in (1, 2, 5)):
+                expected = [exact_step(d, ell, c, k) for ell in range(start, start + 4)]
+                assert list(optima._steps(d, start, start + 4, c, k)) == expected, (d, start)
+        assert len(deferred) > 100
+
+    def test_exact_branch_runs_once_over_every_window(self, monkeypatch):
+        # The doubles decide every step of both walks for d = 3..400 but one:
+        # A**2 at d = 6, level 0, a true tie.
+        deferred = count_exact_steps(monkeypatch)
+        for c, k, _, window in STEP_FORMS:
+            for d in range(3, spectrum.MAX_DIMENSION + 1):
+                list(optima._steps(d, *window(d), c, k))
+        assert deferred == [(6, 0, 2, 2)]
 
     @pytest.mark.parametrize(
         "steps, expected",
