@@ -16,28 +16,28 @@ partial fractions carries a nonzero coefficient, so its roots are exactly
 the zeros of the log-derivative.  The zero is narrowed by bisection on
 integer sign evaluations.
 
-The window maxima are walked through the sign of each difference of
-adjacent levels.  With b = 2l+d, V(l+1)/V(l) = F/G for F = ((b+2)(l+d)/(b(l+1)))**k
-and G = ((b+c)/(b-c))**d, where Q is (c, k) = (1, 1) and A**2 is (2, 2); no
-level value is built.  Each step is filtered in doubles: f is one correctly
-rounded int / int (squared once for k = 2) and g is the correctly rounded
-quotient raised to d by left-to-right squaring, so every operation is one
-IEEE-754 rounding (1 + delta), |delta| <= u = 2**-53.  In the powering chain a
-value standing for R**e carries at most 2e - 1 roundings (true for e = 1, and a
-square or a product with the base adds the counts plus one), so with
-theta_n a product of n factors (1 + delta)**(+-1), |theta_n| <= gamma_n =
-n u / (1 - n u), f = F (1 + theta_3) and g = G (1 + theta_(2d-1)).  A step
-reads +1 when f > fl(g s) for s = 1 + 2 n u, n = 2d + 3; then F/G > s (1 +
-theta_n) >= (1 + 2nu)(1 - 2nu) / (1 - nu) >= 1 while 4 n u <= 1, which holds for
-d < 2**49.  A step reads -1 when g > fl(f s), by the same count.  All values lie
-in [1, 2**1024): F <= (5d/3)**2 and 1 <= G <= ((d+2)/(d-2))**d < e**12, so
-nothing overflows or is subnormal.  Neither test holding, the step takes the
-exact integer comparison (_exact_step); over every window of d = 3..400 that is
-only the tie of A**2 at d = 6, level 0.  The signs certify the maximum: the
-levels must rise, hold at most once (a tie, reported, which goes to the
-smaller level) and then fall; any other pattern is a CertificationError.  Only
-the winner is reduced, through q_value / a_value_squared.  Odd-d irrationality
-of A is handled by comparing squares.
+The window maxima are walked through the sign of each difference of adjacent
+levels.  With b = 2l+d, V(l+1)/V(l) = F/G for F = ((b+2)(l+d)/(b(l+1)))**k and
+G = ((b+c)/(b-c))**d, where Q is (c, k) = (1, 1) and A**2 is (2, 2); no level
+value is built.  Each step is filtered in doubles: f is one correctly rounded
+int / int (squared once for k = 2) and g is the correctly rounded quotient
+raised to d by left-to-right squaring, so every operation is one IEEE-754
+rounding (1 + delta), |delta| <= u = 2**-53.  In the powering chain a value
+standing for R**e carries at most 2e - 1 roundings (true for e = 1, and a
+square or a product with the base adds the counts plus one), so f carries at
+most 3 roundings and g at most 2d - 1.  A product theta_n of n factors (1 +
+delta)**(+-1) lies within gamma_n = n u / (1 - n u) of 1.  A step reads +1
+when f > fl(g s) for the exact double s = 1 + 2 n u, n = 2d + 3; then F/G > s
+theta_n >= (1 + 2nu)(1 - 2nu) / (1 - nu) >= 1 while 4 n u <= 1, which holds
+for d < 2**49.  A step reads -1 when g > fl(f s), by the same count.  All
+values lie in [1, 2**1024): F <= (5d/3)**2 and 1 <= G <= ((d+2)/(d-2))**d <
+e**12, so nothing overflows or is subnormal.  Neither test holding, the step
+takes the exact integer comparison (_exact_step); over every window of d =
+3..400 that is only the tie of A**2 at d = 6, level 0.  The signs certify the
+maximum: the levels must rise, hold at most once (a tie, reported, which goes
+to the smaller level) and then fall; any other pattern is a
+CertificationError.  Only the winner is reduced, through q_value /
+a_value_squared.  Odd-d irrationality of A is handled by comparing squares.
 """
 
 from __future__ import annotations

@@ -308,10 +308,10 @@ class TestWindowWalk:
             lo, hi = window(d)
             assert list(optima._steps(d, lo, hi, c, k)) == [exact_step(d, ell, c, k) for ell in range(lo, hi)]
 
-    @pytest.mark.parametrize("c, k, value, window", STEP_FORMS, ids=("Q", "A_squared"))
-    def test_filtered_steps_match_integers_far_past_the_window(self, monkeypatch, c, k, value, window):
-        # Far out V(l+1)/V(l) is within about 1/l**2 of 1, so the doubles cannot
-        # decide and the exact branch must give the sign.
+    @pytest.mark.parametrize("c, k", [(1, 1), (2, 2)], ids=("Q", "A_squared"))
+    def test_filtered_steps_match_integers_far_past_the_window(self, monkeypatch, c, k):
+        # Far out V(l+1)/V(l) is within about 1/l**2 of 1, inside the filter's
+        # margin, so most of these steps are left to the exact branch.
         deferred = count_exact_steps(monkeypatch)
         for d in (3, 4, 5, 8, 20, 60, 200):
             for start in (m * 10**e for e in range(5, 13) for m in (1, 2, 5)):
