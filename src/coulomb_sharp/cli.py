@@ -172,6 +172,8 @@ class SweepConfig:
             for name in suites:
                 if name != "all" and name not in verification.SUITES:
                     raise ValueError(f"unknown suite {name!r}")
+            if len(set(suites)) < len(suites) or ("all" in suites and len(suites) > 1):
+                raise ValueError('suites names a suite twice or "all" beside another, so records would repeat')
         output_path = data.get("output_path")
         if output_path is not None and type(output_path) is not str:
             raise ValueError("output_path must be a string")

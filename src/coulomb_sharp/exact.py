@@ -13,11 +13,12 @@ The root work reads the stored primitive integer polynomials.  A root
 is certified by Descartes' rule of signs: a sign-variation count of exactly
 1 for the Moebius-transformed integer polynomial (1+x)**n p((lo+hi*x)/(1+x))
 proves one simple root in (lo, hi), and an interval with a larger count is
-halved and both halves recounted.  Sturm chains, built from the integer
-remainders of Polynomial.divmod, remain as the general exact root counter.  Partial-fraction
-sums (excess.partial_fraction_sum) reach co-prime form without a gcd: once
-terms sharing a root are merged, each distinct pole keeps a nonzero
-coefficient, so the numerator cannot vanish there.
+halved and both halves recounted.  sturm_count (a Sturm chain on the integer
+remainders of Polynomial.divmod) has no caller in the package: it is a test
+oracle that the benchmark tracer still wraps.  Partial-fraction sums
+(excess.partial_fraction_sum) reach co-prime form without a gcd: once terms
+sharing a root are merged, each distinct pole keeps a nonzero coefficient, so
+the numerator cannot vanish there.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ partial fractions carries a nonzero coefficient, so its roots are exactly
 the zeros of the log-derivative.  The zero is narrowed by bisection on
 integer sign evaluations.
 
-The window maxima are walked through the sign of each difference of adjacent
+One walk (_walk) serves both window maxima, over the integer hull of the
+paper's bounds clamped at 0, through the sign of each difference of adjacent
 levels.  With b = 2l+d, V(l+1)/V(l) = F/G for F = ((b+2)(l+d)/(b(l+1)))**k and
 G = ((b+c)/(b-c))**d, where Q is (c, k) = (1, 1) and A**2 is (2, 2); no level
 value is built.  Each step is filtered in doubles: f is one correctly rounded
@@ -94,21 +95,6 @@ def a_zero_bounds(d: int) -> tuple[Fraction, Fraction]:
     )
 
 
-def _integer_hull(bounds: tuple[Fraction, Fraction]) -> tuple[int, int]:
-    lo, hi = bounds
-    return (max(0, math.floor(lo)), max(0, math.ceil(hi)))
-
-
-def q_candidate_window(d: int) -> tuple[int, int]:
-    """Integer hull of t_star_bounds(d), clamped at 0."""
-    return _integer_hull(t_star_bounds(d))
-
-
-def a_candidate_window(d: int) -> tuple[int, int]:
-    """Integer hull of a_zero_bounds(d), clamped at 0."""
-    return _integer_hull(a_zero_bounds(d))
-
-
 def q_value(d: int, ell: int) -> Fraction:
     """Q at an integer level of the window."""
     return excess.q_eval(d, ell)
@@ -163,29 +149,31 @@ def _window_argmax(lo: int, hi: int, steps: Iterable[int]) -> tuple[int, int | N
     return argmax, tie
 
 
-def q_star(d: int) -> StarResult:
-    """Exact maximum of Q over its candidate window (Q3 maximizes at 0)."""
+def _walk(d: int, bounds: tuple[Fraction, Fraction], c: int, k: int) -> tuple[int, int | None, tuple[int, int]]:
+    """Certified argmax and tie of the (c, k) step form over the integer hull of bounds, clamped at 0, and that hull."""
     if d < 3:
         raise ValueError("d must be >= 3")
-    lo, hi = q_candidate_window(d)
-    argmax, tie = _window_argmax(lo, hi, _steps(d, lo, hi, 1, 1))
+    lo, hi = max(0, math.floor(bounds[0])), max(0, math.ceil(bounds[1]))
+    return (*_window_argmax(lo, hi, _steps(d, lo, hi, c, k)), (lo, hi))
+
+
+def q_star(d: int) -> StarResult:
+    """Exact maximum of Q over its candidate window (Q3 maximizes at 0)."""
+    argmax, tie, window = _walk(d, t_star_bounds(d), 1, 1)
     best = q_value(d, argmax)
     return StarResult(
         d=d,
         argmax_ell=argmax,
         value_squared=best**2,
         value=best,
-        candidate_window=(lo, hi),
+        candidate_window=window,
         tie_ell=tie,
     )
 
 
 def a_star(d: int) -> StarResult:
     """Exact maximum of A over its candidate window, compared through squares."""
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    lo, hi = a_candidate_window(d)
-    argmax, tie = _window_argmax(lo, hi, _steps(d, lo, hi, 2, 2))
+    argmax, tie, window = _walk(d, a_zero_bounds(d), 2, 2)
     best_sq = a_value_squared(d, argmax)
     # For even d both powers in A**2's denominator (d-2 and d) are even and its
     # numerator is a square, so the reduced fraction is a square over a square;
@@ -196,7 +184,7 @@ def a_star(d: int) -> StarResult:
         argmax_ell=argmax,
         value_squared=best_sq,
         value=value,
-        candidate_window=(lo, hi),
+        candidate_window=window,
         tie_ell=tie,
     )
 

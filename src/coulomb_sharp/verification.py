@@ -523,28 +523,24 @@ def check_q_star_value(d: int, expected: RationalLike) -> CheckRecord:
     )
 
 
-def check_q_star_exceeds_one(d: int) -> CheckRecord:
-    result = optima.q_star(d)
+def check_q_star_exceeds_one(q: optima.StarResult) -> CheckRecord:
     return _record(
         "q-star-exceeds-one",
-        {"d": d},
-        result.value > 1,
-        {"value": float(result.value), "argmax": result.argmax_ell},
+        {"d": q.d},
+        q.value > 1,
+        {"value": float(q.value), "argmax": q.argmax_ell},
     )
 
 
-def check_a_exceeds_q(d: int) -> CheckRecord:
+def check_a_exceeds_q(q: optima.StarResult, a: optima.StarResult) -> CheckRecord:
     """A's window maximum strictly dominates Q's, compared through squares."""
-    a_result = optima.a_star(d)
-    q_result = optima.q_star(d)
-    ok = a_result.value_squared > q_result.value_squared
     return _record(
         "a-exceeds-q",
-        {"d": d},
-        ok,
+        {"d": q.d},
+        a.value_squared > q.value_squared,
         {
-            "a_star_squared": float(a_result.value_squared),
-            "q_star_squared": float(q_result.value_squared),
+            "a_star_squared": float(a.value_squared),
+            "q_star_squared": float(q.value_squared),
         },
     )
 
@@ -603,6 +599,15 @@ def _sandwiches_and_windows(ds: list[int]) -> list[CheckRecord]:
     return records
 
 
+def _star_comparisons(ds: list[int]) -> list[CheckRecord]:
+    """Per d: Q* > 1, then A* > Q*, on one q_star and one a_star build."""
+    records = []
+    for d in ds:
+        q, a = optima.q_star(d), optima.a_star(d)
+        records += [check_q_star_exceeds_one(q), check_a_exceeds_q(q, a)]
+    return records
+
+
 def _r_below_q_draws() -> list[CheckRecord]:
     rng = random.Random(911)
     records = []
@@ -648,7 +653,7 @@ FAMILIES: tuple[tuple[str, range | None, Callable[..., list[CheckRecord]]], ...]
     ("asymptotics", _d(10), lambda ds: [check_asymptotics(ds[0], ds[-1])] if ds else []),
     ("clr", None, lambda: [check_counterexample_advisory()]),
     ("clr", None, lambda: [check_q_star_value(d, q) for d, q in ((3, 3), (4, Fraction(64, 27)), (5, Fraction(15, 8)))]),
-    ("clr", _d(3, 60), lambda ds: [f(d) for d in ds for f in (check_q_star_exceeds_one, check_a_exceeds_q)]),
+    ("clr", _d(3, 60), _star_comparisons),
     (
         "clr",
         None,

@@ -509,6 +509,8 @@ class TestVerifyCommand:
             ({"gamma": "1/2"}, "gamma must be >= 1"),
             ({"gamma": "5/2", "d_values": [5, 8]}, "gamma must be below d/2"),
             ({"suites": []}, "suites must name at least one suite"),
+            ({"suites": ["clr", "clr"]}, 'suites names a suite twice or "all" beside another'),
+            ({"suites": ["clr", "all"]}, 'suites names a suite twice or "all" beside another'),
             ({"gama": "7/3"}, "unknown config field 'gama'"),
             ({"eta_grid": None, "gamma": "3/2"}, "eta_grid is missing"),
             ({"d_values": None}, "d_values is missing"),
@@ -543,6 +545,8 @@ class TestVerifyCommand:
             "gamma-below-one",
             "gamma-above-half-d",
             "suites-empty",
+            "suites-repeated",
+            "suites-all-beside-another",
             "unknown-field",
             "sweep-without-eta-grid",
             "sweep-without-d-values",

@@ -145,6 +145,20 @@ class TestAStar:
             assert result.argmax_ell in candidates
 
 
+def integer_hull(bounds):
+    """The integer levels from floor(lo) to ceil(hi) of open bounds (lo, hi), clamped at 0."""
+    lo, hi = bounds
+    return max(0, math.floor(lo)), max(0, math.ceil(hi))
+
+
+def q_window(d):
+    return integer_hull(optima.t_star_bounds(d))
+
+
+def a_window(d):
+    return integer_hull(optima.a_zero_bounds(d))
+
+
 def reference_star(d, window, level_value):
     """Reference argmax: every window level reduced to a Fraction by its closed form, kept in a dict."""
     lo, hi = window(d)
@@ -232,8 +246,8 @@ def walk_certifies_or_refuses(levels):
 
 
 STEP_FORMS = [
-    (1, 1, excess.q_eval, optima.q_candidate_window),
-    (2, 2, excess.a_eval_squared, optima.a_candidate_window),
+    (1, 1, excess.q_eval, q_window),
+    (2, 2, excess.a_eval_squared, a_window),
 ]
 
 
@@ -261,15 +275,13 @@ def count_exact_steps(monkeypatch):
 class TestWindowWalk:
     def test_q_star_matches_dict_reference(self):
         for d in range(3, 151):
-            best_ell, best, window, tie = reference_star(d, optima.q_candidate_window, excess.q_eval)
+            best_ell, best, window, tie = reference_star(d, q_window, excess.q_eval)
             expected = optima.StarResult(d, best_ell, best * best, best, window, tie)
             assert optima.q_star(d) == expected
 
     def test_a_star_matches_dict_reference(self):
         for d in range(3, 151):
-            best_ell, best_sq, window, tie = reference_star(
-                d, optima.a_candidate_window, excess.a_eval_squared
-            )
+            best_ell, best_sq, window, tie = reference_star(d, a_window, excess.a_eval_squared)
             value = Fraction(math.isqrt(best_sq.numerator), math.isqrt(best_sq.denominator))
             expected = optima.StarResult(d, best_ell, best_sq, value if d % 2 == 0 else None, window, tie)
             assert optima.a_star(d) == expected

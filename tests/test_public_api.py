@@ -140,3 +140,12 @@ def test_only_highprec_sets_mpmath_precision():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
                 names = {alias.name for alias in node.names} & (MPMATH_PRECISION_CONTEXTS | {"sqrt"})
                 assert not names, f"{path.name} imports {names} from mpmath"
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, which no test run on a
+    # newer interpreter checks by itself.  feature_version checks the grammar
+    # only (it refuses, say, 3.11's except*), not library APIs: a call to a
+    # function added after 3.10 still parses.
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from coulomb_sharp import excess, phase_space, spectrum
+from coulomb_sharp import excess, optima, phase_space, spectrum
 from coulomb_sharp import verification as V
 from coulomb_sharp.exact import Polynomial, RationalFunctionPair
 from coulomb_sharp.highprec import MAX_PRECISION, enclosure_bits
@@ -331,6 +331,48 @@ class TestCounterexampleAdvisory:
         assert record.witness["count"] == "112"
         assert "121" in record.note
         assert "81.81" in record.note
+
+
+def star(d, value_squared, value=None, argmax=0):
+    """A hand-built window maximum; the clr comparisons read d, the values and the argmax."""
+    return optima.StarResult(d, argmax, value_squared, value, (0, 1))
+
+
+class TestStarComparisons:
+    def test_q_star_equal_to_one_fails(self):
+        # Q* > 1 is strict: a maximum of exactly the semiclassical constant does not beat it.
+        record = V.check_q_star_exceeds_one(star(7, Fraction(1), Fraction(1), argmax=3))
+        assert record.verdict == "fail"
+        assert record.params == {"d": "7"}
+        assert record.witness == {"value": "1.0", "argmax": "3"}
+
+    def test_a_squared_equal_to_q_squared_fails(self):
+        q = star(9, Fraction(9, 4), Fraction(3, 2))
+        record = V.check_a_exceeds_q(q, star(9, Fraction(9, 4)))
+        assert record.verdict == "fail"
+        assert record.params == {"d": "9"}
+        assert record.witness == {"a_star_squared": "2.25", "q_star_squared": "2.25"}
+
+    @pytest.mark.parametrize("d", [3, 6, 7, 60])
+    def test_records_on_built_maxima_match_the_suite(self, d):
+        q, a = optima.q_star(d), optima.a_star(d)
+        ids = ("q-star-exceeds-one", "a-exceeds-q")
+        suite = [r.to_json() for r in V.run_suite("clr", d_range=(d, d)) if r.check_id in ids]
+        assert suite == [V.check_q_star_exceeds_one(q).to_json(), V.check_a_exceeds_q(q, a).to_json()]
+        assert all('"verdict":"pass"' in line for line in suite)
+
+    def test_clr_builds_each_window_maximum_once_per_d(self, monkeypatch):
+        calls = {"q_star": 0, "a_star": 0}
+        for name in calls:
+
+            def counted(d, name=name, build=getattr(optima, name)):
+                calls[name] += 1
+                return build(d)
+
+            monkeypatch.setattr(optima, name, counted)
+        V.run_suite("clr", d_range=(3, 60))
+        # q-star-value builds Q* at d = 3, 4, 5; each d of 3..60 then builds Q* and A* once for both comparisons.
+        assert calls == {"q_star": 61, "a_star": 58}
 
 
 class TestRecords:
