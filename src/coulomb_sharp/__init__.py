@@ -27,7 +27,6 @@ from .highprec import PrecisionError, validated_eval
 from .phase_space import clr_rhs, lt_rhs
 from .spectrum import (
     LevelData,
-    SpectrumParams,
     counting_function,
     levels,
     multiplicity,
@@ -48,7 +47,6 @@ __all__ = [
     "PrecisionError",
     "RationalFunctionPair",
     "RootBracket",
-    "SpectrumParams",
     "StarResult",
     "a_star",
     "bisect_root",

@@ -120,7 +120,10 @@ class SweepConfig:
     def from_json_file(path: str) -> "SweepConfig":
         """Read and check every field; any bad field raises ValueError before work starts."""
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except RecursionError:
+                raise ValueError("the config nests too deeply to parse") from None
         if not isinstance(data, dict):
             raise ValueError("the config must be a JSON object")
         unknown = sorted(data.keys() - {field.name for field in fields(SweepConfig)})
@@ -132,11 +135,13 @@ class SweepConfig:
                 raise ValueError("d_values must be a non-empty list of integers")
             for d in d_values:
                 check_dimension(d, "each of d_values")
+            if len(set(d_values)) < len(d_values):
+                raise ValueError("d_values names a dimension twice, so records would repeat")
         eta_grid = None
         if data.get("eta_grid") is not None:
             grid = data["eta_grid"]
-            if not isinstance(grid, dict) or not {"start", "stop", "step"} <= grid.keys():
-                raise ValueError("eta_grid must be an object with start, stop and step")
+            if not isinstance(grid, dict) or grid.keys() != {"start", "stop", "step"}:
+                raise ValueError("eta_grid must be an object with start, stop and step and no other key")
             start, stop, step = (
                 _config_rational(grid[key], f"eta_grid.{key}") for key in ("start", "stop", "step")
             )
@@ -298,17 +303,18 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    params = spectrum.SpectrumParams(d=args.d, eta=parse_rational(args.eta))
-    if params.ell is not None and params.ell >= MAX_LEVELS:
+    d, eta = args.d, parse_rational(args.eta)
+    ell = spectrum.top_level(d, eta.numerator, eta.denominator)
+    if ell >= MAX_LEVELS:
         raise ValueError(f"eta = {args.eta} gives more than {MAX_LEVELS} levels")
-    level_rows = spectrum.levels(params)
-    count = spectrum.counting_function(params)
+    level_rows = spectrum.levels(d, eta)
+    count = spectrum.counting_function(d, eta)
     if args.format == "json":
         payload = {
-            "d": params.d,
-            "eta": str(params.eta),
-            "tau": str(params.tau),
-            "ell": params.ell,
+            "d": d,
+            "eta": str(eta),
+            "tau": str((eta + 1 - d) / 2),
+            "ell": ell if ell >= 0 else None,
             "levels": [
                 {
                     "j": level.j,
@@ -322,7 +328,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"shifted Coulomb spectrum: d = {params.d}, eta = {params.eta}")
+    print(f"shifted Coulomb spectrum: d = {d}, eta = {eta}")
     if not level_rows:
         print("empty spectrum (eta <= d - 1)")
     else:

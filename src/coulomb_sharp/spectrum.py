@@ -1,8 +1,10 @@
 """Negative spectrum of the shifted Coulomb Hamiltonian -Delta - kappa/|x| + Lambda.
 
-The whole negative spectrum is controlled by the single dimensionless
-coupling ratio eta = kappa/sqrt(Lambda); every quantity here is reported in
-units Lambda = 1.  The eigenvalues are the hydrogen-like levels
+The whole negative spectrum is controlled by the dimension d and the single
+dimensionless coupling ratio eta = kappa/sqrt(Lambda), so ``levels``,
+``counting_function`` and ``riesz_mean`` take that pair and ``top_level``
+checks it; every quantity is reported in units Lambda = 1.  The eigenvalues
+are the hydrogen-like levels
 
     lambda_j / Lambda = 1 - eta**2 / (2j + d - 1)**2,   j = 0, ..., ell,
 
@@ -50,31 +52,6 @@ def check_dimension(d: object, name: str = "d") -> int:
 
 
 @dataclass(frozen=True)
-class SpectrumParams:
-    """A problem instance: dimension d >= 3 and coupling ratio eta > 0."""
-
-    d: int
-    eta: Fraction
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 3:
-            raise ValueError("dimension d must be an integer >= 3")
-        object.__setattr__(self, "eta", as_rational(self.eta))
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-
-    @property
-    def tau(self) -> Fraction:
-        return (self.eta + 1 - self.d) / 2
-
-    @property
-    def ell(self) -> int | None:
-        """Index of the highest negative level, or None for empty spectrum."""
-        ell = top_level(self.d, self.eta.numerator, self.eta.denominator)
-        return ell if ell >= 0 else None
-
-
-@dataclass(frozen=True)
 class LevelData:
     j: int
     multiplicity: int
@@ -91,25 +68,21 @@ def multiplicity(d: int, j: int) -> int:
     return q
 
 
-def levels(params: SpectrumParams) -> list[LevelData]:
-    """All negative levels with multiplicities, in increasing energy order."""
-    ell = params.ell
-    if ell is None:
-        return []
-    out = []
-    for j in range(ell + 1):
-        lam = 1 - Fraction(params.eta**2, (2 * j + params.d - 1) ** 2)
-        out.append(LevelData(j=j, multiplicity=multiplicity(params.d, j), lambda_over_Lambda=lam))
-    return out
+def levels(d: int, eta: RationalLike) -> list[LevelData]:
+    """All negative levels at (d, eta) with multiplicities, in increasing energy order."""
+    eta = as_rational(eta)
+    ell = top_level(d, eta.numerator, eta.denominator)
+    return [LevelData(j, multiplicity(d, j), 1 - eta**2 / (2 * j + d - 1) ** 2) for j in range(ell + 1)]
 
 
 def top_level(d: int, n: int, den: int) -> int:
     """Index ell of the highest negative level at eta = n/den (den > 0), -1 if there is none.
 
+    The one (d, eta) input rule: an integer d >= 3 and eta > 0.
     ell = ceil(tau) - 1 with tau = (eta + 1 - d)/2, which is one floor
     division; it is negative exactly when eta <= d - 1.
     """
-    if d < 3:
+    if not isinstance(d, int) or d < 3:
         raise ValueError("dimension d must be an integer >= 3")
     if n <= 0:
         raise ValueError("eta must be positive")
@@ -130,32 +103,33 @@ def level_count(d: int, ell: int) -> int:
     return q
 
 
-def counting_function(params: SpectrumParams) -> int:
-    """Total multiplicity of the negative spectrum."""
-    ell = params.ell
-    return 0 if ell is None else level_count(params.d, ell)
+def counting_function(d: int, eta: RationalLike) -> int:
+    """Total multiplicity of the negative spectrum at (d, eta)."""
+    eta = as_rational(eta)
+    ell = top_level(d, eta.numerator, eta.denominator)
+    return level_count(d, ell) if ell >= 0 else 0
 
 
-def riesz_mean(params: SpectrumParams, gamma: RationalLike) -> Fraction | mpmath.mpf:
-    """Sum of |lambda_j/Lambda|**gamma with multiplicities (gamma = 0: the count).
+def riesz_mean(d: int, eta: RationalLike, gamma: RationalLike) -> Fraction | mpmath.mpf:
+    """Sum of |lambda_j/Lambda|**gamma at (d, eta) with multiplicities (gamma = 0: the count).
 
     Exact rational for gamma in {0, 1} (at 1 from ``riesz_mean_order1_int``);
     otherwise the lower end of ``riesz_mean_int``'s enclosure, an mpf held
     at DEFAULT_PRECISION plus guard digits (``highprec.dyadic_real``).
     Returns 0 for empty spectrum.
     """
-    gamma = as_rational(gamma)
+    eta, gamma = as_rational(eta), as_rational(gamma)
+    n, den = eta.numerator, eta.denominator
+    ell = top_level(d, n, den)
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    ell = params.ell
-    if ell is None:
+    if ell < 0:
         return Fraction(0)
     if gamma == 0:
-        return Fraction(counting_function(params))
-    d, eta = params.d, params.eta
+        return Fraction(level_count(d, ell))
     if gamma == 1:
-        return Fraction(*riesz_mean_order1_int(d, eta.numerator, eta.denominator))
-    enclosure = riesz_mean_int(d, eta.numerator, eta.denominator, gamma, enclosure_bits(DEFAULT_PRECISION))
+        return Fraction(*riesz_mean_order1_int(d, n, den))
+    enclosure = riesz_mean_int(d, n, den, gamma, enclosure_bits(DEFAULT_PRECISION))
     return dyadic_real(enclosure, DEFAULT_PRECISION)
 
 

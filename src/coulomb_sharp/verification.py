@@ -472,7 +472,7 @@ def check_right_limit(d: int, tau_max: int) -> CheckRecord:
     ok = True
     for tau0 in range(tau_max + 1):
         eta0 = 2 * tau0 + d - 1
-        count = spectrum.counting_function(spectrum.SpectrumParams(d=d, eta=eta0 + 1))
+        count = spectrum.counting_function(d, eta0 + 1)
         ok = ok and excess.q_eval(d, tau0) == Fraction(count) / phase_space.clr_rhs(d, eta0)
     return _record("q-right-limit", {"d": d, "tau_max": tau_max}, ok, {"holds": ok})
 
@@ -494,7 +494,7 @@ def check_r_below_q(d: int, eta: RationalLike) -> CheckRecord:
 def check_counterexample_advisory() -> CheckRecord:
     """d=6, eta=11.1 beats the semiclassical count; reported values are advisory."""
     d, eta = 6, Fraction(111, 10)
-    count = spectrum.counting_function(spectrum.SpectrumParams(d=d, eta=eta))
+    count = spectrum.counting_function(d, eta)
     rhs = phase_space.clr_rhs(d, eta)
     ratio = Fraction(count) / rhs
     ok = ratio > 1

@@ -15,7 +15,6 @@ from coulomb_sharp.cli import figure_f_plot, figure_lt_d3, figure_rd_vs_qd
 from coulomb_sharp.exact import sturm_count
 from coulomb_sharp.phase_space import clr_rhs
 from coulomb_sharp.spectrum import (
-    SpectrumParams,
     counting_function,
     multiplicity,
     riesz_mean,
@@ -44,7 +43,7 @@ def _report(n: int, watch: _Stopwatch, text: str) -> None:
 def test_criterion_1_clr_counterexample():
     with _Stopwatch(1.0) as watch:
         d, eta = 6, Fraction(111, 10)
-        count = counting_function(SpectrumParams(d, eta))
+        count = counting_function(d, eta)
         assert count == 112
         semiclassical = clr_rhs(d, eta)
         assert semiclassical == Fraction(111**6, 10**6 * 23040)

@@ -494,6 +494,19 @@ class TestVerifyCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deeply_nested_config_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
+        config = tmp_path / "nested.json"
+        config.write_text("[" * 5000)  # written directly: json.dumps would itself recurse
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the config nests too deeply to parse" in err
+        assert "Traceback" not in err
+        assert ran == []
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, message",
         [
@@ -511,6 +524,11 @@ class TestVerifyCommand:
             ({"suites": []}, "suites must name at least one suite"),
             ({"suites": ["clr", "clr"]}, 'suites names a suite twice or "all" beside another'),
             ({"suites": ["clr", "all"]}, 'suites names a suite twice or "all" beside another'),
+            ({"d_values": [5, 5]}, "d_values names a dimension twice"),
+            (
+                {"eta_grid": {"start": "3", "stop": "4", "step": "1/10", "extra": "1"}},
+                "eta_grid must be an object with start, stop and step and no other key",
+            ),
             ({"gama": "7/3"}, "unknown config field 'gama'"),
             ({"eta_grid": None, "gamma": "3/2"}, "eta_grid is missing"),
             ({"d_values": None}, "d_values is missing"),
@@ -547,6 +565,8 @@ class TestVerifyCommand:
             "suites-empty",
             "suites-repeated",
             "suites-all-beside-another",
+            "d-values-repeated",
+            "eta-grid-extra-key",
             "unknown-field",
             "sweep-without-eta-grid",
             "sweep-without-d-values",

@@ -194,7 +194,7 @@ class TestOneEvaluator:
     def test_public_values_are_the_lower_ends_of_the_enclosures(self, gamma):
         # riesz_mean and lt_rhs read the kernels the order-gamma check compares.
         d, eta, bits = 6, Fraction(111, 10), enclosure_bits(DEFAULT_PRECISION)
-        lhs = spectrum.riesz_mean(spectrum.SpectrumParams(d, eta), gamma)
+        lhs = spectrum.riesz_mean(d, eta, gamma)
         assert lhs == dyadic_real(spectrum.riesz_mean_int(d, 111, 10, gamma, bits), DEFAULT_PRECISION)
         rhs = phase_space.lt_rhs(d, eta, gamma)
         assert rhs == dyadic_real(phase_space.lt_rhs_int(d, 111, 10, gamma, bits), DEFAULT_PRECISION)

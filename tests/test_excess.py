@@ -9,7 +9,7 @@ import pytest
 from coulomb_sharp import excess
 from coulomb_sharp.exact import Polynomial, expand_linear_factors, poly_gcd, sturm_count
 from coulomb_sharp.phase_space import clr_rhs
-from coulomb_sharp.spectrum import SpectrumParams, counting_function
+from coulomb_sharp.spectrum import counting_function
 from coulomb_sharp.verification import check_sandwich
 
 
@@ -90,7 +90,7 @@ class TestQEval:
         for d in range(3, 11):
             for tau0 in range(41):
                 eta0 = 2 * tau0 + d - 1
-                count = counting_function(SpectrumParams(d=d, eta=eta0 + 1))
+                count = counting_function(d, eta0 + 1)
                 assert excess.q_eval(d, tau0) == Fraction(count) / clr_rhs(d, eta0)
 
 

@@ -207,7 +207,7 @@ class TestOrder1TraceKernel:
         assert pair[1] > 0
         expected = trace_oracle(d, eta)
         assert Fraction(*pair) == expected
-        assert spectrum.riesz_mean(spectrum.SpectrumParams(d, eta), 1) == expected
+        assert spectrum.riesz_mean(d, eta, 1) == expected
 
 
 class TestBigGSquaredKernel:

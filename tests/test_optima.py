@@ -540,6 +540,13 @@ class TestAZeroWindow:
         bracket = optima.locate_a_maximizer(81)
         assert (bracket.lower, bracket.upper) == (Fraction(132742419, 131072), Fraction(99556873, 98304))
 
+    @pytest.mark.parametrize("d", [5, 9, 21])
+    def test_window_missing_the_zero_fails(self, d, monkeypatch):
+        bounds = optima.a_zero_bounds
+        monkeypatch.setattr(optima, "a_zero_bounds", lambda d: tuple(end + d for end in bounds(d)))
+        record = check_a_zero_window(d)
+        assert (record.verdict, record.witness) == ("fail", {"holds": "false"})
+
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError):
             check_a_zero_window(6)

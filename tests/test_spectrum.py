@@ -8,30 +8,46 @@ import mpmath
 import pytest
 
 from coulomb_sharp.spectrum import (
-    SpectrumParams,
     counting_function,
     levels,
     multiplicity,
     riesz_mean,
     riesz_mean_order1_int,
+    top_level,
 )
+
+
+def ell_at(d, eta):
+    return top_level(d, eta.numerator, eta.denominator)
+
+
+# Each takes (d, eta) and refuses a bad pair before any work; riesz_mean at a non-integer order.
+ENTRY_POINTS = (levels, counting_function, lambda d, eta: riesz_mean(d, eta, Fraction(7, 3)))
 
 
 class TestParams:
     def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
-            SpectrumParams(2, Fraction(5))
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="dimension d must be an integer >= 3"):
+                entry(2, Fraction(5))
+
+    def test_rejects_non_integer_dimension(self):
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="dimension d must be an integer >= 3"):
+                entry(5.0, Fraction(11))
 
     def test_rejects_nonpositive_eta(self):
-        with pytest.raises(ValueError):
-            SpectrumParams(3, Fraction(0))
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="eta must be positive"):
+                entry(3, Fraction(0))
 
     def test_empty_spectrum_marker(self):
-        assert SpectrumParams(3, Fraction(2)).ell is None
+        assert ell_at(3, Fraction(2)) == -1
+        assert levels(3, Fraction(2)) == []
 
     def test_ell_jumps_only_above_threshold(self):
-        assert SpectrumParams(3, Fraction(201, 100)).ell == 0
-        assert SpectrumParams(6, Fraction(111, 10)).ell == 3
+        assert ell_at(3, Fraction(201, 100)) == 0
+        assert ell_at(6, Fraction(111, 10)) == 3
 
     def test_zero_energy_level_not_counted(self):
         # At eta = 2j + d - 1 the level j sits exactly at zero energy and is
@@ -40,8 +56,8 @@ class TestParams:
         for d in range(3, 9):
             for j in range(6):
                 eta = Fraction(2 * j + d - 1)
-                at = SpectrumParams(d, eta).ell
-                below = SpectrumParams(d, eta - nudge).ell
+                at = ell_at(d, eta)
+                below = ell_at(d, eta - nudge)
                 assert at == below
 
 
@@ -68,16 +84,16 @@ class TestMultiplicity:
 
 class TestCountingFunction:
     def test_empty_at_threshold(self):
-        assert counting_function(SpectrumParams(3, Fraction(2))) == 0
+        assert counting_function(3, Fraction(2)) == 0
 
     def test_single_level(self):
-        assert counting_function(SpectrumParams(3, Fraction(3))) == 1
+        assert counting_function(3, Fraction(3)) == 1
 
     def test_d6_counterexample_count(self):
-        params = SpectrumParams(6, Fraction(111, 10))
-        by_terms = sum(multiplicity(6, j) for j in range(params.ell + 1))
+        eta = Fraction(111, 10)
+        by_terms = sum(multiplicity(6, j) for j in range(ell_at(6, eta) + 1))
         assert by_terms == 112
-        assert counting_function(params) == 112
+        assert counting_function(6, eta) == 112
 
     def test_hockey_stick_cumulative_identity(self):
         for d in range(3, 31):
@@ -93,11 +109,11 @@ class TestCountingFunction:
 class TestLevels:
     def test_all_levels_strictly_negative(self):
         for d, eta in [(3, Fraction(7)), (6, Fraction(111, 10)), (4, Fraction(10))]:
-            for level in levels(SpectrumParams(d, eta)):
+            for level in levels(d, eta):
                 assert level.lambda_over_Lambda < 0
 
     def test_d3_eta3_single_level(self):
-        rows = levels(SpectrumParams(3, Fraction(3)))
+        rows = levels(3, Fraction(3))
         assert len(rows) == 1
         assert rows[0].multiplicity == 1
         assert rows[0].lambda_over_Lambda == Fraction(-5, 4)
@@ -105,14 +121,14 @@ class TestLevels:
 
 class TestRieszMean:
     def test_empty_spectrum_is_zero(self):
-        assert riesz_mean(SpectrumParams(3, Fraction(2)), Fraction(1)) == 0
+        assert riesz_mean(3, Fraction(2), Fraction(1)) == 0
 
     def test_d3_eta3_order1(self):
-        value = riesz_mean(SpectrumParams(3, Fraction(3)), Fraction(1))
+        value = riesz_mean(3, Fraction(3), Fraction(1))
         assert value == Fraction(5, 4)
 
     def test_d4_eta10_order1_exact_sum(self):
-        value = riesz_mean(SpectrumParams(4, Fraction(10)), Fraction(1))
+        value = riesz_mean(4, Fraction(10), Fraction(1))
         expected = Fraction(91, 9) + 15 + Fraction(102, 7) + Fraction(190, 27)
         assert value == expected == Fraction(8830, 189)
 
@@ -121,16 +137,14 @@ class TestRieszMean:
         for _ in range(200):
             d = rng.randint(3, 12)
             eta = Fraction(rng.randint(1, 400), rng.randint(1, 10))
-            params = SpectrumParams(d, eta)
-            assert riesz_mean(params, Fraction(0)) == counting_function(params)
+            assert riesz_mean(d, eta, Fraction(0)) == counting_function(d, eta)
 
     def test_noninteger_gamma_matches_direct_summation(self):
-        params = SpectrumParams(5, Fraction(10))
-        value = riesz_mean(params, Fraction(1, 2))
+        value = riesz_mean(5, Fraction(10), Fraction(1, 2))
         assert isinstance(value, mpmath.mpf)
         with mpmath.mp.workdps(50):
             direct = mpmath.mpf(0)
-            for level in levels(params):
+            for level in levels(5, Fraction(10)):
                 x = -level.lambda_over_Lambda
                 direct += level.multiplicity * mpmath.sqrt(
                     mpmath.mpf(x.numerator) / x.denominator
@@ -139,7 +153,7 @@ class TestRieszMean:
 
     def test_gamma_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            riesz_mean(SpectrumParams(3, Fraction(5)), Fraction(-1))
+            riesz_mean(3, Fraction(5), Fraction(-1))
 
 
 def d3_closed_form(eta):
@@ -166,6 +180,6 @@ class TestD3ClosedForm:
     def test_matches_general_riesz_mean_on_grid(self):
         for k in range(21, 201):
             eta = Fraction(k, 10)
-            general = riesz_mean(SpectrumParams(3, eta), Fraction(1))
+            general = riesz_mean(3, eta, Fraction(1))
             assert d3_closed_form(eta) == general
             assert order1_d3(eta, k % 5 + 1) == general
