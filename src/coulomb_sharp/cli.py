@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import reprlib
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -121,7 +122,7 @@ class SweepConfig:
         """Read and check every field; any bad field raises ValueError before work starts."""
         with open(path, encoding="utf-8") as handle:
             try:
-                data = json.load(handle)
+                data = json.load(handle, object_pairs_hook=_object_without_repeats)
             except RecursionError:
                 raise ValueError("the config nests too deeply to parse") from None
         if not isinstance(data, dict):
@@ -143,7 +144,7 @@ class SweepConfig:
             if not isinstance(grid, dict) or grid.keys() != {"start", "stop", "step"}:
                 raise ValueError("eta_grid must be an object with start, stop and step and no other key")
             start, stop, step = (
-                _config_rational(grid[key], f"eta_grid.{key}") for key in ("start", "stop", "step")
+                _rational(grid[key], f"eta_grid.{key}") for key in ("start", "stop", "step")
             )
             if step <= 0:
                 raise ValueError("eta_grid.step must be positive")
@@ -159,7 +160,7 @@ class SweepConfig:
             eta_grid = (start, stop, step)
         gamma = None
         if data.get("gamma") is not None:
-            gamma = _config_rational(data["gamma"], "gamma")
+            gamma = _rational(data["gamma"], "gamma")
             if gamma < 1:
                 raise ValueError("gamma must be >= 1")
             if d_values and gamma >= Fraction(min(d_values), 2):
@@ -193,11 +194,22 @@ class SweepConfig:
         )
 
 
-def _config_rational(value: object, name: str) -> Fraction:
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the config as a dict; json.load alone would keep the last of a repeated key."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"the config gives the key {reprlib.repr(key)} twice")
+        data[key] = value
+    return data
+
+
+def _rational(value: object, name: str) -> Fraction:
+    """A flag's or config field's value as an exact rational; the error names the input."""
     try:
         return parse_rational(str(value))
     except ValueError as exc:
-        raise ValueError(f"{name} must be a rational number, got {value!r} ({exc})") from exc
+        raise ValueError(f"{exc} for {name}") from None
 
 
 def _check_output_path(path: str) -> None:
@@ -303,10 +315,10 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    d, eta = args.d, parse_rational(args.eta)
+    d, eta = args.d, _rational(args.eta, "--eta")
     ell = spectrum.top_level(d, eta.numerator, eta.denominator)
     if ell >= MAX_LEVELS:
-        raise ValueError(f"eta = {args.eta} gives more than {MAX_LEVELS} levels")
+        raise ValueError(f"eta = {reprlib.repr(args.eta)} gives more than {MAX_LEVELS} levels")
     level_rows = spectrum.levels(d, eta)
     count = spectrum.counting_function(d, eta)
     if args.format == "json":
@@ -364,9 +376,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
     if args.which == "a-star":
         print(json.dumps(_star_payload("a-star", optima.a_star(args.d)), indent=2))
         return 0
-    tol = parse_rational(args.tol)
+    tol = _rational(args.tol, "--tol")
     if tol < MIN_T_STAR_TOL:
-        raise ValueError(f"tolerance must be at least 1e-100, got {args.tol}")
+        raise ValueError(f"tolerance must be at least 1e-100, got {reprlib.repr(args.tol)}")
     bracket = optima.locate_t_star(args.d, tol)
     lo_bound, hi_bound = optima.t_star_bounds(args.d)
     payload = {
@@ -435,13 +447,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    step = parse_rational(args.step)
+    step = _rational(args.step, "--step")
     if step <= 0:
         raise ValueError("step must be positive")
     _check_output_path(args.out)
     header, *rows = FIGURES[args.which](step)
     if not rows:
-        raise ValueError(f"step {step} leaves the {args.which} figure with no rows")
+        raise ValueError(f"step {reprlib.repr(args.step)} leaves the {args.which} figure with no rows")
     _atomic_write_text(args.out, "".join(",".join(row) + "\n" for row in [header, *rows]))
     print(f"{args.which}: {len(rows)} rows written to {args.out}")
     return 0

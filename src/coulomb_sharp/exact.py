@@ -9,13 +9,13 @@ co-prime rational-function pairs, root counting and bisection with certified
 brackets.  A product of linear factors is expanded in one place, in
 integers: _linear_product, the product of the primitive factors q*t + p.
 
-The root work reads the stored primitive integer polynomials.  A root
-is certified by Descartes' rule of signs: a sign-variation count of exactly
-1 for the Moebius-transformed integer polynomial (1+x)**n p((lo+hi*x)/(1+x))
-proves one simple root in (lo, hi), and an interval with a larger count is
-halved and both halves recounted.  sturm_count (a Sturm chain on the integer
-remainders of Polynomial.divmod) has no caller in the package: it is a test
-oracle that the benchmark tracer still wraps.  Partial-fraction sums
+The root work reads the stored primitive integer polynomials.  Descartes'
+rule of signs counts roots on a half-line (p(x + lo)) or an interval (the
+Moebius transform (1+x)**n p((lo+hi*x)/(1+x))), halving any part whose count
+exceeds 1; optima._zero_window certifies a zero with one half-line count and
+two end signs.  isolate_unique_root and sturm_count (a Sturm chain on the
+integer remainders of Polynomial.divmod) have no caller in the package: they
+are test oracles that the benchmark tracer still wraps.  Partial-fraction sums
 (excess.partial_fraction_sum) reach co-prime form without a gcd: once terms
 sharing a root are merged, each distinct pole keeps a nonzero coefficient, so
 the numerator cannot vanish there.
@@ -24,6 +24,7 @@ the numerator cannot vanish there.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -61,21 +62,25 @@ def parse_rational(text: str) -> Fraction:
     Decimal strings are read as exact scaled integers ('11.1' -> 111/10);
     binary floating point is never involved.  Every malformed input raises
     ValueError: a zero denominator, and a decimal exponent beyond
-    +-MAX_DECIMAL_EXPONENT, refused before 10**exponent is built.
+    +-MAX_DECIMAL_EXPONENT, refused before 10**exponent is built.  A message
+    shows the text as reprlib.repr does, so its length is bounded.
     """
     text = text.strip()
+    shown = reprlib.repr(text)
     _, marker, exponent = text.lower().partition("e")
     if marker:
         try:
-            magnitude = abs(int(exponent))
+            power = int(exponent)
         except ValueError:
-            magnitude = 0  # not an exponent; Fraction rejects the text below
-        if magnitude > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent {exponent} is beyond +-{MAX_DECIMAL_EXPONENT} in {text!r}")
+            power = 0  # not an exponent; Fraction rejects the text below
+        if abs(power) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent {reprlib.repr(power)} is beyond +-{MAX_DECIMAL_EXPONENT} in {shown}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {shown}") from None
+    except ValueError:
+        raise ValueError(f"cannot read {shown} as a rational number") from None
 
 
 def rational_sign(x: RationalLike) -> int:
@@ -350,6 +355,19 @@ def _sign_variations(chain: Sequence[Sequence[int]], point: Fraction) -> int:
     return _variations([_eval_int_sign(c, point.numerator, point.denominator) for c in chain])
 
 
+def _count_interval(p: Polynomial, lo: RationalLike, hi: RationalLike | None) -> tuple[Fraction, Fraction | None]:
+    """The ends as rationals; ValueError unless lo < hi and p != 0, EndpointRootError on a root at an end."""
+    lo, hi = as_rational(lo), None if hi is None else as_rational(hi)
+    if hi is not None and not lo < hi:
+        raise ValueError("need lo < hi")
+    if p.is_zero:
+        raise ValueError("root counting of the zero polynomial")
+    for end in (lo,) if hi is None else (lo, hi):
+        if _eval_int_sign(p.primitive, end.numerator, end.denominator) == 0:
+            raise EndpointRootError(f"p({end}) = 0; nudge the endpoint by an exact rational (e.g. 1/2**k) and retry")
+    return lo, hi
+
+
 def sturm_count(p: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
     """Exact number of distinct real roots of p in the open interval (lo, hi).
 
@@ -357,19 +375,7 @@ def sturm_count(p: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
     should perturb that endpoint by an exact rational nudge (1/2**k for
     growing k) and retry.
     """
-    lo, hi = as_rational(lo), as_rational(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if p.is_zero:
-        raise ValueError("root counting of the zero polynomial")
-    if p.eval(lo) == 0:
-        raise EndpointRootError(
-            f"p({lo}) = 0; nudge the endpoint by an exact rational (e.g. 1/2**k) and retry"
-        )
-    if p.eval(hi) == 0:
-        raise EndpointRootError(
-            f"p({hi}) = 0; nudge the endpoint by an exact rational (e.g. 1/2**k) and retry"
-        )
+    lo, hi = _count_interval(p, lo, hi)
     chain = _sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
@@ -466,22 +472,8 @@ def descartes_count(p: Polynomial, lo: RationalLike, hi: RationalLike | None = N
     64 splits (a multiple root), and EndpointRootError when a finite endpoint
     is itself a root.
     """
-    lo = as_rational(lo)
-    ends = [lo]
-    if hi is not None:
-        hi = as_rational(hi)
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        ends.append(hi)
-    if p.is_zero:
-        raise ValueError("root counting of the zero polynomial")
-    coeffs = p.primitive
-    for end in ends:
-        if _eval_int_sign(coeffs, end.numerator, end.denominator) == 0:
-            raise EndpointRootError(
-                f"p({end}) = 0; nudge the endpoint by an exact rational (e.g. 1/2**k) and retry"
-            )
-    return _subdivided_count(coeffs, lo, hi, _SUBDIVISION_DEPTH)
+    lo, hi = _count_interval(p, lo, hi)
+    return _subdivided_count(p.primitive, lo, hi, _SUBDIVISION_DEPTH)
 
 
 def sign_function(p: Polynomial) -> Callable[[Fraction], int]:

@@ -4,17 +4,15 @@ The optimal excess factors are maxima of Q (shifted Coulomb) and A
 (conjectured general bound) over small integer windows around d**2/6.  The
 windows come from localizing the unique zero beyond -1 of the respective
 logarithmic derivative: f for Q and g for A, both in the level variable t
-and for every d.  One certifier (_certified_unique_root_bracket) serves
-both.  The zero is certified by Descartes' rule of signs on the primitive
-integer image of the numerator: a variation count of 1 for p(x - 1) proves
-one root on the half-line (-1, +inf), and a count of 1 for the Moebius
-transform (1+x)**n p((a+b*x)/(1+x)) puts it in the window (a, b); a larger
-count is resolved by splitting the interval and recounting the parts
-(exact.descartes_count).  The numerator is built without a gcd, and is
-still co-prime to the denominator because every distinct pole of the
-partial fractions carries a nonzero coefficient, so its roots are exactly
-the zeros of the log-derivative.  The zero is narrowed by bisection on
-integer sign evaluations.
+and for every d.  One certificate (_zero_window) serves both.  Descartes'
+rule of signs on the primitive integer image of the numerator, with
+subdivision (exact.descartes_count), proves exactly one simple root on the
+half-line (-1, +inf); the signs (+, -) at the two window ends then put that
+root inside the window.  The numerator is built without a gcd, and is still
+co-prime to the denominator because every distinct pole of the partial
+fractions carries a nonzero coefficient, so its roots are exactly the zeros
+of the log-derivative.  t* is narrowed by bisection on integer sign
+evaluations.
 
 One walk (_walk) serves both window maxima, over the integer hull of the
 paper's bounds clamped at 0, through the sign of each difference of adjacent
@@ -59,12 +57,9 @@ from .exact import (
     as_rational,
     bisect_root,
     descartes_count,
-    isolate_unique_root,
     sign_function,
     sturm_count,  # no caller here; bench/test_harness.py checks the tracer rebinds this name
 )
-
-DEFAULT_BRACKET_WIDTH = Fraction(1, 1000)
 
 
 @dataclass(frozen=True)
@@ -189,45 +184,36 @@ def a_star(d: int) -> StarResult:
     )
 
 
-def _certified_unique_root_bracket(
-    poly: Polynomial, window: tuple[Fraction, Fraction], width: RationalLike
-) -> RootBracket:
-    """Certify a unique root of poly in (-1, +inf), inside window, by Descartes' rule.
+def _zero_window(poly: Polynomial, bounds: tuple[Fraction, Fraction]) -> RootBracket:
+    """Certify poly's one zero beyond -1 strictly inside bounds, whose lower end is clamped at -1.
 
-    The window's lower end is clamped to the domain end -1.  The first count
-    covers the whole half-line; the second, inside isolate_unique_root,
-    places that root strictly inside the window.  Any count other than 1 is
-    a failure.
+    A Descartes count of 1 on (-1, +inf) and the signs (+, -) at the window ends; any other
+    count or sign, a zero on a window end included, is a CertificationError.
     """
-    win_lo, win_hi = max(window[0], Fraction(-1)), window[1]
+    lo, hi = max(bounds[0], Fraction(-1)), bounds[1]
     try:
         total = descartes_count(poly, -1)
-        if total != 1:
-            raise CertificationError(f"expected one zero beyond -1, Descartes count is {total}")
-        bracket = isolate_unique_root(poly, win_lo, win_hi)
     except EndpointRootError as exc:
-        raise CertificationError(f"maximizer sits on a window endpoint: {exc}") from exc
+        raise CertificationError(f"the zero sits on the domain end -1: {exc}") from exc
+    if total != 1:
+        raise CertificationError(f"expected one zero beyond -1, Descartes count is {total}")
     sign = sign_function(poly)
-    bracket = bisect_root(sign, bracket, as_rational(width))
-    # Tighten until strictly inside the open window.
-    while bracket.lower <= win_lo or bracket.upper >= win_hi:
-        bracket = bisect_root(sign, bracket, bracket.width / 4)
-    return bracket
+    signs = (sign(lo), sign(hi))
+    if not lo < hi or signs != (1, -1):
+        raise CertificationError(f"signs {signs} at the window ends ({lo}, {hi}) are not (+1, -1)")
+    return RootBracket(lo, hi, 1, -1)
 
 
-def locate_t_star(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBracket:
-    """Certified bracket for the unique zero of f beyond -1 (d >= 4)."""
+def locate_t_star(d: int, width: RationalLike) -> RootBracket:
+    """Certified bracket, at most width wide, for f's zero beyond -1, strictly inside t_star_bounds (d >= 4)."""
     if d == 3:
         raise MathematicalError("t-star is undefined for d = 3: Q_3 is strictly decreasing on (-1, +inf)")
     if d < 3:
         raise ValueError("d must be >= 3")
-    return _certified_unique_root_bracket(excess.f_as_ratfun(d).numerator, t_star_bounds(d), width)
-
-
-def locate_a_maximizer(d: int, width: RationalLike = DEFAULT_BRACKET_WIDTH) -> RootBracket | None:
-    """Certified bracket for the unique zero of g beyond -1, on g's own numerator; None for d <= 4."""
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    if d <= 4:
-        return None
-    return _certified_unique_root_bracket(excess.g_as_ratfun(d).numerator, a_zero_bounds(d), width)
+    poly = excess.f_as_ratfun(d).numerator
+    window, sign = _zero_window(poly, t_star_bounds(d)), sign_function(poly)
+    bracket = bisect_root(sign, window, as_rational(width))
+    # Tighten until strictly inside the open window.
+    while bracket.lower <= window.lower or bracket.upper >= window.upper:
+        bracket = bisect_root(sign, bracket, bracket.width / 4)
+    return bracket

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +48,7 @@ MAX_ROOT_DEGREE = 32
 def check_dimension(d: object, name: str = "d") -> int:
     """The one input rule for a dimension: an integer from 3 to MAX_DIMENSION."""
     if type(d) is not int or not 3 <= d <= MAX_DIMENSION:
-        raise ValueError(f"{name} must be an integer from 3 to {MAX_DIMENSION}, got {d!r}")
+        raise ValueError(f"{name} must be an integer from 3 to {MAX_DIMENSION}, got {reprlib.repr(d)}")
     return d
 
 

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -182,11 +186,13 @@ class TestConstantsCommand:
 
         monkeypatch.setattr(optima, "locate_t_star", no_work)
         assert main(["constants", "--d", "400", "--which", "t-star", "--tol", tol]) == 2
-        assert capsys.readouterr().err == f"usage error: tolerance must be at least 1e-100, got {tol}\n"
+        assert capsys.readouterr().err == f"usage error: tolerance must be at least 1e-100, got {tol!r}\n"
 
     def test_tolerance_floor_is_inclusive(self, capsys, monkeypatch):
         widths, locate = [], optima.locate_t_star
-        monkeypatch.setattr(optima, "locate_t_star", lambda d, tol: widths.append(tol) or locate(d))
+        monkeypatch.setattr(
+            optima, "locate_t_star", lambda d, tol: widths.append(tol) or locate(d, Fraction(1, 1000))
+        )
         assert main(["constants", "--d", "6", "--which", "t-star", "--tol", "1e-100"]) == 0
         assert widths == [cli.MIN_T_STAR_TOL] == [Fraction(1, 10**100)]
 
@@ -549,6 +555,16 @@ class TestVerifyCommand:
                 {"d_values": [9, 4], "eta_grid": {"start": "2001", "stop": "2004.5", "step": "3"}},
                 "eta = 2004, which gives more than 1000 levels at d = 4",
             ),
+            (
+                '{"d_values": [5, 6], "eta_grid": {"start": "3.1", "stop": "3.5", "step": "1/10"}, '
+                '"suites": ["clr"], "gamma": "7/3", "gamma": "2"}',
+                "the config gives the key 'gamma' twice",
+            ),
+            (
+                '{"d_values": [4, 5], "eta_grid": {"start": "3.1", "stop": "3.5", "step": "1/2", "step": "1/4"}, '
+                '"suites": ["clr"]}',
+                "the config gives the key 'step' twice",
+            ),
         ],
         ids=(
             "eta-grid-list",
@@ -578,6 +594,8 @@ class TestVerifyCommand:
             "eta-grid-start-zero",
             "eta-grid-above-level-limit",
             "eta-grid-largest-point-above-level-limit",
+            "gamma-repeated",
+            "eta-grid-step-repeated",
         ),
     )
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
@@ -590,9 +608,12 @@ class TestVerifyCommand:
             "eta_grid": {"start": "3.1", "stop": "3.5", "step": "1/10"},
             "suites": ["clr"],
         }
-        payload.update(field)
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps(payload))
+        if isinstance(field, str):  # the whole config as JSON text: a repeated key has no dict form
+            config.write_text(field)
+        else:
+            payload.update(field)
+            config.write_text(json.dumps(payload))
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -896,3 +917,68 @@ class TestInputRule:
             assert "unknown config field 'precision'\n" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestLongInput:
+    """A usage error shows an echoed input as reprlib.repr does, so a long input cannot flood stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, config, name",
+        [
+            (["verify", "--config", "CONFIG", "--out", "OUT"], {"gamma": "1" + "0" * 4999}, "gamma"),
+            (["verify", "--config", "CONFIG", "--out", "OUT"], {"gamma": "x" + "9" * 5000}, "gamma"),
+            (["verify", "--config", "CONFIG", "--out", "OUT"], {"d_values": [10**4000]}, "d_values"),
+            (["spectrum", "--d", "3", "--eta", "x" + "9" * 5000], None, "--eta"),
+            (["spectrum", "--d", "3", "--eta", "1" + "0" * 4000], None, "eta = "),
+            (["figure", "--which", "lt-d3", "--step", "1e1000", "--out", "OUT"], None, "step"),
+            (["constants", "--d", "5", "--which", "t-star", "--tol", f"0.{'0' * 4000}1"], None, "tolerance"),
+        ],
+        ids=(
+            "gamma-digits",
+            "gamma-letter-digits",
+            "d-values-digits",
+            "eta-letter-digits",
+            "eta-levels",
+            "step-empty-grid",
+            "tol-below-floor",
+        ),
+    )
+    def test_usage_error_stays_short(self, tmp_path, capsys, monkeypatch, argv, config, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, attr in ((verification, "run_suite"), (optima, "locate_t_star"), (spectrum, "levels")):
+            monkeypatch.setattr(module, attr, no_work)
+        out, config_path = tmp_path / "out.txt", tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = [{"OUT": str(out), "CONFIG": str(config_path)}.get(arg, arg) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and name in err
+        assert len(err) <= 300
+        assert not out.exists()
+
+
+class TestProcess:
+    """The console entry point as a process: cli.main's code reaches the exit status."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "--suite", "clr", "--d-range", "3..4", "--out", "OUT"], 0),
+            (["constants", "--d", "3", "--which", "t-star"], 1),
+            (["spectrum", "--d", "2", "--eta", "5"], 2),
+        ],
+        ids=("verify-passes", "t-star-at-d3", "d-below-three"),
+    )
+    def test_exit_status(self, tmp_path, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "report.jsonl"
+        argv = [str(out) if arg == "OUT" else arg for arg in argv]
+        run = subprocess.run(
+            [sys.executable, "-m", "coulomb_sharp.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert run.returncode == code, run.stderr
+        assert "Traceback" not in run.stdout + run.stderr
+        assert out.exists() == (code == 0)

@@ -11,15 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulomb_sharp import excess, optima, spectrum
-from coulomb_sharp.exact import CertificationError, MathematicalError, sturm_count
+from coulomb_sharp import exact, excess, optima, spectrum
+from coulomb_sharp.exact import (
+    CertificationError,
+    MathematicalError,
+    Polynomial,
+    bisect_root,
+    sign_function,
+    sturm_count,
+)
 from coulomb_sharp.verification import check_a_zero_window, check_counterexample_scan
 
 
 class TestLocateTStar:
     def test_d3_rejected(self):
         with pytest.raises(MathematicalError, match="strictly decreasing"):
-            optima.locate_t_star(3)
+            optima.locate_t_star(3, Fraction(1, 1000))
 
     def test_d4_bracket_inside_unit_interval(self):
         bracket = optima.locate_t_star(4, Fraction(1, 1000))
@@ -135,7 +142,7 @@ class TestAStar:
 
     def test_integer_argmax_flanks_real_maximizer(self):
         for d in range(6, 17):
-            bracket = optima.locate_a_maximizer(d, Fraction(1, 100))
+            bracket = g_zero_bracket(d, Fraction(1, 100))
             result = optima.a_star(d)
             candidates = {
                 max(0, math.floor(bracket.lower)),
@@ -465,33 +472,76 @@ class TestWindowWalk:
         assert len(calls) == 1
 
 
+def g_zero_bracket(d, width):
+    """g's zero beyond -1: the certified window, bisected to the width."""
+    numerator = excess.g_as_ratfun(d).numerator
+    return bisect_root(sign_function(numerator), optima._zero_window(numerator, optima.a_zero_bounds(d)), width)
+
+
 class TestAMaximizerBracket:
     def test_d5_negative_maximizer(self):
-        bracket = optima.locate_a_maximizer(5, Fraction(1, 1000))
+        bracket = g_zero_bracket(5, Fraction(1, 1000))
         assert Fraction(-1) < bracket.lower < bracket.upper < Fraction(0)
 
-    def test_small_d_has_no_interior_maximizer(self):
-        assert optima.locate_a_maximizer(3) is None
-        assert optima.locate_a_maximizer(4) is None
-
     def test_zero_within_candidate_window(self):
+        # Even d included: the certificate holds for g's numerator at every d >= 5.
         for d in range(5, 22):
-            bracket = optima.locate_a_maximizer(d, Fraction(1, 1000))
             lo, hi = optima.a_zero_bounds(d)
+            window = optima._zero_window(excess.g_as_ratfun(d).numerator, (lo, hi))
+            assert (window.lower, window.upper) == (max(Fraction(-1), lo), hi)
+            bracket = g_zero_bracket(d, Fraction(1, 1000))
             assert max(Fraction(-1), lo) < bracket.lower < bracket.upper < hi
 
     def test_brackets_pinned(self):
-        # Both ends and both signs of every bracket, hashed: A's maximizer for
-        # d = 5..100 and t* for d = 4..100, at widths 1/1000 and 1/10**6.
-        located = (("a", optima.locate_a_maximizer, range(5, 101)), ("t", optima.locate_t_star, range(4, 101)))
+        # Both ends and both signs of every t* bracket for d = 4..100, at widths
+        # 1/1000 and 1/10**6, hashed.
         digest = hashlib.sha256()
         for width in (Fraction(1, 1000), Fraction(1, 10**6)):
-            for name, locate, dims in located:
-                for d in dims:
-                    b = locate(d, width)
-                    line = f"{name} {d} {width} {b.lower} {b.upper} {b.sign_at_lower} {b.sign_at_upper}\n"
-                    digest.update(line.encode())
-        assert digest.hexdigest() == "a18ea3d8a3769d4b049b196ef27c7df79fbbb932b8264f377cfc48e55d563551"
+            for d in range(4, 101):
+                b = optima.locate_t_star(d, width)
+                line = f"t {d} {width} {b.lower} {b.upper} {b.sign_at_lower} {b.sign_at_upper}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == "6cc51aea9f23bd6866863bbeed08452e71ed1d4fae6e7a83f0b0415ef03282c7"
+
+
+class TestZeroWindow:
+    """optima._zero_window: one half-line Descartes count and two end signs, failing closed."""
+
+    def test_two_zeros_beyond_minus_one_fail(self):
+        # (t - 1)(t - 5): signs (+, -) on (0, 3) hold the zero at 1, but 5 is a second zero beyond -1.
+        with pytest.raises(CertificationError, match="Descartes count is 2"):
+            optima._zero_window(Polynomial.from_coefficients([5, -6, 1]), (Fraction(0), Fraction(3)))
+
+    @pytest.mark.parametrize("bounds", [(Fraction(1), Fraction(3)), (Fraction(-1, 2), Fraction(1))])
+    def test_zero_on_a_window_end_fails(self, bounds):
+        # 1 - t has its one zero beyond -1 at t = 1.
+        with pytest.raises(CertificationError, match=r"signs \(1, 0\)|signs \(0, -1\)"):
+            optima._zero_window(Polynomial.from_coefficients([1, -1]), bounds)
+
+    def test_zero_on_the_domain_end_fails(self):
+        # -(t + 1)(t - 1): the half-line count meets a root at -1.
+        with pytest.raises(CertificationError, match="domain end -1"):
+            optima._zero_window(Polynomial.from_coefficients([1, 0, -1]), (-2, 3))
+
+    def test_locate_t_star_counts_once(self, monkeypatch):
+        counts, isolations = [], []
+        count = exact.descartes_count
+        monkeypatch.setattr(optima, "descartes_count", lambda *args: counts.append(args) or count(*args))
+        monkeypatch.setattr(exact, "descartes_count", lambda *args: counts.append(args) or count(*args))
+        for module in (exact, optima):
+            monkeypatch.setattr(module, "isolate_unique_root", lambda *args: isolations.append(args), raising=False)
+        for d in (4, 40):
+            counts.clear()
+            optima.locate_t_star(d, Fraction(1, 10**6))
+            assert len(counts) == 1
+        assert not isolations
+
+    def test_a_zero_window_does_not_bisect(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optima, "bisect_root", lambda *args: calls.append(args))
+        monkeypatch.setattr(exact, "bisect_root", lambda *args: calls.append(args))
+        assert check_a_zero_window(81).verdict == "pass"
+        assert not calls
 
 
 class TestCounterexampleScan:
@@ -537,7 +587,7 @@ class TestAZeroWindow:
         # Bracket as a Descartes-certified localization produced it; d = 81 lies
         # past the dimensions the default identities sweep visits.
         assert check_a_zero_window(81).verdict == "pass"
-        bracket = optima.locate_a_maximizer(81)
+        bracket = g_zero_bracket(81, Fraction(1, 1000))
         assert (bracket.lower, bracket.upper) == (Fraction(132742419, 131072), Fraction(99556873, 98304))
 
     @pytest.mark.parametrize("d", [5, 9, 21])
