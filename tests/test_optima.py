@@ -484,7 +484,7 @@ class TestAMaximizerBracket:
         assert Fraction(-1) < bracket.lower < bracket.upper < Fraction(0)
 
     def test_zero_within_candidate_window(self):
-        # Even d included: the certificate holds for g's numerator at every d >= 5.
+        # Even d included: g's numerator is certified at every d here, not only at the odd d of a-zero-window.
         for d in range(5, 22):
             lo, hi = optima.a_zero_bounds(d)
             window = optima._zero_window(excess.g_as_ratfun(d).numerator, (lo, hi))
