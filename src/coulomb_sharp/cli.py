@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass, fields
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from . import excess, optima, spectrum, verification
 from .exact import MathematicalError, parse_rational
@@ -38,6 +38,9 @@ MAX_GRID_POINTS = 100_000  # points of one figure grid or config eta grid
 # Narrowest t* bracket of constants --tol: the bisection's points lengthen as the
 # bracket narrows, and this width takes 7 to 9 s at d = 400 (CPython 3.11, one Xeon core).
 MIN_T_STAR_TOL = Fraction(1, 10**100)
+# Longest usage-error message; a longer one keeps its two ends.  The package
+# shows an echoed input as reprlib.repr does, but argparse echoes its own in full.
+MAX_USAGE_MESSAGE = 240
 
 
 _DECIMAL_CONTEXT = Context(prec=DECIMAL_SIGNIFICANT_DIGITS)
@@ -155,7 +158,8 @@ class SweepConfig:
             top = start + (_grid_points(start, stop, step) - 1) * step
             if d_values and spectrum.top_level(min(d_values), top.numerator, top.denominator) >= MAX_LEVELS:
                 raise ValueError(
-                    f"eta_grid reaches eta = {top}, which gives more than {MAX_LEVELS} levels at d = {min(d_values)}"
+                    f"eta_grid reaches eta = {reprlib.repr(str(top))}, "
+                    f"which gives more than {MAX_LEVELS} levels at d = {min(d_values)}"
                 )
             eta_grid = (start, stop, step)
         gamma = None
@@ -475,8 +479,23 @@ def _dimension(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _usage_error(message: str) -> str:
+    """The one usage-error line, its message cut in the middle beyond MAX_USAGE_MESSAGE characters."""
+    if len(message) > MAX_USAGE_MESSAGE:
+        half = MAX_USAGE_MESSAGE // 2
+        message = f"{message[:half]}...{message[-half:]}"
+    return f"usage error: {message}\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its own errors written as every other usage error (exit 2); subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, _usage_error(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coulomb-sharp",
         description=(
             "Exact spectral quantities, sharp constants and machine verification "
@@ -528,7 +547,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        sys.stderr.write(_usage_error(str(exc)))
         return 2
 
 

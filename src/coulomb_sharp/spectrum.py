@@ -12,8 +12,10 @@ with ell = ceil((eta + 1 - d)/2) - 1; the spectrum is empty when
 eta <= d - 1.  Multiplicities, the counting function and the Riesz means of
 orders 0 and 1 are exact integers or rationals; ell is one integer floor
 division on the numerator and denominator of eta, so the discontinuities in
-eta are bit-exact.  Every other order is an enclosure (``riesz_mean_int``),
-and ``riesz_mean`` returns its lower end as a plain mpf.
+eta are bit-exact.  Every other order is an enclosure (``riesz_mean_int``):
+integer q-th roots up to the order denominator ``highprec.MAX_ROOT_DEGREE``,
+an mpmath.iv sum above it, the one place here that imports mpmath.
+``riesz_mean`` returns the lower end as a plain mpf.
 """
 
 from __future__ import annotations
@@ -23,26 +25,24 @@ import math
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .exact import RationalLike, as_rational, iroot
 from .highprec import (
     DEFAULT_PRECISION,
+    MAX_ROOT_DEGREE,
     dyadic_real,
     enclosure_bits,
     interval_enclosure,
     validated_eval,  # no caller here; bench/test_harness.py checks the tracer rebinds this name
 )
 
+if TYPE_CHECKING:
+    import mpmath
+
 # Largest dimension any input may name: the top of the asymptotics range and
 # above every pinned d.
 MAX_DIMENSION = 400
-# Largest order denominator q enclosed by integer q-th roots; larger q take
-# riesz_mean_int's interval sum.  A root costs O(M(q*k)) on k-bit enclosures,
-# the sum about the same at every q.  Per point at d = 8 and 30 digits, roots
-# take 0.23 ms at q = 9 and 0.64 ms at q = 32 (a tie at 60 digits), sums 1.3 ms.
-MAX_ROOT_DEGREE = 32
 
 
 def check_dimension(d: object, name: str = "d") -> int:
@@ -158,6 +158,7 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
     p, q = gamma.numerator, gamma.denominator
     n2, den2 = n * n, den * den
     if q > MAX_ROOT_DEGREE:
+        import mpmath
 
         def mean() -> mpmath.ctx_iv.ivmpf:
             iv = mpmath.iv

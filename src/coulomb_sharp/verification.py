@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-import mpmath
-
 from . import excess, optima, phase_space, spectrum
 from .exact import (
     CertificationError,
@@ -32,7 +30,7 @@ from .exact import (
     dyadic_less,
     expand_linear_factors,
 )
-from .highprec import DEFAULT_PRECISION, MAX_PRECISION, dyadic_real, enclosure_bits
+from .highprec import DEFAULT_PRECISION, MAX_PRECISION, enclosure_bits, witness_digits
 from .spectrum import MAX_DIMENSION
 
 # Residual bound for the d**-3 tail of the expansions of the sharp constants:
@@ -239,12 +237,15 @@ def check_lt_general_gamma(d: int, eta: RationalLike, gamma: RationalLike) -> Ch
             break
         precision = min(2 * precision, MAX_PRECISION)
     note = "exact right-hand side" if (2 * gamma).denominator == 1 else ""
-    lhs, rhs = dyadic_real(lhs_int, precision), dyadic_real(rhs_int, precision)
     return _record(
         "lt-general-gamma",
         params,
         INCONCLUSIVE if less is None else less,
-        {"lhs": mpmath.nstr(lhs, 25), "rhs": mpmath.nstr(rhs, 25), "used_precision": precision},
+        {
+            "lhs": witness_digits(lhs_int, precision),
+            "rhs": witness_digits(rhs_int, precision),
+            "used_precision": precision,
+        },
         note,
     )
 

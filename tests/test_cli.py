@@ -549,11 +549,18 @@ class TestVerifyCommand:
             ({"eta_grid": {"start": "0", "stop": "2", "step": "1"}}, "eta_grid.start must be positive"),
             (
                 {"d_values": [4], "eta_grid": {"start": "20001", "stop": "20002", "step": "2"}},
-                "eta = 20001, which gives more than 1000 levels at d = 4",
+                "eta = '20001', which gives more than 1000 levels at d = 4",
+            ),
+            (
+                {
+                    "d_values": [4],
+                    "eta_grid": {"start": "2" + "0" * 4000, "stop": "3" + "0" * 4000, "step": "1" + "0" * 4000},
+                },
+                "eta = '300000000000...0000000000000', which gives more than 1000 levels at d = 4",
             ),
             (
                 {"d_values": [9, 4], "eta_grid": {"start": "2001", "stop": "2004.5", "step": "3"}},
-                "eta = 2004, which gives more than 1000 levels at d = 4",
+                "eta = '2004', which gives more than 1000 levels at d = 4",
             ),
             (
                 '{"d_values": [5, 6], "eta_grid": {"start": "3.1", "stop": "3.5", "step": "1/10"}, '
@@ -593,6 +600,7 @@ class TestVerifyCommand:
             "eta-grid-start-not-positive",
             "eta-grid-start-zero",
             "eta-grid-above-level-limit",
+            "eta-grid-4001-digits-above-level-limit",
             "eta-grid-largest-point-above-level-limit",
             "gamma-repeated",
             "eta-grid-step-repeated",
@@ -920,7 +928,7 @@ class TestInputRule:
 
 
 class TestLongInput:
-    """A usage error shows an echoed input as reprlib.repr does, so a long input cannot flood stderr."""
+    """A long input cannot flood stderr: the package echoes an input as reprlib.repr does, and cuts argparse's own."""
 
     @pytest.mark.parametrize(
         "argv, config, name",
@@ -932,6 +940,16 @@ class TestLongInput:
             (["spectrum", "--d", "3", "--eta", "1" + "0" * 4000], None, "eta = "),
             (["figure", "--which", "lt-d3", "--step", "1e1000", "--out", "OUT"], None, "step"),
             (["constants", "--d", "5", "--which", "t-star", "--tol", f"0.{'0' * 4000}1"], None, "tolerance"),
+            (["verify", "--suite", "x" * 5000, "--out", "OUT"], None, "--suite"),
+            (["constants", "--d", "5", "--which", "q" * 5000], None, "--which"),
+            (
+                ["verify", "--config", "CONFIG", "--out", "OUT"],
+                {
+                    "d_values": [4],
+                    "eta_grid": {"start": "2" + "0" * 4000, "stop": "3" + "0" * 4000, "step": "1" + "0" * 4000},
+                },
+                "eta_grid",
+            ),
         ],
         ids=(
             "gamma-digits",
@@ -941,6 +959,9 @@ class TestLongInput:
             "eta-levels",
             "step-empty-grid",
             "tol-below-floor",
+            "suite-choice",
+            "which-choice",
+            "eta-grid-levels",
         ),
     )
     def test_usage_error_stays_short(self, tmp_path, capsys, monkeypatch, argv, config, name):
@@ -982,3 +1003,65 @@ class TestProcess:
         assert run.returncode == code, run.stderr
         assert "Traceback" not in run.stdout + run.stderr
         assert out.exists() == (code == 0)
+
+
+class TestWithoutMpmath:
+    """The product imports and runs without mpmath: every order it runs has q <= MAX_ROOT_DEGREE."""
+
+    @staticmethod
+    def run(code, *argv, cwd=None):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=300
+        )
+
+    def blocked(self, *argv):
+        # sys.modules["mpmath"] = None makes every import of mpmath raise ImportError.
+        code = (
+            "import sys; sys.modules['mpmath'] = None; "
+            "from coulomb_sharp.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        run = self.run(code, *argv)
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        run = self.run("import sys, coulomb_sharp.cli; print('mpmath' in sys.modules)")
+        assert run.stdout == "False\n", run.stderr
+
+    def test_verify_all_bytes(self, tmp_path):
+        out = tmp_path / "report.jsonl"
+        self.blocked("verify", "--suite", "all", "--out", str(out))
+        report = out.read_bytes()
+        assert report.count(b"\n") == 5261
+        assert hashlib.sha256(report).hexdigest() == "393870d5a69c303ffbd2eded5dd959ca72b85ba20e92bf4eb9ce85614a204d86"
+
+    def test_t_star_bytes(self):
+        stdout = self.blocked("constants", "--d", "40", "--which", "t-star", "--tol", "1/1000000")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "e5bea2cec1005bf91c05a139eee11517a1c9d1073a3e85f56418c3bac65f1eda"
+        )
+
+    @pytest.mark.parametrize(
+        "which, sha256",
+        [
+            ("lt-d3", "ba72d86dafe193204f8d6fa2d19493448d87ffb703b569f70e9a3584e01b014f"),
+            ("rd-vs-qd", "f476af8333bb1a1ab2c9452f3437fc683ad552bc031ae3c47bfe6ee71bd2e4ec"),
+            ("f-plot", "659eec3d7ce8f42ad5a5de36447a0f2121ca572c4c4f2b6175cd3a45c950ec11"),
+        ],
+    )
+    def test_figure_bytes(self, tmp_path, which, sha256):
+        out = tmp_path / "figure.csv"
+        self.blocked("figure", "--which", which, "--out", str(out))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_order_7_3_sweep_bytes(self, tmp_path):
+        # The lt-sweep-gamma benchmark's shape, as pinned in test_config_sweep_bytes_pinned.
+        config, out = tmp_path / "sweep.json", tmp_path / "report.jsonl"
+        grid = {"start": "12", "stop": "60", "step": "1/2"}
+        config.write_text(json.dumps({"gamma": "7/3", "d_values": list(range(5, 11)), "eta_grid": grid}))
+        self.blocked("verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out))
+        report = out.read_bytes()
+        assert report.count(b"\n") == 591
+        assert hashlib.sha256(report).hexdigest() == "1ae5ffe2c77affac8c5e76adaf277552ba85400866e14de4916f261c34b146c5"

@@ -2,11 +2,13 @@
 
 exact.iroot is the floor of a q-th root; spectrum.riesz_mean_int (by q-th
 roots for q <= spectrum.MAX_ROOT_DEGREE, by an interval sum above),
-phase_space.gamma_ratio_int and phase_space.lt_rhs_int return (lo, hi, k)
-with the value in [lo, hi] / 2**k.  Each enclosure is checked against an
-independent mpmath evaluation at twice the digits its width resolves, and
-its width against the bound its docstring promises; the root sum is also
-checked bit for bit against sympy's integer roots.
+highprec.gamma_int, phase_space.gamma_ratio_int and phase_space.lt_rhs_int
+return (lo, hi, k) with the value in [lo, hi] / 2**k.  Each enclosure is
+checked against an independent mpmath evaluation at twice the digits its
+width resolves, and its width against the bound its docstring promises; the
+root sum is also checked bit for bit against sympy's integer roots.  The
+witness strings of those enclosures, highprec.witness_digits, are checked
+byte for byte against mpmath.nstr of highprec.dyadic_real on random lower ends.
 """
 
 from fractions import Fraction
@@ -21,7 +23,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 from coulomb_sharp import phase_space, spectrum  # noqa: E402
 from coulomb_sharp.exact import dyadic_less, iroot  # noqa: E402
-from coulomb_sharp.highprec import DEFAULT_PRECISION, dyadic_real, enclosure_bits  # noqa: E402
+from coulomb_sharp.highprec import (  # noqa: E402
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MAX_ROOT_DEGREE,
+    dyadic_real,
+    enclosure_bits,
+    gamma_int,
+    gamma_parts,
+    witness_digits,
+)
 
 try:
     import sympy
@@ -145,6 +156,64 @@ class TestRieszEnclosure:
         # d = 5: the spectrum is empty for eta <= 4.
         lo, hi, _ = spectrum.riesz_mean_int(5, eta.numerator, eta.denominator, Fraction(7, 3), 100)
         assert (lo, hi) == (0, 0)
+
+
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+# s in (1, 2) with every denominator up to twice the cut: d/2 - p/q has denominator 2q at odd q.
+kernel_arguments = st.integers(2, 2 * MAX_ROOT_DEGREE).flatmap(
+    lambda q: st.integers(q + 1, 2 * q - 1).map(lambda p: Fraction(p, q))
+)
+
+
+class TestGammaKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_arguments, bit_counts)
+    @example(Fraction(4, 3), 8)
+    @example(Fraction(127, 64), 400)
+    def test_contains_mpmath_gamma(self, s, bits):
+        gamma_int.cache_clear()
+        enclosure = gamma_int(s, bits)
+        with _reference(bits):
+            _contains(enclosure, mpmath.gamma(_mp(s)), bits)
+
+    @pytest.mark.parametrize("s", [Fraction(4, 3), Fraction(5, 3), Fraction(7, 6), Fraction(3, 2), Fraction(63, 62)])
+    def test_contains_mpmath_gamma_at_the_top_precision(self, s):
+        bits = enclosure_bits(MAX_PRECISION)
+        enclosure = gamma_int(s, bits)
+        with _reference(bits):
+            _contains(enclosure, mpmath.gamma(_mp(s)), bits)
+
+    def test_gamma_of_one_is_exact(self):
+        assert gamma_int(Fraction(1), 100) == (1, 1, 0)
+
+    @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2), Fraction(5, 2)])
+    def test_argument_outside_one_two_rejected(self, s):
+        with pytest.raises(ValueError, match="1 <= s < 2"):
+            gamma_int(s, 100)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fractions(min_value=0, max_value=250, max_denominator=2 * MAX_ROOT_DEGREE))
+    def test_parts_reduce_to_one_two(self, x):
+        hypothesis.assume(x > 0)
+        c, s = gamma_parts(x)
+        assert 1 <= s < 2 and (x - s).denominator == 1
+        with mpmath.mp.workdps(60):
+            value = mpmath.gamma(_mp(x))
+            assert abs(_mp(c) * mpmath.gamma(_mp(s)) - value) <= value * mpmath.mpf(10) ** -50
+
+
+class TestWitnessDigits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**3000), st.integers(-200, 3200), st.integers(30, MAX_PRECISION))
+    def test_match_nstr_on_random_ends(self, lo, k, precision):
+        # Values between 2**-3200 and 2**3200.  Beyond 2**3500 either way
+        # mpmath first divides by a rounded power of ten, and the digits here
+        # stay the exact ones.
+        expected = mpmath.nstr(dyadic_real((lo, lo, k), precision), 25)
+        assert witness_digits((lo, lo, k), precision) == expected
 
 
 class TestGammaRatioEnclosure:

@@ -1,4 +1,4 @@
-"""Self-validating evaluation, and the exact reading of an interval as an enclosure."""
+"""Self-validating evaluation, the exact reading of an interval as an enclosure, and the witness digits."""
 
 from fractions import Fraction
 
@@ -6,9 +6,13 @@ import mpmath
 import pytest
 
 from coulomb_sharp.highprec import (
+    GUARD_DIGITS,
     MAX_PRECISION,
+    _display_bits,
+    dyadic_real,
     interval_enclosure,
     validated_eval,
+    witness_digits,
 )
 
 
@@ -52,4 +56,45 @@ def test_interval_enclosure_holds_the_interval_exactly(x):
 def test_interval_enclosure_rejects_an_unbounded_interval():
     with pytest.raises(ValueError):
         interval_enclosure(lambda: mpmath.iv.mpf(1) / 0, 80)
+
+
+
+def nstr_of_dyadic_real(enclosure, precision):
+    """The witness string the integer digits must reproduce: mpmath as the oracle."""
+    return mpmath.nstr(dyadic_real(enclosure, precision), 25)
+
+
+def test_display_bits_are_mpmath_dps_to_prec():
+    for digits in range(1, MAX_PRECISION + 2 * GUARD_DIGITS + 1):
+        assert _display_bits(digits) == mpmath.libmp.dps_to_prec(digits)
+
+
+@pytest.mark.parametrize("precision", [30, 61, 1000])
+@pytest.mark.parametrize("e", [-9, -8, -7, -1, 0, 1, 23, 24, 25])
+@pytest.mark.parametrize(
+    "digits",
+    [
+        "9" * 25,  # no rounding
+        "9" * 25 + "5",  # carries through every 9 to the next power of ten
+        "9" * 25 + "4" + "9" * 10,  # just below the carry
+        "9" * 24 + "85",
+        "1" + "0" * 40,  # trailing zeros stripped
+        "1" + "0" * 24 + "5",
+        "4" * 25 + "5",
+        "12345678901234567890123455",
+        "7",
+    ],
+)
+def test_witness_digits_are_mpmath_nstr(precision, e, digits):
+    # The value digits[0].digits[1:] * 10**e, read at 4000 bits and a unit either side.
+    x = Fraction(int(digits) * 10 ** max(e - len(digits) + 1, 0), 10 ** max(len(digits) - 1 - e, 0))
+    k = 4000
+    lo = x.numerator * 2**k // x.denominator
+    for enclosure in ((lo - 1, lo, k), (lo, lo, k), (lo + 1, lo + 1, k)):
+        assert witness_digits(enclosure, precision) == nstr_of_dyadic_real(enclosure, precision)
+
+
+@pytest.mark.parametrize("enclosure", [(0, 0, 0), (0, 5, 100), (1, 1, 0), (12345, 12346, 3), (3, 3, -3400)])
+def test_witness_digits_of_zero_and_integers(enclosure):
+    assert witness_digits(enclosure, 30) == nstr_of_dyadic_real(enclosure, 30)
 

@@ -152,34 +152,38 @@ class TestGeneralGamma:
         assert record.verdict == "pass"
 
     @staticmethod
-    def _assert_rhs_computed_once(monkeypatch, gamma):
-        # The Gamma ratio of the right-hand side is one interval evaluation
-        # (four Gamma values) per (d, gamma, bits) of a sweep, whichever kernel
-        # encloses the Riesz mean; a repeated sweep evaluates none.
-        calls = []
-        interval_gamma = mpmath.iv.gamma
-
-        def counted(x):
-            calls.append(x)
-            return interval_gamma(x)
-
-        monkeypatch.setattr(mpmath.iv, "gamma", counted)
+    def _sweep_twice(monkeypatch, gamma):
+        # A sweep over d = 7, 8 run twice; returns the calls of the integer
+        # Gamma kernel and of mpmath.iv.gamma.  The Gamma ratio of the
+        # right-hand side is one compute per (d, gamma, bits), whichever kernel
+        # encloses the Riesz mean; a repeated sweep computes none.
+        kernel, interval = [], []
+        gamma_int, interval_gamma = phase_space.gamma_int, mpmath.iv.gamma
+        monkeypatch.setattr(phase_space, "gamma_int", lambda s, bits: kernel.append(s) or gamma_int(s, bits))
+        monkeypatch.setattr(mpmath.iv, "gamma", lambda x: interval.append(x) or interval_gamma(x))
         phase_space.gamma_ratio_int.cache_clear()
         for _ in range(2):
             for d in (7, 8):
                 for n in range(96, 104):
                     record = V.check_lt_general_gamma(d, Fraction(n, 8), gamma)
                     assert record.verdict == "pass" and record.witness["used_precision"] == "30"
-        assert len(calls) == 4 * 2
         assert phase_space.gamma_ratio_int.cache_info().misses == 2
+        return kernel, interval
 
     def test_generic_gamma_rhs_computed_once(self, monkeypatch):
-        # q-th-root kernel for the Riesz mean.
-        self._assert_rhs_computed_once(monkeypatch, Fraction(7, 3))
+        # q-th-root kernel for the Riesz mean, integer Gamma kernel for the
+        # right-hand side: Gamma(gamma+1), Gamma(d/2-gamma) and Gamma(d/2)
+        # reduce to s = 4/3, 7/6, 3/2 at d = 7 and 4/3, 5/3, 1 at d = 8.
+        kernel, interval = self._sweep_twice(monkeypatch, Fraction(7, 3))
+        assert kernel == [Fraction(s) for s in ("4/3", "7/6", "3/2", "4/3", "5/3", "1")]
+        assert interval == []
 
     def test_validated_path_rhs_computed_once(self, monkeypatch):
-        # Interval-sum kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
-        self._assert_rhs_computed_once(monkeypatch, Fraction(233, 100))
+        # Interval-sum kernel for the Riesz mean and an mpmath.iv Gamma ratio
+        # (four Gamma values) for the right-hand side: the denominator is above MAX_ROOT_DEGREE.
+        kernel, interval = self._sweep_twice(monkeypatch, Fraction(233, 100))
+        assert kernel == []
+        assert len(interval) == 4 * 2
 
     # Both Riesz kernels are run: q-th roots at 7/3 (and 3/2), the interval
     # sum at 233/100; the right-hand side is forced through phase_space.lt_rhs_int.
