@@ -1,43 +1,33 @@
-"""The precision ladder, the integer Gamma kernel and the witness digits.
+"""The precision ladder and the integer kernels: ln 2, log, exp, Gamma and the witness digits.
 
-Only a handful of quantities in this project are genuinely irrational
-(half-integer powers for odd dimension, gamma values at generic arguments,
-Riesz means of non-integer order).
+Every non-integer order gamma = p/q is enclosed in integers: the Riesz mean
+(``spectrum.riesz_mean_int``) by q-th roots up to q = MAX_ROOT_DEGREE and by
+``log_int`` and ``exp_int`` above, the order-gamma right-hand side by a Gamma
+ratio (``phase_space.gamma_ratio_int``) of ``gamma_int`` values at every q.
+Each kernel proves its bound in its docstring.  An enclosure (lo, hi, k)
+holds the value in [lo, hi] / 2**k, with a relative width below
+2**-``enclosure_bits(precision)`` < 10**-(precision + 20).  The strict check
+(``verification.check_lt_general_gamma``) compares two by
+``exact.dyadic_less``, from DEFAULT_PRECISION digits doubling while they
+overlap, up to MAX_PRECISION, and writes their lower ends by
+``witness_digits``, the bytes ``mpmath.nstr(dyadic_real(...), 25)`` writes.
 
-Every non-integer order gamma = p/q is enclosed: the Riesz mean by
-``spectrum.riesz_mean_int``, the order-gamma right-hand side by a Gamma
-ratio (``phase_space.gamma_ratio_int``).  Up to q = MAX_ROOT_DEGREE both are
-integer arithmetic: q-th roots (``exact.iroot``) and ``gamma_int``, the
-enclosure of Gamma on (1, 2) from its incomplete parts, with ``gamma_parts``
-reducing any rational argument to it.  Above the cut they are mpmath.iv
-evaluations read off exactly by ``interval_enclosure``.  An enclosure
-(lo, hi, k) holds the value in [lo, hi] / 2**k, with a relative width below
-2**-``enclosure_bits(precision)`` < 10**-(precision + 20).  Two enclosures
-are compared by ``exact.dyadic_less``; the strict check
-(``verification.check_lt_general_gamma``) starts at DEFAULT_PRECISION digits
-and doubles them while the enclosures overlap, up to MAX_PRECISION.  Its
-witnesses are ``witness_digits`` of the lower ends: integer decimal strings,
-the same bytes that ``mpmath.nstr(dyadic_real(...), 25)`` writes.
-
-The other irrational value, A at odd d, is the square root of an exact
-rational and is read off one integer square root (``cli.render_sqrt``,
-``verification.asymptotic_residuals``).  This module is the only one that
-sets an mpmath working precision, and mpmath is imported only inside the
-functions that use it: ``interval_enclosure`` (orders above the cut),
-``dyadic_real`` (the mpf values of ``spectrum.riesz_mean`` and
-``phase_space.lt_rhs``) and ``validated_eval``, which runs a computation
-twice and doubles the precision until the runs agree and is kept for the
-benchmark tracer only.
+This is the only module that imports mpmath at run time, inside the two
+functions that use it: ``dyadic_real`` (the mpf values of
+``spectrum.riesz_mean`` and ``phase_space.lt_rhs``) and ``validated_eval``,
+which runs a computation twice, doubling the precision until the runs agree,
+for the benchmark tracer only.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .exact import MathematicalError, iroot
+from .exact import MathematicalError
 
 if TYPE_CHECKING:
     import mpmath
@@ -50,11 +40,9 @@ MAX_DOUBLINGS = 6
 # than the digit count: the lt-gamma1 suite on one dimension takes seconds at
 # 1000 digits and does not finish in a minute at 10000.
 MAX_PRECISION = 1000
-# Largest order denominator q enclosed in integers (q-th roots for the Riesz
-# mean, gamma_int for the Gamma ratio); larger q take mpmath.iv.  A root costs
-# O(M(q*k)) on k-bit enclosures, the interval sum about the same at every q.
-# Per point at d = 8 and 30 digits, roots take 0.23 ms at q = 9 and 0.64 ms at
-# q = 32 (a tie at 60 digits), sums 1.3 ms.
+# Largest order denominator q whose Riesz mean takes q-th roots, O(M(q*k)) on
+# k-bit enclosures; log_int and exp_int cost about the same at every q.  Per point
+# at d = 8 and 30 digits: 0.23 ms at q = 9, 0.64 ms at q = 32, 0.9-1.4 ms above.
 MAX_ROOT_DEGREE = 32
 # Significant digits of a witness string.
 WITNESS_DIGITS = 25
@@ -97,41 +85,30 @@ def gamma_int(s: Fraction, bits: int) -> tuple[int, int, int]:
     """Gamma(s) for a rational 1 <= s < 2 as an enclosure (lo, hi, k), hi - lo below 2**-bits of it.
 
     Gamma(1) is exactly (1, 1, 0).  For s = a/b in (1, 2) split
-    Gamma(s) = gamma(s, N) + Gamma(s, N) at an integer N >= 2, with
+    Gamma(s) = gamma(s, N) + Gamma(s, N) at an integer N >= 13, with
 
-        gamma(s, N) = N**s e**-N S,   S = sum_{k>=0} N**k / (s)_(k+1),
+        gamma(s, N) = e**-y S,   y = N - s ln N,   S = sum_{k>=0} N**k / (s)_(k+1),
 
     (s)_(k+1) = s (s+1) ... (s+k).  Substituting t = N + u in the upper part,
     (1 + u/N)**(s-1) <= e**((s-1)u/N) and s - 1 < 1 give
 
-        0 < Gamma(s, N) <= N**(s-1) e**-N N/(N - s + 1) <= N**s e**-N / (N - 1),
+        0 < Gamma(s, N) <= N**(s-1) e**-N N/(N - s + 1) <= e**-y / (N - 1),
 
-    so Gamma(s) = N**s e**-N (S + theta/(N - 1)) for some theta in [0, 1].
-    Each factor is enclosed at scale 2**w:
+    so Gamma(s) = e**-y (S + theta/(N - 1)) for some theta in [0, 1].  At
+    scale 2**w, S is ``_series`` of its terms, e**y is ``exp_int`` of
+    N - s ln N with ln N from ``log_int``, and lo = floor(S e**-y) and
+    hi = ceil((S + 1/(N-1)) e**-y) from the outer ends.
 
-    - N**s 2**w lies in [N r, N (r + 1)], r = ``iroot``(N**(a-b) 2**(b w), b).
-    - S and e = sum_k 1/k! are sums of positive terms t_k whose ratios
-      t_k/t_(k-1) fall as k grows.  ``_series`` carries a floored and a
-      ceiled copy of each scaled term, so every partial sum is bounded on
-      both sides.  It stops after t_K once the next ratio r is at most 1/2
-      and t_K is below 2**-w of the sum so far: then the rest is at most
-      t_K (r + r**2 + ...) <= t_K, which the upper sum adds once more.
-    - e**N lies between the N-th powers of the ends of e, by binary
-      powering at v = w + 2 N.bit_length() + 8 bits with every product
-      floored or ceiled, then floored or ceiled to 2**-w.
-
-    Then lo = floor(N**s S e**-N) and hi = ceil(N**s (S + 1/(N-1)) e**-N)
-    from the outer ends.  Width: N > 0.7 (bits + L + 6), L = bits.bit_length(),
-    gives e**-N < 2**-(bits+L+6) and N < 2**(L+1).  Since S > e**N/(2N**2),
-    the theta term, 1/((N-1) S) of the value, is below 4N e**-N < 2**-(bits+3).
-    Each floor or ceiling in ``_series`` costs one unit, which the later ratios
-    scale by t_k/t_j: at most 2 t_k while the terms rise (S's from t_0 >= 1/2
-    until k ~ N) and at most 1 after.  So S's ends differ by less than
-    4(N + 1) + 1 units per 2**w of S, plus K**2 units for K terms, and e's
-    by less than K**2 units of 2**-v with K < N, which N-th powering turns
-    into N**3 2**-v of e**N.  w = bits + N.bit_length() + 8 and
-    v = w + 2 N.bit_length() + 8 keep these, N**s's 2**-w and the last two
-    roundings below 2**-(bits+3) together.
+    Width: N > 0.7 (bits + L + 6), L = bits.bit_length(), gives e**-N < 2**-(bits+L+6),
+    N < 2**(L+1) and bits < 1.43 N, so w < 4 N.  Since S > e**N/(2N**2), the theta
+    term, 1/((N-1) S) of the value, is below 4N e**-N < 2**-(bits+3).  Each floor
+    or ceiling in ``_series`` costs one unit, which the later ratios scale by
+    t_k/t_j: at most 2 t_k while the terms rise (from t_0 >= 1/2 until k ~ N)
+    and at most 1 after.  So S's ends differ by less than (4N + 5) S + K**2
+    < (4N + 10) S units for its K < 6N terms.  ln N is within
+    (N.bit_length() + 2) w + 20 units and m < 1.45 N in ``exp_int``, so 2**w e**y
+    is within (9N + 12 N.bit_length() + 40) w e**y.  Both relative widths and
+    the last two roundings add to less than 200 N**2 2**-w <= 0.79 * 2**-bits.
     Cached per (s, bits): a sweep's Gamma ratios share a few arguments.
     """
     if s == 1:
@@ -140,37 +117,94 @@ def gamma_int(s: Fraction, bits: int) -> tuple[int, int, int]:
     if not b < a < 2 * b:
         raise ValueError(f"gamma_int needs 1 <= s < 2, got {s}")
     n = 7 * (bits + bits.bit_length() + 6) // 10 + 1
-    w = bits + n.bit_length() + 8
-    root = iroot(n ** (a - b) << (b * w), b)
-    power_lo, power_hi = n * root, n * (root + 1)
-    first = b << w
-    sum_lo, sum_hi = _series(first // a, -(-first // a), n * b, a, b, w)
-    v = w + 2 * n.bit_length() + 8
-    e_lo, e_hi = _series(1 << v, 1 << v, 1, 0, 1, v)
-    exp_lo = exp_hi = 1 << v
-    for bit in bin(n)[2:]:
-        exp_lo, exp_hi = exp_lo * exp_lo >> v, -(-exp_hi * exp_hi >> v)
-        if bit == "1":
-            exp_lo, exp_hi = exp_lo * e_lo >> v, -(-exp_hi * e_hi >> v)
-    exp_lo, exp_hi = exp_lo >> (v - w), -(-exp_hi >> (v - w))
+    w = bits + 2 * n.bit_length() + 8
+    ln2 = ln2_int(w)
+    sum_lo, sum_hi = _series((b << w) // a, -(-(b << w) // a), n * b, a, b, w)
+    log_lo, log_hi = log_int(n, 1, w, ln2)
+    exp_lo, exp_hi = exp_int((n << w) + (-a * log_hi // b), (n << w) - a * log_lo // b, w, ln2)
     tail = -(-(1 << w) // (n - 1))
-    return power_lo * sum_lo // exp_hi, -(-power_hi * (sum_hi + tail) // exp_lo), w
+    return (sum_lo << w) // exp_hi, -(-((sum_hi + tail) << w) // exp_lo), w
 
 
-def _series(lo: int, hi: int, num: int, den: int, step: int, w: int) -> tuple[int, int]:
-    """Bounds on 2**w sum_k t_k, t_k = t_0 prod_{j=1..k} num/(den + j step), from lo <= 2**w t_0 <= hi.
+def ln2_int(w: int) -> tuple[int, int]:
+    """(lo, hi) with lo < 2**w ln 2 < hi = lo + w, for w >= 1.
 
-    Every term is floored in the lower copy and ceiled in the upper one; the
-    upper sum adds the last upper term again as the bound on the rest (see
-    ``gamma_int``).
+    ln 2 = sum_{k>=1} 2**-k / k: floored at scale 2**w, its terms k <= w lose
+    less than w - 1 units (k = 1 is exact), and the rest is below 1."""
+    lo = sum((1 << (w - k)) // k for k in range(1, w + 1))
+    return lo, lo + w
+
+
+def log_int(a: int, b: int, w: int, ln2: tuple[int, int]) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2**w ln(a/b) <= hi for integers a, b >= 1; hi - lo < (|e| + 3) w + 20.
+
+    ``ln2`` is ``ln2_int(w)``.  With e = a.bit_length() - b.bit_length(), a/b = 2**e y
+    for some 1/2 < y < 2, and ln y = 2 atanh z, z = (y - 1)/(y + 1), |z| < 1/3, where
+    atanh |z| = sum_{i>=0} |z|**(2i+1) / (2i+1).  The powers 2**w |z|**(2i+1) are
+    carried floored and ceiled, each from the last by the factor z**2 <= 1/9, so each
+    copy stays within 1 + 1/9 + ... = 9/8 units of the power and each term, divided
+    by 2i+1 and floored or ceiled, within 2.2.  The sum stops after the first term
+    whose upper copy is at most 1, at some i <= w/3 + 1, and adds that copy again for
+    the rest, at most z**2/(1 - z**2) <= 1/8 of the term.  So atanh's ends differ by
+    less than 4.4 (w/3 + 2) + 1 units, ln y's by less than 3w + 20; e ln 2 adds |e| w.
     """
-    total_lo, total_hi, d, twice = lo, hi, den, 2 * num
+    e = a.bit_length() - b.bit_length()
+    num, den = (a, b << e) if e >= 0 else (a << -e, b)
+    u, v = abs(num - den), num + den
+    u2, v2 = u * u, v * v
+    power_lo, power_hi = (u << w) // v, -(-(u << w) // v)
+    sum_lo = sum_hi = 0
+    for j in itertools.count(1, 2):
+        term = -(-power_hi // j)
+        sum_lo, sum_hi = sum_lo + power_lo // j, sum_hi + term
+        if term <= 1:
+            break
+        power_lo, power_hi = power_lo * u2 // v2, -(-power_hi * u2 // v2)
+    sum_lo, sum_hi = (sum_lo, sum_hi + term) if num >= den else (-sum_hi - term, -sum_lo)
+    ln2_lo, ln2_hi = ln2 if e >= 0 else ln2[::-1]
+    return e * ln2_lo + 2 * sum_lo, e * ln2_hi + 2 * sum_hi
+
+
+def exp_int(y_lo: int, y_hi: int, w: int, ln2: tuple[int, int]) -> tuple[int, int]:
+    """lo <= 2**w e**(y/2**w) <= hi for y_lo <= y <= y_hi, and hi - lo < e**(y_lo/2**w) (6 delta + 4w + 18) + 2.
+
+    ``ln2`` is ``ln2_int(w)`` and w >= 17.  e**y = 2**m e**r with m = floor(y_lo / ln 2),
+    read off the end of ln 2 that keeps r >= 0: r lies in [r_lo, r_lo + delta] / 2**w,
+    0 <= r_lo < 2**w ln 2 + w and delta = y_hi - y_lo + |m| w, which must be at most 2**w.
+    e**(r_lo/2**h), h = isqrt(w), is ``_series`` at W = w + 2h bits with ratios below
+    2**-h / j: each copy of a term stays within 2 units of it, and the sum stops by
+    term W/h + 1, a relative error eps < (2W/h + 10) 2**-W.  Squaring h times, floored
+    or ceiled, keeps it below 2**(h+1) (eps + 2**-W), so without the 2h spare bits the
+    ends of e**r_lo are less than 4w + 17 units apart; e**r <= e**r_lo (1 + 2 delta / 2**w)
+    as e**x <= 1 + 2x on [0, 1].  Scaling by 2**m < e**(y_lo/2**w), exactly for m >= 0
+    and rounded outward below, gives the width.
+    """
+    m, r_lo = divmod(y_lo, ln2[1] if y_lo >= 0 else ln2[0])
+    delta = y_hi - y_lo + abs(m) * w
+    h = math.isqrt(w)
+    lo, hi = _series(1 << (w + 2 * h), 1 << (w + 2 * h), r_lo, 0, 1, w + 2 * h, w + h)
+    for _ in range(h):
+        lo, hi = lo * lo >> (w + 2 * h), -(-hi * hi >> (w + 2 * h))
+    lo, hi = lo >> 2 * h, -(-hi * ((1 << w) + 2 * delta) >> (w + 2 * h))
+    return (lo << m, hi << m) if m >= 0 else (lo >> -m, -(-hi >> -m))
+
+
+def _series(lo: int, hi: int, num: int, den: int, step: int, w: int, shift: int = 0) -> tuple[int, int]:
+    """Bounds on 2**w sum_k t_k, t_k = t_0 prod_{j=1..k} num / (2**shift (den + j step)), from lo <= 2**w t_0 <= hi.
+
+    Every term is floored in the lower copy and ceiled in the upper one (by
+    the shift first, then by den + j step, which floors or ceils the whole
+    quotient).  The sum stops after t_K once the next ratio r is at most 1/2
+    and t_K is below 2**-w of the sum so far; the rest, at most
+    t_K (r + r**2 + ...) <= t_K, is bounded by adding the last upper term again.
+    """
+    total_lo, total_hi, d, twice = lo, hi, den, -(-2 * num >> shift)
     while True:
         d += step
         if twice <= d and hi <= total_lo >> w:
             return total_lo, total_hi + hi
-        lo = lo * num // d
-        hi = -(-hi * num // d)
+        lo = (lo * num >> shift) // d
+        hi = -((-hi * num >> shift) // d)
         total_lo += lo
         total_hi += hi
 
@@ -231,27 +265,6 @@ def witness_digits(enclosure: tuple[int, int, int], precision: int) -> str:
         body, suffix = digits[0] + "." + digits[1:], f"e{e:+d}"
     body = body.rstrip("0")
     return body + ("0" if body.endswith(".") else "") + suffix
-
-
-def interval_enclosure(compute: Callable[[], mpmath.ctx_iv.ivmpf], prec: int) -> tuple[int, int, int]:
-    """The endpoints of an mpmath.iv evaluation at ``prec`` bits, exactly, as an enclosure (lo, hi, k).
-
-    ``compute()`` runs with ``mpmath.iv.prec`` set to ``prec``, which is
-    restored afterwards.  An unbounded interval raises ValueError.
-    """
-    import mpmath
-    from mpmath import libmp
-
-    iv = mpmath.iv
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        value = compute()
-    finally:
-        iv.prec = saved
-    lo, hi = value._mpi_
-    k = -min(lo[2], hi[2])  # the smaller exponent of the two raw (sign, man, exp, bc) ends
-    return libmp.to_int(libmp.mpf_shift(lo, k)), libmp.to_int(libmp.mpf_shift(hi, k)), k
 
 
 def dyadic_real(enclosure: tuple[int, int, int], precision: int) -> mpmath.mpf:

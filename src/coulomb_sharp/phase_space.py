@@ -9,10 +9,9 @@ order g it is rational, eta**d g! / (2**(d-1-g) d! prod_{k=1..g} (d-2k)), and
 ``lt_rhs_order_int`` returns it as an integer pair; g = 0 is the CLR count.
 Every other order is enclosed (``lt_rhs_int``): the exact eta**d / 2**(d-1)
 times an enclosure of the Gamma ratio, which is computed once per
-(d, gamma, bits) and cached.  Up to the order denominator
-``highprec.MAX_ROOT_DEGREE`` the ratio is three integer Gamma enclosures
-(``highprec.gamma_int``) and exact rationals; above it, an mpmath.iv
-evaluation.  ``lt_rhs`` returns the lower end as a plain mpf.
+(d, gamma, bits) and cached: three integer Gamma enclosures
+(``highprec.gamma_int``) and exact rationals, for every order denominator.
+``lt_rhs`` returns the lower end as a plain mpf.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from typing import TYPE_CHECKING
 from .exact import RationalLike, as_rational
 from .highprec import (
     DEFAULT_PRECISION,
-    MAX_ROOT_DEGREE,
     dyadic_real,
     enclosure_bits,
     gamma_int,
     gamma_parts,
-    interval_enclosure,
     validated_eval,  # no caller here; bench/test_harness.py checks the tracer rebinds this name
 )
 
@@ -67,25 +64,13 @@ def gamma_ratio_int(d: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:
     """Gamma(gamma+1) Gamma(d/2-gamma) / (Gamma(d+1) Gamma(d/2)) as an enclosure (lo, hi, k).
 
     The ratio lies in [lo, hi] / 2**k with hi - lo below 2**-(bits+2) of it.
-    Up to the denominator MAX_ROOT_DEGREE, ``highprec.gamma_parts`` writes it
-    as an exact rational c, d! included, times Gamma(s1) Gamma(s2) / Gamma(s3),
-    each ``gamma_int`` enclosure within 2**-(bits+6): the product's ends are
-    within 3.01 * 2**-(bits+6), and each is rounded outward once, by at most
-    2**-(bits+5) of the value.  Above the cut, ``interval_enclosure`` of an
-    mpmath.iv evaluation at bits + 16 bits.  Cached: a sweep needs one entry
-    per dimension.
+    ``highprec.gamma_parts`` writes it as an exact rational c, d! included,
+    times Gamma(s1) Gamma(s2) / Gamma(s3), each ``gamma_int`` enclosure within
+    2**-(bits+6): the product's ends are within 3.01 * 2**-(bits+6), and each
+    is rounded outward once, by at most 2**-(bits+5) of the value.  Cached:
+    a sweep needs one entry per dimension.
     """
     _check_order(d, gamma)
-    if gamma.denominator > MAX_ROOT_DEGREE:
-        import mpmath
-
-        def ratio() -> mpmath.ctx_iv.ivmpf:
-            iv = mpmath.iv
-            g = iv.mpf(gamma.numerator) / gamma.denominator
-            dh = iv.mpf(d) / 2
-            return iv.gamma(g + 1) * iv.gamma(dh - g) / (iv.gamma(iv.mpf(d + 1)) * iv.gamma(dh))
-
-        return interval_enclosure(ratio, bits + 16)
     (c1, s1), (c2, s2), (c3, s3) = (gamma_parts(x) for x in (gamma + 1, Fraction(d, 2) - gamma, Fraction(d, 2)))
     c = c1 * c2 / (c3 * math.factorial(d))
     (a_lo, a_hi, ka), (b_lo, b_hi, kb), (g_lo, g_hi, kg) = (gamma_int(s, bits + 6) for s in (s1, s2, s3))

@@ -12,10 +12,9 @@ with ell = ceil((eta + 1 - d)/2) - 1; the spectrum is empty when
 eta <= d - 1.  Multiplicities, the counting function and the Riesz means of
 orders 0 and 1 are exact integers or rationals; ell is one integer floor
 division on the numerator and denominator of eta, so the discontinuities in
-eta are bit-exact.  Every other order is an enclosure (``riesz_mean_int``):
-integer q-th roots up to the order denominator ``highprec.MAX_ROOT_DEGREE``,
-an mpmath.iv sum above it, the one place here that imports mpmath.
-``riesz_mean`` returns the lower end as a plain mpf.
+eta are bit-exact.  Every other order is an integer enclosure (``riesz_mean_int``):
+q-th roots up to the order denominator ``highprec.MAX_ROOT_DEGREE``, ``log_int``
+and ``exp_int`` above it.  ``riesz_mean`` returns the lower end as a plain mpf.
 """
 
 from __future__ import annotations
@@ -33,7 +32,9 @@ from .highprec import (
     MAX_ROOT_DEGREE,
     dyadic_real,
     enclosure_bits,
-    interval_enclosure,
+    exp_int,
+    ln2_int,
+    log_int,
     validated_eval,  # no caller here; bench/test_harness.py checks the tracer rebinds this name
 )
 
@@ -139,16 +140,24 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
 
     The mean lies in [lo, hi] / 2**k, and hi - lo is below 2**-bits of it.
     With gamma = p/q, m = 2j+d-1 and x = a/b = (n^2 - den^2 m^2) / (den^2 m^2),
-    the mean is the sum of mu_j x**gamma, by one of two kernels:
+    the mean is the sum of mu_j x**gamma.  The j = 0 term exceeds 2**low, so
+    k = max(0, bits + count.bit_length() - low) for the eigenvalue count puts
+    2**count.bit_length() units of 2**-k below 2**-bits of the mean.
+    Each term x**gamma 2**k is enclosed by one of two kernels:
 
-    - q <= MAX_ROOT_DEGREE: integer q-th roots.  The term x**gamma * 2**k lies
-      in [t, t+1) for t = ``iroot``(a^p 2^(qk) // b^p, q), with mu_j, m^2 and
-      m^(2p) cached; the multiplicities weight both ends, so hi - lo is the count.
-    - larger q: an mpmath.iv sum, read off exactly by ``interval_enclosure``,
-      at bits + (ell + 1).bit_length() + 16 bits plus the bits of
-      2 gamma log2(n^2), which bound how much the power's log and exp widen
-      each term.  The terms are positive, so each rounding widens the sum by
-      a relative 2**-prec at most, and the ell + 1 terms set the rounding.
+    - q <= MAX_ROOT_DEGREE: integer q-th roots.  The term lies in [t, t+1)
+      for t = ``iroot``(a^p 2^(qk) // b^p, q), with mu_j, m^2 and m^(2p)
+      cached; the multiplicities weight both ends, so hi - lo is the count.
+    - larger q: x**gamma 2**k = e**Y, Y = gamma ln x + k ln 2, from ``log_int`` and
+      ``exp_int`` at w bits and one ``ln2_int``; the multiplicities weight both ends
+      of 2**w e**Y, and the sums are rounded outward once.  As 1/n^2 < x < n^2 < 2**B,
+      B = (n^2).bit_length(), ``log_int``'s |e| < B and ``exp_int``'s |m| <= gamma B + k + 2,
+      so its delta < gamma ((B + 3) w + 20) + 2 + (k + |m|) w and 2**w e**Y is within
+      6 D w e**Y + 2 for c = ceil(gamma + 1) and D = 3 c (B + 3) + 2k + 4.  w = bits + 2t,
+      t = X.bit_length(), X = 72 D bits, gives 72 D w <= X (1 + 2t) <= X 2**t <= 2**(2t).
+      With U = 2**-bits mean 2**k, which exceeds 2**count.bit_length() > count, the
+      ends then differ by less than (6 D w mean 2**k + 2 count) 2**-w + 2 < U/4 + 2 units
+      of 2**-k: below U for U >= 8/3, and as an integer below 3 for 2 < U < 8/3.
 
     An empty spectrum gives [0, 0].
     """
@@ -157,27 +166,20 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
         return 0, 0, bits
     p, q = gamma.numerator, gamma.denominator
     n2, den2 = n * n, den * den
-    if q > MAX_ROOT_DEGREE:
-        import mpmath
-
-        def mean() -> mpmath.ctx_iv.ivmpf:
-            iv = mpmath.iv
-            g = iv.mpf(p) / q
-            total = iv.mpf(0)
-            for j in range(ell + 1):
-                b = den2 * (2 * j + d - 1) ** 2
-                total += multiplicity(d, j) * (iv.mpf(n2 - b) / b) ** g
-            return total
-
-        # |log x| < log2(n^2), since 1/b <= x < n^2.
-        spare = (2 * p * n2.bit_length() // q).bit_length()
-        return interval_enclosure(mean, bits + (ell + 1).bit_length() + spare + 16)
-    # The j = 0 term is at least 2**low, a lower bound for the mean; k puts
-    # the width count / 2**k below 2**(low - bits).
     count = level_count(d, ell)
     b0 = den2 * (d - 1) ** 2
     low = p * ((n2 - b0).bit_length() - 1 - b0.bit_length()) // q
     k = max(0, bits + count.bit_length() - low)
+    if q > MAX_ROOT_DEGREE:
+        spread = 3 * -(-(p + q) // q) * (n2.bit_length() + 3) + 2 * k + 4
+        w = bits + 2 * (72 * spread * bits).bit_length()
+        ln2, lo, hi = ln2_int(w), 0, 0
+        for j, m in enumerate(range(d - 1, d + 2 * ell, 2)):
+            b, mu = den2 * m * m, multiplicity(d, j)
+            log_lo, log_hi = log_int(n2 - b, b, w, ln2)
+            t_lo, t_hi = exp_int(p * log_lo // q + k * ln2[0], -(-p * log_hi // q) + k * ln2[1], w, ln2)
+            lo, hi = lo + mu * t_lo, hi + mu * t_hi
+        return lo >> w, -(-hi >> w), k
     shift, den2p = q * k, den2**p  # b_j = den2 m_j^2, so b_j^p = den2p m_j^(2p)
     terms = _root_terms(d, ell, p)
     lo = sum(mu * iroot(((n2 - den2 * m2) ** p << shift) // (den2p * m2p), q) for mu, m2, m2p in terms)

@@ -373,7 +373,7 @@ class TestVerifyCommand:
     )
     def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, step, records, sha256):
         # Order 7/3 encloses the Riesz mean by integer roots, order 233/100 by
-        # an interval sum; order 1 runs check_lt_gamma1 on integer pairs (d = 3
+        # integer log and exp; order 1 runs check_lt_gamma1 on integer pairs (d = 3
         # skipped, d = 20 with empty spectra and a right-hand side clamped to
         # 0).  The second order-7/3 sweep has the lt-sweep-gamma benchmark's
         # shape (d = 5..10, eta = 12..60) at a coarser step.  Every report must
@@ -1006,7 +1006,7 @@ class TestProcess:
 
 
 class TestWithoutMpmath:
-    """The product imports and runs without mpmath: every order it runs has q <= MAX_ROOT_DEGREE."""
+    """The product imports and runs without mpmath, at every order denominator."""
 
     @staticmethod
     def run(code, *argv, cwd=None):
@@ -1056,12 +1056,22 @@ class TestWithoutMpmath:
         self.blocked("figure", "--which", which, "--out", str(out))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    def sweep(self, tmp_path, gamma, d_values, stop, step):
+        config, out = tmp_path / "sweep.json", tmp_path / "report.jsonl"
+        grid = {"start": "12", "stop": stop, "step": step}
+        config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
+        self.blocked("verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out))
+        return out.read_bytes()
+
     def test_order_7_3_sweep_bytes(self, tmp_path):
         # The lt-sweep-gamma benchmark's shape, as pinned in test_config_sweep_bytes_pinned.
-        config, out = tmp_path / "sweep.json", tmp_path / "report.jsonl"
-        grid = {"start": "12", "stop": "60", "step": "1/2"}
-        config.write_text(json.dumps({"gamma": "7/3", "d_values": list(range(5, 11)), "eta_grid": grid}))
-        self.blocked("verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out))
-        report = out.read_bytes()
+        report = self.sweep(tmp_path, "7/3", list(range(5, 11)), "60", "1/2")
         assert report.count(b"\n") == 591
         assert hashlib.sha256(report).hexdigest() == "1ae5ffe2c77affac8c5e76adaf277552ba85400866e14de4916f261c34b146c5"
+
+    def test_order_233_100_sweep_bytes(self, tmp_path):
+        # A denominator above MAX_ROOT_DEGREE (log and exp for the Riesz mean),
+        # as pinned in test_config_sweep_bytes_pinned.
+        report = self.sweep(tmp_path, "233/100", [5, 8], "25/2", "1/8")
+        assert report.count(b"\n") == 19
+        assert hashlib.sha256(report).hexdigest() == "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"

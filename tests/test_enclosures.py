@@ -1,9 +1,10 @@
 """Property tests of the integer enclosures behind the order-gamma checks.
 
 exact.iroot is the floor of a q-th root; spectrum.riesz_mean_int (by q-th
-roots for q <= spectrum.MAX_ROOT_DEGREE, by an interval sum above),
+roots for q <= spectrum.MAX_ROOT_DEGREE, by integer log and exp above),
 highprec.gamma_int, phase_space.gamma_ratio_int and phase_space.lt_rhs_int
-return (lo, hi, k) with the value in [lo, hi] / 2**k.  Each enclosure is
+return (lo, hi, k) with the value in [lo, hi] / 2**k, and highprec.ln2_int,
+log_int and exp_int return (lo, hi) at scale 2**w.  Each enclosure is
 checked against an independent mpmath evaluation at twice the digits its
 width resolves, and its width against the bound its docstring promises; the
 root sum is also checked bit for bit against sympy's integer roots.  The
@@ -29,8 +30,11 @@ from coulomb_sharp.highprec import (  # noqa: E402
     MAX_ROOT_DEGREE,
     dyadic_real,
     enclosure_bits,
+    exp_int,
     gamma_int,
     gamma_parts,
+    ln2_int,
+    log_int,
     witness_digits,
 )
 
@@ -100,12 +104,13 @@ class TestIntegerRoot:
 
 class TestRieszEnclosure:
     @settings(max_examples=150, deadline=None)
-    # x = eta^2/(d-1)^2 - 1 near 10**-300 or 10**-1000 at gamma near d/2: the
-    # interval sum's power widens each term by about gamma |log x|.
+    # x = eta^2/(d-1)^2 - 1 near 10**-300 or 10**-1000 at gamma near d/2, by
+    # roots and by log and exp: gamma ln x and k ln 2 nearly cancel in the exponent.
     @example(400, 399 + Fraction(1, 10**300), Fraction(1999, 10), 70)
     @example(400, 399 + Fraction(1, 10**1000), Fraction(1999, 10), 70)
-    # 2,451 levels with a 605-bit eigenvalue count: the interval sum is sized
-    # by the number of terms, and its width must still meet the contract.
+    @example(400, 399 + Fraction(1, 10**300), Fraction(10**12 * 199 + 39, 10**12), 70)
+    # 2,451 levels with a 605-bit eigenvalue count: log and exp are sized by
+    # the bits asked for, and the multiplicity-weighted width must still meet the contract.
     @example(100, Fraction(5000), Fraction(4999, 100), enclosure_bits(30))
     @given(
         st.integers(3, 12),
@@ -162,8 +167,8 @@ def _mp(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-# s in (1, 2) with every denominator up to twice the cut: d/2 - p/q has denominator 2q at odd q.
-kernel_arguments = st.integers(2, 2 * MAX_ROOT_DEGREE).flatmap(
+# s in (1, 2) with denominators up to 10**12, as orders draws them: d/2 - p/q has denominator 2q at odd q.
+kernel_arguments = st.one_of(st.integers(2, 2 * MAX_ROOT_DEGREE), st.integers(2 * MAX_ROOT_DEGREE + 1, 10**12)).flatmap(
     lambda q: st.integers(q + 1, 2 * q - 1).map(lambda p: Fraction(p, q))
 )
 
@@ -179,7 +184,11 @@ class TestGammaKernel:
         with _reference(bits):
             _contains(enclosure, mpmath.gamma(_mp(s)), bits)
 
-    @pytest.mark.parametrize("s", [Fraction(4, 3), Fraction(5, 3), Fraction(7, 6), Fraction(3, 2), Fraction(63, 62)])
+    @pytest.mark.parametrize(
+        "s",
+        # the last with a large denominator, as orders above MAX_ROOT_DEGREE give
+        [*map(Fraction, ("4/3", "5/3", "7/6", "3/2", "63/62")), Fraction(2 * 10**12 - 1, 10**12)],
+    )
     def test_contains_mpmath_gamma_at_the_top_precision(self, s):
         bits = enclosure_bits(MAX_PRECISION)
         enclosure = gamma_int(s, bits)
@@ -203,6 +212,49 @@ class TestGammaKernel:
         with mpmath.mp.workdps(60):
             value = mpmath.gamma(_mp(x))
             assert abs(_mp(c) * mpmath.gamma(_mp(s)) - value) <= value * mpmath.mpf(10) ** -50
+
+
+class TestLogExpKernels:
+    @pytest.mark.parametrize("w", [1, 2, 17, 64, 3400])
+    def test_ln2_lies_strictly_inside_w_units(self, w):
+        lo, hi = ln2_int(w)
+        assert hi - lo == w
+        with mpmath.mp.workprec(2 * w + 64):
+            assert lo < mpmath.log(2) * mpmath.mpf(2) ** w < hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2**600), st.integers(1, 2**600), st.integers(20, 1200))
+    @example(1, 1, 20)  # z = 0: ln 1 is 0 exactly
+    @example(3, 4, 20)  # y = 3/2, z = 1/5
+    @example(2**600, 1, 1200)
+    @example(1, 2**600 - 1, 1200)
+    def test_log_contains_its_value_within_the_bound(self, a, b, w):
+        lo, hi = log_int(a, b, w, ln2_int(w))
+        assert hi - lo < (abs(a.bit_length() - b.bit_length()) + 3) * w + 20
+        with mpmath.mp.workprec(2 * w + 1300):
+            assert lo <= mpmath.log(mpmath.mpf(a) / b) * mpmath.mpf(2) ** w <= hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(17, 1200).flatmap(
+            lambda w: st.tuples(st.just(w), st.integers(-(300 << w), 300 << w), st.integers(0, 1 << (w // 2)))
+        )
+    )
+    @example((17, 0, 0))  # e**0 = 1 exactly
+    @example((17, -(300 << 17), 1 << 8))  # e**-300 at 17 bits: the outward rounding of 2**m, m < 0
+    @example((1200, 300 << 1200, 0))
+    def test_exp_contains_its_values_within_the_bound(self, args):
+        w, y_lo, spread = args
+        y_hi = y_lo + spread
+        ln2 = ln2_int(w)
+        lo, hi = exp_int(y_lo, y_hi, w, ln2)
+        # |m| <= |y_lo| / ln2_lo + 1 bounds exp_int's delta from above.
+        delta = spread + (abs(y_lo) // ln2[0] + 1) * w
+        with mpmath.mp.workprec(2 * w + 1000):
+            scale = mpmath.mpf(2) ** w
+            low = mpmath.exp(mpmath.mpf(y_lo) / scale)
+            assert lo <= low * scale and mpmath.exp(mpmath.mpf(y_hi) / scale) * scale <= hi
+            assert hi - lo < low * (6 * delta + 4 * w + 18) + 2
 
 
 class TestWitnessDigits:

@@ -1,4 +1,4 @@
-"""Self-validating evaluation, the exact reading of an interval as an enclosure, and the witness digits."""
+"""Self-validating evaluation and the witness digits."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from coulomb_sharp.highprec import (
     MAX_PRECISION,
     _display_bits,
     dyadic_real,
-    interval_enclosure,
     validated_eval,
     witness_digits,
 )
@@ -41,22 +40,6 @@ def test_fraction_roundtrip_precision():
 def test_precision_out_of_range_rejected(precision):
     with pytest.raises(ValueError, match="precision must be an integer from 1 to 1000 digits"):
         validated_eval(lambda: +mpmath.pi, precision)
-
-
-@pytest.mark.parametrize("x", [Fraction(-1, 3), Fraction(0), Fraction(10**40, 7)])
-def test_interval_enclosure_holds_the_interval_exactly(x):
-    saved = mpmath.iv.prec
-    lo, hi, k = interval_enclosure(lambda: mpmath.iv.mpf(x.numerator) / x.denominator, 80)
-    assert mpmath.iv.prec == saved
-    scale = Fraction(2) ** -k
-    assert lo * scale <= x <= hi * scale
-    assert (hi - lo) * scale <= abs(x) * Fraction(2) ** -76  # a few units of the 80th bit
-
-
-def test_interval_enclosure_rejects_an_unbounded_interval():
-    with pytest.raises(ValueError):
-        interval_enclosure(lambda: mpmath.iv.mpf(1) / 0, 80)
-
 
 
 def nstr_of_dyadic_real(enclosure, precision):

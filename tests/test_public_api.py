@@ -142,6 +142,31 @@ def test_only_highprec_sets_mpmath_precision():
                 assert not names, f"{path.name} imports {names} from mpmath"
 
 
+def test_only_highprec_imports_mpmath():
+    # One integer arithmetic encloses every order; outside highprec, mpmath
+    # names an annotation only, imported under TYPE_CHECKING.
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.stem == "highprec":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        annotations = {
+            id(child)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and ast.unparse(node.test) in {"TYPE_CHECKING", "typing.TYPE_CHECKING"}
+            for statement in node.body
+            for child in ast.walk(statement)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if id(node) not in annotations:
+                assert "mpmath" not in {name.split(".")[0] for name in names}, f"{path.name}:{node.lineno} imports mpmath"
+
+
 def test_sources_parse_at_the_declared_python_floor():
     # pyproject.toml declares requires-python >= 3.10, which no test run on a
     # newer interpreter checks by itself.  feature_version checks the grammar

@@ -156,7 +156,7 @@ class TestGeneralGamma:
         # A sweep over d = 7, 8 run twice; returns the calls of the integer
         # Gamma kernel and of mpmath.iv.gamma.  The Gamma ratio of the
         # right-hand side is one compute per (d, gamma, bits), whichever kernel
-        # encloses the Riesz mean; a repeated sweep computes none.
+        # encloses the Riesz mean (roots or log and exp); a repeated sweep computes none.
         kernel, interval = [], []
         gamma_int, interval_gamma = phase_space.gamma_int, mpmath.iv.gamma
         monkeypatch.setattr(phase_space, "gamma_int", lambda s, bits: kernel.append(s) or gamma_int(s, bits))
@@ -179,14 +179,15 @@ class TestGeneralGamma:
         assert interval == []
 
     def test_validated_path_rhs_computed_once(self, monkeypatch):
-        # Interval-sum kernel for the Riesz mean and an mpmath.iv Gamma ratio
-        # (four Gamma values) for the right-hand side: the denominator is above MAX_ROOT_DEGREE.
+        # Log and exp for the Riesz mean (the denominator is above
+        # MAX_ROOT_DEGREE) and the same integer Gamma kernel for the right-hand
+        # side: s = 133/100, 117/100, 3/2 at d = 7 and 133/100, 167/100, 1 at d = 8.
         kernel, interval = self._sweep_twice(monkeypatch, Fraction(233, 100))
-        assert kernel == []
-        assert len(interval) == 4 * 2
+        assert kernel == [Fraction(s) for s in ("133/100", "117/100", "3/2", "133/100", "167/100", "1")]
+        assert interval == []
 
-    # Both Riesz kernels are run: q-th roots at 7/3 (and 3/2), the interval
-    # sum at 233/100; the right-hand side is forced through phase_space.lt_rhs_int.
+    # Both Riesz kernels are run: q-th roots at 7/3 (and 3/2), log and exp
+    # at 233/100; the right-hand side is forced through phase_space.lt_rhs_int.
 
     @pytest.mark.parametrize(
         "gamma, note",
@@ -230,7 +231,7 @@ class TestGeneralGamma:
 
     @pytest.mark.parametrize("gamma", [Fraction(7, 3), Fraction(233, 100)], ids=("7/3", "233/100"))
     def test_tie_is_inconclusive_at_the_cap(self, monkeypatch, gamma):
-        # Both Riesz kernels: q-th roots at 7/3, the interval sum at 233/100.
+        # Both Riesz kernels: q-th roots at 7/3, log and exp at 233/100.
         monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
         record = V.check_lt_general_gamma(8, Fraction(12), gamma)
         assert record.verdict == "inconclusive" and not record.ok
@@ -255,7 +256,7 @@ class TestGeneralGamma:
 
     @pytest.mark.parametrize("precision", [20, 30], ids=("20", "30"))
     def test_tie_is_inconclusive_on_the_validated_path(self, monkeypatch, precision):
-        # Interval-sum kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
+        # Log-and-exp kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
         self._assert_tie_is_inconclusive(monkeypatch, Fraction(233, 100), precision)
 
     def test_enclosures_disjoint_by_less_than_the_margin_decide(self, monkeypatch):
