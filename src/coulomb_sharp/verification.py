@@ -9,16 +9,24 @@ The precision starts at DEFAULT_PRECISION digits and doubles while the
 enclosures overlap, up to MAX_PRECISION; the witnesses are 25-digit strings
 of the lower ends at the deciding precision, and a comparison still
 undecided at the cap is 'inconclusive' (the CLI treats it as failure).
+
+Every param and witness value is stored as text.  A report line
+(``CheckRecord.to_json``) is written by hand, without ``json.dumps``, in the
+bytes ``json.dumps(payload, separators=(",", ":"))`` would give: the keys
+check_id, params, verdict, witness and note in that order, ``params`` and
+``witness`` sorted by key, no spaces, ASCII only with ``\\uXXXX`` escapes.
+Exact witnesses built from integer pairs are written as ``str(Fraction)``
+writes them, reduced by one gcd (``_ratio_text``).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Sequence
 
 from . import excess, optima, phase_space, spectrum
@@ -46,11 +54,22 @@ INCONCLUSIVE = "inconclusive"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """The report text of a check value: ``true``/``false`` for a bool, else ``str`` (``repr`` for a float)."""
+    return ("true" if value else "false") if type(value) is bool else str(value)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, reduced by one gcd without building the Fraction."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _json_object(items: dict[str, str]) -> str:
+    """A JSON object of string values, keys sorted, compact and ASCII as ``json.dumps`` writes it."""
+    return "{" + ",".join([_quote(k) + ":" + _quote(v) for k, v in sorted(items.items())]) + "}"
 
 
 @dataclass(frozen=True)
@@ -66,24 +85,21 @@ class CheckRecord:
         return self.verdict in (PASS, SKIPPED)
 
     def to_json(self) -> str:
-        payload = {
-            "check_id": self.check_id,
-            "params": dict(sorted(self.params.items())),
-            "verdict": self.verdict,
-            "witness": dict(sorted(self.witness.items())),
-            "note": self.note,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        """One report line, in the bytes the module docstring fixes."""
+        return (
+            f'{{"check_id":{_quote(self.check_id)},"params":{_json_object(self.params)},'
+            f'"verdict":{_quote(self.verdict)},"witness":{_json_object(self.witness)},"note":{_quote(self.note)}}}'
+        )
 
 
 def _record(check_id: str, params: dict, ok: bool | str, witness: dict, note: str = "") -> CheckRecord:
     """The one CheckRecord constructor; ``ok`` is a verdict string or a bool (pass/fail)."""
     return CheckRecord(
-        check_id=check_id,
-        params={k: _fmt(v) for k, v in params.items()},
-        verdict=ok if isinstance(ok, str) else PASS if ok else FAIL,
-        witness={k: _fmt(v) for k, v in witness.items()},
-        note=note,
+        check_id,
+        {k: _fmt(v) for k, v in params.items()},
+        ok if isinstance(ok, str) else PASS if ok else FAIL,
+        {k: _fmt(v) for k, v in witness.items()},
+        note,
     )
 
 
@@ -110,7 +126,7 @@ def check_lt_gamma1(d: int, eta: RationalLike) -> CheckRecord:
         "lt-gamma1",
         params,
         lhs_num * rhs_den <= rhs_num * lhs_den,
-        {"lhs": Fraction(lhs_num, lhs_den), "rhs": Fraction(rhs_num, rhs_den)},
+        {"lhs": _ratio_text(lhs_num, lhs_den), "rhs": _ratio_text(rhs_num, rhs_den)},
     )
 
 
@@ -138,7 +154,7 @@ def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
         elif n % 2 == 0:
             ok = ok and above_lower == 0
             note = "lower equality at even integer eta"
-    witness = {"lower": Fraction(*lower), "trace": Fraction(*trace), "upper": Fraction(*upper)}
+    witness = {"lower": _ratio_text(*lower), "trace": _ratio_text(*trace), "upper": _ratio_text(*upper)}
     return _record("d3-envelope", {"eta": eta}, ok, witness, note)
 
 
@@ -621,7 +637,7 @@ FAMILIES: tuple[tuple[str, range | None, Callable[..., list[CheckRecord]]], ...]
     (
         "lt-gamma1",
         _d(4),
-        lambda ds: [check_lt_gamma1(d, d - 1 + Fraction(k, 10)) for d in ds for k in range(1, 401)],
+        lambda ds: [check_lt_gamma1(d, Fraction(10 * (d - 1) + k, 10)) for d in ds for k in range(1, 401)],
     ),
     ("lt-gamma1", _d(4), _lt_orders(Fraction(3, 2), Fraction(2), Fraction(7, 3))),
     ("d3-envelopes", None, lambda: [check_d3_envelopes(Fraction(k, 100)) for k in range(201, 2001)]),
@@ -700,4 +716,4 @@ def run_suite(name: str, d_range: tuple[int, int] | None = None) -> list[CheckRe
 
 
 def records_to_jsonl(records: Iterable[CheckRecord]) -> str:
-    return "".join(record.to_json() + "\n" for record in records)
+    return "".join([record.to_json() + "\n" for record in records])

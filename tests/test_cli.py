@@ -307,8 +307,9 @@ class TestVerifyCommand:
             ("asymptotics", 1, "67a3b33174ecd145372d02846a863e084b39cfc7a9970d8c97d2bf41e493e799"),
             ("lt-gamma1", 2819, "986b2184edd5359d0e207f0538c228b9077e218664b9ab63293e1a134e55ca47"),
             ("d3-envelopes", 1880, "81af85dee8668b480aa3cf3ba58756868e24e0c97febc91c47ee7c7a01be52a8"),
+            ("all", 5261, "393870d5a69c303ffbd2eded5dd959ca72b85ba20e92bf4eb9ce85614a204d86"),
         ],
-        ids=("identities", "clr", "coefficients", "asymptotics", "lt-gamma1", "d3-envelopes"),
+        ids=("identities", "clr", "coefficients", "asymptotics", "lt-gamma1", "d3-envelopes", "all"),
     )
     def test_report_bytes_pinned(self, tmp_path, capsys, suite, records, sha256):
         # Refactors must not move a verdict or a witness byte.

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coulomb_sharp import excess, optima, phase_space, spectrum
 from coulomb_sharp import verification as V
@@ -380,7 +382,48 @@ class TestStarComparisons:
         assert calls == {"q_star": 61, "a_star": 58}
 
 
+# Report text that json.dumps must escape: quotes, backslashes, control
+# characters, non-ASCII, U+2028/U+2029, astral characters and lone surrogates.
+report_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/ az09\x7f\u2028\u2029'),
+        st.characters(max_codepoint=0x1F),
+        st.characters(min_codepoint=0x80, max_codepoint=0xFFFF),
+        st.characters(min_codepoint=0x10000),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"]),
+    ),
+    max_size=12,
+)
+report_items = st.dictionaries(report_text, report_text, max_size=4)
+
+
 class TestRecords:
+    @settings(max_examples=200, deadline=None)
+    @given(report_text, report_items, report_text, report_items, report_text)
+    @example("", {}, "", {}, "")
+    def test_to_json_matches_json_dumps(self, check_id, params, verdict, witness, note):
+        record = V.CheckRecord(check_id, params, verdict, witness, note)
+        payload = {
+            "check_id": check_id,
+            "params": dict(sorted(params.items())),
+            "verdict": verdict,
+            "witness": dict(sorted(witness.items())),
+            "note": note,
+        }
+        assert record.to_json() == json.dumps(payload, separators=(",", ":"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(10**40), 10**40), st.integers(1, 10**40), st.integers(1, 2**200))
+    @example(0, 1, 1)
+    @example(0, 7, 3**50)
+    @example(-6, 4, 1)
+    @example(-5, 1, 1)
+    @example(5, 1, 2**300)
+    @example(-(2**100) * 3, 2**100 * 9, 10**60)
+    def test_ratio_text_matches_fraction(self, num, den, factor):
+        # Unreduced pairs num * factor / den * factor share the factor at least.
+        assert V._ratio_text(num * factor, den * factor) == str(Fraction(num * factor, den * factor))
+
     def test_json_key_order(self):
         record = V.check_lt_gamma1(4, Fraction(10))
         payload = json.loads(record.to_json())
