@@ -36,7 +36,8 @@ DECIMAL_SIGNIFICANT_DIGITS = 15
 MAX_LEVELS = 1000  # levels of one spectrum command or of any point of a config sweep
 MAX_GRID_POINTS = 100_000  # points of one figure grid or config eta grid
 # Narrowest t* bracket of constants --tol: the bisection's points lengthen as the
-# bracket narrows, and this width takes 7 to 9 s at d = 400 (CPython 3.11, one Xeon core).
+# bracket narrows, and this width takes 11 to 12.5 s at d = 400 (CPython 3.11, one
+# Xeon core), where every sign is integer Horner.
 MIN_T_STAR_TOL = Fraction(1, 10**100)
 # Longest usage-error message; a longer one keeps its two ends.  The package
 # shows an echoed input as reprlib.repr does, but argparse echoes its own in full.
@@ -417,6 +418,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     suites = [args.suite] if args.suite else (config.suites or ["all"])
     out_path = next(path for path in (args.out, config.output_path, "verification_report.jsonl") if path is not None)
     _check_output_path(out_path)
+    clr_top = verification.last_dimension("clr")
+    if d_range and d_range[1] > clr_top and {"clr", "all"} & set(suites):
+        note = f"the clr suite's per-d checks stop at d = {clr_top}, below --d-range {d_range[0]}..{d_range[1]}"
+        print(f"note: {note}", file=sys.stderr)
     records: list[verification.CheckRecord] = []
     for suite in suites:
         records.extend(verification.run_suite(suite, d_range=d_range))

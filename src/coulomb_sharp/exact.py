@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic over the rationals and certified real-root isolation.
 
 Everything in this module is computed with arbitrary-precision integers and
-rationals; floating point never decides a comparison.  The scalar type is
-``fractions.Fraction`` (always in lowest terms, positive denominator).  A
+rationals; floating point decides only the signs sign_function's filter
+proves, and every sign it leaves open is decided in integers.  The scalar
+type is ``fractions.Fraction`` (always in lowest terms, positive denominator).  A
 polynomial is held as a primitive integer polynomial times one rational
 content, and all its arithmetic runs on the integers; on top of it sit
 co-prime rational-function pairs, root counting and bisection with certified
@@ -13,9 +14,12 @@ The root work reads the stored primitive integer polynomials.  Descartes'
 rule of signs counts roots on a half-line (p(x + lo)) or an interval (the
 Moebius transform (1+x)**n p((lo+hi*x)/(1+x))), halving any part whose count
 exceeds 1; optima._zero_window certifies a zero with one half-line count and
-two end signs.  isolate_unique_root and sturm_count (a Sturm chain on the
-integer remainders of Polynomial.divmod) have no caller in the package: they
-are test oracles that the benchmark tracer still wraps.  Partial-fraction sums
+two end signs.  A polynomial's sign at a rational point is first tried in
+doubles against a proven Horner error bound (sign_function) and otherwise
+taken by integer Horner; bisect_root halves a bracket on integer numerators
+over one doubling denominator.  isolate_unique_root and sturm_count (a Sturm
+chain on the integer remainders of Polynomial.divmod) have no caller in the
+package: they are test oracles that the benchmark tracer still wraps.  Partial-fraction sums
 (excess.partial_fraction_sum) reach co-prime form without a gcd: once terms
 sharing a root are merged, each distinct pole keeps a nonzero coefficient, so
 the numerator cannot vanish there.
@@ -84,12 +88,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def rational_sign(x: RationalLike) -> int:
-    x = as_rational(x)
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    if not isinstance(x, int):
+        x = as_rational(x)
+    return (x > 0) - (x < 0)
 
 
 def iroot(n: int, q: int) -> int:
@@ -477,14 +478,78 @@ def descartes_count(p: Polynomial, lo: RationalLike, hi: RationalLike | None = N
 
 
 def sign_function(p: Polynomial) -> Callable[[Fraction], int]:
-    """Exact sign of p at rational points, by integer Horner on p's primitive image."""
+    """Exact sign of p at rational points: a filter in doubles, then integer Horner on p's primitive image.
+
+    The filter (Shewchuk, 1997) answers only where a proven bound lets it.
+    The signed primitive coefficients c_0..c_n, n = deg p, are converted to
+    doubles once, here.  int -> float rounds correctly, so
+    fl(c_i) = c_i (1 + delta) with |delta| <= u = 2**-53, and each fl(c_i) is
+    0 or at least 1 in magnitude; a coefficient beyond the double range raises
+    OverflowError, and then no filter is built.  At t = num/den,
+    x = num / den is correctly rounded too, x = t (1 + eps), as t is in the
+    normal range when |x| >= 1.  Horner runs v = v x + fl(c_i) from v = 0
+    (its first step is exact) alongside b = b |x| + |fl(c_i)|.  Counting
+    roundings as Higham does (Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, sec. 5.1), the term of c_i carries at most 2n roundings of
+    Horner, one of its conversion and i <= n of x**i.  So
+    v = sum c_i t**i (1 + theta_i) and b = sum |c_i| |t|**i (1 + theta'_i)
+    with |theta_i|, |theta'_i| <= gamma_m = m u / (1 - m u), m = 3n + 1.
+    With B = sum |c_i| |t|**i <= b / (1 - gamma_m) that gives
+    |v - p(t)| <= gamma_m B <= m u b / (1 - 2 m u).  The filter returns
+    sign(v) when |v| > fl(s b) for the exact double s = 2 m u = (3n + 1) 2**-52.
+    Since fl(s b) >= s b (1 - u) >= m u b / (1 - 2 m u) while
+    2 (1 - u)(1 - 2 m u) >= 1, which holds for n < 2**48, |v| then exceeds
+    the error and p(t) has the sign of v.
+
+    The model fl(a op b) = (a op b)(1 + delta) needs results in the normal
+    range.  The filter runs only for |x| >= 1.  Then every value of b is 0 or
+    at least 1, and every value of v is 0 or at least 2**-53 in magnitude: a
+    product with x does not shrink it, and adding an integer-valued fl(c_i) != 0
+    gives at least 1/2 when |v x| < 1/2 and otherwise a multiple of 2**-53.  So
+    no product is subnormal, s b >= 2**-52 is normal, and a subnormal sum
+    would be exact anyway.  Rounding to nearest is monotone and odd, so |v| <=
+    b after every step; an overflowing step of v thus overflows b's step, and
+    b's operands are >= 0, so inf stays inf.  A finite b certifies that
+    nothing overflowed, and an infinite b fails the test (|v| > inf is false,
+    as is a comparison with NaN).  An x that overflows, |x| < 1, |x| beyond
+    reach (where the leading term alone passes 2**1023, so b is infinite or
+    nearly so) and a failed test all fall through to _eval_int_sign,
+    unchanged.  When a coefficient overflows or reach < 1 the returned
+    function is that integer path alone, as cheap as it was without the
+    filter.
+    """
     if p.is_zero:
         raise ValueError("sign of the zero polynomial")
     coeffs = _signed_primitive(p)
 
-    def sign_at(t: Fraction) -> int:
+    def exact_sign(t: Fraction) -> int:
         v = _eval_int_sign(coeffs, t.numerator, t.denominator)
         return (v > 0) - (v < 0)
+
+    n = len(coeffs) - 1
+    reach = 2.0 ** ((1023 - math.log2(abs(coeffs[-1]))) / n) if n else math.inf
+    if reach < 1.0:
+        return exact_sign
+    try:
+        image = [(c, abs(c)) for c in map(float, reversed(coeffs))]
+    except OverflowError:
+        return exact_sign
+    slack = (3 * n + 1) * 2.0**-52
+
+    def sign_at(t: Fraction) -> int:
+        try:
+            x = t.numerator / t.denominator
+        except OverflowError:
+            return exact_sign(t)
+        ax = abs(x)
+        if 1.0 <= ax <= reach:
+            v = b = 0.0
+            for c, a in image:
+                v = v * x + c
+                b = b * ax + a
+            if abs(v) > slack * b:
+                return 1 if v > 0 else -1
+        return exact_sign(t)
 
     return sign_at
 
@@ -511,19 +576,31 @@ def bisect_root(
     """Shrink a certified bracket below the requested width by exact bisection.
 
     value_at must evaluate the bracketed function exactly (any rational
-    result; only its sign is used).  Termination is guaranteed by halving.
+    result; only its sign is used); it is called once per halving, on the
+    midpoint as a Fraction.  The bracket is walked in integers: with lo = a/D
+    and hi = (a + w)/D the midpoint is (2a + w)/2D, and the next bracket
+    starts at 2a or 2a + w over 2D and keeps the width w, so no Fraction is
+    added or compared per step.  The number of halvings, the least k with w/(D 2**k)
+    <= width, is found once, in integers.  The brackets are the ones halving
+    in Fractions gives.
     """
     width = as_rational(width)
     if width <= 0:
         raise ValueError("width must be positive")
     lo, hi = bracket.lower, bracket.upper
     s_lo, s_hi = bracket.sign_at_lower, bracket.sign_at_upper
-    while hi - lo > width:
-        mid = (lo + hi) / 2
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    # The least k with 2**k >= ceil(w / (width den)).
+    halvings = (-(-w * width.denominator // (width.numerator * den)) - 1).bit_length()
+    for _ in range(halvings):
+        a, den = 2 * a, 2 * den
+        mid = Fraction(a + w, den)
         s_mid = rational_sign(value_at(mid))
         if s_mid == 0:
             # The midpoint is the root itself; return a tight symmetric bracket.
-            delta = min(width, hi - mid, mid - lo) / 2
+            delta = min(width, Fraction(w, den)) / 2
             lo2, hi2 = mid - delta, mid + delta
             s2_lo = rational_sign(value_at(lo2))
             s2_hi = rational_sign(value_at(hi2))
@@ -531,10 +608,8 @@ def bisect_root(
                 raise CertificationError("sign pattern broke around an exact rational root")
             return RootBracket(lo2, hi2, s_lo, s_hi)
         if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return RootBracket(lo, hi, s_lo, s_hi)
+            a += w
+    return RootBracket(Fraction(a, den), Fraction(a + w, den), s_lo, s_hi)
 
 
 # -- rational functions -------------------------------------------------------

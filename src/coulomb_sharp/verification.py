@@ -689,6 +689,11 @@ DEFAULT_D_RANGES = {
 }
 
 
+def last_dimension(name: str) -> int:
+    """The largest dimension on which any d-ranged row of suite ``name`` runs, whatever the d-range."""
+    return max(dims[-1] for suite, dims, _ in FAMILIES if suite == name and dims is not None)
+
+
 def _walk(name: str, d_range: tuple[int, int] | None = None) -> list[CheckRecord]:
     """The records of suite ``name``: its FAMILIES rows in order."""
     records = []

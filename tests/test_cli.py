@@ -238,6 +238,21 @@ class TestConstantsCommand:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["--d", "200"], "7dea27a79669b547b73c0cbc1d38258cd2ab676910af71aed2fbc4ddb5220524"),
+            (["--d", "400"], "a69825054fc56becc66874b84a0a8382bacf3eab2e7adb9ea101b16061ae1c1b"),
+            (["--d", "40", "--tol", "1e-30"], "8f35f494cbb041d48dd9fd5bc8715d34f5b65e4bdbe2b2bd7a66e6cdf742b270"),
+        ],
+        ids=("d200", "d400", "d40-tol1e-30"),
+    )
+    def test_t_star_bytes_pinned_where_integers_decide(self, capsys, argv, sha256):
+        # Past d = 96 sign_function builds no double filter, and at --tol 1e-30 the
+        # narrow midpoints leave most signs to integer Horner: both paths keep every byte.
+        assert main(["constants", *argv, "--which", "t-star"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
         "which, d, sha256",
         [
             ("q-star", 4, "81a3910edc5e24f077f40abe311041627b563762f2d4de3f8c5d06bf17ecb339"),
@@ -425,6 +440,36 @@ class TestVerifyCommand:
         assert "each end of d-range must be an integer from 3 to 400, got 401" in capsys.readouterr().err
         assert ran == []
         assert not out.exists()
+
+    def test_clr_past_its_last_dimension_noted_on_stderr(self, tmp_path, capsys):
+        # clr's per-d rows stop at d = 60, so 3..61 writes the report 3..60 writes;
+        # only stderr says that the range reached past them.
+        reports = {}
+        for d_range in ("3..60", "3..61"):
+            out = tmp_path / f"{d_range}.jsonl"
+            assert main(["verify", "--suite", "clr", "--d-range", d_range, "--out", str(out)]) == 0
+            reports[d_range] = (out.read_bytes(), capsys.readouterr())
+        (below, quiet), (past, noted) = reports["3..60"], reports["3..61"]
+        assert past == below
+        assert quiet.err == ""
+        assert noted.err == "note: the clr suite's per-d checks stop at d = 60, below --d-range 3..61\n"
+        assert noted.out.replace("3..61", "3..60") == quiet.out
+
+    @pytest.mark.parametrize(
+        "argv, noted",
+        [
+            (["--suite", "all", "--d-range", "61..400"], True),
+            (["--d-range", "3..61"], True),  # no --suite runs all
+            (["--suite", "coefficients", "--d-range", "3..400"], False),
+            (["--suite", "clr"], False),
+        ],
+        ids=("all", "default-suite", "other-suite", "no-d-range"),
+    )
+    def test_clr_note_only_when_clr_runs_past_its_rows(self, tmp_path, capsys, monkeypatch, argv, noted):
+        record = verification.CheckRecord("stub", {}, "pass", {})
+        monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: [record])
+        assert main(["verify", *argv, "--out", str(tmp_path / "report.jsonl")]) == 0
+        assert ("per-d checks stop at d = 60" in capsys.readouterr().err) == noted
 
     def test_failing_record_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken_suite(d_range=None):

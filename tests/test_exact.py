@@ -1,15 +1,17 @@
 """Exact arithmetic core: polynomials, gcd reduction, root counting, bisection.
 
 Differential tests against sympy, with hypothesis-drawn inputs, live in
-test_exact_oracles.py.
+test_exact_oracles.py; the sign filter is held to integer Horner here.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coulomb_sharp import excess
+from coulomb_sharp import exact, excess
 from coulomb_sharp.exact import (
     MAX_DECIMAL_EXPONENT,
     CertificationError,
@@ -23,6 +25,7 @@ from coulomb_sharp.exact import (
     poly_gcd,
     ratfun_reduce,
     rational_sign,
+    sign_function,
     sturm_count,
 )
 
@@ -263,3 +266,159 @@ class TestBisectRoot:
     def test_isolate_rejects_wrong_count(self):
         with pytest.raises(CertificationError):
             isolate_unique_root(poly(2, -3, 1), 0, 3)  # roots 1 and 2
+
+
+def fraction_bisection(value_at, bracket, width):
+    """The bisection in Fractions: halve while the bracket is wider than width; the calls made, and the bracket."""
+    calls, lo, hi = [], bracket.lower, bracket.upper
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        calls.append(mid)
+        sign = rational_sign(value_at(mid))
+        if sign == 0:
+            delta = min(width, hi - mid, mid - lo) / 2
+            calls += [mid - delta, mid + delta]
+            return calls, (mid - delta, mid + delta)
+        if sign == bracket.sign_at_lower:
+            lo = mid
+        else:
+            hi = mid
+    return calls, (lo, hi)
+
+
+class TestIntegerBisection:
+    """bisect_root walks integer numerators and must give the brackets and calls of the Fraction bisection."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-50, 50),
+        st.integers(1, 64),
+        st.integers(1, 40),
+        st.integers(1, 64),
+        st.fractions(min_value=Fraction(1, 2**70), max_value=Fraction(100)),
+        st.integers(0, 3),
+    )
+    @example(0, 1, 1, 1, Fraction(1, 64), 0)  # the root 1/2 sits on the first midpoint
+    def test_matches_fraction_bisection(self, lo_num, lo_den, span, span_den, width, shift):
+        lo = Fraction(lo_num, lo_den)
+        hi = lo + Fraction(span, span_den)
+        # A root on a dyadic point of the bracket for shift > 0, else at its exact middle.
+        root = lo + (hi - lo) * Fraction(2 * shift + 1, 2 ** (shift + 1)) if shift else (lo + hi) / 2
+        p = poly(-root, 1) * poly(3, 0, 1)
+        bracket = RootBracket(lo, hi, -1, 1)
+        seen = []
+        narrowed = bisect_root(lambda t: seen.append(t) or p.eval(t), bracket, width)
+        calls, (ref_lo, ref_hi) = fraction_bisection(p.eval, bracket, width)
+        assert seen == calls
+        assert (narrowed.lower, narrowed.upper) == (ref_lo, ref_hi)
+        assert all(type(t) is Fraction for t in seen)
+
+    def test_width_at_least_the_bracket_makes_no_call(self):
+        p = poly(-2, 0, 1)
+        bracket = RootBracket(Fraction(1), Fraction(2), -1, 1)
+        assert bisect_root(lambda t: pytest.fail("no call expected"), bracket, Fraction(1)) == bracket
+
+
+def with_rational_roots(coeffs, roots):
+    """The polynomial of coeffs times (q t - p) for each root p/q."""
+    p = poly(*coeffs)
+    for root in roots:
+        p = p * poly(-root.numerator, root.denominator)
+    return p
+
+
+def exact_sign(p, t):
+    v = exact._eval_int_sign(exact._signed_primitive(p), t.numerator, t.denominator)
+    return (v > 0) - (v < 0)
+
+
+@st.composite
+def signed_polynomials(draw):
+    """Integer polynomials of degree 0..100 with coefficients up to 2**1100, times up to three factors q t - p."""
+    bits = draw(st.sampled_from([4, 30, 60, 200, 1000, 1100]))
+    degree = draw(st.integers(0, 100))
+    coeffs = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=degree + 1, max_size=degree + 1))
+    coeffs[-1] = coeffs[-1] or 1
+    roots = draw(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=2**20), max_size=3))
+    return with_rational_roots(coeffs, roots), roots
+
+
+@st.composite
+def points(draw, roots):
+    """A root, a point within 2**-60 of one, a negative point, a point with |t| < 1, 0, or any rational."""
+    kind = draw(st.sampled_from(["root", "near", "negative", "small", "zero", "any"]))
+    if roots and kind in ("root", "near"):
+        root = draw(st.sampled_from(roots))
+        if kind == "root":
+            return root
+        return root + Fraction(draw(st.integers(-(2**20), 2**20)), 2 ** draw(st.integers(60, 90)))
+    if kind == "negative":
+        return -draw(st.fractions(min_value=0, max_value=10**6, max_denominator=2**40))
+    if kind == "small":
+        return draw(st.fractions(min_value=-1, max_value=1, max_denominator=2**70))
+    if kind == "zero":
+        return Fraction(0)
+    return draw(st.fractions(max_denominator=2**64))
+
+
+class TestSignFilter:
+    """sign_function decides in doubles only what its proven bound allows, and integer Horner the rest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_filtered_sign_is_the_integer_sign(self, data):
+        p, roots = data.draw(signed_polynomials())
+        sign = sign_function(p)
+        for _ in range(4):
+            t = data.draw(points(roots))
+            assert sign(t) == exact_sign(p, t), t
+
+    def test_every_rational_root_reads_zero(self):
+        p = with_rational_roots([7, -3, 0, 1], [Fraction(3, 2), Fraction(-5, 7), Fraction(1000001, 999)])
+        sign = sign_function(p)
+        for root in (Fraction(3, 2), Fraction(-5, 7), Fraction(1000001, 999)):
+            assert sign(root) == 0
+
+    @staticmethod
+    def count_integer_signs(monkeypatch):
+        calls = []
+        horner = exact._eval_int_sign
+        monkeypatch.setattr(exact, "_eval_int_sign", lambda *args: calls.append(args) or horner(*args))
+        return calls
+
+    def test_doubles_decide_away_from_roots(self, monkeypatch):
+        p = with_rational_roots([1, 0, 1], [Fraction(3, 2), Fraction(-5, 7)])
+        sign = sign_function(p)
+        calls = self.count_integer_signs(monkeypatch)
+        assert [sign(Fraction(t)) for t in (-3, -1, 1, 2, 10**6, Fraction(-10**20, 3))] == [1, 1, -1, 1, 1, 1]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "t",
+        [Fraction(3, 2) + Fraction(1, 2**60), Fraction(1, 2), Fraction(0), Fraction(-1, 3), Fraction(10**400, 3)],
+        ids=("near-root", "below-one", "zero", "negative-below-one", "beyond-double"),
+    )
+    def test_integers_decide_what_the_doubles_cannot(self, monkeypatch, t):
+        p = with_rational_roots([1, 0, 1], [Fraction(3, 2)])
+        sign = sign_function(p)
+        calls = self.count_integer_signs(monkeypatch)
+        assert sign(t) == exact_sign(p, t)
+        assert len(calls) == 2  # the sign function's, then the test's own
+
+    def test_overflowing_coefficient_builds_no_filter(self, monkeypatch):
+        p = poly(2**1100 + 1, -3, 1)
+        sign = sign_function(p)
+        calls = self.count_integer_signs(monkeypatch)
+        assert sign(Fraction(5)) == 1
+        assert len(calls) == 1
+
+    def test_bound_overflow_falls_through(self, monkeypatch):
+        # Five coefficients near 2**1022.  At t = 9/8 the leading term stays
+        # below 2**1023, inside the reach, but the bound's sum overflows; at t = 7
+        # the filter is not tried.
+        p = poly(2**1022 + 1, *[2**1022] * 4)
+        sign = sign_function(p)
+        calls = self.count_integer_signs(monkeypatch)
+        assert sign(Fraction(9, 8)) == 1
+        assert sign(Fraction(7)) == 1
+        assert len(calls) == 2

@@ -56,6 +56,48 @@ class TestLocateTStar:
             numerator = excess.f_as_ratfun(d).numerator
             assert sturm_count(numerator, -1, 10**10) == 1
 
+    @pytest.mark.parametrize("d", [40, 60, 80])
+    def test_doubles_decide_every_bisection_step(self, monkeypatch, d):
+        horner, bisect, midpoints, integer_signs = exact._eval_int_sign, exact.bisect_root, [], []
+
+        def counted(*args):
+            integer_signs.append(args)
+            return horner(*args)
+
+        def bisection(value_at, bracket, width):
+            monkeypatch.setattr(exact, "_eval_int_sign", counted)
+            try:
+                return bisect(lambda t: midpoints.append(t) or value_at(t), bracket, width)
+            finally:
+                monkeypatch.setattr(exact, "_eval_int_sign", horner)
+
+        monkeypatch.setattr(optima, "bisect_root", bisection)
+        optima.locate_t_star(d, Fraction(1, 10**6))
+        assert len(midpoints) > 20
+        assert integer_signs == []
+
+    @pytest.mark.parametrize("d", [40, 60, 80, 200, 400])
+    def test_bracket_is_the_fraction_bisection_on_eval(self, d):
+        # Past d = 96 no filter is built and every sign is integer Horner.
+        width = Fraction(1, 10**6)
+        poly = excess.f_as_ratfun(d).numerator
+        window_lo, window_hi = optima.t_star_bounds(d)
+        window_lo = max(window_lo, Fraction(-1))
+
+        def halve(lo, hi, width):
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                value = poly.eval(mid)
+                assert value != 0
+                lo, hi = (mid, hi) if value > 0 else (lo, mid)
+            return lo, hi
+
+        lo, hi = halve(window_lo, window_hi, width)
+        while lo <= window_lo or hi >= window_hi:
+            lo, hi = halve(lo, hi, (hi - lo) / 4)
+        bracket = optima.locate_t_star(d, width)
+        assert (bracket.lower, bracket.upper, bracket.sign_at_lower, bracket.sign_at_upper) == (lo, hi, 1, -1)
+
 
 class TestQStar:
     def test_d3(self):
