@@ -247,8 +247,9 @@ class TestConstantsCommand:
         ids=("d200", "d400", "d40-tol1e-30"),
     )
     def test_t_star_bytes_pinned_where_integers_decide(self, capsys, argv, sha256):
-        # Past d = 96 sign_function builds no double filter, and at --tol 1e-30 the
-        # narrow midpoints leave most signs to integer Horner: both paths keep every byte.
+        # At d = 200 and 400 f's coefficients leave the double range, so sign_function
+        # builds no filter, and at --tol 1e-30 the narrow midpoints leave most signs to
+        # integer Horner: both paths keep every byte.
         assert main(["constants", *argv, "--which", "t-star"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 

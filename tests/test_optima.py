@@ -78,7 +78,7 @@ class TestLocateTStar:
 
     @pytest.mark.parametrize("d", [40, 60, 80, 200, 400])
     def test_bracket_is_the_fraction_bisection_on_eval(self, d):
-        # Past d = 96 no filter is built and every sign is integer Horner.
+        # At d = 200 and 400 no double filter is built and every sign is integer Horner.
         width = Fraction(1, 10**6)
         poly = excess.f_as_ratfun(d).numerator
         window_lo, window_hi = optima.t_star_bounds(d)
