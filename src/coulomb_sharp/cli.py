@@ -21,7 +21,7 @@ import reprlib
 import sys
 import tempfile
 from dataclasses import dataclass, fields
-from decimal import Context, Decimal
+from decimal import Context
 from fractions import Fraction
 from typing import Iterable, NoReturn, Sequence
 
@@ -50,12 +50,17 @@ _DECIMAL_CONTEXT = Context(prec=DECIMAL_SIGNIFICANT_DIGITS)
 def render_ratio(num: int, den: int) -> str:
     """num/den correctly rounded (half-even) to DECIMAL_SIGNIFICANT_DIGITS digits, fixed-point.
 
-    The quotient of two integer Decimals depends only on the value, so an
-    unreduced pair renders exactly as its reduced form does.
+    The context converts the two ints exactly, and the quotient depends only
+    on the value, so an unreduced pair renders exactly as its reduced form
+    does.  The quotient x has exponent > 0 only when it was rounded to 15
+    digits at adjusted() >= 15 (an exact quotient of ints keeps exponent
+    <= 0), so for -6 <= adjusted() <= 14 str(x) is already plain notation
+    and gives the bytes of format(x, "f"), the cheaper call of the two.
     """
     if num == 0:
         return "0"
-    return format(_DECIMAL_CONTEXT.divide(Decimal(num), Decimal(den)), "f")
+    x = _DECIMAL_CONTEXT.divide(num, den)
+    return str(x) if -6 <= x.adjusted() <= 14 else format(x, "f")
 
 
 def render_decimal(x: Fraction) -> str:
@@ -251,8 +256,12 @@ def grid_numerators(start: Fraction, stop: Fraction, step: Fraction) -> tuple[ra
 # -- figure datasets -----------------------------------------------------------
 #
 # Each builder walks its grid as integer numerators n over one denominator D,
-# takes every cell from an integer kernel as an unreduced pair and renders the
-# pair directly.  It returns its CSV header followed by one tuple of cells per row.
+# takes every cell from the integer kernel of its quantity (riesz_mean_order1_int,
+# d3_envelope_terms_int, q_int, r_int, f_int) as an unreduced pair and renders
+# the pair with render_ratio, one Context.divide per cell.  A cell that takes
+# few values along the grid (lt-d3's upper envelope) is rendered once per value,
+# through a cache that lives for one figure.  The builders compute no formula of
+# their own.  Each returns its CSV header followed by one tuple of cells per row.
 
 Rows = list[tuple[str, ...]]
 
@@ -263,11 +272,12 @@ def figure_lt_d3(step: Fraction) -> Rows:
         ("eta[Lambda=1]", "trace_excess[Lambda]", "lower_envelope[Lambda]", "upper_envelope[Lambda]")
     ]
     etas, den = grid_numerators(2 + step, Fraction(20), step)
+    render_upper = functools.cache(render_ratio)  # (2 ceil(eta/2) - 1)/24: a few values per grid
     for n, eta in zip(etas, render_grid_column(etas, den)):
         trace_num, trace_den = spectrum.riesz_mean_order1_int(3, n, den)
         (lead_num, lead_den), lower, upper = spectrum.d3_envelope_terms_int(n, den)
         middle = render_ratio(trace_num * lead_den - trace_den * lead_num, trace_den * lead_den)
-        rows.append((eta, middle, render_ratio(*lower), render_ratio(*upper)))
+        rows.append((eta, middle, render_ratio(*lower), render_upper(*upper)))
     return rows
 
 
@@ -290,8 +300,13 @@ def figure_f_plot(step: Fraction) -> Rows:
     rows: Rows = [("t[Lambda=1]", "f6[1/t]")]
     ts, den = grid_numerators(Fraction(-11, 2), Fraction(4), step)
     # |t - pn/pd| > 1/20 for every pole pn/pd, in integers: |20 (pd n - pn den)| > pd den.
-    poles = {(-root.numerator, root.denominator) for _, root in excess.f_terms(d)}
-    kept = [n for n in ts if all(abs(20 * (pd * n - pn * den)) > pd * den for pn, pd in poles)]
+    # Each pole cuts the grid numerators in [ceil((20 pn - pd) den / 20 pd), floor((20 pn + pd) den / 20 pd)].
+    cut: set[int] = set()
+    for root in {r for _, r in excess.f_terms(d)}:
+        pn, pd = -root.numerator, root.denominator
+        lo, hi = -((pd - 20 * pn) * den // (20 * pd)), (20 * pn + pd) * den // (20 * pd)
+        cut.update(range(ts.start - (ts.start - lo) // ts.step * ts.step, hi + 1, ts.step))
+    kept = [n for n in ts if n not in cut]
     rows += [(t, render_ratio(*excess.f_int(d, n, den))) for n, t in zip(kept, render_grid_column(kept, den))]
     return rows
 

@@ -26,10 +26,11 @@ root, the roots are distinct and every coefficient is nonzero, so the
 numerator is nonzero at every pole and the pair is already co-prime.  The
 numerator takes one product per distinct coefficient (f and g have two or
 three), not one per term.
-Evaluation at rational points is exact.  Odd-dimension irrationality is
-dodged systematically by squaring: A**2 and G**2 are rational functions, so
-every order comparison against a rational threshold is decided exactly on
-squares.
+Evaluation at rational points is exact; f, g~ and h_a sum their terms from
+a cached integer image of each term list (_int_terms).  Odd-dimension
+irrationality is dodged systematically by squaring: A**2 and G**2 are
+rational functions, so every order comparison against a rational threshold
+is decided exactly on squares.
 """
 
 from __future__ import annotations
@@ -101,24 +102,33 @@ def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
     return RationalFunctionPair(num * (1 / den.leading_coefficient), den.monic())
 
 
-def _eval_terms(terms: PartialFractionTerms, p: int, q: int) -> tuple[int, int]:
-    """Sum of c/(t + r) over the terms at t = p/q (q > 0), as one integer pair.
+@functools.lru_cache(maxsize=32)
+def _int_terms(build, *args) -> tuple[tuple[int, int, int, int], ...]:
+    """The terms build(*args) as integer 4-tuples (cn, cd, rn, rd): c = cn/cd, r = rn/rd.
 
-    With c = cn/cd and r = rn/rd each term is cn*q*rd / (cd*(p*rd + rn*q));
-    the terms are summed over their product denominator, with no gcd.
+    Cached, one image per (build, args), so a grid or a suite reads the
+    Fraction properties of each term list once.
+    """
+    return tuple((c.numerator, c.denominator, r.numerator, r.denominator) for c, r in build(*args))
+
+
+def _eval_terms(terms: Sequence[tuple[int, int, int, int]], p: int, q: int) -> tuple[int, int]:
+    """Sum of c/(t + r) over integer terms (cn, cd, rn, rd) at t = p/q (q > 0), as one integer pair.
+
+    Each term is cn*q*rd / (cd*(p*rd + rn*q)); the terms are summed over
+    their product denominator, with no gcd.
     """
     num, den = 0, 1
-    for c, r in terms:
-        rd = r.denominator
-        linear = p * rd + r.numerator * q
+    for cn, cd, rn, rd in terms:
+        linear = p * rd + rn * q
         if linear == 0:
             raise ValueError(f"pole at {Fraction(p, q)}")
-        term_den = c.denominator * linear
-        num, den = num * term_den + c.numerator * q * rd * den, den * term_den
+        term_den = cd * linear
+        num, den = num * term_den + cn * q * rd * den, den * term_den
     return num, den
 
 
-def _eval_at(terms: PartialFractionTerms, t: RationalLike) -> Fraction:
+def _eval_at(terms: Sequence[tuple[int, int, int, int]], t: RationalLike) -> Fraction:
     t = as_rational(t)
     return Fraction(*_eval_terms(terms, t.numerator, t.denominator))
 
@@ -172,9 +182,8 @@ def r_eval(d: int, eta: RationalLike) -> Fraction:
     return Fraction(*r_int(d, eta.numerator, eta.denominator))
 
 
-@functools.lru_cache(maxsize=8)
 def f_terms(d: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The (coefficient, root) pairs of f; cached, since every f_int call on a grid reads them."""
+    """The (coefficient, root) pairs of f."""
     if d < 3:
         raise ValueError("d must be >= 3")
     return (
@@ -186,7 +195,7 @@ def f_terms(d: int) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def f_int(d: int, p: int, q: int) -> tuple[int, int]:
     """Logarithmic derivative f of Q at t = p/q (q > 0) as an integer pair, away from its poles."""
-    return _eval_terms(f_terms(d), p, q)
+    return _eval_terms(_int_terms(f_terms, d), p, q)
 
 
 def f_eval(d: int, t: RationalLike) -> Fraction:
@@ -258,7 +267,7 @@ def g_shifted_terms(d: int) -> list[tuple[Fraction, Fraction]]:
 
 
 def g_shifted_eval(d: int, s: RationalLike) -> Fraction:
-    return _eval_at(g_shifted_terms(d), s)
+    return _eval_at(_int_terms(g_shifted_terms, d), s)
 
 
 def squeeze_coefficient(d: int) -> Fraction:
@@ -283,7 +292,7 @@ def h_a_terms(d: int, a: RationalLike) -> list[tuple[Fraction, Fraction]]:
 
 
 def h_a_eval(d: int, a: RationalLike, s: RationalLike) -> Fraction:
-    return _eval_at(h_a_terms(d, a), s)
+    return _eval_at(_int_terms(h_a_terms, d, as_rational(a)), s)
 
 
 def h_a_as_ratfun(d: int, a: RationalLike) -> RationalFunctionPair:

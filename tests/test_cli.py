@@ -809,6 +809,15 @@ class TestFigureCommand:
                     flips += 1
         assert flips == 4
 
+    @pytest.mark.parametrize("step", ["1/100", "1/20", "1/40", "3/40", "1/60", "1/7", "7/13", "2/3", "1/1000"])
+    def test_f_plot_keeps_exactly_the_points_off_the_poles(self, step):
+        # Grid points at distance exactly 1/20 from a pole (steps 1/20, 1/40, 1/60) are dropped.
+        step = Fraction(step)
+        poles = [Fraction(-6, 2), Fraction(-5, 2)] + [Fraction(-k) for k in range(1, 6)]
+        numerators, den = cli.grid_numerators(Fraction(-11, 2), Fraction(4), step)
+        kept = [n for n in numerators if all(abs(Fraction(n, den) - p) > Fraction(1, 20) for p in poles)]
+        assert [row[0] for row in cli.figure_f_plot(step)[1:]] == render_grid_column(kept, den)
+
     @pytest.mark.parametrize(
         "which, sha256",
         [

@@ -234,6 +234,82 @@ class TestDerivedTermLists:
             excess.h_a_terms(d, Fraction(1, 2))
 
 
+def written_f_terms(d):
+    """f = 1/(t + d/2) - d/(t + (d-1)/2) + sum_{k<d} 1/(t + k), its (coefficient, root) pairs written out."""
+    return [(Fraction(1), Fraction(d, 2)), (Fraction(-d), Fraction(d - 1, 2))] + [
+        (Fraction(1), Fraction(k)) for k in range(1, d)
+    ]
+
+
+def fraction_sum(terms, t):
+    return sum((c / (t + r) for c, r in terms), Fraction(0))
+
+
+class TestIntegerTermImages:
+    """f, g~ and h_a evaluate integer images (cn, cd, rn, rd) of their terms; a Fraction sum is the oracle."""
+
+    CASES = (
+        [(excess.f_terms, (d,), written_f_terms(d)) for d in range(3, 13)]
+        + [(excess.g_shifted_terms, (d,), written_g_shifted_terms(d)) for d in range(5, 16, 2)]
+        + [
+            (excess.h_a_terms, (d, a), written_h_a_terms(d, a))
+            for d in range(5, 16, 2)
+            for a in (Fraction(0), Fraction(2, 5), Fraction(1, 2), excess.squeeze_coefficient(d), Fraction(1))
+        ]
+    )
+
+    @staticmethod
+    def public(build, args, t):
+        """The package's own evaluator of the quantity whose terms build(*args) gives."""
+        if build is excess.f_terms:
+            return Fraction(*excess.f_int(*args, t.numerator, t.denominator))
+        if build is excess.g_shifted_terms:
+            return excess.g_shifted_eval(*args, t)
+        return excess.h_a_eval(*args, t)
+
+    def test_matches_fraction_sum_at_random_points(self):
+        rng = random.Random(4401)
+        for build, args, written in self.CASES:
+            image = excess._int_terms(build, *args)
+            poles = {-r for _, r in written}
+            for _ in range(25):
+                t = Fraction(rng.randint(-3000, 3000), rng.randint(1, 97))
+                if t in poles:
+                    continue
+                expected = fraction_sum(written, t)
+                k = rng.randint(1, 40)
+                assert Fraction(*excess._eval_terms(image, t.numerator * k, t.denominator * k)) == expected
+                assert self.public(build, args, t) == expected
+
+    def test_every_pole_raises(self):
+        for build, args, written in self.CASES:
+            image = excess._int_terms(build, *args)
+            for pole in {-r for _, r in written}:
+                with pytest.raises(ValueError, match="pole"):
+                    excess._eval_terms(image, pole.numerator * 3, pole.denominator * 3)
+                with pytest.raises(ValueError, match="pole"):
+                    self.public(build, args, pole)
+
+    def test_terms_are_built_once_per_argument(self, monkeypatch):
+        built = []
+        original = excess.g_shifted_terms
+
+        def counting(d):
+            built.append(d)
+            return original(d)
+
+        monkeypatch.setattr(excess, "g_shifted_terms", counting)
+        excess._int_terms.cache_clear()
+        try:
+            for n in range(1, 20):
+                excess.g_shifted_eval(9, Fraction(6 * n + 1, 6))
+                excess.h_a_eval(9, Fraction(1, 2), Fraction(6 * n + 1, 6))
+            # one image of g~ at d = 9, and one of h_{1/2} (built once, from g~'s terms)
+            assert built == [9, 9]
+        finally:
+            excess._int_terms.cache_clear()
+
+
 class TestHa:
     def test_leading_coefficient_d5(self):
         p = excess.h_a_as_ratfun(5, Fraction(1, 2)).numerator

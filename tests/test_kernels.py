@@ -269,6 +269,41 @@ class TestD3EnvelopeTerms:
             assert trace == lead + (upper if eta.numerator % 2 else lower)
 
 
+def decimal_exponent(v):
+    """The e with 10**e <= |v| < 10**(e+1), for a rational v != 0, in integers."""
+    v = abs(v)
+    e = len(str(v.numerator)) - len(str(v.denominator))
+    while Fraction(10) ** e > v:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= v:
+        e += 1
+    return e
+
+
+signs = st.sampled_from([1, -1])
+# m * 10**e with 1 <= m <= 10: quotients from 1e-40 to 1e41, far below 1e-6 and at or above 1e15 included
+scaled = st.builds(
+    lambda m, e, sign: sign * m * Fraction(10) ** e,
+    st.fractions(min_value=1, max_value=10, max_denominator=10**12),
+    st.integers(-40, 40),
+    signs,
+)
+# short exact quotients: finite decimals of few digits at any scale
+exact_short = st.builds(
+    lambda n, a, b: Fraction(n, 2**a * 5**b),
+    st.integers(-10**4, 10**4).filter(bool),
+    st.integers(0, 30),
+    st.integers(0, 30),
+)
+# 16-digit values ending in 5: ties at the 16th digit, a 15-digit run of nines carrying to the next power
+ties = st.builds(
+    lambda a, e, sign: (sign * (10 * a + 5), e),
+    st.one_of(st.just(10**15 - 1), st.just(10**14), st.integers(10**14, 10**15 - 1)),
+    st.integers(-30, 30),
+    signs,
+)
+
+
 class TestRenderRatio:
     @settings(max_examples=300, deadline=None)
     @given(st.fractions(max_denominator=10**12), st.integers(-10**6, 10**6).filter(bool))
@@ -276,3 +311,57 @@ class TestRenderRatio:
         # k < 0 gives a negative denominator, as a pole-side kernel pair can.
         assert cli.render_ratio(x.numerator * k, x.denominator * k) == reference_render(x)
         assert cli.render_decimal(x) == reference_render(x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(scaled, exact_short), st.integers(-10**3, 10**3).filter(bool))
+    def test_every_scale_renders_as_its_value(self, x, k):
+        text = cli.render_ratio(x.numerator * k, x.denominator * k)
+        assert text == reference_render(x)
+        assert "E" not in text and "e" not in text
+
+    @settings(max_examples=300, deadline=None)
+    @given(ties, st.integers(-50, 50).filter(bool))
+    def test_ties_round_half_even(self, tie, k):
+        num, e = tie
+        x = Fraction(num) * Fraction(10) ** e  # digits a, then a 5 in the 16th place
+        a, sign = abs(num) // 10, 1 if num > 0 else -1
+        text = cli.render_ratio(x.numerator * k, x.denominator * k)
+        assert text == reference_render(x)
+        assert Fraction(text) == sign * (a + a % 2) * Fraction(10) ** (e + 1)
+
+    @pytest.mark.parametrize(
+        "num, den, text",
+        [
+            (1, 4, "0.25"),
+            (1000, 1, "1000"),
+            (-3, -4, "0.75"),
+            (3, -4, "-0.75"),
+            (1, 10**6, "0.000001"),
+            (1, 10**7, "0.0000001"),
+            (1, 3 * 10**6, "0.000000333333333333333"),
+            (123456789012345, 1, "123456789012345"),
+            (10**15, 1, "1000000000000000"),
+            (1234567890123456, 1, "1234567890123460"),
+            (2 * 10**15 - 1, 2, "1000000000000000"),
+            (2 * 10**14 - 1, 2, "99999999999999.5"),
+            (20 * 10**14 - 1, 20, "100000000000000"),
+            (-(10**20) - 1, 1, "-100000000000000000000"),
+        ],
+    )
+    def test_written_values(self, num, den, text):
+        assert cli.render_ratio(num, den) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(scaled, exact_short, ties.map(lambda tie: tie[0] * Fraction(10) ** tie[1])))
+    def test_format_fallback_only_outside_the_plain_range(self, x):
+        calls = []
+
+        def spy(value, spec):
+            calls.append(value)
+            return format(value, spec)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "format", spy, raising=False)
+            text = cli.render_ratio(x.numerator, x.denominator)
+        # The exponent of the rounded 15-digit value, read from the text, not from Decimal.
+        assert bool(calls) == (not -6 <= decimal_exponent(Fraction(text)) <= 14)
