@@ -1,5 +1,6 @@
 """Named analysis functions: Pochhammer products, Q, R, A, f, g, h_a, G."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -248,28 +249,23 @@ def fraction_sum(terms, t):
 class TestIntegerTermImages:
     """f, g~ and h_a evaluate integer images (cn, cd, rn, rd) of their terms; a Fraction sum is the oracle."""
 
+    # (term builder, its arguments, the written-out terms, the package's evaluator of the quantity)
     CASES = (
-        [(excess.f_terms, (d,), written_f_terms(d)) for d in range(3, 13)]
-        + [(excess.g_shifted_terms, (d,), written_g_shifted_terms(d)) for d in range(5, 16, 2)]
+        [(excess.f_terms, (d,), written_f_terms(d), functools.partial(excess.f_eval, d)) for d in range(3, 13)]
         + [
-            (excess.h_a_terms, (d, a), written_h_a_terms(d, a))
+            (excess.g_shifted_terms, (d,), written_g_shifted_terms(d), functools.partial(excess.g_shifted_eval, d))
+            for d in range(5, 16, 2)
+        ]
+        + [
+            (excess.h_a_terms, (d, a), written_h_a_terms(d, a), functools.partial(excess.h_a_eval, d, a))
             for d in range(5, 16, 2)
             for a in (Fraction(0), Fraction(2, 5), Fraction(1, 2), excess.squeeze_coefficient(d), Fraction(1))
         ]
     )
 
-    @staticmethod
-    def public(build, args, t):
-        """The package's own evaluator of the quantity whose terms build(*args) gives."""
-        if build is excess.f_terms:
-            return Fraction(*excess.f_int(*args, t.numerator, t.denominator))
-        if build is excess.g_shifted_terms:
-            return excess.g_shifted_eval(*args, t)
-        return excess.h_a_eval(*args, t)
-
     def test_matches_fraction_sum_at_random_points(self):
         rng = random.Random(4401)
-        for build, args, written in self.CASES:
+        for build, args, written, evaluate in self.CASES:
             image = excess._int_terms(build, *args)
             poles = {-r for _, r in written}
             for _ in range(25):
@@ -279,16 +275,16 @@ class TestIntegerTermImages:
                 expected = fraction_sum(written, t)
                 k = rng.randint(1, 40)
                 assert Fraction(*excess._eval_terms(image, t.numerator * k, t.denominator * k)) == expected
-                assert self.public(build, args, t) == expected
+                assert evaluate(t) == expected
 
     def test_every_pole_raises(self):
-        for build, args, written in self.CASES:
+        for build, args, written, evaluate in self.CASES:
             image = excess._int_terms(build, *args)
             for pole in {-r for _, r in written}:
                 with pytest.raises(ValueError, match="pole"):
                     excess._eval_terms(image, pole.numerator * 3, pole.denominator * 3)
                 with pytest.raises(ValueError, match="pole"):
-                    self.public(build, args, pole)
+                    evaluate(pole)
 
     def test_terms_are_built_once_per_argument(self, monkeypatch):
         built = []
