@@ -441,16 +441,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for suite in suites:
         records.extend(verification.run_suite(suite, d_range=d_range))
     if config.d_values:
-        # The config's (d, eta) rectangle, d outer: order 1 runs the improved order-1 bound.
         numerators, den = grid_numerators(*config.eta_grid)
         etas = [Fraction(n, den) for n in numerators]
-        gamma = config.gamma or Fraction(1)
-        for d in config.d_values:
-            for eta in etas:
-                if gamma == 1:
-                    records.append(verification.check_lt_gamma1(d, eta))
-                else:
-                    records.append(verification.check_lt_general_gamma(d, eta, gamma))
+        records += verification.check_lt_sweep(config.d_values, etas, config.gamma or Fraction(1))
     if not records:
         print(f"no checks ran for suites {', '.join(suites)}; no report written", file=sys.stderr)
         return 1

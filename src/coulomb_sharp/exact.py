@@ -99,8 +99,11 @@ def iroot(n: int, q: int) -> int:
     A Newton step y = ((q-1)x + n // x**(q-1)) // q from any x > 0 lands at
     or above the floor (arithmetic-geometric mean inequality), and from above
     it drops by at least one, so the steps stop exactly at the floor whatever
-    the start.  A float root seeds the leading 53 bits; steps on ever more of
-    n's top bits double them, so one step on n usually lands on the floor.
+    the start.  The widths halve from the root's, w -> w // 2 + g with guard
+    g = q.bit_length() + 3, to the first at most 53 bits, and a float root seeds
+    that one: 27 + g to 53 bits, or the whole root when it is no wider.  Steps
+    on ever more of n's top bits double the width back, so one step on n
+    usually lands on the floor.
     """
     if n < 0 or q < 1:
         raise ValueError("iroot needs n >= 0 and q >= 1")

@@ -14,17 +14,23 @@ orders 0 and 1 are exact integers or rationals; ell is one integer floor
 division on the numerator and denominator of eta, so the discontinuities in
 eta are bit-exact.  Every other order is an integer enclosure (``riesz_mean_int``):
 q-th roots up to the order denominator ``highprec.MAX_ROOT_DEGREE``, ``log_int``
-and ``exp_int`` above it.  ``riesz_mean`` returns the lower end as a plain mpf.
+and ``exp_int`` above it.  ``riesz_means_int`` encloses several dimensions at
+one eta: a root term floor(x_m**gamma 2**k), x_m = eta**2/m**2 - 1, depends on
+d only through k, so the dimensions of one parity share one row of roots at
+their largest k, K, and each reads its own as row >> (K - k), exact since
+floor(2**K y) >> s = floor(2**(K-s) y) for y >= 0.  ``riesz_mean`` returns the
+lower end as a plain mpf.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .exact import RationalLike, as_rational, iroot
 from .highprec import (
@@ -136,19 +142,30 @@ def riesz_mean(d: int, eta: RationalLike, gamma: RationalLike) -> Fraction | mpm
 
 
 def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:
-    """Order-gamma Riesz mean at eta = n/den (den > 0) as an enclosure (lo, hi, k).
+    """Order-gamma Riesz mean at eta = n/den (den > 0) as an enclosure (lo, hi, k): ``riesz_means_int`` at one d."""
+    return riesz_means_int((d,), n, den, gamma, bits)[0]
 
-    The mean lies in [lo, hi] / 2**k, and hi - lo is below 2**-bits of it.
+
+def riesz_means_int(ds: Sequence[int], n: int, den: int, gamma: Fraction, bits: int) -> list[tuple[int, int, int]]:
+    """Order-gamma Riesz means at eta = n/den (den > 0) for each d of ``ds``, as enclosures (lo, hi, k).
+
+    Each mean lies in [lo, hi] / 2**k, and hi - lo is below 2**-bits of it.
     With gamma = p/q, m = 2j+d-1 and x = a/b = (n^2 - den^2 m^2) / (den^2 m^2),
     the mean is the sum of mu_j x**gamma.  The j = 0 term exceeds 2**low, so
     k = max(0, bits + count.bit_length() - low) for the eigenvalue count puts
     2**count.bit_length() units of 2**-k below 2**-bits of the mean.
     Each term x**gamma 2**k is enclosed by one of two kernels:
 
-    - q <= MAX_ROOT_DEGREE: integer q-th roots.  The term lies in [t, t+1)
-      for t = ``iroot``(a^p 2^(qk) // b^p, q), with mu_j, m^2 and m^(2p)
-      cached; the multiplicities weight both ends, so hi - lo is the count.
-    - larger q: x**gamma 2**k = e**Y, Y = gamma ln x + k ln 2, from ``log_int`` and
+    - q <= MAX_ROOT_DEGREE: integer q-th roots, shared across dimensions.  x
+      depends on (eta, m) only, and the levels of d + 2 are those of d less
+      m = d - 1, so the dimensions of one parity read one root row
+      r_m = ``iroot``(a^p 2^(qK) // b^p, q) = floor(x**gamma 2**K), m from the
+      class's least d - 1 up to the top level, K the class's largest k.  Each
+      d sums mu_j (r_m >> (K - k)): floor(2**K y) >> s = floor(2**(K-s) y) for
+      y >= 0, so every term is floor(x**gamma 2**k), as a root at k alone gives.
+      The term lies in [t, t+1); the multiplicities weight both ends, so
+      hi - lo is the count.
+    - larger q, per d: x**gamma 2**k = e**Y, Y = gamma ln x + k ln 2, from ``log_int`` and
       ``exp_int`` at w bits and one ``ln2_int``; the multiplicities weight both ends
       of 2**w e**Y, and the sums are rounded outward once.  As 1/n^2 < x < n^2 < 2**B,
       B = (n^2).bit_length(), ``log_int``'s |e| < B and ``exp_int``'s |m| <= gamma B + k + 2,
@@ -161,35 +178,58 @@ def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tupl
 
     An empty spectrum gives [0, 0].
     """
-    ell = top_level(d, n, den)
-    if ell < 0:
-        return 0, 0, bits
     p, q = gamma.numerator, gamma.denominator
     n2, den2 = n * n, den * den
-    count = level_count(d, ell)
-    b0 = den2 * (d - 1) ** 2
-    low = p * ((n2 - b0).bit_length() - 1 - b0.bit_length()) // q
-    k = max(0, bits + count.bit_length() - low)
-    if q > MAX_ROOT_DEGREE:
+    means: dict[int, tuple[int, int, int]] = {}
+    rows: dict[int, list[tuple[int, tuple[int, ...], int, int]]] = {}  # parity -> (d, mus, count, k)
+    for d in ds:
+        ell = top_level(d, n, den)
+        if ell < 0:
+            means[d] = 0, 0, bits
+            continue
+        mus, count = _weights(d, ell)
+        b0 = den2 * (d - 1) ** 2
+        low = p * ((n2 - b0).bit_length() - 1 - b0.bit_length()) // q
+        k = max(0, bits + count.bit_length() - low)
+        if q <= MAX_ROOT_DEGREE:
+            rows.setdefault(d % 2, []).append((d, mus, count, k))
+            continue
         spread = 3 * -(-(p + q) // q) * (n2.bit_length() + 3) + 2 * k + 4
         w = bits + 2 * (72 * spread * bits).bit_length()
         ln2, lo, hi = ln2_int(w), 0, 0
-        for j, m in enumerate(range(d - 1, d + 2 * ell, 2)):
-            b, mu = den2 * m * m, multiplicity(d, j)
+        for mu, m in zip(mus, range(d - 1, d + 2 * ell, 2)):
+            b = den2 * m * m
             log_lo, log_hi = log_int(n2 - b, b, w, ln2)
             t_lo, t_hi = exp_int(p * log_lo // q + k * ln2[0], -(-p * log_hi // q) + k * ln2[1], w, ln2)
             lo, hi = lo + mu * t_lo, hi + mu * t_hi
-        return lo >> w, -(-hi >> w), k
-    shift, den2p = q * k, den2**p  # b_j = den2 m_j^2, so b_j^p = den2p m_j^(2p)
-    terms = _root_terms(d, ell, p)
-    lo = sum(mu * iroot(((n2 - den2 * m2) ** p << shift) // (den2p * m2p), q) for mu, m2, m2p in terms)
-    return lo, lo + count, k
+        means[d] = lo >> w, -(-hi >> w), k
+    den2p = den2**p if rows else 1  # b^p = den2p m^(2p)
+    for members in rows.values():
+        first = min(d for d, *_ in members) - 1
+        top_k = max(k for *_, k in members)
+        shift = q * top_k
+        d, mus = members[0][:2]
+        last = d + 2 * len(mus) - 3  # every member's top level: the largest m < eta of this parity
+        row = [
+            iroot(((n2 - den2 * m * m) ** p << shift) // (den2p * m ** (2 * p)), q) for m in range(first, last + 1, 2)
+        ]
+        for d, mus, count, k in members:
+            s, start = top_k - k, (d - 1 - first) // 2
+            lo = sum(map(operator.mul, mus, row[start:] if s == 0 else [r >> s for r in row[start:]]))
+            means[d] = lo, lo + count, k
+    return [means[d] for d in ds]
 
 
-@functools.lru_cache(maxsize=4)
-def _root_terms(d: int, ell: int, p: int) -> tuple[tuple[int, int, int], ...]:
-    """(mu_j, m_j^2, m_j^(2p)) for the levels 0..ell, m_j = 2j+d-1; cached like level_count, whatever den is."""
-    return tuple((multiplicity(d, j), m * m, m ** (2 * p)) for j, m in enumerate(range(d - 1, d + 2 * ell, 2)))
+@functools.lru_cache(maxsize=64)
+def _weights(d: int, ell: int) -> tuple[tuple[int, ...], int]:
+    """(mu_0, ..., mu_ell) at d and their sum, the eigenvalue count.
+
+    Cached per (d, ell): along a sweep ell changes only every 2/step points of
+    eta, so whichever loop is outer, a sweep over up to 64 dimensions finds
+    one live entry per dimension.
+    """
+    mus = tuple(multiplicity(d, j) for j in range(ell + 1))
+    return mus, sum(mus)
 
 
 @functools.lru_cache(maxsize=16)

@@ -9,6 +9,11 @@ The precision starts at DEFAULT_PRECISION digits and doubles while the
 enclosures overlap, up to MAX_PRECISION; the witnesses are 25-digit strings
 of the lower ends at the deciding precision, and a comparison still
 undecided at the cap is 'inconclusive' (the CLI treats it as failure).
+A config sweep (``check_lt_sweep``) takes its first rung one eta at a time
+for all dimensions, so they share ``spectrum.riesz_means_int``'s root rows
+(floor(2**K y) >> s = floor(2**(K-s) y) keeps every enclosure's bytes), and
+writes its records d outer; a point left undecided there climbs the same
+ladder in ``check_lt_general_gamma``.
 
 Every param and witness value is stored as text.  A report line
 (``CheckRecord.to_json``) is written by hand, without ``json.dumps``, in the
@@ -225,7 +230,9 @@ def check_appendix_sums(d: int) -> CheckRecord:
     )
 
 
-def check_lt_general_gamma(d: int, eta: RationalLike, gamma: RationalLike) -> CheckRecord:
+def check_lt_general_gamma(
+    d: int, eta: RationalLike, gamma: RationalLike, first_lhs: tuple[int, int, int] | None = None
+) -> CheckRecord:
     """Strict order-gamma inequality for gamma in [1, d/2).
 
     At every order, integers included, the sides are the enclosures of
@@ -233,7 +240,9 @@ def check_lt_general_gamma(d: int, eta: RationalLike, gamma: RationalLike) -> Ch
     lhs.hi < rhs.lo, 'fail' rhs.hi < lhs.lo.  While they overlap the digit
     count doubles from DEFAULT_PRECISION, up to MAX_PRECISION, where overlap
     is 'inconclusive'.  Both witnesses are 25-digit strings of the lower ends
-    at ``used_precision``, the digit count that decided.
+    at ``used_precision``, the digit count that decided.  ``first_lhs`` is the
+    left-hand side at DEFAULT_PRECISION when the caller already holds it (a
+    sweep's batch); every later rung computes its own.
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
     if gamma >= Fraction(d, 2):
@@ -244,14 +253,16 @@ def check_lt_general_gamma(d: int, eta: RationalLike, gamma: RationalLike) -> Ch
     params = {"d": d, "eta": eta, "gamma": gamma, "precision": DEFAULT_PRECISION}
     n, den = eta.numerator, eta.denominator
     precision = DEFAULT_PRECISION
+    lhs_int = first_lhs
     while True:
         bits = enclosure_bits(precision)
-        lhs_int = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+        if lhs_int is None:
+            lhs_int = spectrum.riesz_mean_int(d, n, den, gamma, bits)
         rhs_int = phase_space.lt_rhs_int(d, n, den, gamma, bits)
         less = dyadic_less(lhs_int, rhs_int)
         if less is not None or precision == MAX_PRECISION:
             break
-        precision = min(2 * precision, MAX_PRECISION)
+        precision, lhs_int = min(2 * precision, MAX_PRECISION), None
     note = "exact right-hand side" if (2 * gamma).denominator == 1 else ""
     return _record(
         "lt-general-gamma",
@@ -264,6 +275,26 @@ def check_lt_general_gamma(d: int, eta: RationalLike, gamma: RationalLike) -> Ch
         },
         note,
     )
+
+
+def check_lt_sweep(d_values: Sequence[int], etas: Sequence[Fraction], gamma: Fraction) -> list[CheckRecord]:
+    """The order-gamma bound on the rectangle d_values x etas, records d outer in the given orders.
+
+    Order 1 runs ``check_lt_gamma1`` at each point.  Every other order takes
+    the first rung's left-hand sides one eta at a time for all of d_values,
+    from ``spectrum.riesz_means_int``'s shared root rows, and hands each to
+    ``check_lt_general_gamma``, whose ladder climbs from there where the
+    first rung leaves a point undecided.
+    """
+    if gamma == 1:
+        return [check_lt_gamma1(d, eta) for d in d_values for eta in etas]
+    bits = enclosure_bits(DEFAULT_PRECISION)
+    columns = [spectrum.riesz_means_int(d_values, eta.numerator, eta.denominator, gamma, bits) for eta in etas]
+    return [
+        check_lt_general_gamma(d, eta, gamma, column[i])
+        for i, d in enumerate(d_values)
+        for eta, column in zip(etas, columns)
+    ]
 
 
 # -- coefficient identities -----------------------------------------------------

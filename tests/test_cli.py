@@ -372,31 +372,59 @@ class TestVerifyCommand:
         assert sum(record["params"].get("d") == "40" for record in records) == 6
 
     @pytest.mark.parametrize(
-        "gamma, d_values, stop, step, records, sha256",
+        "gamma, d_values, start, stop, step, records, sha256",
         [
-            ("7/3", [5, 6], "14", "1/8", 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
+            ("7/3", [5, 6], "12", "14", "1/8", 43, "577f4957c5af5ada4cf681bce99611ed826a34a5f1a1ce827c0da6b5c0dc85e5"),
             (
                 "7/3",
                 list(range(5, 11)),
+                "12",
                 "60",
                 "1/2",
                 591,
                 "1ae5ffe2c77affac8c5e76adaf277552ba85400866e14de4916f261c34b146c5",
             ),
-            ("233/100", [5, 8], "25/2", "1/8", 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
-            ("1", [3, 4, 9, 20], "20", "1/8", 269, "9020bbdb8762de59414bd480545909d5a292204be434a9bf3068851d5885673e"),
+            (
+                "7/3",
+                list(range(5, 11)),
+                "12",
+                "60",
+                "1/8",
+                2319,
+                "e0133a5a271158a3112c933971202b2fc45590376ca111d8b008acbb723a17ee",
+            ),
+            (
+                "7/3",
+                list(range(5, 11)),
+                "163/13",
+                "787/13",
+                "1/8",
+                2319,
+                "47b109ebbe2636a395357772ad9e31e8c510a7adb87a33781866e15b23ee8ead",
+            ),
+            ("233/100", [5, 8], "12", "25/2", "1/8", 19, "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"),
+            ("1", [3, 4, 9, 20], "12", "20", "1/8", 269, "9020bbdb8762de59414bd480545909d5a292204be434a9bf3068851d5885673e"),
         ],
-        ids=("order-7/3", "order-7/3-sweep-shape", "order-233/100", "order-1"),
+        ids=(
+            "order-7/3",
+            "order-7/3-sweep-shape",
+            "order-7/3-benchmark-grid",
+            "order-7/3-benchmark-grid-from-12+7/13",
+            "order-233/100",
+            "order-1",
+        ),
     )
-    def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, stop, step, records, sha256):
+    def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, start, stop, step, records, sha256):
         # Order 7/3 encloses the Riesz mean by integer roots, order 233/100 by
         # integer log and exp; order 1 runs check_lt_gamma1 on integer pairs (d = 3
         # skipped, d = 20 with empty spectra and a right-hand side clamped to
         # 0).  The second order-7/3 sweep has the lt-sweep-gamma benchmark's
-        # shape (d = 5..10, eta = 12..60) at a coarser step.  Every report must
+        # shape (d = 5..10, eta = 12..60) at a coarser step; the next two are
+        # the benchmark's own grids (step 1/8, 385 values of eta from 12 and
+        # from 12 + 7/13), whose dimensions share root rows.  Every report must
         # keep every verdict and witness byte.
         config = tmp_path / "sweep.json"
-        grid = {"start": "12", "stop": stop, "step": step}
+        grid = {"start": start, "stop": stop, "step": step}
         config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
         out = tmp_path / "report.jsonl"
         argv = ["verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out)]

@@ -163,6 +163,68 @@ class TestRieszEnclosure:
         assert (lo, hi) == (0, 0)
 
 
+def _per_d_roots(d, n, den, gamma, bits):
+    """One dimension's root enclosure, each root at its own k: the loop before the rows were shared."""
+    ell = spectrum.top_level(d, n, den)
+    if ell < 0:
+        return 0, 0, bits
+    p, q = gamma.numerator, gamma.denominator
+    n2, den2 = n * n, den * den
+    count = spectrum.level_count(d, ell)
+    b0 = den2 * (d - 1) ** 2
+    low = p * ((n2 - b0).bit_length() - 1 - b0.bit_length()) // q
+    k = max(0, bits + count.bit_length() - low)
+    lo = 0
+    for j in range(ell + 1):
+        m = 2 * j + d - 1
+        lo += spectrum.multiplicity(d, j) * iroot(((n2 - den2 * m * m) ** p << (q * k)) // (den2**p * m ** (2 * p)), q)
+    return lo, lo + count, k
+
+
+@st.composite
+def _batches(draw):
+    """Dimensions 3..40 in any order, repeats allowed, and an order p/q below min(d)/2 with q <= 32."""
+    ds = draw(st.lists(st.integers(3, 40), min_size=1, max_size=8))
+    q = draw(degrees)
+    p = draw(st.integers(1, (q * min(ds) - 1) // 2))
+    return ds, Fraction(p, q)
+
+
+class TestSharedRootRows:
+    @settings(max_examples=200, deadline=None)
+    # Both parities, unsorted, with eta above d - 1 for some d only (d = 40 has no level at 30).
+    @example(([40, 5, 12, 7, 6], Fraction(7, 3)), Fraction(30), enclosure_bits(30))
+    @example(([9, 3, 4], Fraction(1)), Fraction(2999, 1000), enclosure_bits(60))
+    @given(
+        _batches(),
+        st.fractions(min_value=Fraction(1, 10), max_value=70, max_denominator=1000),
+        st.sampled_from([enclosure_bits(DEFAULT_PRECISION), enclosure_bits(2 * DEFAULT_PRECISION)]),
+    )
+    def test_batch_is_the_per_d_root_loop(self, batch, eta, bits):
+        # Each d reads the shared row at K shifted down to its own k: every
+        # enclosure must be the one its own roots at k give.
+        ds, gamma = batch
+        n, den = eta.numerator, eta.denominator
+        expected = [_per_d_roots(d, n, den, gamma, bits) for d in ds]
+        assert spectrum.riesz_means_int(ds, n, den, gamma, bits) == expected
+        assert [spectrum.riesz_mean_int(d, n, den, gamma, bits) for d in ds] == expected
+
+    def test_one_root_per_distinct_level(self, monkeypatch):
+        # d = 5, 7, 9 at eta = 20 share m = 4, 6, ..., 18: eight roots, where
+        # one row per dimension takes 8 + 7 + 6.
+        roots = []
+
+        def counting(n, q):
+            roots.append((n, q))
+            return iroot(n, q)
+
+        monkeypatch.setattr(spectrum, "iroot", counting)
+        means = spectrum.riesz_means_int([5, 7, 9], 20, 1, Fraction(7, 3), enclosure_bits(DEFAULT_PRECISION))
+        assert len(roots) == len(set(roots)) == len(range(4, 20, 2)) == 8
+        monkeypatch.setattr(spectrum, "iroot", iroot)
+        assert means == [_per_d_roots(d, 20, 1, Fraction(7, 3), enclosure_bits(DEFAULT_PRECISION)) for d in (5, 7, 9)]
+
+
 def _mp(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 

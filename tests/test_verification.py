@@ -261,6 +261,25 @@ class TestGeneralGamma:
         # Log-and-exp kernel for the Riesz mean (denominator above MAX_ROOT_DEGREE).
         self._assert_tie_is_inconclusive(monkeypatch, Fraction(233, 100), precision)
 
+    @pytest.mark.parametrize("gamma", [Fraction(7, 3), Fraction(233, 100)], ids=("7/3", "233/100"))
+    def test_sweep_records_are_the_per_point_records(self, monkeypatch, gamma):
+        # Even d: a right-hand side 2**-300 of the value above the left-hand
+        # side, which the first rung cannot tell apart and 120 digits can;
+        # odd d: one unit above, decided at the first rung.  The sweep's
+        # batched first rung must give every point the record the ladder
+        # alone gives it.
+        def rhs(d, n, den, gamma, bits):
+            lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            gap = lo >> 300 if d % 2 == 0 else hi - lo + 1
+            return lo + gap, hi + gap, k
+
+        monkeypatch.setattr(phase_space, "lt_rhs_int", rhs)
+        d_values, etas = [8, 5, 6], [Fraction(12), Fraction(97, 8)]
+        records = V.check_lt_sweep(d_values, etas, gamma)
+        assert records == [V.check_lt_general_gamma(d, eta, gamma) for d in d_values for eta in etas]
+        assert [r.witness["used_precision"] for r in records] == ["120", "120", "30", "30", "120", "120"]
+        assert {r.verdict for r in records} == {"pass"}
+
     def test_enclosures_disjoint_by_less_than_the_margin_decide(self, monkeypatch):
         # A right-hand side one part in 10**45 above the left-hand side passes
         # at 30 digits, where a margin of ten units in the last digit would
