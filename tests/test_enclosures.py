@@ -7,7 +7,8 @@ return (lo, hi, k) with the value in [lo, hi] / 2**k, and highprec.ln2_int,
 log_int and exp_int return (lo, hi) at scale 2**w.  Each enclosure is
 checked against an independent mpmath evaluation at twice the digits its
 width resolves, and its width against the bound its docstring promises; the
-root sum is also checked bit for bit against sympy's integer roots.  The
+root sum is also checked bit for bit against sympy's integer roots, and
+spectrum.riesz_means_int's shared root rows against a per-d root loop.  The
 witness strings of those enclosures, highprec.witness_digits, are checked
 byte for byte against mpmath.nstr of highprec.dyadic_real on random lower ends.
 """
@@ -208,21 +209,6 @@ class TestSharedRootRows:
         expected = [_per_d_roots(d, n, den, gamma, bits) for d in ds]
         assert spectrum.riesz_means_int(ds, n, den, gamma, bits) == expected
         assert [spectrum.riesz_mean_int(d, n, den, gamma, bits) for d in ds] == expected
-
-    def test_one_root_per_distinct_level(self, monkeypatch):
-        # d = 5, 7, 9 at eta = 20 share m = 4, 6, ..., 18: eight roots, where
-        # one row per dimension takes 8 + 7 + 6.
-        roots = []
-
-        def counting(n, q):
-            roots.append((n, q))
-            return iroot(n, q)
-
-        monkeypatch.setattr(spectrum, "iroot", counting)
-        means = spectrum.riesz_means_int([5, 7, 9], 20, 1, Fraction(7, 3), enclosure_bits(DEFAULT_PRECISION))
-        assert len(roots) == len(set(roots)) == len(range(4, 20, 2)) == 8
-        monkeypatch.setattr(spectrum, "iroot", iroot)
-        assert means == [_per_d_roots(d, 20, 1, Fraction(7, 3), enclosure_bits(DEFAULT_PRECISION)) for d in (5, 7, 9)]
 
 
 def _mp(x: Fraction):

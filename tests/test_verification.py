@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coulomb_sharp import excess, optima, phase_space, spectrum
 from coulomb_sharp import verification as V
-from coulomb_sharp.exact import Polynomial, RationalFunctionPair
+from coulomb_sharp.exact import Polynomial, RationalFunctionPair, iroot
 from coulomb_sharp.highprec import MAX_PRECISION, enclosure_bits
 
 
@@ -279,6 +279,21 @@ class TestGeneralGamma:
         assert records == [V.check_lt_general_gamma(d, eta, gamma) for d in d_values for eta in etas]
         assert [r.witness["used_precision"] for r in records] == ["120", "120", "30", "30", "120", "120"]
         assert {r.verdict for r in records} == {"pass"}
+
+    def test_sweep_takes_one_root_per_distinct_level(self, monkeypatch):
+        # d = 5, 7, 9 at eta = 20 share m = 4, 6, ..., 18: eight roots, where
+        # one row per dimension takes 8 + 7 + 6 and a first rung taken again
+        # per point 8 more.
+        roots = []
+
+        def counting(n, q):
+            roots.append((n, q))
+            return iroot(n, q)
+
+        monkeypatch.setattr(spectrum, "iroot", counting)
+        records = V.check_lt_sweep([5, 7, 9], [Fraction(20)], Fraction(7, 3))
+        assert len(roots) == len(set(roots)) == len(range(4, 20, 2)) == 8
+        assert [(r.verdict, r.witness["used_precision"]) for r in records] == [("pass", "30")] * 3
 
     def test_enclosures_disjoint_by_less_than_the_margin_decide(self, monkeypatch):
         # A right-hand side one part in 10**45 above the left-hand side passes
