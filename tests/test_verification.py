@@ -282,8 +282,8 @@ class TestGeneralGamma:
 
     def test_sweep_takes_one_root_per_distinct_level(self, monkeypatch):
         # d = 5, 7, 9 at eta = 20 share m = 4, 6, ..., 18: eight roots, where
-        # one row per dimension takes 8 + 7 + 6 and a first rung taken again
-        # per point 8 more.
+        # one row per dimension takes 8 + 7 + 6, as would a first rung taken
+        # again per point on top of the batch.
         roots = []
 
         def counting(n, q):
