@@ -8,18 +8,19 @@ polynomial is held as a primitive integer polynomial times one rational
 content, and all its arithmetic runs on the integers; on top of it sit
 co-prime rational-function pairs, root counting and bisection with certified
 brackets.  A product of linear factors is expanded in one place, in
-integers: _linear_product, the product of the primitive factors q*t + p.
+integers: linear_product, the product of the primitive factors q*t + p.
 
 The root work reads the stored primitive integer polynomials.  Descartes'
 rule of signs counts roots on a half-line (p(x + lo)) or an interval (the
 Moebius transform (1+x)**n p((lo+hi*x)/(1+x))), halving any part whose count
-exceeds 1; optima._zero_window certifies a zero with one half-line count and
-two end signs.  A polynomial's sign at a rational point is first tried in
-doubles against a proven Horner error bound (sign_function) and otherwise
-taken by integer Horner; bisect_root halves a bracket on integer numerators
-over one doubling denominator.  isolate_unique_root and sturm_count (a Sturm
-chain on the integer remainders of Polynomial.divmod) have no caller in the
-package: they are test oracles that the benchmark tracer still wraps.  Partial-fraction sums
+exceeds 1.  certify_one_zero is the one zero certificate: a half-line count of
+1 beyond an outer end and the signs (+, -) at the two window ends.  A
+polynomial's sign at a rational point is first tried in doubles against a
+proven Horner error bound (sign_function) and otherwise taken by integer
+Horner; bisect_root halves a bracket on integer numerators over one doubling
+denominator.  isolate_unique_root and sturm_count (a Sturm chain on the
+integer remainders of Polynomial.divmod) have no caller in the package: they
+are test oracles that the benchmark tracer still wraps.  Partial-fraction sums
 (excess.partial_fraction_sum) reach co-prime form without a gcd: once terms
 sharing a root are merged, each distinct pole keeps a nonzero coefficient, so
 the numerator cannot vanish there.
@@ -303,10 +304,10 @@ def expand_linear_factors(roots: Sequence[RationalLike]) -> Polynomial:
     """Expand the product of (t + r) over the given roots, exactly."""
     if not roots:
         raise ValueError("need at least one linear factor")
-    return _linear_product([as_rational(r).as_integer_ratio() for r in roots])
+    return linear_product([as_rational(r).as_integer_ratio() for r in roots])
 
 
-def _linear_product(roots: Iterable[tuple[int, int]]) -> Polynomial:
+def linear_product(roots: Iterable[tuple[int, int]]) -> Polynomial:
     """prod (t + p/q) over coprime pairs (p, q), q > 0, expanded in integers.
 
     t + p/q = (q*t + p)/q with q*t + p primitive, so the integer product of
@@ -555,6 +556,27 @@ def sign_function(p: Polynomial) -> Callable[[Fraction], int]:
         return exact_sign(t)
 
     return sign_at
+
+
+def certify_one_zero(
+    p: Polynomial, lo: RationalLike, hi: RationalLike, outer: RationalLike, sign: Callable[[Fraction], int]
+) -> RootBracket:
+    """Certify p's one zero beyond outer strictly inside (lo, hi), whose lower end is clamped at outer.
+
+    A Descartes count of 1 on (outer, +inf) and the signs (+, -) at the window ends, from p's sign_function
+    sign; any other count or sign, a zero on a window end included, is a CertificationError.
+    """
+    lo = max(as_rational(lo), as_rational(outer))
+    try:
+        total = descartes_count(p, outer)
+    except EndpointRootError as exc:
+        raise CertificationError(f"the zero sits on the domain end {outer}: {exc}") from exc
+    if total != 1:
+        raise CertificationError(f"expected one zero beyond {outer}, Descartes count is {total}")
+    signs = (sign(lo), sign(hi))
+    if not lo < hi or signs != (1, -1):
+        raise CertificationError(f"signs {signs} at the window ends ({lo}, {hi}) are not (+1, -1)")
+    return RootBracket(lo, hi, 1, -1)
 
 
 def isolate_unique_root(p: Polynomial, lo: RationalLike, hi: RationalLike) -> RootBracket:

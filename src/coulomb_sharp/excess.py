@@ -7,9 +7,9 @@ logarithmic derivatives, h_a the pole-splitting squeeze used for odd
 dimension, and G the summation bound behind the improved order-1 estimate.
 
 Products are built in integers, once.  Pochhammer values and Q and A**2 at
-t = p/q share one integer closed form (_pochhammer_int); every product of
+t = p/q share one integer closed form (pochhammer_int); every product of
 linear factors, including those of a partial-fraction sum, goes through the
-integer expansion in exact (_linear_product), and the polynomials it
+integer expansion in exact (linear_product), and the polynomials it
 returns are exact.Polynomial values: a primitive integer polynomial times
 one rational content, with integer arithmetic throughout.
 
@@ -45,7 +45,7 @@ from .exact import (
     Polynomial,
     RationalFunctionPair,
     RationalLike,
-    _linear_product,
+    linear_product,
     as_rational,
     expand_linear_factors,
     log_derivative,
@@ -55,7 +55,7 @@ from .exact import (
 PartialFractionTerms = Sequence[tuple[Fraction, Fraction]]
 
 
-def _pochhammer_int(m: int, p: int, q: int) -> int:
+def pochhammer_int(m: int, p: int, q: int) -> int:
     """prod_{k=1..m} (p + k*q), the integer q**m (t+1)...(t+m) at t = p/q."""
     return math.prod(range(p + q, p + (m + 1) * q, q))
 
@@ -65,7 +65,7 @@ def pochhammer_eval(m: int, t: RationalLike) -> Fraction:
     if m < 0:
         raise ValueError("m must be >= 0")
     t = as_rational(t)
-    return Fraction(_pochhammer_int(m, t.numerator, t.denominator), t.denominator**m)
+    return Fraction(pochhammer_int(m, t.numerator, t.denominator), t.denominator**m)
 
 
 def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
@@ -93,7 +93,7 @@ def partial_fraction_sum(terms: PartialFractionTerms) -> RationalFunctionPair:
             groups.setdefault(c.as_integer_ratio(), []).append(root)
     if not groups:
         return RationalFunctionPair(Polynomial.zero(), Polynomial.one())
-    products = [_linear_product(roots) for roots in groups.values()]
+    products = [linear_product(roots) for roots in groups.values()]
     num = Polynomial.zero()
     for i, c in enumerate(groups):
         others = (p for j, p in enumerate(products) if j != i)
@@ -148,7 +148,7 @@ def q_int(d: int, p: int, q: int) -> tuple[int, int]:
     base = 2 * p + (d - 1) * q
     if base == 0:
         raise ValueError(f"pole at t = {Fraction(p, q)}")
-    return 2 ** (d - 1) * (2 * p + d * q) * _pochhammer_int(d - 1, p, q), base**d
+    return 2 ** (d - 1) * (2 * p + d * q) * pochhammer_int(d - 1, p, q), base**d
 
 
 def q_eval(d: int, t: RationalLike) -> Fraction:
@@ -224,7 +224,7 @@ def a_squared_int(d: int, p: int, q: int) -> tuple[int, int]:
     b2 = 2 * p + (d - 2) * q
     if b1 == 0 or b2 == 0:
         raise ValueError(f"pole at t = {Fraction(p, q)}")
-    prod = _pochhammer_int(d - 1, p, q)
+    prod = pochhammer_int(d - 1, p, q)
     return 2 ** (2 * d - 2) * prod * prod, b1 ** (d - 2) * b2**d
 
 
@@ -323,7 +323,7 @@ def big_g_squared_int(d: int, p: int, q: int) -> tuple[int, int]:
     u, v = 2 * p + (d - 1) * q, p + (d - 2) * q
     bracket = 2 * u * v + 2 * (d - 3) * q * v + q * u
     outer = (2 * p + d * q) * (p + (d - 1) * q)
-    prod = _pochhammer_int(d - 2, p, q)
+    prod = pochhammer_int(d - 2, p, q)
     return prod * prod * bracket**d, 4 * (u * v) ** d * outer ** (d - 2)
 
 

@@ -4,20 +4,17 @@ The optimal excess factors are maxima of Q (shifted Coulomb) and A
 (conjectured general bound) over small integer windows around d**2/6.  The
 windows come from localizing the unique zero beyond -1 of the respective
 logarithmic derivative: f for Q and g for A, both in the level variable t
-and for every d.  One certificate (_zero_window) serves both.  Descartes'
-rule of signs on the primitive integer image of the numerator, with
-subdivision (exact.descartes_count), proves exactly one simple root on the
-half-line (-1, +inf); the signs (+, -) at the two window ends then put that
-root inside the window.  The numerator is built without a gcd, and is still
-co-prime to the denominator because every distinct pole of the partial
-fractions carries a nonzero coefficient, so its roots are exactly the zeros
-of the log-derivative.  t* is narrowed by bisection (exact.bisect_root, on
-integer numerators over one doubling denominator).  Each sign is filtered in
-doubles against a proven Horner error bound and taken by integer Horner
-where that bound cannot decide (exact.sign_function).  At width 10**-6 the
-doubles decide every step for d = 7..98; for d = 4..6 the window lies in
-|t| < 1, and from d = 99 the bound passes the double range, so there every
-sign is integer Horner.
+and for every d.  The one zero certificate, exact.certify_one_zero with outer
+end -1, serves both, on the function's numerator.  The numerator is built
+without a gcd, and is still co-prime to the denominator because every
+distinct pole of the partial fractions carries a nonzero coefficient, so its
+roots are exactly the zeros of the log-derivative.  t* is narrowed by
+bisection (exact.bisect_root, on integer numerators over one doubling
+denominator).  Each sign is filtered in doubles against a proven Horner error
+bound and taken by integer Horner where that bound cannot decide
+(exact.sign_function).  At width 10**-6 the doubles decide every step for
+d = 7..98; for d = 4..6 the window lies in |t| < 1, and from d = 99 the bound
+passes the double range, so there every sign is integer Horner.
 
 One walk (_walk) serves both window maxima, over the integer hull of the
 paper's bounds clamped at 0, through the sign of each difference of adjacent
@@ -49,19 +46,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import excess
 from .exact import (
     CertificationError,
-    EndpointRootError,
     MathematicalError,
-    Polynomial,
     RationalLike,
     RootBracket,
     as_rational,
     bisect_root,
-    descartes_count,
+    certify_one_zero,
     sign_function,
     sturm_count,  # no caller here; bench/test_harness.py checks the tracer rebinds this name
 )
@@ -189,29 +184,6 @@ def a_star(d: int) -> StarResult:
     )
 
 
-def _zero_window(
-    poly: Polynomial, bounds: tuple[Fraction, Fraction], sign: Callable[[Fraction], int] | None = None
-) -> RootBracket:
-    """Certify poly's one zero beyond -1 strictly inside bounds, whose lower end is clamped at -1.
-
-    A Descartes count of 1 on (-1, +inf) and the signs (+, -) at the window ends; any other
-    count or sign, a zero on a window end included, is a CertificationError.  sign is poly's
-    sign_function when the caller has built it already, so that its double image is built once.
-    """
-    lo, hi = max(bounds[0], Fraction(-1)), bounds[1]
-    try:
-        total = descartes_count(poly, -1)
-    except EndpointRootError as exc:
-        raise CertificationError(f"the zero sits on the domain end -1: {exc}") from exc
-    if total != 1:
-        raise CertificationError(f"expected one zero beyond -1, Descartes count is {total}")
-    sign = sign or sign_function(poly)
-    signs = (sign(lo), sign(hi))
-    if not lo < hi or signs != (1, -1):
-        raise CertificationError(f"signs {signs} at the window ends ({lo}, {hi}) are not (+1, -1)")
-    return RootBracket(lo, hi, 1, -1)
-
-
 def locate_t_star(d: int, width: RationalLike) -> RootBracket:
     """Certified bracket, at most width wide, for f's zero beyond -1, strictly inside t_star_bounds (d >= 4)."""
     if d == 3:
@@ -220,7 +192,7 @@ def locate_t_star(d: int, width: RationalLike) -> RootBracket:
         raise ValueError("d must be >= 3")
     poly = excess.f_as_ratfun(d).numerator
     sign = sign_function(poly)
-    window = _zero_window(poly, t_star_bounds(d), sign)
+    window = certify_one_zero(poly, *t_star_bounds(d), -1, sign)
     bracket = bisect_root(sign, window, as_rational(width))
     # Tighten until strictly inside the open window.
     while bracket.lower <= window.lower or bracket.upper >= window.upper:

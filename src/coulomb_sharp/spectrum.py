@@ -12,14 +12,17 @@ with ell = ceil((eta + 1 - d)/2) - 1; the spectrum is empty when
 eta <= d - 1.  Multiplicities, the counting function and the Riesz means of
 orders 0 and 1 are exact integers or rationals; ell is one integer floor
 division on the numerator and denominator of eta, so the discontinuities in
-eta are bit-exact.  Every other order is an integer enclosure (``riesz_mean_int``):
-q-th roots up to the order denominator ``highprec.MAX_ROOT_DEGREE``, ``log_int``
-and ``exp_int`` above it.  ``riesz_means_int`` encloses several dimensions at
-one eta: a root term floor(x_m**gamma 2**k), x_m = eta**2/m**2 - 1, depends on
-d only through k, so the dimensions of one parity share one row of roots at
-their largest k, K, and each reads its own as row >> (K - k), exact since
-floor(2**K y) >> s = floor(2**(K-s) y) for y >= 0.  ``riesz_mean`` returns the
-lower end as a plain mpf.
+eta are bit-exact.  One cached level row per (d, ell), ``_weights``, holds the
+multiplicities and ``level_count``'s closed-form count; ``levels`` and every
+Riesz mean of positive order read it.  Every other order is an integer
+enclosure (``riesz_mean_int``): q-th roots up to the order denominator
+``highprec.MAX_ROOT_DEGREE``, ``log_int`` and ``exp_int`` above it.
+``riesz_means_int`` encloses several dimensions at one eta: a root term
+floor(x_m**gamma 2**k), x_m = eta**2/m**2 - 1, depends on d only through k, so
+the dimensions of one parity share one row of roots at their largest k, K, and
+each reads its own as row >> (K - k), exact since floor(2**K y) >> s =
+floor(2**(K-s) y) for y >= 0.  ``riesz_mean`` returns the lower end as a plain
+mpf.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def levels(d: int, eta: RationalLike) -> list[LevelData]:
     """All negative levels at (d, eta) with multiplicities, in increasing energy order."""
     eta = as_rational(eta)
     ell = top_level(d, eta.numerator, eta.denominator)
-    return [LevelData(j, multiplicity(d, j), 1 - eta**2 / (2 * j + d - 1) ** 2) for j in range(ell + 1)]
+    mus = _weights(d, ell)[0] if ell >= 0 else ()
+    return [LevelData(j, mu, 1 - eta**2 / (2 * j + d - 1) ** 2) for j, mu in enumerate(mus)]
 
 
 def top_level(d: int, n: int, den: int) -> int:
@@ -222,37 +226,36 @@ def riesz_means_int(ds: Sequence[int], n: int, den: int, gamma: Fraction, bits: 
 
 @functools.lru_cache(maxsize=64)
 def _weights(d: int, ell: int) -> tuple[tuple[int, ...], int]:
-    """(mu_0, ..., mu_ell) at d and their sum, the eigenvalue count.
+    """The level row at d: (mu_0, ..., mu_ell) and the eigenvalue count, ``level_count``'s closed form.
 
     Cached per (d, ell): along a sweep ell changes only every 2/step points of
     eta, so whichever loop is outer, a sweep over up to 64 dimensions finds
     one live entry per dimension.
     """
-    mus = tuple(multiplicity(d, j) for j in range(ell + 1))
-    return mus, sum(mus)
+    return tuple(multiplicity(d, j) for j in range(ell + 1)), level_count(d, ell)
 
 
 @functools.lru_cache(maxsize=16)
-def _order1_sums(d: int, ell: int) -> tuple[int, int]:
+def order1_sums(d: int, ell: int) -> tuple[int, int]:
     """(S, L) for the levels 0..ell: L = lcm of the m_j**2 and S = sum mu_j L/m_j**2, m_j = 2j+d-1.
 
     Cached like level_count: along a grid in eta they change only where ell does.
     """
     squares = [(2 * j + d - 1) ** 2 for j in range(ell + 1)]
     lcm = math.lcm(*squares)
-    return sum(multiplicity(d, j) * (lcm // m2) for j, m2 in enumerate(squares)), lcm
+    return sum(mu * (lcm // m2) for mu, m2 in zip(_weights(d, ell)[0], squares)), lcm
 
 
 def riesz_mean_order1_int(d: int, n: int, den: int) -> tuple[int, int]:
     """Order-1 Riesz mean at eta = n/den (den > 0) as an unreduced integer pair.
 
     sum_j mu_j (eta^2/m_j^2 - 1) = (S n^2 - M L den^2) / (L den^2), with M the
-    eigenvalue count and (S, L) from ``_order1_sums``; an empty spectrum gives 0.
+    eigenvalue count and (S, L) from ``order1_sums``; an empty spectrum gives 0.
     """
     ell = top_level(d, n, den)
     if ell < 0:
         return 0, den * den
-    weighted, lcm = _order1_sums(d, ell)
+    weighted, lcm = order1_sums(d, ell)
     scale = lcm * den * den
     return weighted * n * n - level_count(d, ell) * scale, scale
 

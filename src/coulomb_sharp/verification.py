@@ -40,8 +40,10 @@ from .exact import (
     RationalFunctionPair,
     RationalLike,
     as_rational,
+    certify_one_zero,
     dyadic_less,
     expand_linear_factors,
+    sign_function,
 )
 from .highprec import DEFAULT_PRECISION, MAX_PRECISION, enclosure_bits, witness_digits
 from .spectrum import MAX_DIMENSION
@@ -185,7 +187,7 @@ def check_abel_bound(d: int, ell: int) -> CheckRecord:
     """Summation-by-parts bound on (d-1)!(d-2) sum mu_j/(2j+d-1)**2."""
     if d < 4 or ell < 0:
         raise ValueError("need d >= 4 and ell >= 0")
-    weighted, lcm = spectrum._order1_sums(d, ell)
+    weighted, lcm = spectrum.order1_sums(d, ell)
     lhs = Fraction(math.factorial(d - 1) * (d - 2) * weighted, lcm)
     alpha = (
         Fraction(1, 2)
@@ -440,8 +442,8 @@ def check_pochhammer_telescoping(m: int, ell_max: int) -> CheckRecord:
     ok = True
     running = 0
     for ell in range(ell_max + 1):
-        running += excess._pochhammer_int(m - 1, ell, 1)
-        ok = ok and m * running == excess._pochhammer_int(m, ell, 1)
+        running += excess.pochhammer_int(m - 1, ell, 1)
+        ok = ok and m * running == excess.pochhammer_int(m, ell, 1)
     return _record(
         "pochhammer-telescoping", {"m": m, "ell_max": ell_max}, ok, {"holds": ok}
     )
@@ -502,8 +504,9 @@ def check_a_zero_window(d: int) -> CheckRecord:
     """
     if d < 5 or d % 2 == 0:
         raise ValueError("this window check is for odd d >= 5")
+    poly = excess.g_as_ratfun(d).numerator
     try:
-        optima._zero_window(excess.g_as_ratfun(d).numerator, optima.a_zero_bounds(d))
+        certify_one_zero(poly, *optima.a_zero_bounds(d), -1, sign_function(poly))
         ok = True
     except CertificationError:
         ok = False

@@ -345,6 +345,15 @@ class TestVerifyCommand:
         assert report.count(b'"check_id":"coefficients-f"') == 40
         assert hashlib.sha256(report).hexdigest() == "0e21325bea063d6d21a9953542dd8f85c28802d353147afb1e40b16eb7d7d62c"
 
+    def test_identities_every_dimension_bytes_pinned(self, tmp_path, capsys):
+        # d = 3..400 runs the zero certificate at every odd d from 5 to 399 and
+        # the Abel bound's order-1 sums for d = 4..400.
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "identities", "--d-range", "3..400", "--out", str(out)]) == 0
+        report = out.read_bytes()
+        assert report.count(b"\n") == 3430
+        assert hashlib.sha256(report).hexdigest() == "5a94d39cffd94706606719f95088d493a7399119146ef47db7742f45f59713f5"
+
     @pytest.mark.parametrize(
         "d_range, records, sha256",
         [

@@ -16,7 +16,9 @@ from coulomb_sharp.exact import (
     CertificationError,
     MathematicalError,
     Polynomial,
+    RationalFunctionPair,
     bisect_root,
+    certify_one_zero,
     sign_function,
     sturm_count,
 )
@@ -503,13 +505,13 @@ class TestWindowWalk:
     def test_level_products_only_for_peaks(self, monkeypatch, star):
         # The walk builds no level value: the Pochhammer product runs once, for the winner's reduction.
         calls = []
-        product = excess._pochhammer_int
+        product = excess.pochhammer_int
 
         def counted(*args):
             calls.append(args)
             return product(*args)
 
-        monkeypatch.setattr(excess, "_pochhammer_int", counted)
+        monkeypatch.setattr(excess, "pochhammer_int", counted)
         star(200)
         assert len(calls) == 1
 
@@ -517,7 +519,8 @@ class TestWindowWalk:
 def g_zero_bracket(d, width):
     """g's zero beyond -1: the certified window, bisected to the width."""
     numerator = excess.g_as_ratfun(d).numerator
-    return bisect_root(sign_function(numerator), optima._zero_window(numerator, optima.a_zero_bounds(d)), width)
+    sign = sign_function(numerator)
+    return bisect_root(sign, certify_one_zero(numerator, *optima.a_zero_bounds(d), -1, sign), width)
 
 
 class TestAMaximizerBracket:
@@ -529,7 +532,8 @@ class TestAMaximizerBracket:
         # Even d included: g's numerator is certified at every d here, not only at the odd d of a-zero-window.
         for d in range(5, 22):
             lo, hi = optima.a_zero_bounds(d)
-            window = optima._zero_window(excess.g_as_ratfun(d).numerator, (lo, hi))
+            numerator = excess.g_as_ratfun(d).numerator
+            window = certify_one_zero(numerator, lo, hi, -1, sign_function(numerator))
             assert (window.lower, window.upper) == (max(Fraction(-1), lo), hi)
             bracket = g_zero_bracket(d, Fraction(1, 1000))
             assert max(Fraction(-1), lo) < bracket.lower < bracket.upper < hi
@@ -547,28 +551,38 @@ class TestAMaximizerBracket:
 
 
 class TestZeroWindow:
-    """optima._zero_window: one half-line Descartes count and two end signs, failing closed."""
+    """exact.certify_one_zero: one half-line Descartes count and two end signs, failing closed."""
+
+    @staticmethod
+    def certify(coefficients, lo, hi):
+        poly = Polynomial.from_coefficients(coefficients)
+        return certify_one_zero(poly, lo, hi, -1, sign_function(poly))
 
     def test_two_zeros_beyond_minus_one_fail(self):
         # (t - 1)(t - 5): signs (+, -) on (0, 3) hold the zero at 1, but 5 is a second zero beyond -1.
         with pytest.raises(CertificationError, match="Descartes count is 2"):
-            optima._zero_window(Polynomial.from_coefficients([5, -6, 1]), (Fraction(0), Fraction(3)))
+            self.certify([5, -6, 1], Fraction(0), Fraction(3))
 
     @pytest.mark.parametrize("bounds", [(Fraction(1), Fraction(3)), (Fraction(-1, 2), Fraction(1))])
     def test_zero_on_a_window_end_fails(self, bounds):
         # 1 - t has its one zero beyond -1 at t = 1.
         with pytest.raises(CertificationError, match=r"signs \(1, 0\)|signs \(0, -1\)"):
-            optima._zero_window(Polynomial.from_coefficients([1, -1]), bounds)
+            self.certify([1, -1], *bounds)
 
     def test_zero_on_the_domain_end_fails(self):
         # -(t + 1)(t - 1): the half-line count meets a root at -1.
         with pytest.raises(CertificationError, match="domain end -1"):
-            optima._zero_window(Polynomial.from_coefficients([1, 0, -1]), (-2, 3))
+            self.certify([1, 0, -1], -2, 3)
+
+    def test_rising_zero_fails(self):
+        # t - 1 has exactly one zero beyond -1, inside (0, 3), but its end signs read (-, +):
+        # the certificate takes (+, -) only, not any pair of opposite signs.
+        with pytest.raises(CertificationError, match=r"signs \(-1, 1\)"):
+            self.certify([-1, 1], Fraction(0), Fraction(3))
 
     def test_locate_t_star_counts_once(self, monkeypatch):
         counts, isolations = [], []
         count = exact.descartes_count
-        monkeypatch.setattr(optima, "descartes_count", lambda *args: counts.append(args) or count(*args))
         monkeypatch.setattr(exact, "descartes_count", lambda *args: counts.append(args) or count(*args))
         for module in (exact, optima):
             monkeypatch.setattr(module, "isolate_unique_root", lambda *args: isolations.append(args), raising=False)
@@ -636,6 +650,19 @@ class TestAZeroWindow:
     def test_window_missing_the_zero_fails(self, d, monkeypatch):
         bounds = optima.a_zero_bounds
         monkeypatch.setattr(optima, "a_zero_bounds", lambda d: tuple(end + d for end in bounds(d)))
+        record = check_a_zero_window(d)
+        assert (record.verdict, record.witness) == ("fail", {"holds": "false"})
+
+    @pytest.mark.parametrize("d", [5, 9, 21])
+    def test_sign_flipped_numerator_fails(self, d, monkeypatch):
+        # -g has the same one zero in the same window, with end signs (-, +).
+        g_as_ratfun = excess.g_as_ratfun
+
+        def flipped(d):
+            g = g_as_ratfun(d)
+            return RationalFunctionPair(-g.numerator, g.denominator)
+
+        monkeypatch.setattr(excess, "g_as_ratfun", flipped)
         record = check_a_zero_window(d)
         assert (record.verdict, record.witness) == ("fail", {"holds": "false"})
 

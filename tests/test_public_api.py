@@ -81,6 +81,42 @@ def test_every_private_function_is_called_in_the_package():
     assert not private, f"private but never loaded in src/: {private}"
 
 
+def private_cross_module_reads(package_dir):
+    """Each read, in a module under package_dir, of a single-underscore name of another package module.
+
+    Both forms count: m._x for a module bound by `from . import m`, and `from .m import _x`.
+    """
+    reads = []
+    for path in sorted(package_dir.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    bound |= {alias.asname or alias.name for alias in node.names}
+                else:
+                    reads += [f"{path.stem} imports {node.module}.{a.name}" for a in node.names if is_private(a.name)]
+        reads += [
+            f"{path.stem} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+            and is_private(node.attr)
+        ]
+    return reads
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # Each decision has one home module; the others read it through a public name.
+    reads = private_cross_module_reads(ROOT / "src" / "coulomb_sharp")
+    assert not reads, f"private names read across modules: {reads}"
+
+
 def test_package_never_imports_test_only_oracles():
     # sympy and hypothesis are in the `test` extra only; the package must run without them.
     for path in sorted((ROOT / "src").rglob("*.py")):

@@ -347,6 +347,21 @@ class TestHockeyStick:
         assert V.check_hockey_stick(5, 59).verdict == "pass"
         assert V.check_hockey_stick(5, 60).verdict == "fail"
 
+    def test_sweep_reads_the_same_count(self, monkeypatch):
+        # A sweep's enclosure is [lo, lo + count]: the count it adds is level_count's,
+        # the closed form the check above holds to, not a second sum of multiplicities.
+        # At eta = 125, d = 5 tops out at level 60 and d = 7 at level 59.
+        count, gamma, bits = spectrum.level_count, Fraction(7, 3), enclosure_bits(30)
+        before = spectrum.riesz_means_int([5, 7], 125, 1, gamma, bits)
+        spectrum._weights.cache_clear()
+        monkeypatch.setattr(spectrum, "level_count", lambda d, ell: count(d, ell) + (ell == 60))
+        try:
+            after = spectrum.riesz_means_int([5, 7], 125, 1, gamma, bits)
+        finally:
+            spectrum._weights.cache_clear()
+        assert after[0][1] - after[0][0] == before[0][1] - before[0][0] + 1
+        assert after[1] == before[1]
+
 
 class TestAsymptotics:
     def test_degenerate_range_trend_vacuous(self):
