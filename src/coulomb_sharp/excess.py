@@ -45,9 +45,9 @@ from .exact import (
     Polynomial,
     RationalFunctionPair,
     RationalLike,
-    linear_product,
     as_rational,
     expand_linear_factors,
+    linear_product,
     log_derivative,
     ratfun_reduce,
 )
