@@ -1,6 +1,12 @@
-"""End-to-end CLI behaviour: output shapes, exit codes, byte stability."""
+"""End-to-end CLI behaviour: output shapes, exit codes, byte stability.
+
+Every command here runs through ``main``, which refuses each import of mpmath
+for the length of the call, so every pinned output below is also the output
+without mpmath installed.  This file holds the only copy of each pin.
+"""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -12,9 +18,58 @@ from pathlib import Path
 import pytest
 
 from coulomb_sharp import cli, excess, highprec, optima, phase_space, spectrum, verification
-from coulomb_sharp.cli import main, render_decimal, render_grid_column, render_ratio
+from coulomb_sharp.cli import render_decimal, render_grid_column, render_ratio
 from coulomb_sharp.exact import CertificationError, MathematicalError
 from coulomb_sharp.highprec import PrecisionError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The pins bench/workloads.py keeps its own copy of, so that its oracles import
+# nothing from the tests; test_benchmark_oracles_are_these_pins holds the copies equal.
+VERIFY_ALL = (5261, "393870d5a69c303ffbd2eded5dd959ca72b85ba20e92bf4eb9ce85614a204d86")  # records, sha256
+D3_ENVELOPE_RECORDS = 1880
+FIGURE_FINE_STEP = "1/1000"
+FIGURES_FINE = {  # figure -> (data rows, CSV sha256) at FIGURE_FINE_STEP
+    "lt-d3": (18000, "04c8b08a3017e63bdba9a98ac22afa4141891b9a94c3653e9bf3cffbb54e1880"),
+    "rd-vs-qd": (8000, "4a92fc2bf8db4dc36d69bc1f224595ddb25bb3a7768a19d55e4720cde68a9acb"),
+    "f-plot": (8895, "434033ea4b390b9a7c0731f4a6b848965525498d28c1f722cf22cce78aee8ad9"),
+}
+
+
+def main(argv):
+    """cli.main with mpmath blocked for the length of the call.
+
+    sys.modules["mpmath"] = None makes every import of mpmath raise
+    ImportError, as if it were not installed.  Only that key is restored
+    afterwards: modules first imported during the call stay loaded.
+    """
+    absent = "mpmath" not in sys.modules
+    saved = sys.modules.get("mpmath")
+    sys.modules["mpmath"] = None
+    try:
+        return cli.main(argv)
+    finally:
+        if absent:
+            del sys.modules["mpmath"]
+        else:
+            sys.modules["mpmath"] = saved
+
+
+def src_env():
+    """The environment for a subprocess, with this checkout's src first on PYTHONPATH."""
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_benchmark_oracles_are_these_pins(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks its module up there
+    spec.loader.exec_module(workloads)
+    assert (workloads.VERIFY_ALL_RECORDS, workloads.VERIFY_ALL_SHA256) == VERIFY_ALL
+    assert workloads.D3_ENVELOPE_RECORDS == D3_ENVELOPE_RECORDS
+    assert workloads.FIGURE_STEP == FIGURE_FINE_STEP
+    assert workloads.FIGURE_REFERENCE == FIGURES_FINE
 
 
 class TestRendering:
@@ -303,7 +358,7 @@ class TestVerifyCommand:
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "d3-envelopes", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert len(lines) == 1880
+        assert len(lines) == D3_ENVELOPE_RECORDS
         payload = json.loads(lines[0])
         assert list(payload) == ["check_id", "params", "verdict", "witness", "note"]
 
@@ -322,8 +377,8 @@ class TestVerifyCommand:
             ("coefficients", 112, "9855d2bd13cb24567cf7ea388902254a87cf037e9760f562028f7d77d8c62b9c"),
             ("asymptotics", 1, "67a3b33174ecd145372d02846a863e084b39cfc7a9970d8c97d2bf41e493e799"),
             ("lt-gamma1", 2819, "986b2184edd5359d0e207f0538c228b9077e218664b9ab63293e1a134e55ca47"),
-            ("d3-envelopes", 1880, "81af85dee8668b480aa3cf3ba58756868e24e0c97febc91c47ee7c7a01be52a8"),
-            ("all", 5261, "393870d5a69c303ffbd2eded5dd959ca72b85ba20e92bf4eb9ce85614a204d86"),
+            ("d3-envelopes", D3_ENVELOPE_RECORDS, "81af85dee8668b480aa3cf3ba58756868e24e0c97febc91c47ee7c7a01be52a8"),
+            ("all", *VERIFY_ALL),
         ],
         ids=("identities", "clr", "coefficients", "asymptotics", "lt-gamma1", "d3-envelopes", "all"),
     )
@@ -374,7 +429,7 @@ class TestVerifyCommand:
     def test_fixed_input_families_ignore_the_d_range(self, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "d3-envelopes", "--d-range", "5..6", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 1880
+        assert len(out.read_text().splitlines()) == D3_ENVELOPE_RECORDS
         assert main(["verify", "--suite", "identities", "--d-range", "40..40", "--out", str(out)]) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 226
@@ -871,10 +926,8 @@ class TestFigureCommand:
 
     @pytest.mark.parametrize(
         "which, step, rows, sha256",
-        [
-            ("lt-d3", "1/1000", 18000, "04c8b08a3017e63bdba9a98ac22afa4141891b9a94c3653e9bf3cffbb54e1880"),
-            ("rd-vs-qd", "1/1000", 8000, "4a92fc2bf8db4dc36d69bc1f224595ddb25bb3a7768a19d55e4720cde68a9acb"),
-            ("f-plot", "1/1000", 8895, "434033ea4b390b9a7c0731f4a6b848965525498d28c1f722cf22cce78aee8ad9"),
+        [(which, FIGURE_FINE_STEP, *pin) for which, pin in FIGURES_FINE.items()]
+        + [
             ("lt-d3", "1/7", 126, "24fb783709bc4e7e56c7aa96107133a381b6704c1f7eef729aea3be9c57beeec"),
             ("rd-vs-qd", "1/7", 56, "8e22b89938c126e22412ddee6442018cf2390f66d24ba43f988402430a5d909d"),
             ("f-plot", "1/7", 66, "19b84ed85ea8445802b4e2f50433a30ae1063dbeaf4828bd507c616ccca46dd3"),
@@ -1086,85 +1139,36 @@ class TestProcess:
         ids=("verify-passes", "t-star-at-d3", "d-below-three"),
     )
     def test_exit_status(self, tmp_path, argv, code):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "report.jsonl"
         argv = [str(out) if arg == "OUT" else arg for arg in argv]
-        run = subprocess.run(
-            [sys.executable, "-m", "coulomb_sharp.cli", *argv], capture_output=True, text=True, env=env, timeout=300
-        )
+        command = [sys.executable, "-m", "coulomb_sharp.cli", *argv]
+        run = subprocess.run(command, capture_output=True, text=True, env=src_env(), timeout=300)
         assert run.returncode == code, run.stderr
         assert "Traceback" not in run.stdout + run.stderr
         assert out.exists() == (code == 0)
 
 
 class TestWithoutMpmath:
-    """The product imports and runs without mpmath, at every order denominator."""
-
-    @staticmethod
-    def run(code, *argv, cwd=None):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=300
-        )
-
-    def blocked(self, *argv):
-        # sys.modules["mpmath"] = None makes every import of mpmath raise ImportError.
-        code = (
-            "import sys; sys.modules['mpmath'] = None; "
-            "from coulomb_sharp.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        run = self.run(code, *argv)
-        assert run.returncode == 0, run.stderr
-        return run.stdout
+    """The package imports without mpmath, and main's block of it can fail."""
 
     def test_cli_import_leaves_mpmath_unloaded(self):
-        run = self.run("import sys, coulomb_sharp.cli; print('mpmath' in sys.modules)")
+        code = "import sys, coulomb_sharp.cli; print('mpmath' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
         assert run.stdout == "False\n", run.stderr
 
-    def test_verify_all_bytes(self, tmp_path):
-        out = tmp_path / "report.jsonl"
-        self.blocked("verify", "--suite", "all", "--out", str(out))
-        report = out.read_bytes()
-        assert report.count(b"\n") == 5261
-        assert hashlib.sha256(report).hexdigest() == "393870d5a69c303ffbd2eded5dd959ca72b85ba20e92bf4eb9ce85614a204d86"
+    def test_block_fails_a_command_that_imports_mpmath(self, tmp_path, monkeypatch):
+        # Plain cli.main needs mpmath installed to pass here.
+        mpmath = pytest.importorskip("mpmath")
+        render = cli.render_ratio
 
-    def test_t_star_bytes(self):
-        stdout = self.blocked("constants", "--d", "40", "--which", "t-star", "--tol", "1/1000000")
-        assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "e5bea2cec1005bf91c05a139eee11517a1c9d1073a3e85f56418c3bac65f1eda"
-        )
+        def importing(num, den):
+            import mpmath  # noqa: F401
 
-    @pytest.mark.parametrize(
-        "which, sha256",
-        [
-            ("lt-d3", "ba72d86dafe193204f8d6fa2d19493448d87ffb703b569f70e9a3584e01b014f"),
-            ("rd-vs-qd", "f476af8333bb1a1ab2c9452f3437fc683ad552bc031ae3c47bfe6ee71bd2e4ec"),
-            ("f-plot", "659eec3d7ce8f42ad5a5de36447a0f2121ca572c4c4f2b6175cd3a45c950ec11"),
-        ],
-    )
-    def test_figure_bytes(self, tmp_path, which, sha256):
-        out = tmp_path / "figure.csv"
-        self.blocked("figure", "--which", which, "--out", str(out))
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+            return render(num, den)
 
-    def sweep(self, tmp_path, gamma, d_values, stop, step):
-        config, out = tmp_path / "sweep.json", tmp_path / "report.jsonl"
-        grid = {"start": "12", "stop": stop, "step": step}
-        config.write_text(json.dumps({"gamma": gamma, "d_values": d_values, "eta_grid": grid}))
-        self.blocked("verify", "--suite", "clr", "--d-range", "3..3", "--config", str(config), "--out", str(out))
-        return out.read_bytes()
-
-    def test_order_7_3_sweep_bytes(self, tmp_path):
-        # The lt-sweep-gamma benchmark's shape, as pinned in test_config_sweep_bytes_pinned.
-        report = self.sweep(tmp_path, "7/3", list(range(5, 11)), "60", "1/2")
-        assert report.count(b"\n") == 591
-        assert hashlib.sha256(report).hexdigest() == "1ae5ffe2c77affac8c5e76adaf277552ba85400866e14de4916f261c34b146c5"
-
-    def test_order_233_100_sweep_bytes(self, tmp_path):
-        # A denominator above MAX_ROOT_DEGREE (log and exp for the Riesz mean),
-        # as pinned in test_config_sweep_bytes_pinned.
-        report = self.sweep(tmp_path, "233/100", [5, 8], "25/2", "1/8")
-        assert report.count(b"\n") == 19
-        assert hashlib.sha256(report).hexdigest() == "fd08a133a57e10c96aeab9bece7057843028c4ad6ef90642a57c7d693fb7bccd"
+        monkeypatch.setattr(cli, "render_ratio", importing)
+        argv = ["figure", "--which", "f-plot", "--step", "1/7", "--out", str(tmp_path / "f.csv")]
+        with pytest.raises(ImportError):
+            main(argv)
+        assert sys.modules["mpmath"] is mpmath
+        assert cli.main(argv) == 0
