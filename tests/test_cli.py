@@ -1172,3 +1172,62 @@ class TestWithoutMpmath:
             main(argv)
         assert sys.modules["mpmath"] is mpmath
         assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "handler, argv",
+        [
+            ("cmd_spectrum", ["spectrum", "--d", "3", "--eta", "5"]),
+            ("cmd_constants", ["constants", "--d", "3", "--which", "q-star"]),
+            ("cmd_verify", ["verify", "--suite", "clr", "--d-range", "3..4", "--out", "OUT"]),
+            ("cmd_figure", ["figure", "--which", "f-plot", "--step", "1/7", "--out", "OUT"]),
+        ],
+        ids=("spectrum", "constants", "verify", "figure"),
+    )
+    def test_block_reaches_every_command(self, tmp_path, capsys, monkeypatch, handler, argv):
+        # build_parser reads each handler when main runs, so a patched one is the one called.
+        mpmath = pytest.importorskip("mpmath")
+        command = getattr(cli, handler)
+
+        def importing(args):
+            import mpmath  # noqa: F401
+
+            return command(args)
+
+        monkeypatch.setattr(cli, handler, importing)
+        argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+        with pytest.raises(ImportError):
+            main(argv)
+        assert sys.modules["mpmath"] is mpmath
+        assert cli.main(argv) == 0
+
+    def test_block_leaves_an_absent_mpmath_absent(self, capsys, monkeypatch):
+        monkeypatch.delitem(sys.modules, "mpmath", raising=False)
+        assert main(["spectrum", "--d", "3", "--eta", "5"]) == 0
+        assert "mpmath" not in sys.modules
+
+    def test_block_keeps_modules_first_imported_during_the_call(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "first_imported_in_call.py").write_text("")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "first_imported_in_call", raising=False)
+        command = cli.cmd_spectrum
+
+        def importing(args):
+            import first_imported_in_call  # noqa: F401
+
+            return command(args)
+
+        monkeypatch.setattr(cli, "cmd_spectrum", importing)
+        assert main(["spectrum", "--d", "3", "--eta", "5"]) == 0
+        assert "first_imported_in_call" in sys.modules
+
+    def test_block_is_lifted_when_the_call_raises(self, monkeypatch):
+        before = sys.modules.get("mpmath", "absent")
+
+        def failing(args):
+            assert sys.modules["mpmath"] is None
+            raise RuntimeError("failing command")
+
+        monkeypatch.setattr(cli, "cmd_spectrum", failing)
+        with pytest.raises(RuntimeError, match="failing command"):
+            main(["spectrum", "--d", "3", "--eta", "5"])
+        assert sys.modules.get("mpmath", "absent") is before
