@@ -20,10 +20,9 @@ import os
 import reprlib
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 from decimal import Context
 from fractions import Fraction
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from . import excess, optima, spectrum, verification
 from .exact import MathematicalError, parse_rational
@@ -116,8 +115,7 @@ def render_grid_column(numerators: Iterable[int], den: int) -> list[str]:
 # -- sweep configuration -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Optional JSON-config mirror for verify sweeps."""
 
     d_values: list[int] | None = None
@@ -136,7 +134,7 @@ class SweepConfig:
                 raise ValueError("the config nests too deeply to parse") from None
         if not isinstance(data, dict):
             raise ValueError("the config must be a JSON object")
-        unknown = sorted(data.keys() - {field.name for field in fields(SweepConfig)})
+        unknown = sorted(data.keys() - SweepConfig._fields)
         if unknown:
             raise ValueError(f"unknown config field {', '.join(map(repr, unknown))}")
         d_values = data.get("d_values")

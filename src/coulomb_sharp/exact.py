@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -144,8 +143,23 @@ def dyadic_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool | None
     return None
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class _Frozen:
+    """Base of the immutable slotted types: __init__ sets each slot once, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__: the default would set the slots with setattr.
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Polynomial(_Frozen):
     """Dense univariate polynomial: a primitive integer polynomial times a rational content.
 
     ``primitive`` holds integer coefficients, lowest degree first, with gcd 1
@@ -159,8 +173,24 @@ class Polynomial:
     Instances are immutable and safe to share across threads.
     """
 
+    __slots__ = ("primitive", "content")
     primitive: tuple[int, ...]
     content: Fraction
+
+    def __init__(self, primitive: tuple[int, ...], content: Fraction) -> None:
+        object.__setattr__(self, "primitive", primitive)
+        object.__setattr__(self, "content", content)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Polynomial:
+            return NotImplemented
+        return self.primitive == other.primitive and self.content == other.content
+
+    def __hash__(self) -> int:
+        return hash((self.primitive, self.content))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(primitive={self.primitive!r}, content={self.content!r})"
 
     @staticmethod
     def from_coefficients(coeffs: Iterable[RationalLike]) -> "Polynomial":
@@ -385,22 +415,45 @@ def sturm_count(p: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(_Frozen):
     """Interval with opposite endpoint signs certified to contain one root."""
 
+    __slots__ = ("lower", "upper", "sign_at_lower", "sign_at_upper")
     lower: Fraction
     upper: Fraction
     sign_at_lower: int
     sign_at_upper: int
 
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
+    def __init__(self, lower: Fraction, upper: Fraction, sign_at_lower: int, sign_at_upper: int) -> None:
+        if not lower < upper:
             raise ValueError("bracket needs lower < upper")
-        if self.sign_at_lower not in (-1, 1) or self.sign_at_upper not in (-1, 1):
+        if sign_at_lower not in (-1, 1) or sign_at_upper not in (-1, 1):
             raise ValueError("endpoint signs must be +-1")
-        if self.sign_at_lower == self.sign_at_upper:
+        if sign_at_lower == sign_at_upper:
             raise ValueError("bracket endpoints must have opposite signs")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "sign_at_lower", sign_at_lower)
+        object.__setattr__(self, "sign_at_upper", sign_at_upper)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RootBracket:
+            return NotImplemented
+        return (self.lower, self.upper, self.sign_at_lower, self.sign_at_upper) == (
+            other.lower,
+            other.upper,
+            other.sign_at_lower,
+            other.sign_at_upper,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper, self.sign_at_lower, self.sign_at_upper))
+
+    def __repr__(self) -> str:
+        return (
+            f"RootBracket(lower={self.lower!r}, upper={self.upper!r}, "
+            f"sign_at_lower={self.sign_at_lower!r}, sign_at_upper={self.sign_at_upper!r})"
+        )
 
     @property
     def width(self) -> Fraction:
@@ -649,21 +702,34 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-@dataclass(frozen=True)
-class RationalFunctionPair:
+class RationalFunctionPair(_Frozen):
     """Quotient of co-prime polynomials with a monic denominator.
 
     Construct through ratfun_reduce, which establishes both invariants.
     """
 
+    __slots__ = ("numerator", "denominator")
     numerator: Polynomial
     denominator: Polynomial
 
-    def __post_init__(self) -> None:
-        if self.denominator.is_zero:
+    def __init__(self, numerator: Polynomial, denominator: Polynomial) -> None:
+        if denominator.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if self.denominator.leading_coefficient != 1:
+        if denominator.leading_coefficient != 1:
             raise ValueError("denominator must be monic")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RationalFunctionPair:
+            return NotImplemented
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.denominator))
+
+    def __repr__(self) -> str:
+        return f"RationalFunctionPair(numerator={self.numerator!r}, denominator={self.denominator!r})"
 
     def eval(self, t: RationalLike) -> Fraction:
         t = as_rational(t)

@@ -44,9 +44,8 @@ a_value_squared.  Odd-d irrationality of A is handled by comparing squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import excess
 from .exact import (
@@ -62,8 +61,7 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
-class StarResult:
+class StarResult(NamedTuple):
     """Exact integer-window maximum of an excess-factor function."""
 
     d: int

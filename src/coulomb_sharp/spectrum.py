@@ -31,9 +31,8 @@ import functools
 import math
 import operator
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact import RationalLike, as_rational, iroot
 from .highprec import (
@@ -62,8 +61,7 @@ def check_dimension(d: object, name: str = "d") -> int:
     return d
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     j: int
     multiplicity: int
     lambda_over_Lambda: Fraction

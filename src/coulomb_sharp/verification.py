@@ -29,10 +29,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import excess, optima, phase_space, spectrum
 from .exact import (
@@ -79,8 +78,7 @@ def _json_object(items: dict[str, str]) -> str:
     return "{" + ",".join([_quote(k) + ":" + _quote(v) for k, v in sorted(items.items())]) + "}"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     params: dict[str, str]
     verdict: str

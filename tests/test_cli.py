@@ -193,7 +193,7 @@ class TestConstantsCommand:
     def test_odd_a_star_decimal_is_the_rounded_root(self, capsys, d):
         # sympy's 60-digit square root is the oracle: the printed decimal has
         # 15 significant digits and lies within half a unit of its last one.
-        sympy = pytest.importorskip("sympy")
+        sympy = pytest.importorskip("sympy", exc_type=ImportError)  # sympy fails to import without mpmath
         assert main(["constants", "--d", str(d), "--which", "a-star"]) == 0
         payload = json.loads(capsys.readouterr().out)
         square = Fraction(payload["value_squared"])
@@ -675,6 +675,7 @@ class TestVerifyCommand:
                 "eta_grid must be an object with start, stop and step and no other key",
             ),
             ({"gama": "7/3"}, "unknown config field 'gama'"),
+            ({"precision": 0, "gama": "7/3"}, "unknown config field 'gama', 'precision'\n"),
             ({"eta_grid": None, "gamma": "3/2"}, "eta_grid is missing"),
             ({"d_values": None}, "d_values is missing"),
             ({"precision": 1001}, "unknown config field 'precision'"),
@@ -730,6 +731,7 @@ class TestVerifyCommand:
             "d-values-repeated",
             "eta-grid-extra-key",
             "unknown-field",
+            "unknown-fields",
             "sweep-without-eta-grid",
             "sweep-without-d-values",
             "precision-above-limit",
@@ -1149,12 +1151,21 @@ class TestProcess:
 
 
 class TestWithoutMpmath:
-    """The package imports without mpmath, and main's block of it can fail."""
+    """The package imports without mpmath, the CLI without introspection modules; main's block of mpmath can fail."""
 
     def test_cli_import_leaves_mpmath_unloaded(self):
         code = "import sys, coulomb_sharp.cli; print('mpmath' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
         assert run.stdout == "False\n", run.stderr
+
+    def test_cli_import_loads_no_introspection_modules(self):
+        # Every process pays for its imports before any work: dataclasses alone
+        # would bring in inspect, ast, dis and tokenize.
+        code = "import sys; before = set(sys.modules); import coulomb_sharp.cli; print(*set(sys.modules) - before)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
+        added = set(run.stdout.split())
+        assert "coulomb_sharp.cli" in added, run.stderr
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
     def test_block_fails_a_command_that_imports_mpmath(self, tmp_path, monkeypatch):
         # Plain cli.main needs mpmath installed to pass here.

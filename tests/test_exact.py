@@ -4,6 +4,8 @@ Differential tests against sympy, with hypothesis-drawn inputs, live in
 test_exact_oracles.py; the sign filter is held to integer Horner here.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from coulomb_sharp.exact import (
     CertificationError,
     EndpointRootError,
     Polynomial,
+    RationalFunctionPair,
     RootBracket,
     bisect_root,
     expand_linear_factors,
@@ -167,6 +170,58 @@ class TestRatfunReduce:
         pair = ratfun_reduce(num, den)
         for t in (Fraction(1, 3), Fraction(9, 2), Fraction(-4)):
             assert pair.eval(t) == num.eval(t) / den.eval(t)
+
+
+class TestSlottedTypes:
+    """Polynomial, RationalFunctionPair and RootBracket: checked when built, compared by value, not tuples."""
+
+    @pytest.mark.parametrize(
+        "lower, upper, sign_at_lower, sign_at_upper",
+        [(0, 0, 1, -1), (1, 0, -1, 1), (0, 1, 0, -1), (0, 1, -1, 2), (0, 1, -1, -1)],
+    )
+    def test_root_bracket_rejects_bad_arguments(self, lower, upper, sign_at_lower, sign_at_upper):
+        with pytest.raises(ValueError):
+            RootBracket(Fraction(lower), Fraction(upper), sign_at_lower, sign_at_upper)
+
+    def test_ratfun_pair_rejects_bad_denominators(self):
+        with pytest.raises(ZeroDivisionError):
+            RationalFunctionPair(poly(1), Polynomial.zero())
+        with pytest.raises(ValueError, match="monic"):
+            RationalFunctionPair(poly(1), poly(1, 2))
+
+    def test_one_differing_field_compares_unequal(self):
+        p = poly(1, 2)
+        assert p != poly(1, 3) and p != -p
+        assert p != (p.primitive, p.content)
+        pair = ratfun_reduce(poly(1), poly(1, 1))
+        assert pair != RationalFunctionPair(poly(2), pair.denominator)
+        assert pair != RationalFunctionPair(poly(1), poly(2, 1))
+        bracket = RootBracket(Fraction(0), Fraction(1), 1, -1)
+        assert bracket != RootBracket(Fraction(0), Fraction(1), -1, 1)
+        assert bracket != RootBracket(Fraction(0), Fraction(2), 1, -1)
+
+    def test_scalar_times_polynomial_scales_it(self):
+        assert 3 * poly(1, 2) == poly(1, 2) * 3 == poly(3, 6)
+
+    def test_repr_names_each_field(self):
+        assert repr(poly(1, 2)) == "Polynomial(primitive=(1, 2), content=Fraction(1, 1))"
+        assert repr(RootBracket(Fraction(0), Fraction(1), 1, -1)) == (
+            "RootBracket(lower=Fraction(0, 1), upper=Fraction(1, 1), sign_at_lower=1, sign_at_upper=-1)"
+        )
+        assert repr(ratfun_reduce(poly(2), poly(1))) == (
+            "RationalFunctionPair(numerator=Polynomial(primitive=(1,), content=Fraction(2, 1)), "
+            "denominator=Polynomial(primitive=(1,), content=Fraction(1, 1)))"
+        )
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=("copy", "deepcopy", "pickle"),
+    )
+    def test_copies_and_pickles_rebuild_an_equal_value(self, rebuild):
+        bracket = RootBracket(Fraction(0), Fraction(1), 1, -1)
+        for value in (poly(1, Fraction(1, 2)), ratfun_reduce(poly(1), poly(1, 1)), bracket):
+            assert rebuild(value) == value
 
 
 def sign_scan_count(p, lo, hi):

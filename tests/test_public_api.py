@@ -1,11 +1,16 @@
-"""The package's exported names and the functions the benchmark tracer wraps exist."""
+"""The package's exported names and the functions the benchmark tracer wraps exist; its result types are values."""
 
 import ast
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import coulomb_sharp
+from coulomb_sharp import cli, optima, spectrum, verification
+from coulomb_sharp.exact import Polynomial, RootBracket, ratfun_reduce
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -14,6 +19,43 @@ ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 MPMATH_NAMES = {"mpmath", "mp", "mpmath.mp"}
 MPMATH_PRECISION_CONTEXTS = {"workdps", "workprec"}
 MPMATH_PRECISION_FIELDS = {"dps", "prec"}
+
+
+# Each call builds a new instance of one result type from the same values.
+RESULTS = {
+    "Polynomial": lambda: Polynomial.from_coefficients([Fraction(1, 2), 0, 3]),
+    "RationalFunctionPair": lambda: ratfun_reduce(
+        Polynomial.from_coefficients([1, 2]), Polynomial.from_coefficients([-1, 0, 2])
+    ),
+    "RootBracket": lambda: RootBracket(Fraction(1, 3), Fraction(1, 2), 1, -1),
+    "LevelData": lambda: spectrum.levels(5, 9)[1],
+    "StarResult": lambda: optima.a_star(7),
+    "CheckRecord": lambda: verification.check_lt_gamma1(5, Fraction(19, 2)),
+    "SweepConfig": lambda: cli.SweepConfig(d_values=[4], gamma=Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", ["Polynomial", "RationalFunctionPair", "RootBracket", "LevelData", "StarResult"])
+def test_equal_results_compare_and_hash_equal(name):
+    first, second = RESULTS[name](), RESULTS[name]()
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_results_are_immutable(name):
+    result = RESULTS[name]()
+    fields = getattr(result, "_fields", None) or result.__slots__
+    assert fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+        with pytest.raises(AttributeError):
+            delattr(result, field)
+    with pytest.raises(AttributeError):
+        result.unknown_field = None
+    assert result == RESULTS[name]()
 
 
 def test_all_names_resolve():
