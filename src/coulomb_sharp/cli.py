@@ -66,18 +66,6 @@ def render_decimal(x: Fraction) -> str:
     return render_ratio(x.numerator, x.denominator)
 
 
-def _decimal_shift(den: int) -> int | None:
-    """max(a, b) when den = 2^a 5^b, so that 10**max(a, b) / den is an integer; else None."""
-    e2 = e5 = 0
-    while den % 2 == 0:
-        den //= 2
-        e2 += 1
-    while den % 5 == 0:
-        den //= 5
-        e5 += 1
-    return max(e2, e5) if den == 1 else None
-
-
 def _fixed_point(scaled: int, shift: int) -> str:
     """The decimal scaled * 10**-shift, written out in full."""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
@@ -100,15 +88,29 @@ def render_sqrt(x: Fraction) -> str:
 def render_grid_column(numerators: Iterable[int], den: int) -> list[str]:
     """Each grid point n/den written out in full when it is a finite decimal, else as render_ratio writes it.
 
-    Finiteness depends on the reduced denominator den // gcd(n, den), a
-    divisor of den, so each divisor is tested once per grid.  With step 1/7
-    the point 21/7 is 3, a finite decimal.
+    Write den = 2^a 5^b m with m coprime to 10.  The point n/den is a finite
+    decimal exactly when m divides n, and then it is (n/m) (10^s / 2^a 5^b)
+    10^-s with s = max(a, b).  Those s places, less their trailing zeros and a
+    bare point, are the places of the reduced denominator, so one pass over
+    the column needs no gcd.  With step 1/7 the point 21/7 is 3.
     """
-    shift_of = functools.cache(_decimal_shift)  # lives for this grid only
+    m, e2, e5 = den, 0, 0
+    while m % 2 == 0:
+        m //= 2
+        e2 += 1
+    while m % 5 == 0:
+        m //= 5
+        e5 += 1
+    shift = max(e2, e5)
+    scale = 10**shift // (den // m)
     cells = []
     for n in numerators:
-        shift = shift_of(den // math.gcd(n, den))
-        cells.append(render_ratio(n, den) if shift is None else _fixed_point(n * 10**shift // den, shift))
+        if n % m:
+            cells.append(render_ratio(n, den))
+        elif shift:
+            cells.append(_fixed_point(n // m * scale, shift).rstrip("0").rstrip("."))
+        else:
+            cells.append(str(n // m))  # an integer keeps its trailing zeros
     return cells
 
 
@@ -505,7 +507,52 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, _usage_error(message))
 
 
+def _spectrum_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
+    parser.add_argument("--eta", required=True, help="coupling ratio as P/Q or decimal text")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.set_defaults(func=cmd_spectrum)
+
+
+def _constants_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
+    parser.add_argument("--which", choices=("q-star", "a-star", "t-star"), required=True)
+    parser.add_argument("--tol", default="1/1000000", help="bracket width for t-star")
+    parser.set_defaults(func=cmd_constants)
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--suite",
+        choices=tuple(verification.SUITES) + ("all",),
+        help="suite to run (defaults to config suites or 'all')",
+    )
+    parser.add_argument("--d-range", help="dimension range A..B")
+    parser.add_argument("--out", help="report path (JSON lines)")
+    parser.add_argument("--config", help="JSON file mirroring the sweep configuration")
+    parser.set_defaults(func=cmd_verify)
+
+
+def _figure_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--which", choices=tuple(FIGURES), required=True)
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--step", default="1/100", help="grid step as an exact rational (default %(default)s)")
+    parser.set_defaults(func=cmd_figure)
+
+
+# The grammar: each command's help line and the function that adds its
+# arguments to a parser and binds its handler.  An adder reads the handler's
+# name when it runs, inside main, so a replaced cmd_* is the one called.
+COMMANDS = {
+    "spectrum": ("negative levels, multiplicities and the count", _spectrum_arguments),
+    "constants": ("sharp constants and maximizer brackets", _constants_arguments),
+    "verify": ("run verification suites, emit a JSONL report", _verify_arguments),
+    "figure": ("emit figure data as CSV", _figure_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole grammar: the top parser with one subparser per command."""
     parser = _Parser(
         prog="coulomb-sharp",
         description=(
@@ -514,40 +561,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
+    return parser
 
-    p_spec = sub.add_parser("spectrum", help="negative levels, multiplicities and the count")
-    p_spec.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
-    p_spec.add_argument("--eta", required=True, help="coupling ratio as P/Q or decimal text")
-    p_spec.add_argument("--format", choices=("text", "json"), default="text")
-    p_spec.set_defaults(func=cmd_spectrum)
 
-    p_const = sub.add_parser("constants", help="sharp constants and maximizer brackets")
-    p_const.add_argument("--d", type=_dimension, required=True, help=f"dimension, 3..{MAX_DIMENSION}")
-    p_const.add_argument("--which", choices=("q-star", "a-star", "t-star"), required=True)
-    p_const.add_argument("--tol", default="1/1000000", help="bracket width for t-star")
-    p_const.set_defaults(func=cmd_constants)
-
-    p_verify = sub.add_parser("verify", help="run verification suites, emit a JSONL report")
-    p_verify.add_argument(
-        "--suite",
-        choices=tuple(verification.SUITES) + ("all",),
-        help="suite to run (defaults to config suites or 'all')",
-    )
-    p_verify.add_argument("--d-range", help="dimension range A..B")
-    p_verify.add_argument("--out", help="report path (JSON lines)")
-    p_verify.add_argument("--config", help="JSON file mirroring the sweep configuration")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_fig = sub.add_parser("figure", help="emit figure data as CSV")
-    p_fig.add_argument("--which", choices=tuple(FIGURES), required=True)
-    p_fig.add_argument("--out", required=True, help="output CSV path")
-    p_fig.add_argument("--step", default="1/100", help="grid step as an exact rational (default %(default)s)")
-    p_fig.set_defaults(func=cmd_figure)
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser alone, for the arguments after its name: build_parser's subparser without the rest."""
+    parser = _Parser(prog=f"coulomb-sharp {name}")
+    COMMANDS[name][1](parser)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A named command builds its own parser only; anything else (no argument,
+    # an option first, an unknown name) is parsed, and refused, by the whole grammar.
+    if argv and argv[0] in COMMANDS:
+        parser, argv = command_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1128,6 +1128,88 @@ class TestLongInput:
         assert not out.exists()
 
 
+COMMAND_CALLS = {  # one valid call per command; OUT is a path under tmp_path
+    "spectrum": ["spectrum", "--d", "3", "--eta", "5"],
+    "constants": ["constants", "--d", "3", "--which", "q-star"],
+    "verify": ["verify", "--suite", "clr", "--d-range", "3..4", "--out", "OUT"],
+    "figure": ["figure", "--which", "f-plot", "--step", "1/7", "--out", "OUT"],
+}
+PARSER_ROWS = {
+    **COMMAND_CALLS,
+    "top-help": ["-h"],
+    "top-long-help": ["--help"],
+    "spectrum-help": ["spectrum", "-h"],
+    "constants-help": ["constants", "-h"],
+    "verify-help": ["verify", "-h"],
+    "figure-help": ["figure", "--help"],
+    "abbreviated-help": ["spectrum", "--h"],
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "option-first": ["--d", "3"],
+    "unknown-option-first": ["-x", "spectrum"],
+    "missing-argument": ["spectrum", "--d", "3"],
+    "bad-choice": ["constants", "--d", "3", "--which", "x-star"],
+    "bad-format": ["spectrum", "--d", "3", "--eta", "5", "--format", "xml"],
+    "d-above-limit": ["spectrum", "--d", "401", "--eta", "5"],
+    "unrecognized": ["spectrum", "--d", "3", "--eta", "5", "--bogus", "x"],
+    "unrecognized-positional": ["verify", "extra"],
+    "abbreviated-suite": ["verify", "--suit", "clr", "--d-range", "3..4", "--out", "OUT"],
+    "abbreviated-which": ["constants", "--d", "6", "--whi", "q-star"],
+    "equals-form": ["constants", "--d=6", "--which", "q-star"],
+    "repeated-option": ["constants", "--d", "5", "--d", "6", "--which", "a-star"],
+    "double-dash-last": ["spectrum", "--d", "3", "--eta", "5", "--"],
+    "double-dash-between": ["spectrum", "--d", "3", "--", "--eta", "5"],
+    "negative-eta": ["spectrum", "--d", "3", "--eta", "-5"],
+}
+
+
+def parse_route(parse, argv, capsys):
+    """(namespace, exit status, stdout, stderr) of one parse; the namespace is None where it exits."""
+    try:
+        namespace, code = parse(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out, err = capsys.readouterr()
+    return namespace, code, out, err
+
+
+class TestParser:
+    """main parses a named command with that command's parser alone, and anything else with the whole grammar."""
+
+    @pytest.mark.parametrize("argv", PARSER_ROWS.values(), ids=PARSER_ROWS)
+    def test_both_routes_parse_alike(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+        whole, code, out, err = parse_route(cli.build_parser().parse_args, argv, capsys)
+        if whole is None:
+            # Help, or a refusal: main's answer, through whichever parser it builds, is the whole grammar's.
+            assert (main(argv), *capsys.readouterr()) == (code or 0, out, err)
+            return
+        assert vars(whole).pop("command") == argv[0]
+        own, own_code, own_out, own_err = parse_route(cli.command_parser(argv[0]).parse_args, argv[1:], capsys)
+        assert (own_code, own_out, own_err) == (None, "", "")
+        assert vars(own) == vars(whole)
+
+    @pytest.mark.parametrize("argv", COMMAND_CALLS.values(), ids=COMMAND_CALLS)
+    def test_a_named_command_builds_one_parser(self, tmp_path, capsys, monkeypatch, argv):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        assert main([str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]) == 0
+        assert built == [f"coulomb-sharp {argv[0]}"]
+
+    def test_top_help_lists_every_command(self, capsys):
+        assert main(["-h"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: coulomb-sharp ")
+        for name, (help_line, _) in cli.COMMANDS.items():
+            assert name in out and help_line in out
+
+
 class TestProcess:
     """The console entry point as a process: cli.main's code reaches the exit status."""
 
@@ -1185,17 +1267,10 @@ class TestWithoutMpmath:
         assert cli.main(argv) == 0
 
     @pytest.mark.parametrize(
-        "handler, argv",
-        [
-            ("cmd_spectrum", ["spectrum", "--d", "3", "--eta", "5"]),
-            ("cmd_constants", ["constants", "--d", "3", "--which", "q-star"]),
-            ("cmd_verify", ["verify", "--suite", "clr", "--d-range", "3..4", "--out", "OUT"]),
-            ("cmd_figure", ["figure", "--which", "f-plot", "--step", "1/7", "--out", "OUT"]),
-        ],
-        ids=("spectrum", "constants", "verify", "figure"),
+        "handler, argv", [(f"cmd_{name}", argv) for name, argv in COMMAND_CALLS.items()], ids=COMMAND_CALLS
     )
     def test_block_reaches_every_command(self, tmp_path, capsys, monkeypatch, handler, argv):
-        # build_parser reads each handler when main runs, so a patched one is the one called.
+        # Each command's argument adder binds its handler when main runs, so a patched one is the one called.
         mpmath = pytest.importorskip("mpmath")
         command = getattr(cli, handler)
 

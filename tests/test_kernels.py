@@ -365,3 +365,45 @@ class TestRenderRatio:
             text = cli.render_ratio(x.numerator, x.denominator)
         # The exponent of the rounded 15-digit value, read from the text, not from Decimal.
         assert bool(calls) == (not -6 <= decimal_exponent(Fraction(text)) <= 14)
+
+
+def reference_grid_cell(n, den):
+    """The cell as each point was written alone: its reduced denominator's 2-5 shift, else render_ratio."""
+    x = Fraction(n, den)
+    rest, e2, e5 = x.denominator, 0, 0
+    while rest % 2 == 0:
+        rest, e2 = rest // 2, e2 + 1
+    while rest % 5 == 0:
+        rest, e5 = rest // 5, e5 + 1
+    if rest != 1:
+        return cli.render_ratio(n, den)
+    shift = max(e2, e5)
+    scaled = x.numerator * 10**shift // x.denominator
+    digits = str(abs(scaled)).rjust(shift + 1, "0")
+    return ("-" if scaled < 0 else "") + (f"{digits[:-shift]}.{digits[-shift:]}" if shift else digits)
+
+
+# 2^a 5^b m: the figure grids' denominators, m > 1 among them (steps 1/7, 1/12, 3/40), and any others
+grid_denominators = st.one_of(
+    st.sampled_from([1, 2, 7, 12, 40, 224, 1000, 10**6, 3 * 10**4]),
+    st.builds(lambda a, b, m: 2**a * 5**b * m, st.integers(0, 12), st.integers(0, 12), st.integers(1, 60)),
+)
+
+
+class TestRenderGridColumn:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-(10**5), 10**5), st.integers(1, 200), st.integers(1, 60), grid_denominators)
+    def test_each_cell_is_written_as_its_point_alone(self, start, step, points, den):
+        # Starts below zero give negative grids and grids that cross zero.
+        numerators = range(start, start + points * step, step)
+        assert cli.render_grid_column(numerators, den) == [reference_grid_cell(n, den) for n in numerators]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=1000),
+        st.sampled_from([Fraction(1, 7), Fraction(1, 12), Fraction(3, 40), Fraction(1, 1000), Fraction(5, 2)]),
+        st.integers(1, 60),
+    )
+    def test_figure_steps(self, start, step, points):
+        numerators, den = cli.grid_numerators(start, start + (points - 1) * step, step)
+        assert cli.render_grid_column(numerators, den) == [reference_grid_cell(n, den) for n in numerators]
