@@ -255,13 +255,14 @@ def grid_numerators(start: Fraction, stop: Fraction, step: Fraction) -> tuple[ra
 
 # -- figure datasets -----------------------------------------------------------
 #
-# Each builder walks its grid as integer numerators n over one denominator D,
-# takes every cell from the integer kernel of its quantity (riesz_mean_order1_int,
-# d3_envelope_terms_int, q_int, r_int, f_int) as an unreduced pair and renders
-# the pair with render_ratio, one Context.divide per cell.  A cell that takes
-# few values along the grid (lt-d3's upper envelope) is rendered once per value,
-# through a cache that lives for one figure.  The builders compute no formula of
-# their own.  Each returns its CSV header followed by one tuple of cells per row.
+# Each builder walks its grid as integer numerators n over one denominator D
+# and takes each column from one call of its quantity's column kernel
+# (spectrum.riesz_means_order1_int and d3_envelope_terms_ints, excess.q_ints,
+# r_ints and f_ints), which returns every cell as an unreduced pair; render_ratio
+# renders each, one Context.divide per cell.  A cell that takes few values along
+# the grid (lt-d3's upper envelope) is rendered once per value, through a cache
+# that lives for one figure.  The builders compute no formula of their own.
+# Each returns its CSV header followed by one tuple of cells per row.
 
 Rows = list[tuple[str, ...]]
 
@@ -272,12 +273,13 @@ def figure_lt_d3(step: Fraction) -> Rows:
         ("eta[Lambda=1]", "trace_excess[Lambda]", "lower_envelope[Lambda]", "upper_envelope[Lambda]")
     ]
     etas, den = grid_numerators(2 + step, Fraction(20), step)
+    (leads, lead_den), (lowers, lower_den), (uppers, upper_den) = spectrum.d3_envelope_terms_ints(etas, den)
     render_upper = functools.cache(render_ratio)  # (2 ceil(eta/2) - 1)/24: a few values per grid
-    for n, eta in zip(etas, render_grid_column(etas, den)):
-        trace_num, trace_den = spectrum.riesz_mean_order1_int(3, n, den)
-        (lead_num, lead_den), lower, upper = spectrum.d3_envelope_terms_int(n, den)
+    for eta, (trace_num, trace_den), lead_num, lower, upper in zip(
+        render_grid_column(etas, den), spectrum.riesz_means_order1_int(3, etas, den), leads, lowers, uppers
+    ):
         middle = render_ratio(trace_num * lead_den - trace_den * lead_num, trace_den * lead_den)
-        rows.append((eta, middle, render_ratio(*lower), render_upper(*upper)))
+        rows.append((eta, middle, render_ratio(lower, lower_den), render_upper(upper, upper_den)))
     return rows
 
 
@@ -285,12 +287,12 @@ def figure_rd_vs_qd(step: Fraction) -> Rows:
     """Excess ratio R, sampled at eta = 2 tau + d - 1, against its upper function Q for d = 5 and d = 6."""
     rows: Rows = [("tau[Lambda=1]", "q_d5[ratio]", "r_d5[ratio]", "q_d6[ratio]", "r_d6[ratio]")]
     taus, den = grid_numerators(step, Fraction(8), step)
-    for n, tau in zip(taus, render_grid_column(taus, den)):
-        cells = [tau]
-        for d in (5, 6):
-            cells.append(render_ratio(*excess.q_int(d, n, den)))
-            cells.append(render_ratio(*excess.r_int(d, 2 * n + (d - 1) * den, den)))
-        rows.append(tuple(cells))
+    columns = [render_grid_column(taus, den)]
+    for d in (5, 6):
+        etas = range(2 * taus.start + (d - 1) * den, 2 * taus.stop + (d - 1) * den, 2 * taus.step)
+        columns.append([render_ratio(num, div) for num, div in excess.q_ints(d, taus, den)])
+        columns.append([render_ratio(num, div) for num, div in excess.r_ints(d, etas, den)])
+    rows += zip(*columns)
     return rows
 
 
@@ -307,7 +309,7 @@ def figure_f_plot(step: Fraction) -> Rows:
         lo, hi = -((pd - 20 * pn) * den // (20 * pd)), (20 * pn + pd) * den // (20 * pd)
         cut.update(range(ts.start - (ts.start - lo) // ts.step * ts.step, hi + 1, ts.step))
     kept = [n for n in ts if n not in cut]
-    rows += [(t, render_ratio(*excess.f_int(d, n, den))) for n, t in zip(kept, render_grid_column(kept, den))]
+    rows += zip(render_grid_column(kept, den), [render_ratio(num, div) for num, div in excess.f_ints(d, kept, den)])
     return rows
 
 
@@ -442,8 +444,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         records.extend(verification.run_suite(suite, d_range=d_range))
     if config.d_values:
         numerators, den = grid_numerators(*config.eta_grid)
-        etas = [Fraction(n, den) for n in numerators]
-        records += verification.check_lt_sweep(config.d_values, etas, config.gamma or Fraction(1))
+        records += verification.check_lt_sweep(config.d_values, numerators, den, config.gamma or Fraction(1))
     if not records:
         print(f"no checks ran for suites {', '.join(suites)}; no report written", file=sys.stderr)
         return 1

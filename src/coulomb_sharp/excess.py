@@ -13,12 +13,14 @@ integer expansion in exact (linear_product), and the polynomials it
 returns are exact.Polynomial values: a primitive integer polynomial times
 one rational content, with integer arithmetic throughout.
 
-Each plotted quantity has one integer kernel, which takes the point as an
-integer pair p/q (q > 0, not necessarily reduced) and returns its value as an
-unreduced integer pair (numerator, denominator): q_int for Q, r_int for the
-excess ratio R and f_int for f.  q_eval, r_eval and f_eval are their Fraction
-wrappers, so a grid walked over one common denominator and a single rational
-point go through the same formula.
+Each plotted quantity has one integer column kernel, which takes increasing
+numerators p over one denominator q > 0 (p/q not necessarily reduced) and
+returns each value as an unreduced integer pair (numerator, denominator):
+q_ints for Q, r_ints for the excess ratio R and f_ints for f.  Each works out
+the constants of the column once, and r_ints those of each threshold run
+once.  q_int, r_int and f_int are the column kernels at one point and q_eval,
+r_eval and f_eval their Fraction wrappers, so a figure grid and a single
+rational point go through the same formula.
 
 The rational-function forms of f, g and h_a are built from their partial
 fractions in integers and need no gcd: after merging terms that share a
@@ -27,10 +29,10 @@ numerator is nonzero at every pole and the pair is already co-prime.  The
 numerator takes one product per distinct coefficient (f and g have two or
 three), not one per term.
 Evaluation at rational points is exact; f, g~ and h_a sum their terms from
-a cached integer image of each term list (_int_terms).  Odd-dimension
-irrationality is dodged systematically by squaring: A**2 and G**2 are
-rational functions, so every order comparison against a rational threshold
-is decided exactly on squares.
+a cached integer image of each term list (_int_terms), one column at a time
+(_eval_terms).  Odd-dimension irrationality is dodged systematically by
+squaring: A**2 and G**2 are rational functions, so every order comparison
+against a rational threshold is decided exactly on squares.
 """
 
 from __future__ import annotations
@@ -112,32 +114,42 @@ def _int_terms(build, *args) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((c.numerator, c.denominator, r.numerator, r.denominator) for c, r in build(*args))
 
 
-def _eval_terms(terms: Sequence[tuple[int, int, int, int]], p: int, q: int) -> tuple[int, int]:
-    """Sum of c/(t + r) over integer terms (cn, cd, rn, rd) at t = p/q (q > 0), as one integer pair.
+def _eval_terms(terms: Sequence[tuple[int, int, int, int]], ps: Sequence[int], q: int) -> list[tuple[int, int]]:
+    """Sum of c/(t + r) over integer terms (cn, cd, rn, rd) at each t = p/q of ps (q > 0), as integer pairs.
 
-    Each term is cn*q*rd / (cd*(p*rd + rn*q)); the terms are summed over
-    their product denominator, with no gcd.
+    Each term is cn*q*rd / (cd*(p*rd + rn*q)); its products by q are taken
+    once for the column, and at each point the terms are summed over their
+    product denominator, with no gcd.
     """
-    num, den = 0, 1
-    for cn, cd, rn, rd in terms:
-        linear = p * rd + rn * q
-        if linear == 0:
-            raise ValueError(f"pole at {Fraction(p, q)}")
-        term_den = cd * linear
-        num, den = num * term_den + cn * q * rd * den, den * term_den
-    return num, den
+    scaled = [(cd, rd, rn * q, cn * q * rd) for cn, cd, rn, rd in terms]
+    pairs = []
+    for p in ps:
+        num, den = 0, 1
+        for cd, rd, shift, top in scaled:
+            linear = p * rd + shift
+            if linear == 0:
+                raise ValueError(f"pole at {Fraction(p, q)}")
+            term_den = cd * linear
+            num, den = num * term_den + top * den, den * term_den
+        pairs.append((num, den))
+    return pairs
 
 
 def _eval_at(terms: Sequence[tuple[int, int, int, int]], t: RationalLike) -> Fraction:
     t = as_rational(t)
-    return Fraction(*_eval_terms(terms, t.numerator, t.denominator))
+    return Fraction(*_eval_terms(terms, (t.numerator,), t.denominator)[0])
 
 
 # -- Q, R and the log-derivative f --------------------------------------------
 
 
 def q_int(d: int, p: int, q: int) -> tuple[int, int]:
-    """Excess factor Q = (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d at t = p/q (q > 0).
+    """``q_ints`` at the one point p/q."""
+    return q_ints(d, (p,), q)[0]
+
+
+def q_ints(d: int, ps: Sequence[int], q: int) -> list[tuple[int, int]]:
+    """Excess factor Q = (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d at each t = p/q of ps (q > 0).
 
     The powers of q cancel, leaving the integer pair
     2**(d-1) (2p+dq) P / (2p+(d-1)q)**d with P = prod_{j<d}(p+jq).  Both
@@ -145,10 +157,14 @@ def q_int(d: int, p: int, q: int) -> tuple[int, int]:
     """
     if d < 3:
         raise ValueError("d must be >= 3")
-    base = 2 * p + (d - 1) * q
-    if base == 0:
-        raise ValueError(f"pole at t = {Fraction(p, q)}")
-    return 2 ** (d - 1) * (2 * p + d * q) * pochhammer_int(d - 1, p, q), base**d
+    power, dq, pole = 2 ** (d - 1), d * q, (d - 1) * q
+    pairs = []
+    for p in ps:
+        base = 2 * p + pole
+        if base == 0:
+            raise ValueError(f"pole at t = {Fraction(p, q)}")
+        pairs.append((power * (2 * p + dq) * pochhammer_int(d - 1, p, q), base**d))
+    return pairs
 
 
 def q_eval(d: int, t: RationalLike) -> Fraction:
@@ -165,16 +181,24 @@ def q_as_ratfun(d: int) -> RationalFunctionPair:
 
 
 def r_int(d: int, n: int, den: int) -> tuple[int, int]:
-    """Excess ratio R = count / phase_space.clr_rhs at eta = n/den (den > 0), as an integer pair.
+    """``r_ints`` at the one eta n/den."""
+    return r_ints(d, range(n, n + 1), den)[0]
 
-    R is 0 for an empty spectrum.  The count comes from spectrum.level_count,
-    so along a grid it is computed once per threshold interval.
+
+def r_ints(d: int, ns: range, den: int) -> list[tuple[int, int]]:
+    """Excess ratio R = count / phase_space.clr_rhs at eta = n/den (den > 0) for each n of the increasing range ns.
+
+    R is 0 for an empty spectrum.  clr_rhs is n**d over the grid's constant
+    2**(d-1) d! den**d, ``lt_rhs_order_int`` at n = 1, and the count is
+    spectrum.level_count, taken once per run of ``spectrum.level_runs``.
     """
-    ell = spectrum.top_level(d, n, den)
-    if ell < 0:
-        return 0, 1
-    rhs_num, rhs_den = phase_space.lt_rhs_order_int(d, n, den, 0)
-    return spectrum.level_count(d, ell) * rhs_den, rhs_num
+    runs = spectrum.level_runs(d, ns, den)
+    unit, scale = phase_space.lt_rhs_order_int(d, 1, den, 0)
+    pairs = []
+    for ell, run in runs:
+        num = spectrum.level_count(d, ell) * scale if ell >= 0 else 0
+        pairs += [(num, unit * n**d) for n in run]
+    return pairs
 
 
 def r_eval(d: int, eta: RationalLike) -> Fraction:
@@ -194,8 +218,13 @@ def f_terms(d: int) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def f_int(d: int, p: int, q: int) -> tuple[int, int]:
-    """Logarithmic derivative f of Q at t = p/q (q > 0) as an integer pair, away from its poles."""
-    return _eval_terms(_int_terms(f_terms, d), p, q)
+    """``f_ints`` at the one point p/q."""
+    return f_ints(d, (p,), q)[0]
+
+
+def f_ints(d: int, ps: Sequence[int], q: int) -> list[tuple[int, int]]:
+    """Logarithmic derivative f of Q at each t = p/q of ps (q > 0) as integer pairs, away from its poles."""
+    return _eval_terms(_int_terms(f_terms, d), ps, q)
 
 
 def f_eval(d: int, t: RationalLike) -> Fraction:

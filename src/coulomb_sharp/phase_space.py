@@ -100,7 +100,7 @@ def _order_factors(d: int, g: int) -> tuple[int, int]:
     """(g!, 2**(d-1-g) d! prod_{k=1..g} (d-2k)) for an integer order 0 <= g < d/2.
 
     Gamma(g+1) Gamma(d/2-g) / Gamma(d/2) = g! 2**g / prod_{k=1..g} (d-2k).
-    Cached: r_int reads it at every point of a grid.
+    Cached: the suites read it at each point through clr_rhs and lt_rhs.
     """
     _check_order(d, Fraction(g))
     return math.factorial(g), 2 ** (d - 1 - g) * math.factorial(d) * math.prod(d - 2 * k for k in range(1, g + 1))

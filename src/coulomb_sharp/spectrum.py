@@ -12,10 +12,13 @@ with ell = ceil((eta + 1 - d)/2) - 1; the spectrum is empty when
 eta <= d - 1.  Multiplicities, the counting function and the Riesz means of
 orders 0 and 1 are exact integers or rationals; ell is one integer floor
 division on the numerator and denominator of eta, so the discontinuities in
-eta are bit-exact.  One cached level row per (d, ell), ``_weights``, holds the
-multiplicities and ``level_count``'s closed-form count; ``levels`` and every
-Riesz mean of positive order read it.  Every other order is an integer
-enclosure (``riesz_mean_int``): q-th roots up to the order denominator
+eta are bit-exact.  The order-1 mean and the d = 3 envelope terms are column
+kernels over a range of numerators, whose runs of one ell (``level_runs``)
+each take one ``top_level`` call and one row of constants.  One cached level
+row per (d, ell), ``_weights``, holds the multiplicities and
+``level_count``'s closed-form count; ``levels`` and every Riesz mean of
+positive order read it.  Every other order is an integer enclosure
+(``riesz_mean_int``): q-th roots up to the order denominator
 ``highprec.MAX_ROOT_DEGREE``, ``log_int`` and ``exp_int`` above it.
 ``riesz_means_int`` encloses several dimensions at one eta: a root term
 floor(x_m**gamma 2**k), x_m = eta**2/m**2 - 1, depends on d only through k, so
@@ -244,26 +247,60 @@ def order1_sums(d: int, ell: int) -> tuple[int, int]:
     return sum(mu * (lcm // m2) for mu, m2 in zip(_weights(d, ell)[0], squares)), lcm
 
 
+def level_runs(d: int, ns: range, den: int) -> list[tuple[int, range]]:
+    """The increasing range ns of numerators over den, split into maximal runs of one top level: (ell, run).
+
+    The last numerator of level ell is (d-1) den + 2 den (ell+1), so each run
+    takes one ``top_level`` call, which also checks (d, eta) at its first point.
+    """
+    runs, start = [], 0
+    while start < len(ns):
+        ell = top_level(d, ns[start], den)
+        stop = min(len(ns), ((d - 1 + 2 * (ell + 1)) * den - ns.start) // ns.step + 1)
+        runs.append((ell, ns[start:stop]))
+        start = stop
+    return runs
+
+
 def riesz_mean_order1_int(d: int, n: int, den: int) -> tuple[int, int]:
-    """Order-1 Riesz mean at eta = n/den (den > 0) as an unreduced integer pair.
+    """``riesz_means_order1_int`` at the one eta n/den."""
+    return riesz_means_order1_int(d, range(n, n + 1), den)[0]
+
+
+def riesz_means_order1_int(d: int, ns: range, den: int) -> list[tuple[int, int]]:
+    """Order-1 Riesz means at eta = n/den (den > 0) for each n of the increasing range ns, as unreduced pairs.
 
     sum_j mu_j (eta^2/m_j^2 - 1) = (S n^2 - M L den^2) / (L den^2), with M the
-    eigenvalue count and (S, L) from ``order1_sums``; an empty spectrum gives 0.
+    eigenvalue count and (S, L) from ``order1_sums``, taken once per run of
+    ``level_runs``; an empty spectrum gives 0 over den^2.
     """
-    ell = top_level(d, n, den)
-    if ell < 0:
-        return 0, den * den
-    weighted, lcm = order1_sums(d, ell)
-    scale = lcm * den * den
-    return weighted * n * n - level_count(d, ell) * scale, scale
+    den2 = den * den
+    pairs = []
+    for ell, run in level_runs(d, ns, den):
+        if ell < 0:
+            pairs += [(0, den2)] * len(run)
+            continue
+        weighted, lcm = order1_sums(d, ell)
+        scale = lcm * den2
+        offset = level_count(d, ell) * scale
+        pairs += [(weighted * n * n - offset, scale) for n in run]
+    return pairs
 
 
 def d3_envelope_terms_int(n: int, den: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The d = 3 envelope terms at eta = n/den (den > 0) as integer pairs.
+    """``d3_envelope_terms_ints`` at the one eta n/den, as three integer pairs."""
+    return tuple((nums[0], term_den) for nums, term_den in d3_envelope_terms_ints(range(n, n + 1), den))
+
+
+def d3_envelope_terms_ints(ns: Sequence[int], den: int) -> tuple[tuple[list[int], int], ...]:
+    """The d = 3 envelope terms at eta = n/den (den > 0) for each n of ns: per term, numerators over one denominator.
 
     The leading part eta^3/12 - eta^2/8, the lower correction -eta/12 and the
     upper correction (2 ceil(eta/2) - 1)/24: the trace lies between the leading
     part plus either correction.
     """
-    lead = ((2 * n - 3 * den) * n * n, 24 * den**3)
-    return lead, (-n, 12 * den), (2 * -(-n // (2 * den)) - 1, 24)
+    return (
+        ([(2 * n - 3 * den) * n * n for n in ns], 24 * den**3),
+        ([-n for n in ns], 12 * den),
+        ([2 * -(-n // (2 * den)) - 1 for n in ns], 24),
+    )

@@ -112,55 +112,69 @@ def _record(check_id: str, params: dict, ok: bool | str, witness: dict, note: st
 
 
 def check_lt_gamma1(d: int, eta: RationalLike) -> CheckRecord:
-    """Improved order-1 bound: trace <= (semiclassical - eta**2/(4(d-1)(d-2)**2))_+."""
+    """``check_lt_gamma1_grid`` at the one eta."""
     eta = as_rational(eta)
-    params = {"d": d, "eta": eta}
+    return check_lt_gamma1_grid(d, range(eta.numerator, eta.numerator + 1), eta.denominator)[0]
+
+
+def check_lt_gamma1_grid(d: int, ns: range, den: int) -> list[CheckRecord]:
+    """Improved order-1 bound at each eta = n/den of the increasing range ns.
+
+    trace <= (semiclassical - eta**2/(4(d-1)(d-2)**2))_+, with the traces from
+    one ``spectrum.riesz_means_order1_int`` call.
+    """
     if d == 3:
-        return _record(
-            "lt-gamma1", params, SKIPPED, {}, "the improved order-1 bound does not hold for d = 3"
-        )
-    n, den = eta.numerator, eta.denominator
-    lhs_num, lhs_den = spectrum.riesz_mean_order1_int(d, n, den)
-    # rhs - correction = a/b - n^2 / (c den^2) with a/b the order-1 right-hand
-    # side and c = 4(d-1)(d-2)^2, over one positive denominator.
-    a, b = phase_space.lt_rhs_order_int(d, n, den, 1)
-    c = 4 * (d - 1) * (d - 2) ** 2
-    rhs_num = max(0, a * c * den * den - n * n * b)
-    rhs_den = b * c * den * den
-    return _record(
-        "lt-gamma1",
-        params,
-        lhs_num * rhs_den <= rhs_num * lhs_den,
-        {"lhs": _ratio_text(lhs_num, lhs_den), "rhs": _ratio_text(rhs_num, rhs_den)},
-    )
+        note = "the improved order-1 bound does not hold for d = 3"
+        return [_record("lt-gamma1", {"d": d, "eta": Fraction(n, den)}, SKIPPED, {}, note) for n in ns]
+    traces = spectrum.riesz_means_order1_int(d, ns, den)
+    # rhs - correction = a/b - n^2 / (c den^2) with a/b = unit n^d / b the order-1
+    # right-hand side and c = 4(d-1)(d-2)^2, over one positive denominator.
+    unit, b = phase_space.lt_rhs_order_int(d, 1, den, 1)
+    c_den2 = 4 * (d - 1) * (d - 2) ** 2 * den * den
+    rhs_den = b * c_den2
+    records = []
+    for n, (lhs_num, lhs_den) in zip(ns, traces):
+        rhs_num = max(0, unit * n**d * c_den2 - n * n * b)
+        witness = {"lhs": _ratio_text(lhs_num, lhs_den), "rhs": _ratio_text(rhs_num, rhs_den)}
+        ok = lhs_num * rhs_den <= rhs_num * lhs_den
+        records.append(_record("lt-gamma1", {"d": d, "eta": Fraction(n, den)}, ok, witness))
+    return records
 
 
 def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
-    """d=3 envelopes with leading term, second-order correction and oscillation.
+    """``check_d3_envelopes_grid`` at the one eta."""
+    eta = as_rational(eta)
+    return check_d3_envelopes_grid(range(eta.numerator, eta.numerator + 1), eta.denominator)[0]
+
+
+def check_d3_envelopes_grid(ns: range, den: int) -> list[CheckRecord]:
+    """d=3 envelopes with leading term, second-order correction and oscillation, at each eta = n/den of ns.
 
     Also asserts the sharpness pattern: equality on the upper side at odd
-    integer eta > 2 and on the lower side at even integer eta.
+    integer eta > 2 and on the lower side at even integer eta.  The traces and
+    the terms come from one column call each.
     """
-    eta = as_rational(eta)
-    n, den = eta.numerator, eta.denominator
-    trace = spectrum.riesz_mean_order1_int(3, n, den)
-    (lead_num, lead_den), *terms = spectrum.d3_envelope_terms_int(n, den)
-    # (lead + term)_+ over the positive denominator lead_den * term_den.
-    lower, upper = ((max(0, lead_num * t_den + t_num * lead_den), lead_den * t_den) for t_num, t_den in terms)
-    # The signs of trace - lower and upper - trace, all denominators positive.
-    above_lower = trace[0] * lower[1] - lower[0] * trace[1]
-    below_upper = upper[0] * trace[1] - trace[0] * upper[1]
-    ok = above_lower >= 0 and below_upper >= 0
-    note = ""
-    if den == 1:
-        if n % 2 == 1 and n > 2:
+    traces = spectrum.riesz_means_order1_int(3, ns, den)
+    (leads, lead_den), *terms = spectrum.d3_envelope_terms_ints(ns, den)
+    records = []
+    for i, (n, trace, lead_num) in enumerate(zip(ns, traces, leads)):
+        # (lead + term)_+ over the positive denominator lead_den * t_den.
+        lower, upper = ((max(0, lead_num * t_den + nums[i] * lead_den), lead_den * t_den) for nums, t_den in terms)
+        # The signs of trace - lower and upper - trace, all denominators positive.
+        above_lower = trace[0] * lower[1] - lower[0] * trace[1]
+        below_upper = upper[0] * trace[1] - trace[0] * upper[1]
+        ok = above_lower >= 0 and below_upper >= 0
+        m, rest = divmod(n, den)  # eta = m when rest = 0
+        note = ""
+        if rest == 0 and m % 2 == 1 and m > 2:
             ok = ok and below_upper == 0
             note = "upper equality at odd integer eta"
-        elif n % 2 == 0:
+        elif rest == 0 and m % 2 == 0:
             ok = ok and above_lower == 0
             note = "lower equality at even integer eta"
-    witness = {"lower": _ratio_text(*lower), "trace": _ratio_text(*trace), "upper": _ratio_text(*upper)}
-    return _record("d3-envelope", {"eta": eta}, ok, witness, note)
+        witness = {"lower": _ratio_text(*lower), "trace": _ratio_text(*trace), "upper": _ratio_text(*upper)}
+        records.append(_record("d3-envelope", {"eta": Fraction(n, den)}, ok, witness, note))
+    return records
 
 
 def check_phi_envelope(m: int, eps: RationalLike) -> CheckRecord:
@@ -277,17 +291,18 @@ def check_lt_general_gamma(
     )
 
 
-def check_lt_sweep(d_values: Sequence[int], etas: Sequence[Fraction], gamma: Fraction) -> list[CheckRecord]:
-    """The order-gamma bound on the rectangle d_values x etas, records d outer in the given orders.
+def check_lt_sweep(d_values: Sequence[int], ns: range, den: int, gamma: Fraction) -> list[CheckRecord]:
+    """The order-gamma bound on d_values x the etas n/den of the increasing range ns, records d outer.
 
-    Order 1 runs ``check_lt_gamma1`` at each point.  Every other order takes
-    the first rung's left-hand sides one eta at a time for all of d_values,
-    from ``spectrum.riesz_means_int``'s shared root rows, and hands each to
-    ``check_lt_general_gamma``, whose ladder climbs from there where the
-    first rung leaves a point undecided.
+    Order 1 runs ``check_lt_gamma1_grid`` on the whole range per d.  Every
+    other order takes the first rung's left-hand sides one eta at a time for
+    all of d_values, from ``spectrum.riesz_means_int``'s shared root rows, and
+    hands each to ``check_lt_general_gamma``, whose ladder climbs from there
+    where the first rung leaves a point undecided.
     """
     if gamma == 1:
-        return [check_lt_gamma1(d, eta) for d in d_values for eta in etas]
+        return [record for d in d_values for record in check_lt_gamma1_grid(d, ns, den)]
+    etas = [Fraction(n, den) for n in ns]
     bits = enclosure_bits(DEFAULT_PRECISION)
     columns = [spectrum.riesz_means_int(d_values, eta.numerator, eta.denominator, gamma, bits) for eta in etas]
     return [
@@ -669,10 +684,10 @@ FAMILIES: tuple[tuple[str, range | None, Callable[..., list[CheckRecord]]], ...]
     (
         "lt-gamma1",
         _d(4),
-        lambda ds: [check_lt_gamma1(d, Fraction(10 * (d - 1) + k, 10)) for d in ds for k in range(1, 401)],
+        lambda ds: [record for d in ds for record in check_lt_gamma1_grid(d, range(10 * d - 9, 10 * d + 391), 10)],
     ),
     ("lt-gamma1", _d(4), _lt_orders(Fraction(3, 2), Fraction(2), Fraction(7, 3))),
-    ("d3-envelopes", None, lambda: [check_d3_envelopes(Fraction(k, 100)) for k in range(201, 2001)]),
+    ("d3-envelopes", None, lambda: check_d3_envelopes_grid(range(201, 2001), 100)),
     ("d3-envelopes", None, lambda: [check_phi_envelope(m, Fraction(j, 8)) for m in range(1, 11) for j in range(1, 9)]),
     ("coefficients", _d(3), lambda ds: [check_coefficients_f(d) for d in ds]),
     ("coefficients", _d(6, 40, 2), lambda ds: [check_coefficients_g_even(d) for d in ds]),

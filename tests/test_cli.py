@@ -55,6 +55,19 @@ def main(argv):
             sys.modules["mpmath"] = saved
 
 
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, name) of targets so that it counts its calls; returns the live counts by target."""
+    counts = dict.fromkeys(targets, 0)
+    for module, name in targets:
+
+        def counting(*args, key=(module, name), original=getattr(module, name)):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 def src_env():
     """The environment for a subprocess, with this checkout's src first on PYTHONPATH."""
     src = str(ROOT / "src")
@@ -354,6 +367,25 @@ class TestConstantsCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["--suite", "lt-gamma1"], 7),
+            (["--suite", "d3-envelopes"], 1),
+            (["--suite", "clr", "--d-range", "3..3", "--config", "sweep.json"], 3),
+        ],
+        ids=("lt-gamma1", "d3-envelopes", "order-1-sweep"),
+    )
+    def test_order1_grids_take_one_column_call_each(self, tmp_path, capsys, monkeypatch, argv, calls):
+        # lt-gamma1 walks 400 etas at each d = 4..10, d3-envelopes 1,800 at d = 3
+        # and the sweep 60 at each of d = 4, 5, 6; a call per point would count each.
+        grid = {"start": "31/10", "stop": "9", "step": "1/10"}
+        (tmp_path / "sweep.json").write_text(json.dumps({"d_values": [4, 5, 6], "eta_grid": grid}))
+        monkeypatch.chdir(tmp_path)
+        counts = count_calls(monkeypatch, [(spectrum, "riesz_means_order1_int")])
+        assert main(["verify", *argv, "--out", "r.jsonl"]) == 0
+        assert counts == {(spectrum, "riesz_means_order1_int"): calls}
+
     def test_d3_envelopes_suite(self, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--suite", "d3-envelopes", "--out", str(out)]) == 0
@@ -750,7 +782,7 @@ class TestVerifyCommand:
     def test_bad_config_field_rejected_before_work(self, tmp_path, capsys, monkeypatch, field, message):
         ran = []
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: ran.append("suite") or [])
-        for name in ("check_lt_gamma1", "check_lt_general_gamma"):
+        for name in ("check_lt_gamma1_grid", "check_lt_general_gamma"):
             monkeypatch.setattr(verification, name, lambda *args, **kwargs: ran.append("sweep"))
         payload = {
             "d_values": [4, 5],
@@ -863,6 +895,21 @@ class TestVerifyCommand:
 
 
 class TestFigureCommand:
+    @pytest.mark.parametrize(
+        "which, calls",
+        [
+            ("lt-d3", {(spectrum, "riesz_means_order1_int"): 1, (spectrum, "d3_envelope_terms_ints"): 1}),
+            ("rd-vs-qd", {(excess, "q_ints"): 2, (excess, "r_ints"): 2}),
+            ("f-plot", {(excess, "f_ints"): 1}),
+        ],
+        ids=("lt-d3", "rd-vs-qd", "f-plot"),
+    )
+    def test_each_column_takes_one_kernel_call(self, tmp_path, capsys, monkeypatch, which, calls):
+        # rd-vs-qd has one Q and one R column per d; a call per cell would count once per row.
+        counts = count_calls(monkeypatch, list(calls))
+        assert main(["figure", "--which", which, "--out", str(tmp_path / "x.csv")]) == 0
+        assert counts == calls
+
     def test_lt_d3_touches_envelope_at_eta5(self, tmp_path, capsys):
         out = tmp_path / "lt.csv"
         assert main(["figure", "--which", "lt-d3", "--out", str(out)]) == 0
@@ -993,7 +1040,11 @@ class TestFigureCommand:
 
     @pytest.mark.parametrize(
         "which, evaluator",
-        [("lt-d3", (spectrum, "riesz_mean_order1_int")), ("rd-vs-qd", (excess, "q_int")), ("f-plot", (excess, "f_int"))],
+        [
+            ("lt-d3", (spectrum, "riesz_means_order1_int")),
+            ("rd-vs-qd", (excess, "q_ints")),
+            ("f-plot", (excess, "f_ints")),
+        ],
         ids=("lt-d3", "rd-vs-qd", "f-plot"),
     )
     def test_too_many_grid_points_rejected_before_work(self, tmp_path, capsys, monkeypatch, which, evaluator):

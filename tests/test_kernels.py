@@ -9,6 +9,15 @@ hypothesis-drawn points: unreduced pairs, integer tau (the thresholds of the
 count), odd and even integer eta, and points next to the poles.  The order-1
 mean at d = 3 is also checked against the paper's closed form, and the
 integer-order right-hand side against sympy's Gamma function.
+
+The figures and the grid checks call the column kernels q_ints, r_ints,
+f_ints, riesz_means_order1_int and d3_envelope_terms_ints, which take an
+increasing range of numerators over one denominator and work out the
+constants of each threshold run (spectrum.level_runs) once; the point
+kernels above are their one-point case.  They are checked against the same
+oracles on drawn ranges: empty and single-point ones, ranges that start with
+an empty spectrum and cross several thresholds, and steps that do not divide
+2 den, so that the runs start and end between thresholds.
 """
 
 import functools
@@ -20,7 +29,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from coulomb_sharp import cli, excess, phase_space, spectrum  # noqa: E402
@@ -267,6 +276,92 @@ class TestD3EnvelopeTerms:
         assert max(0, lead + lower) <= trace <= max(0, lead + upper)
         if eta.denominator == 1 and eta > 2:
             assert trace == lead + (upper if eta.numerator % 2 else lower)
+
+
+@st.composite
+def grids(draw, d_values=dimensions, signed=False):
+    """(d, ns, den): an increasing range of numerators ns over den, drawn so that the runs of one top level vary.
+
+    The start is often at or below (d - 1) den, an empty spectrum, and the
+    level changes every 2 den; steps up to 3 den cross several thresholds per
+    range and mostly do not divide 2 den.  signed ranges (for Q and f) start
+    from t = -30, among the poles.
+    """
+    d = draw(d_values)
+    den = draw(st.integers(1, 40))
+    low = -30 * den if signed else 1
+    start = draw(st.one_of(st.integers(max(low, 1), (d - 1) * den), st.integers(low, 20 * den)))
+    step = draw(st.integers(1, 3 * den))
+    length = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 25)))
+    return d, range(start, start + length * step, step), den
+
+
+def pole_free(ns, den, poles):
+    return all(Fraction(n, den) not in poles for n in ns)
+
+
+class TestColumnKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(grids())
+    @example((3, range(1, 200, 7), 10))  # from an empty spectrum across nine thresholds, 7 not dividing 20
+    @example((5, range(9, 9), 2))
+    def test_level_runs_cover_the_range_with_maximal_runs(self, grid):
+        d, ns, den = grid
+        runs = spectrum.level_runs(d, ns, den)
+        assert [n for _, run in runs for n in run] == list(ns)
+        assert all(run and {spectrum.top_level(d, n, den) for n in run} == {ell} for ell, run in runs)
+        assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids())
+    @example((3, range(1, 200, 7), 10))
+    @example((4, range(37, 38), 12))
+    def test_order1_means_match_level_sum(self, grid):
+        d, ns, den = grid
+        pairs = spectrum.riesz_means_order1_int(d, ns, den)
+        assert len(pairs) == len(ns) and all(pair[1] > 0 for pair in pairs)
+        assert [Fraction(*pair) for pair in pairs] == [trace_oracle(d, Fraction(n, den)) for n in ns]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids(st.just(3)))
+    @example((3, range(1, 200, 7), 10))
+    def test_d3_envelope_terms_match_definitions(self, grid):
+        _, ns, den = grid
+        (leads, lead_den), (lowers, lower_den), (uppers, upper_den) = spectrum.d3_envelope_terms_ints(ns, den)
+        etas = [Fraction(n, den) for n in ns]
+        assert [Fraction(num, lead_den) for num in leads] == [eta**3 / 12 - eta**2 / 8 for eta in etas]
+        assert [Fraction(num, lower_den) for num in lowers] == [-eta / 12 for eta in etas]
+        upper_terms = [Fraction(2 * math.ceil(eta / 2) - 1, 24) for eta in etas]
+        assert [Fraction(num, upper_den) for num in uppers] == upper_terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids())
+    @example((6, range(1, 400, 13), 20))
+    def test_r_column_matches_count_over_clr_bound(self, grid):
+        d, ns, den = grid
+        assert [Fraction(*pair) for pair in excess.r_ints(d, ns, den)] == [r_oracle(d, Fraction(n, den)) for n in ns]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids(signed=True))
+    @example((5, range(-60, 60, 7), 6))
+    def test_q_column_matches_product_form(self, grid):
+        d, ns, den = grid
+        if not pole_free(ns, den, {Fraction(1 - d, 2)}):
+            with pytest.raises(ValueError, match="pole"):
+                excess.q_ints(d, ns, den)
+            return
+        assert [Fraction(*pair) for pair in excess.q_ints(d, ns, den)] == [q_oracle(d, Fraction(n, den)) for n in ns]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids(signed=True))
+    @example((6, range(-110, 80, 3), 20))
+    def test_f_column_matches_partial_fractions(self, grid):
+        d, ns, den = grid
+        if not pole_free(ns, den, {Fraction(-d, 2), Fraction(1 - d, 2)} | {Fraction(-j) for j in range(1, d)}):
+            with pytest.raises(ValueError, match="pole"):
+                excess.f_ints(d, ns, den)
+            return
+        assert [Fraction(*pair) for pair in excess.f_ints(d, ns, den)] == [f_oracle(d, Fraction(n, den)) for n in ns]
 
 
 def decimal_exponent(v):

@@ -63,7 +63,7 @@ class TestD3Envelopes:
         # A trace 10**-9 outside an envelope, or inside but off the envelope it
         # must equal at integer eta, fails.
         moved = Fraction(V.check_d3_envelopes(eta).witness[side]) + Fraction(nudge, 10**9)
-        monkeypatch.setattr(spectrum, "riesz_mean_order1_int", lambda d, n, den: (moved.numerator, moved.denominator))
+        monkeypatch.setattr(spectrum, "riesz_means_order1_int", lambda d, ns, den: [moved.as_integer_ratio()] * len(ns))
         assert V.check_d3_envelopes(eta).verdict == "fail"
 
 
@@ -275,7 +275,7 @@ class TestGeneralGamma:
 
         monkeypatch.setattr(phase_space, "lt_rhs_int", rhs)
         d_values, etas = [8, 5, 6], [Fraction(12), Fraction(97, 8)]
-        records = V.check_lt_sweep(d_values, etas, gamma)
+        records = V.check_lt_sweep(d_values, range(96, 98), 8, gamma)
         assert records == [V.check_lt_general_gamma(d, eta, gamma) for d in d_values for eta in etas]
         assert [r.witness["used_precision"] for r in records] == ["120", "120", "30", "30", "120", "120"]
         assert {r.verdict for r in records} == {"pass"}
@@ -291,7 +291,7 @@ class TestGeneralGamma:
             return iroot(n, q)
 
         monkeypatch.setattr(spectrum, "iroot", counting)
-        records = V.check_lt_sweep([5, 7, 9], [Fraction(20)], Fraction(7, 3))
+        records = V.check_lt_sweep([5, 7, 9], range(20, 21), 1, Fraction(7, 3))
         assert len(roots) == len(set(roots)) == len(range(4, 20, 2)) == 8
         assert [(r.verdict, r.witness["used_precision"]) for r in records] == [("pass", "30")] * 3
 
