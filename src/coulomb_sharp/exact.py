@@ -144,7 +144,11 @@ def dyadic_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool | None
 
 
 class _Frozen:
-    """Base of the immutable slotted types: __init__ sets each slot once, through object.__setattr__."""
+    """Base of the immutable slotted types: __init__ sets each slot once, through object.__setattr__.
+
+    Equality (same class only), hashing, the dataclass-format repr and pickling
+    all read the slots' values in ``__slots__`` order.
+    """
 
     __slots__ = ()
 
@@ -154,9 +158,25 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _slot_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._slot_values() == other._slot_values()
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values())
+
+    def __repr__(self) -> str:
+        # The dataclass format: each slot as name=repr(value), in order.
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild through __init__: the default would set the slots with setattr.
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, self._slot_values()
 
 
 class Polynomial(_Frozen):
@@ -180,17 +200,6 @@ class Polynomial(_Frozen):
     def __init__(self, primitive: tuple[int, ...], content: Fraction) -> None:
         object.__setattr__(self, "primitive", primitive)
         object.__setattr__(self, "content", content)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Polynomial:
-            return NotImplemented
-        return self.primitive == other.primitive and self.content == other.content
-
-    def __hash__(self) -> int:
-        return hash((self.primitive, self.content))
-
-    def __repr__(self) -> str:
-        return f"Polynomial(primitive={self.primitive!r}, content={self.content!r})"
 
     @staticmethod
     def from_coefficients(coeffs: Iterable[RationalLike]) -> "Polynomial":
@@ -435,25 +444,6 @@ class RootBracket(_Frozen):
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "sign_at_lower", sign_at_lower)
         object.__setattr__(self, "sign_at_upper", sign_at_upper)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RootBracket:
-            return NotImplemented
-        return (self.lower, self.upper, self.sign_at_lower, self.sign_at_upper) == (
-            other.lower,
-            other.upper,
-            other.sign_at_lower,
-            other.sign_at_upper,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lower, self.upper, self.sign_at_lower, self.sign_at_upper))
-
-    def __repr__(self) -> str:
-        return (
-            f"RootBracket(lower={self.lower!r}, upper={self.upper!r}, "
-            f"sign_at_lower={self.sign_at_lower!r}, sign_at_upper={self.sign_at_upper!r})"
-        )
 
     @property
     def width(self) -> Fraction:
@@ -719,17 +709,6 @@ class RationalFunctionPair(_Frozen):
             raise ValueError("denominator must be monic")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RationalFunctionPair:
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
-
-    def __repr__(self) -> str:
-        return f"RationalFunctionPair(numerator={self.numerator!r}, denominator={self.denominator!r})"
 
     def eval(self, t: RationalLike) -> Fraction:
         t = as_rational(t)

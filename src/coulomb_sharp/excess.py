@@ -18,9 +18,9 @@ numerators p over one denominator q > 0 (p/q not necessarily reduced) and
 returns each value as an unreduced integer pair (numerator, denominator):
 q_ints for Q, r_ints for the excess ratio R and f_ints for f.  Each works out
 the constants of the column once, and r_ints those of each threshold run
-once.  q_int, r_int and f_int are the column kernels at one point and q_eval,
-r_eval and f_eval their Fraction wrappers, so a figure grid and a single
-rational point go through the same formula.
+once.  q_eval, r_eval and f_eval are their Fraction forms, the column kernel
+on a one-point column, so a figure grid and a single rational point go
+through the same formula.
 
 The rational-function forms of f, g and h_a are built from their partial
 fractions in integers and need no gcd: after merging terms that share a
@@ -143,11 +143,6 @@ def _eval_at(terms: Sequence[tuple[int, int, int, int]], t: RationalLike) -> Fra
 # -- Q, R and the log-derivative f --------------------------------------------
 
 
-def q_int(d: int, p: int, q: int) -> tuple[int, int]:
-    """``q_ints`` at the one point p/q."""
-    return q_ints(d, (p,), q)[0]
-
-
 def q_ints(d: int, ps: Sequence[int], q: int) -> list[tuple[int, int]]:
     """Excess factor Q = (t+d/2) prod_{j<d}(t+j) / (t+(d-1)/2)**d at each t = p/q of ps (q > 0).
 
@@ -169,7 +164,7 @@ def q_ints(d: int, ps: Sequence[int], q: int) -> list[tuple[int, int]]:
 
 def q_eval(d: int, t: RationalLike) -> Fraction:
     t = as_rational(t)
-    return Fraction(*q_int(d, t.numerator, t.denominator))
+    return Fraction(*q_ints(d, (t.numerator,), t.denominator)[0])
 
 
 def q_as_ratfun(d: int) -> RationalFunctionPair:
@@ -178,11 +173,6 @@ def q_as_ratfun(d: int) -> RationalFunctionPair:
     num = expand_linear_factors([Fraction(d, 2)] + list(range(1, d)))
     den = expand_linear_factors([Fraction(d - 1, 2)] * d)
     return ratfun_reduce(num, den)
-
-
-def r_int(d: int, n: int, den: int) -> tuple[int, int]:
-    """``r_ints`` at the one eta n/den."""
-    return r_ints(d, range(n, n + 1), den)[0]
 
 
 def r_ints(d: int, ns: range, den: int) -> list[tuple[int, int]]:
@@ -203,7 +193,7 @@ def r_ints(d: int, ns: range, den: int) -> list[tuple[int, int]]:
 
 def r_eval(d: int, eta: RationalLike) -> Fraction:
     eta = as_rational(eta)
-    return Fraction(*r_int(d, eta.numerator, eta.denominator))
+    return Fraction(*r_ints(d, range(eta.numerator, eta.numerator + 1), eta.denominator)[0])
 
 
 def f_terms(d: int) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -217,11 +207,6 @@ def f_terms(d: int) -> tuple[tuple[Fraction, Fraction], ...]:
     )
 
 
-def f_int(d: int, p: int, q: int) -> tuple[int, int]:
-    """``f_ints`` at the one point p/q."""
-    return f_ints(d, (p,), q)[0]
-
-
 def f_ints(d: int, ps: Sequence[int], q: int) -> list[tuple[int, int]]:
     """Logarithmic derivative f of Q at each t = p/q of ps (q > 0) as integer pairs, away from its poles."""
     return _eval_terms(_int_terms(f_terms, d), ps, q)
@@ -229,7 +214,7 @@ def f_ints(d: int, ps: Sequence[int], q: int) -> list[tuple[int, int]]:
 
 def f_eval(d: int, t: RationalLike) -> Fraction:
     t = as_rational(t)
-    return Fraction(*f_int(d, t.numerator, t.denominator))
+    return Fraction(*f_ints(d, (t.numerator,), t.denominator)[0])
 
 
 def f_as_ratfun(d: int) -> RationalFunctionPair:

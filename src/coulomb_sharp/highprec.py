@@ -1,7 +1,7 @@
 """The precision ladder and the integer kernels: ln 2, log, exp, Gamma and the witness digits.
 
 Every non-integer order gamma = p/q is enclosed in integers: the Riesz mean
-(``spectrum.riesz_mean_int``) by q-th roots up to q = MAX_ROOT_DEGREE and by
+(``spectrum.riesz_means_int``) by q-th roots up to q = MAX_ROOT_DEGREE and by
 ``log_int`` and ``exp_int`` above, the order-gamma right-hand side by a Gamma
 ratio (``phase_space.gamma_ratio_int``) of ``gamma_int`` values at every q.
 Each kernel proves its bound in its docstring.  An enclosure (lo, hi, k)

@@ -14,18 +14,17 @@ orders 0 and 1 are exact integers or rationals; ell is one integer floor
 division on the numerator and denominator of eta, so the discontinuities in
 eta are bit-exact.  The order-1 mean and the d = 3 envelope terms are column
 kernels over a range of numerators, whose runs of one ell (``level_runs``)
-each take one ``top_level`` call and one row of constants.  One cached level
-row per (d, ell), ``_weights``, holds the multiplicities and
-``level_count``'s closed-form count; ``levels`` and every Riesz mean of
-positive order read it.  Every other order is an integer enclosure
-(``riesz_mean_int``): q-th roots up to the order denominator
-``highprec.MAX_ROOT_DEGREE``, ``log_int`` and ``exp_int`` above it.
-``riesz_means_int`` encloses several dimensions at one eta: a root term
-floor(x_m**gamma 2**k), x_m = eta**2/m**2 - 1, depends on d only through k, so
-the dimensions of one parity share one row of roots at their largest k, K, and
-each reads its own as row >> (K - k), exact since floor(2**K y) >> s =
-floor(2**(K-s) y) for y >= 0.  ``riesz_mean`` returns the lower end as a plain
-mpf.
+each take one ``top_level`` call and one row of constants; a single eta is a
+one-point column.  One cached level row per (d, ell), ``_weights``, holds the
+multiplicities and ``level_count``'s closed-form count; ``levels`` and every
+Riesz mean of positive order read it.  Every other order is an integer
+enclosure, ``riesz_means_int``, taken for several dimensions at one eta:
+q-th roots up to the order denominator ``highprec.MAX_ROOT_DEGREE``,
+``log_int`` and ``exp_int`` above it.  A root term floor(x_m**gamma 2**k),
+x_m = eta**2/m**2 - 1, depends on d only through k, so the dimensions of one
+parity share one row of roots at their largest k, K, and each reads its own
+as row >> (K - k), exact since floor(2**K y) >> s = floor(2**(K-s) y) for
+y >= 0.  ``riesz_mean`` returns the lower end at its one d as a plain mpf.
 """
 
 from __future__ import annotations
@@ -126,9 +125,10 @@ def counting_function(d: int, eta: RationalLike) -> int:
 def riesz_mean(d: int, eta: RationalLike, gamma: RationalLike) -> Fraction | mpmath.mpf:
     """Sum of |lambda_j/Lambda|**gamma at (d, eta) with multiplicities (gamma = 0: the count).
 
-    Exact rational for gamma in {0, 1} (at 1 from ``riesz_mean_order1_int``);
-    otherwise the lower end of ``riesz_mean_int``'s enclosure, an mpf held
-    at DEFAULT_PRECISION plus guard digits (``highprec.dyadic_real``).
+    Exact rational for gamma in {0, 1} (at 1 from ``riesz_means_order1_int``
+    on a one-point column); otherwise the lower end of ``riesz_means_int``'s
+    enclosure at the one d, an mpf held at DEFAULT_PRECISION plus guard
+    digits (``highprec.dyadic_real``).
     Returns 0 for empty spectrum.
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
@@ -141,14 +141,9 @@ def riesz_mean(d: int, eta: RationalLike, gamma: RationalLike) -> Fraction | mpm
     if gamma == 0:
         return Fraction(level_count(d, ell))
     if gamma == 1:
-        return Fraction(*riesz_mean_order1_int(d, n, den))
-    enclosure = riesz_mean_int(d, n, den, gamma, enclosure_bits(DEFAULT_PRECISION))
+        return Fraction(*riesz_means_order1_int(d, range(n, n + 1), den)[0])
+    enclosure = riesz_means_int((d,), n, den, gamma, enclosure_bits(DEFAULT_PRECISION))[0]
     return dyadic_real(enclosure, DEFAULT_PRECISION)
-
-
-def riesz_mean_int(d: int, n: int, den: int, gamma: Fraction, bits: int) -> tuple[int, int, int]:
-    """Order-gamma Riesz mean at eta = n/den (den > 0) as an enclosure (lo, hi, k): ``riesz_means_int`` at one d."""
-    return riesz_means_int((d,), n, den, gamma, bits)[0]
 
 
 def riesz_means_int(ds: Sequence[int], n: int, den: int, gamma: Fraction, bits: int) -> list[tuple[int, int, int]]:
@@ -262,11 +257,6 @@ def level_runs(d: int, ns: range, den: int) -> list[tuple[int, range]]:
     return runs
 
 
-def riesz_mean_order1_int(d: int, n: int, den: int) -> tuple[int, int]:
-    """``riesz_means_order1_int`` at the one eta n/den."""
-    return riesz_means_order1_int(d, range(n, n + 1), den)[0]
-
-
 def riesz_means_order1_int(d: int, ns: range, den: int) -> list[tuple[int, int]]:
     """Order-1 Riesz means at eta = n/den (den > 0) for each n of the increasing range ns, as unreduced pairs.
 
@@ -285,11 +275,6 @@ def riesz_means_order1_int(d: int, ns: range, den: int) -> list[tuple[int, int]]
         offset = level_count(d, ell) * scale
         pairs += [(weighted * n * n - offset, scale) for n in run]
     return pairs
-
-
-def d3_envelope_terms_int(n: int, den: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """``d3_envelope_terms_ints`` at the one eta n/den, as three integer pairs."""
-    return tuple((nums[0], term_den) for nums, term_den in d3_envelope_terms_ints(range(n, n + 1), den))
 
 
 def d3_envelope_terms_ints(ns: Sequence[int], den: int) -> tuple[tuple[list[int], int], ...]:

@@ -111,12 +111,6 @@ def _record(check_id: str, params: dict, ok: bool | str, witness: dict, note: st
 # -- order-1 inequality checks -------------------------------------------------
 
 
-def check_lt_gamma1(d: int, eta: RationalLike) -> CheckRecord:
-    """``check_lt_gamma1_grid`` at the one eta."""
-    eta = as_rational(eta)
-    return check_lt_gamma1_grid(d, range(eta.numerator, eta.numerator + 1), eta.denominator)[0]
-
-
 def check_lt_gamma1_grid(d: int, ns: range, den: int) -> list[CheckRecord]:
     """Improved order-1 bound at each eta = n/den of the increasing range ns.
 
@@ -139,12 +133,6 @@ def check_lt_gamma1_grid(d: int, ns: range, den: int) -> list[CheckRecord]:
         ok = lhs_num * rhs_den <= rhs_num * lhs_den
         records.append(_record("lt-gamma1", {"d": d, "eta": Fraction(n, den)}, ok, witness))
     return records
-
-
-def check_d3_envelopes(eta: RationalLike) -> CheckRecord:
-    """``check_d3_envelopes_grid`` at the one eta."""
-    eta = as_rational(eta)
-    return check_d3_envelopes_grid(range(eta.numerator, eta.numerator + 1), eta.denominator)[0]
 
 
 def check_d3_envelopes_grid(ns: range, den: int) -> list[CheckRecord]:
@@ -184,8 +172,8 @@ def check_phi_envelope(m: int, eps: RationalLike) -> CheckRecord:
         raise ValueError("need m >= 1 and eps in (0, 1]")
     eta = 2 * m + 2 * eps
     phi = -Fraction(2, 3) * eps**3 + Fraction(1 - 2 * m, 2) * eps**2 + m * eps - Fraction(m, 6)
-    terms = spectrum.d3_envelope_terms_int(eta.numerator, eta.denominator)
-    _, lower, upper = (Fraction(*pair) for pair in terms)
+    terms = spectrum.d3_envelope_terms_ints((eta.numerator,), eta.denominator)
+    _, lower, upper = (Fraction(nums[0], den) for nums, den in terms)
     ok = lower <= phi <= upper
     return _record(
         "phi-envelope",
@@ -250,13 +238,13 @@ def check_lt_general_gamma(
     """Strict order-gamma inequality for gamma in [1, d/2).
 
     At every order, integers included, the sides are the enclosures of
-    ``spectrum.riesz_mean_int`` and ``phase_space.lt_rhs_int``: 'pass' needs
-    lhs.hi < rhs.lo, 'fail' rhs.hi < lhs.lo.  While they overlap the digit
-    count doubles from DEFAULT_PRECISION, up to MAX_PRECISION, where overlap
-    is 'inconclusive'.  Both witnesses are 25-digit strings of the lower ends
-    at ``used_precision``, the digit count that decided.  ``first_lhs`` is the
-    left-hand side at DEFAULT_PRECISION when the caller already holds it (a
-    sweep's batch); every later rung computes its own.
+    ``spectrum.riesz_means_int`` at the one d and ``phase_space.lt_rhs_int``:
+    'pass' needs lhs.hi < rhs.lo, 'fail' rhs.hi < lhs.lo.  While they overlap
+    the digit count doubles from DEFAULT_PRECISION, up to MAX_PRECISION, where
+    overlap is 'inconclusive'.  Both witnesses are 25-digit strings of the
+    lower ends at ``used_precision``, the digit count that decided.
+    ``first_lhs`` is the left-hand side at DEFAULT_PRECISION when the caller
+    already holds it (a sweep's batch); every later rung computes its own.
     """
     eta, gamma = as_rational(eta), as_rational(gamma)
     if gamma >= Fraction(d, 2):
@@ -271,7 +259,7 @@ def check_lt_general_gamma(
     while True:
         bits = enclosure_bits(precision)
         if lhs_int is None:
-            lhs_int = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            lhs_int = spectrum.riesz_means_int((d,), n, den, gamma, bits)[0]
         rhs_int = phase_space.lt_rhs_int(d, n, den, gamma, bits)
         less = dyadic_less(lhs_int, rhs_int)
         if less is not None or precision == MAX_PRECISION:

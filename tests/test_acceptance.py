@@ -18,7 +18,7 @@ from coulomb_sharp.spectrum import (
     counting_function,
     multiplicity,
     riesz_mean,
-    riesz_mean_order1_int,
+    riesz_means_order1_int,
 )
 
 
@@ -94,7 +94,9 @@ def test_criterion_5_lt_gamma1_sweep():
         checked = 0
         for d in range(4, 11):
             for k in range(1, 401):
-                record = verification.check_lt_gamma1(d, Fraction(d - 1) + Fraction(k, 10))
+                eta = Fraction(d - 1) + Fraction(k, 10)
+                ns = range(eta.numerator, eta.numerator + 1)
+                [record] = verification.check_lt_gamma1_grid(d, ns, eta.denominator)
                 assert record.verdict == "pass", record.to_json()
                 checked += 1
     _report(5, watch, f"improved order-1 bound exact on {checked} (d, eta) pairs, zero violations")
@@ -103,7 +105,8 @@ def test_criterion_5_lt_gamma1_sweep():
 def _d3_trace(eta: int) -> Fraction:
     """The order-1 mean at d = 3 and integer eta, from the kernel on the unreduced pair (3 eta, 3),
     checked against the paper's closed form (l+1) eta^2/4 - (l+1)(l+2)(2l+3)/6, l = ceil(eta/2) - 2."""
-    trace = Fraction(*riesz_mean_order1_int(3, 3 * eta, 3))
+    [pair] = riesz_means_order1_int(3, range(3 * eta, 3 * eta + 1), 3)
+    trace = Fraction(*pair)
     ell = math.ceil(eta / 2) - 2
     assert trace == Fraction((ell + 1) * eta**2, 4) - Fraction((ell + 1) * (ell + 2) * (2 * ell + 3), 6)
     return trace
@@ -113,7 +116,7 @@ def test_criterion_6_d3_envelopes():
     with _Stopwatch(30.0) as watch:
         for k in range(201, 2001):
             eta = Fraction(k, 100)
-            record = verification.check_d3_envelopes(eta)
+            [record] = verification.check_d3_envelopes_grid(range(eta.numerator, eta.numerator + 1), eta.denominator)
             assert record.verdict == "pass", record.to_json()
         for eta in range(3, 20, 2):
             trace = _d3_trace(eta)

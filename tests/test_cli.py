@@ -512,7 +512,7 @@ class TestVerifyCommand:
     )
     def test_config_sweep_bytes_pinned(self, tmp_path, capsys, gamma, d_values, start, stop, step, records, sha256):
         # Order 7/3 encloses the Riesz mean by integer roots, order 233/100 by
-        # integer log and exp; order 1 runs check_lt_gamma1 on integer pairs (d = 3
+        # integer log and exp; order 1 runs check_lt_gamma1_grid on integer pairs (d = 3
         # skipped, d = 20 with empty spectra and a right-hand side clamped to
         # 0).  The second order-7/3 sweep has the lt-sweep-gamma benchmark's
         # shape (d = 5..10, eta = 12..60) at a coarser step; the next two are
@@ -612,7 +612,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("gamma", ["7/3", "233/100"])
     def test_inconclusive_record_exits_one(self, tmp_path, capsys, monkeypatch, gamma):
         # A right-hand side equal to the left-hand side's enclosure is a tie.
-        monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
+        def riesz_mean_enclosure(d, n, den, gamma, bits):
+            return spectrum.riesz_means_int((d,), n, den, gamma, bits)[0]
+
+        monkeypatch.setattr(phase_space, "lt_rhs_int", riesz_mean_enclosure)
         monkeypatch.setattr(verification, "run_suite", lambda *args, **kwargs: [])
         config = tmp_path / "sweep.json"
         config.write_text(

@@ -1,6 +1,6 @@
 """Property tests of the integer enclosures behind the order-gamma checks.
 
-exact.iroot is the floor of a q-th root; spectrum.riesz_mean_int (by q-th
+exact.iroot is the floor of a q-th root; spectrum.riesz_means_int (by q-th
 roots for q <= spectrum.MAX_ROOT_DEGREE, by integer log and exp above),
 highprec.gamma_int, phase_space.gamma_ratio_int and phase_space.lt_rhs_int
 return (lo, hi, k) with the value in [lo, hi] / 2**k, and highprec.ln2_int,
@@ -120,7 +120,7 @@ class TestRieszEnclosure:
         bit_counts,
     )
     def test_contains_the_mpmath_sum(self, d, eta, gamma, bits):
-        enclosure = spectrum.riesz_mean_int(d, eta.numerator, eta.denominator, gamma, bits)
+        [enclosure] = spectrum.riesz_means_int((d,), eta.numerator, eta.denominator, gamma, bits)
         ell = spectrum.top_level(d, eta.numerator, eta.denominator)
         if ell < 0:
             assert enclosure[:2] == (0, 0)
@@ -146,7 +146,7 @@ class TestRieszEnclosure:
         # at the k returned, with x_j = a/b the level's ratio and each floor
         # from sympy; hi adds the eigenvalue count.
         n, den = eta.numerator, eta.denominator
-        lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+        [(lo, hi, k)] = spectrum.riesz_means_int((d,), n, den, gamma, bits)
         ell = spectrum.top_level(d, n, den)
         p, q = gamma.numerator, gamma.denominator
         expected = 0
@@ -160,7 +160,7 @@ class TestRieszEnclosure:
     @pytest.mark.parametrize("eta", [Fraction(1, 3), Fraction(2), Fraction(7, 2), Fraction(4)])
     def test_empty_spectrum_is_exactly_zero(self, eta):
         # d = 5: the spectrum is empty for eta <= 4.
-        lo, hi, _ = spectrum.riesz_mean_int(5, eta.numerator, eta.denominator, Fraction(7, 3), 100)
+        [(lo, hi, _)] = spectrum.riesz_means_int((5,), eta.numerator, eta.denominator, Fraction(7, 3), 100)
         assert (lo, hi) == (0, 0)
 
 
@@ -208,7 +208,7 @@ class TestSharedRootRows:
         n, den = eta.numerator, eta.denominator
         expected = [_per_d_roots(d, n, den, gamma, bits) for d in ds]
         assert spectrum.riesz_means_int(ds, n, den, gamma, bits) == expected
-        assert [spectrum.riesz_mean_int(d, n, den, gamma, bits) for d in ds] == expected
+        assert [spectrum.riesz_means_int((d,), n, den, gamma, bits)[0] for d in ds] == expected
 
 
 def _mp(x: Fraction):
@@ -362,7 +362,7 @@ class TestOneEvaluator:
         # riesz_mean and lt_rhs read the kernels the order-gamma check compares.
         d, eta, bits = 6, Fraction(111, 10), enclosure_bits(DEFAULT_PRECISION)
         lhs = spectrum.riesz_mean(d, eta, gamma)
-        assert lhs == dyadic_real(spectrum.riesz_mean_int(d, 111, 10, gamma, bits), DEFAULT_PRECISION)
+        assert lhs == dyadic_real(spectrum.riesz_means_int((d,), 111, 10, gamma, bits)[0], DEFAULT_PRECISION)
         rhs = phase_space.lt_rhs(d, eta, gamma)
         assert rhs == dyadic_real(phase_space.lt_rhs_int(d, 111, 10, gamma, bits), DEFAULT_PRECISION)
 

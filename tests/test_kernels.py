@@ -1,22 +1,21 @@
 """Differential tests of the integer kernels behind the figures and the verifier.
 
-q_int, r_int, f_int, riesz_mean_order1_int, d3_envelope_terms_int,
-big_g_squared_int and lt_rhs_order_int take a point as an integer pair
-(numerator, denominator > 0), not necessarily reduced, and return each value
-as an unreduced integer pair.  Each is checked here against a Fraction
-computation written from the definition, sharing no code with the kernel, on
-hypothesis-drawn points: unreduced pairs, integer tau (the thresholds of the
-count), odd and even integer eta, and points next to the poles.  The order-1
-mean at d = 3 is also checked against the paper's closed form, and the
-integer-order right-hand side against sympy's Gamma function.
+The column kernels q_ints, r_ints, f_ints, riesz_means_order1_int and
+d3_envelope_terms_ints take an increasing range of numerators over one
+denominator > 0, not necessarily reduced, and return each value as an
+unreduced integer pair; big_g_squared_int and lt_rhs_order_int take one
+point as an unreduced (numerator, denominator) pair.  Each is checked here
+against a Fraction computation written from the definition, sharing no code
+with the kernel, on hypothesis-drawn points, a column kernel on a one-point
+column: unreduced pairs, integer tau (the thresholds of the count), odd and
+even integer eta, and points next to the poles.  The order-1 mean at d = 3
+is also checked against the paper's closed form, and the integer-order
+right-hand side against sympy's Gamma function.
 
-The figures and the grid checks call the column kernels q_ints, r_ints,
-f_ints, riesz_means_order1_int and d3_envelope_terms_ints, which take an
-increasing range of numerators over one denominator and work out the
-constants of each threshold run (spectrum.level_runs) once; the point
-kernels above are their one-point case.  They are checked against the same
-oracles on drawn ranges: empty and single-point ones, ranges that start with
-an empty spectrum and cross several thresholds, and steps that do not divide
+The column kernels work out the constants of each threshold run
+(spectrum.level_runs) once.  They are also checked against the same oracles
+on drawn ranges: empty and single-point ones, ranges that start with an
+empty spectrum and cross several thresholds, and steps that do not divide
 2 den, so that the runs start and end between thresholds.
 """
 
@@ -52,6 +51,12 @@ def near(points):
 
 def unreduced(x, k):
     return x.numerator * k, x.denominator * k
+
+
+def point_column(x, k):
+    """The one-point column (range(n, n + 1), den) of the unreduced pair (n, den) = unreduced(x, k)."""
+    n, den = unreduced(x, k)
+    return range(n, n + 1), den
 
 
 def multiplicity(d, j):
@@ -160,10 +165,10 @@ class TestQKernel:
         d, t = point
         if t == Fraction(1 - d, 2):
             with pytest.raises(ValueError, match="pole"):
-                excess.q_int(d, *unreduced(t, k))
+                excess.q_ints(d, *point_column(t, k))
             return
         expected = q_oracle(d, t)
-        assert Fraction(*excess.q_int(d, *unreduced(t, k))) == expected
+        assert [Fraction(*pair) for pair in excess.q_ints(d, *point_column(t, k))] == [expected]
         assert excess.q_eval(d, t) == expected
 
 
@@ -173,13 +178,13 @@ class TestRKernel:
     def test_matches_count_over_clr_bound(self, point, k):
         d, eta = point
         expected = r_oracle(d, eta)
-        assert Fraction(*excess.r_int(d, *unreduced(eta, k))) == expected
+        assert [Fraction(*pair) for pair in excess.r_ints(d, *point_column(eta, k))] == [expected]
         assert excess.r_eval(d, eta) == expected
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_eta_rejected(self, n):
         with pytest.raises(ValueError, match="eta must be positive"):
-            excess.r_int(5, n, 7)
+            excess.r_ints(5, range(n, n + 1), 7)
 
 
 class TestFKernel:
@@ -190,10 +195,10 @@ class TestFKernel:
         poles = {Fraction(-d, 2), Fraction(1 - d, 2)} | {Fraction(-j) for j in range(1, d)}
         if t in poles:
             with pytest.raises(ValueError, match="pole"):
-                excess.f_int(d, *unreduced(t, k))
+                excess.f_ints(d, *point_column(t, k))
             return
         expected = f_oracle(d, t)
-        assert Fraction(*excess.f_int(d, *unreduced(t, k))) == expected
+        assert [Fraction(*pair) for pair in excess.f_ints(d, *point_column(t, k))] == [expected]
         assert excess.f_eval(d, t) == expected
 
 
@@ -204,7 +209,7 @@ class TestTraceD3Kernel:
         _, eta = point
         expected = trace_oracle(3, eta)
         assert trace_d3_closed_form(eta) == expected
-        assert Fraction(*spectrum.riesz_mean_order1_int(3, *unreduced(eta, k))) == expected
+        assert [Fraction(*pair) for pair in spectrum.riesz_means_order1_int(3, *point_column(eta, k))] == [expected]
 
 
 class TestOrder1TraceKernel:
@@ -212,7 +217,7 @@ class TestOrder1TraceKernel:
     @given(eta_points(), multipliers)
     def test_matches_level_sum(self, point, k):
         d, eta = point
-        pair = spectrum.riesz_mean_order1_int(d, *unreduced(eta, k))
+        [pair] = spectrum.riesz_means_order1_int(d, *point_column(eta, k))
         assert pair[1] > 0
         expected = trace_oracle(d, eta)
         assert Fraction(*pair) == expected
@@ -268,7 +273,9 @@ class TestD3EnvelopeTerms:
     @given(eta_points(st.just(3)), multipliers)
     def test_matches_definitions_and_encloses_the_trace(self, point, k):
         _, eta = point
-        lead, lower, upper = (Fraction(*pair) for pair in spectrum.d3_envelope_terms_int(*unreduced(eta, k)))
+        terms = spectrum.d3_envelope_terms_ints(*point_column(eta, k))
+        assert [len(nums) for nums, _ in terms] == [1, 1, 1]
+        lead, lower, upper = (Fraction(nums[0], den) for nums, den in terms)
         assert lead == eta**3 / 12 - eta**2 / 8
         assert lower == -eta / 12
         assert upper == Fraction(2 * math.ceil(eta / 2) - 1, 24)

@@ -12,7 +12,7 @@ from coulomb_sharp.spectrum import (
     levels,
     multiplicity,
     riesz_mean,
-    riesz_mean_order1_int,
+    riesz_means_order1_int,
     top_level,
 )
 
@@ -163,8 +163,10 @@ def d3_closed_form(eta):
 
 
 def order1_d3(eta, k):
-    """riesz_mean_order1_int(3, .) at eta given as the unreduced pair (k num, k den)."""
-    return Fraction(*riesz_mean_order1_int(3, eta.numerator * k, eta.denominator * k))
+    """riesz_means_order1_int(3, .) on the one-point column of eta given as the unreduced pair (k num, k den)."""
+    n = eta.numerator * k
+    [pair] = riesz_means_order1_int(3, range(n, n + 1), eta.denominator * k)
+    return Fraction(*pair)
 
 
 class TestD3ClosedForm:

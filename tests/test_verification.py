@@ -14,42 +14,48 @@ from coulomb_sharp.exact import Polynomial, RationalFunctionPair, iroot
 from coulomb_sharp.highprec import MAX_PRECISION, enclosure_bits
 
 
+def riesz_mean_enclosure(d, n, den, gamma, bits):
+    """``spectrum.riesz_means_int`` at the one d, in the signature of ``phase_space.lt_rhs_int``."""
+    return spectrum.riesz_means_int((d,), n, den, gamma, bits)[0]
+
+
 class TestLtGamma1:
     def test_d4_eta10(self):
-        record = V.check_lt_gamma1(4, Fraction(10))
+        [record] = V.check_lt_gamma1_grid(4, range(10, 11), 1)
         assert record.verdict == "pass"
         assert record.witness["lhs"] == "8830/189"
         assert record.witness["rhs"] == "50"
 
     def test_trivial_below_threshold(self):
-        record = V.check_lt_gamma1(4, Fraction(3))
+        [record] = V.check_lt_gamma1_grid(4, range(3, 4), 1)
         assert record.verdict == "pass"
         assert record.witness["lhs"] == "0"
 
     def test_d10_eta15(self):
-        assert V.check_lt_gamma1(10, Fraction(15)).verdict == "pass"
+        [record] = V.check_lt_gamma1_grid(10, range(15, 16), 1)
+        assert record.verdict == "pass"
 
     def test_d3_skipped(self):
-        record = V.check_lt_gamma1(3, Fraction(10))
+        [record] = V.check_lt_gamma1_grid(3, range(10, 11), 1)
         assert record.verdict == "skipped"
         assert record.ok
 
 
 class TestD3Envelopes:
     def test_odd_integer_upper_equality(self):
-        record = V.check_d3_envelopes(Fraction(5))
+        [record] = V.check_d3_envelopes_grid(range(5, 6), 1)
         assert record.verdict == "pass"
         assert "upper equality" in record.note
         assert record.witness["trace"] == record.witness["upper"] == "15/2"
 
     def test_even_integer_lower_equality(self):
-        record = V.check_d3_envelopes(Fraction(4))
+        [record] = V.check_d3_envelopes_grid(range(4, 5), 1)
         assert record.verdict == "pass"
         assert "lower equality" in record.note
         assert record.witness["trace"] == "3"
 
     def test_threshold_all_zero(self):
-        record = V.check_d3_envelopes(Fraction(2))
+        [record] = V.check_d3_envelopes_grid(range(2, 3), 1)
         assert record.verdict == "pass"
         assert record.witness["trace"] == "0"
         assert record.witness["lower"] == "0"
@@ -62,9 +68,11 @@ class TestD3Envelopes:
     def test_trace_moved_off_an_envelope_fails(self, monkeypatch, eta, side, nudge):
         # A trace 10**-9 outside an envelope, or inside but off the envelope it
         # must equal at integer eta, fails.
-        moved = Fraction(V.check_d3_envelopes(eta).witness[side]) + Fraction(nudge, 10**9)
+        column = range(eta.numerator, eta.numerator + 1), eta.denominator
+        [record] = V.check_d3_envelopes_grid(*column)
+        moved = Fraction(record.witness[side]) + Fraction(nudge, 10**9)
         monkeypatch.setattr(spectrum, "riesz_means_order1_int", lambda d, ns, den: [moved.as_integer_ratio()] * len(ns))
-        assert V.check_d3_envelopes(eta).verdict == "fail"
+        assert [r.verdict for r in V.check_d3_envelopes_grid(*column)] == ["fail"]
 
 
 class TestPhiEnvelope:
@@ -129,7 +137,7 @@ class TestGeneralGamma:
         for d in range(3, 13):
             for n in range(1, 12 * d + 13, 5):
                 record = V.check_lt_general_gamma(d, Fraction(n, 6), Fraction(1))
-                lhs_num, lhs_den = spectrum.riesz_mean_order1_int(d, n, 6)
+                [(lhs_num, lhs_den)] = spectrum.riesz_means_order1_int(d, range(n, n + 1), 6)
                 rhs_num, rhs_den = phase_space.lt_rhs_order_int(d, n, 6, 1)
                 assert record.verdict == "pass"
                 assert (record.verdict == "pass") == (lhs_num * rhs_den < rhs_num * lhs_den)
@@ -211,7 +219,7 @@ class TestGeneralGamma:
         # side overlaps it at 30 and 60 digits (167 and 266 bits) and
         # separates at 120 (465 bits); the witnesses are read at 120 digits.
         def shifted(d, n, den, gamma, bits):
-            lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            lo, hi, k = riesz_mean_enclosure(d, n, den, gamma, bits)
             return lo + sign * (lo >> 300), hi + sign * (lo >> 300), k
 
         monkeypatch.setattr(phase_space, "lt_rhs_int", shifted)
@@ -225,7 +233,7 @@ class TestGeneralGamma:
 
         def tie(d, n, den, gamma, bits):
             rungs.append(bits)
-            return spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            return riesz_mean_enclosure(d, n, den, gamma, bits)
 
         monkeypatch.setattr(phase_space, "lt_rhs_int", tie)
         V.check_lt_general_gamma(8, Fraction(12), Fraction(7, 3))
@@ -234,7 +242,7 @@ class TestGeneralGamma:
     @pytest.mark.parametrize("gamma", [Fraction(7, 3), Fraction(233, 100)], ids=("7/3", "233/100"))
     def test_tie_is_inconclusive_at_the_cap(self, monkeypatch, gamma):
         # Both Riesz kernels: q-th roots at 7/3, log and exp at 233/100.
-        monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
+        monkeypatch.setattr(phase_space, "lt_rhs_int", riesz_mean_enclosure)
         record = V.check_lt_general_gamma(8, Fraction(12), gamma)
         assert record.verdict == "inconclusive" and not record.ok
         assert record.witness["lhs"] == record.witness["rhs"]
@@ -246,7 +254,7 @@ class TestGeneralGamma:
         # cap test must come before any doubling.
         monkeypatch.setattr(V, "DEFAULT_PRECISION", precision)
         monkeypatch.setattr(V, "MAX_PRECISION", precision)
-        monkeypatch.setattr(phase_space, "lt_rhs_int", spectrum.riesz_mean_int)
+        monkeypatch.setattr(phase_space, "lt_rhs_int", riesz_mean_enclosure)
         record = V.check_lt_general_gamma(8, Fraction(12), gamma)
         assert record.verdict == "inconclusive" and not record.ok
         assert record.witness["lhs"] == record.witness["rhs"]
@@ -269,7 +277,7 @@ class TestGeneralGamma:
         # batched first rung must give every point the record the ladder
         # alone gives it.
         def rhs(d, n, den, gamma, bits):
-            lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            lo, hi, k = riesz_mean_enclosure(d, n, den, gamma, bits)
             gap = lo >> 300 if d % 2 == 0 else hi - lo + 1
             return lo + gap, hi + gap, k
 
@@ -300,7 +308,7 @@ class TestGeneralGamma:
         # at 30 digits, where a margin of ten units in the last digit would
         # call it a tie.
         def just_above(d, n, den, gamma, bits):
-            lo, hi, k = spectrum.riesz_mean_int(d, n, den, gamma, bits)
+            lo, hi, k = riesz_mean_enclosure(d, n, den, gamma, bits)
             return hi + (hi >> 150), hi + (hi >> 150), k
 
         monkeypatch.setattr(phase_space, "lt_rhs_int", just_above)
@@ -474,13 +482,13 @@ class TestRecords:
         assert V._ratio_text(num * factor, den * factor) == str(Fraction(num * factor, den * factor))
 
     def test_json_key_order(self):
-        record = V.check_lt_gamma1(4, Fraction(10))
+        [record] = V.check_lt_gamma1_grid(4, range(10, 11), 1)
         payload = json.loads(record.to_json())
         assert list(payload) == ["check_id", "params", "verdict", "witness", "note"]
 
     def test_replay_byte_identical(self):
-        first = V.check_d3_envelopes(Fraction(77, 10)).to_json()
-        second = V.check_d3_envelopes(Fraction(77, 10)).to_json()
+        first = V.check_d3_envelopes_grid(range(77, 78), 10)[0].to_json()
+        second = V.check_d3_envelopes_grid(range(77, 78), 10)[0].to_json()
         assert first == second
 
     def test_jsonl_roundtrip(self):
